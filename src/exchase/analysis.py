@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import hom, normalize
 from .core import (
@@ -87,58 +87,67 @@ def explore_all(
         raise ValueError("budgets must be positive")
     budgets = {"max_depth": max_depth, "max_nodes": max_nodes}
     atomic_only = all(len(r.head) == 1 for r in kb.rules)
-    seen_depth: dict[bytes, int] = {}
-    state = {"expansions": 0, "dedup_hits": 0, "max_len": 0, "frontier": 0}
+    seen_depth = hom.IsoTable()
+    expansions = dedup_hits = max_len = 0
+    # One frame per state on the current path: its fact base, its depth and
+    # its lazily evaluated edges. deltas[i] leads from frame i to frame i + 1.
+    stack: list[tuple[FactBase, int, Iterator[Trigger]]] = []
+    deltas: list[tuple[Atom, ...]] = []
 
-    def visit(fb: FactBase, depth: int, deltas: list[tuple[Atom, ...]]) -> None:
-        state["expansions"] += 1
-        state["max_len"] = max(state["max_len"], depth)
-        if state["expansions"] > max_nodes:
+    def expand(fb: FactBase, depth: int) -> None:
+        nonlocal expansions, max_len
+        expansions += 1
+        max_len = max(max_len, depth)
+        if expansions > max_nodes:
             raise _Budget()
-        for t in applicable_edges(kb, fb, variant, hom_budget=hom_budget):
+        stack.append((fb, depth, applicable_edges(kb, fb, variant, hom_budget=hom_budget)))
+
+    try:
+        if dedup:
+            seen_depth.put(kb.facts, 0)
+        expand(kb.facts, 0)
+        while stack:
+            fb, depth, edges = stack[-1]
+            t = next(edges, None)
+            if t is None:
+                stack.pop()
+                if deltas:
+                    deltas.pop()
+                continue
             child = fb.union(t.output)
             delta = sort_atoms(child.atoms - fb.atoms)
             if depth + 1 > max_depth:
                 raise _Growth(tuple(deltas) + (delta,))
             if dedup:
-                code = hom.canonical_code(child)
-                prev = seen_depth.get(code)
+                prev = seen_depth.get(child)
                 if prev is not None and prev <= depth + 1:
-                    state["dedup_hits"] += 1
+                    dedup_hits += 1
                     continue
-                seen_depth[code] = depth + 1
+                seen_depth.put(child, depth + 1)
             deltas.append(delta)
-            state["frontier"] += 1
-            visit(child, depth + 1, deltas)
-            state["frontier"] -= 1
-            deltas.pop()
-
-    try:
-        if dedup:
-            seen_depth[hom.canonical_code(kb.facts)] = 0
-        visit(kb.facts, 0, [])
+            expand(child, depth + 1)
     except _Growth as g:
         return ExplorationReport(
             verdict=GROWTH,
-            nodes=state["expansions"],
+            nodes=expansions,
             witness=g.witness,
             witness_label=CERTIFIED if atomic_only else UNCERTIFIED,
-            dedup_hits=state["dedup_hits"],
+            dedup_hits=dedup_hits,
             budgets=budgets,
         )
     except _Budget:
         return ExplorationReport(
             verdict=BUDGET_EXCEEDED,
-            nodes=state["expansions"],
-            frontier=state["frontier"],
-            dedup_hits=state["dedup_hits"],
+            nodes=expansions,
+            frontier=len(deltas),
+            dedup_hits=dedup_hits,
             budgets=budgets,
         )
     return ExplorationReport(
         verdict=ALL_FINITE,
-        nodes=state["expansions"],
-        max_len=state["max_len"],
-        dedup_hits=state["dedup_hits"],
+        nodes=expansions,
+        max_len=max_len,
+        dedup_hits=dedup_hits,
         budgets=budgets,
     )
 
@@ -162,30 +171,43 @@ def find_terminating(
             return outcome.derivation
     if not deepening:
         return None
-    dead: dict[bytes, int] = {}
 
-    def dfs(fb: FactBase, depth_left: int, path: list[tuple[Trigger, FactBase]]):
-        edges = list(applicable_edges(kb, fb, variant, hom_budget=hom_budget))
-        if not edges:
-            return list(path)
-        if depth_left == 0:
-            return None
-        code = hom.canonical_code(fb)
-        if dead.get(code, -1) >= depth_left:
-            return None
-        for t in edges:
-            child = fb.union(t.output)
-            path.append((t, child))
-            found = dfs(child, depth_left - 1, path)
-            if found is not None:
-                return found
-            path.pop()
-        dead[code] = depth_left
-        return None
+    def dfs(depth_budget: int) -> Optional[list[tuple[Trigger, FactBase]]]:
+        """Depth-first search for a terminal state within `depth_budget`
+        steps. A state whose subtree held none is memoised with the budget
+        it had left, and pruned when reached again with no more."""
+        dead = hom.IsoTable()
+        # One frame per expanded state on the path, with its remaining edges;
+        # path[i] leads from frame i to the state after it.
+        stack: list[tuple[FactBase, int, Iterator[Trigger]]] = []
+        path: list[tuple[Trigger, FactBase]] = []
+        fb, depth_left = kb.facts, depth_budget
+        while True:
+            edges = list(applicable_edges(kb, fb, variant, hom_budget=hom_budget))
+            if not edges:
+                return path
+            prev = dead.get(fb) if depth_left else None
+            if depth_left and (prev is None or prev < depth_left):
+                stack.append((fb, depth_left, iter(edges)))
+            elif path:
+                path.pop()
+            t = None
+            while stack:
+                fb, depth_left, untried = stack[-1]
+                t = next(untried, None)
+                if t is not None:
+                    break
+                stack.pop()
+                dead.put(fb, depth_left)
+                if stack:
+                    path.pop()
+            if t is None:
+                return None
+            fb, depth_left = fb.union(t.output), depth_left - 1
+            path.append((t, fb))
 
     for budget in range(1, max_steps + 1):
-        dead.clear()
-        found = dfs(kb.facts, budget, [])
+        found = dfs(budget)
         if found is not None:
             return Derivation(
                 initial=kb.facts,

@@ -46,6 +46,10 @@ class StrategyError(ValueError):
     """A scripted trigger choice was not applicable at its step."""
 
 
+class VariantError(ValueError):
+    """A chase variant name is not o, so, r or e, optionally df-prefixed."""
+
+
 class BudgetError(RuntimeError):
     """A defensive step budget was exceeded (cannot happen semantically)."""
 
@@ -60,7 +64,7 @@ class ChaseVariant:
 
     def __post_init__(self) -> None:
         if self.tag not in _TAGS:
-            raise ValueError("unknown chase tag %r" % self.tag)
+            raise VariantError("unknown chase tag %r" % self.tag)
 
     @classmethod
     def parse(cls, name: str) -> "ChaseVariant":

@@ -4,8 +4,10 @@ Subcommands: run, normalize, explore, entails, classify, tm. Reports are
 printed as human-readable lines by default and as JSON with --json; the JSON
 object always carries the keys command/inputs/verdict/steps/atoms (plus
 stats, and a delta-list derivation on request). Exit code 0 on success or a
-fully passing classification, 1 on classification mismatches, 2 on usage
-errors.
+fully passing classification, 1 on classification mismatches, 2 on usage or
+input errors. Such an error prints one JSON object {"command", "error"} on
+stderr; only argparse's own usage errors (a missing or unknown argument)
+print its usage text instead.
 """
 from __future__ import annotations
 
@@ -16,7 +18,21 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import analysis, normalize, textio, tmgen
-from .chase import ChaseVariant, DatalogFirst, FIFO, Phased, Scripted, Strategy, run_chase
+from .chase import (
+    ChaseVariant,
+    DatalogFirst,
+    FIFO,
+    Phased,
+    Scripted,
+    Strategy,
+    StrategyError,
+    VariantError,
+    run_chase,
+)
+
+
+class UsageError(ValueError):
+    """A command-line value or a file it names cannot be used."""
 
 
 def _load_document(path: str) -> textio.SourceDocument:
@@ -28,13 +44,16 @@ def _strategy(spec: str) -> Strategy:
         return FIFO()
     if spec == "datalog-first":
         return DatalogFirst()
-    if spec.startswith("phased:"):
-        raw = json.loads(Path(spec.split(":", 1)[1]).read_text())
-        return Phased([(tuple(ids), mode) for ids, mode in raw])
-    if spec.startswith("scripted:"):
-        raw = json.loads(Path(spec.split(":", 1)[1]).read_text())
+    kind, _, path = spec.partition(":")
+    if kind not in ("phased", "scripted") or not path:
+        raise UsageError("unknown strategy %r" % spec)
+    try:
+        raw = json.loads(Path(path).read_text())
+        if kind == "phased":
+            return Phased([(tuple(ids), mode) for ids, mode in raw])
         return Scripted([tuple(s) if isinstance(s, list) else s for s in raw])
-    raise argparse.ArgumentTypeError("unknown strategy %r" % spec)
+    except (ValueError, TypeError, IndexError) as e:
+        raise UsageError("malformed %s strategy file %s: %s" % (kind, path, e))
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -145,11 +164,12 @@ def _cmd_entails(args) -> int:
     doc = _load_document(args.file)
     kb = doc.knowledge_base()
     if not doc.queries:
-        print("error: no queries in %s" % args.file, file=sys.stderr)
-        return 2
+        raise UsageError("no queries in %s" % args.file)
     if args.query_index >= len(doc.queries):
-        print("error: query index out of range", file=sys.stderr)
-        return 2
+        raise UsageError(
+            "query index %d out of range: %d queries in %s"
+            % (args.query_index, len(doc.queries), args.file)
+        )
     query = doc.queries[args.query_index]
     variant = ChaseVariant.parse(args.variant)
     verdict = analysis.entails(kb, query, variant, args.max_steps)
@@ -271,6 +291,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         analysis.FixtureError,
         tmgen.InvalidMachine,
         normalize.FreshNameClashError,
+        StrategyError,
+        VariantError,
+        UsageError,
         FileNotFoundError,
     ) as e:
         print(

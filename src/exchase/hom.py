@@ -5,15 +5,15 @@ constants pointwise. A retraction into a subset additionally fixes every term
 of the subset. The equivalent-chase test moves *all* nulls of the source, so
 callers control which terms are frozen.
 
-`canonical_code` produces an isomorphism-invariant, isomorphism-complete byte
-string via colour refinement with individualization, used by the derivation
-explorer to deduplicate states.
+`IsoTable` maps atom sets up to isomorphism. It buckets them by a
+colour-refinement invariant and runs an exact, budgeted isomorphism check
+within a bucket; the derivation explorer uses it to deduplicate states.
 """
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .core import Atom, Const, FactBase, Term, sort_atoms, term_key
+from .core import Atom, Const, FactBase, Term
 
 
 class HomBudgetExceeded(Exception):
@@ -29,10 +29,6 @@ def _target_index(target) -> dict[str, tuple[Atom, ...]]:
     return {p: tuple(v) for p, v in index.items()}
 
 
-def _movable(t: Term, frozen: frozenset[Term]) -> bool:
-    return not isinstance(t, Const) and t not in frozen
-
-
 class _Search:
     """Most-constrained-atom-first backtracking with forward pruning."""
 
@@ -46,6 +42,10 @@ class _Search:
         self.nodes = 0
         self.assignment: dict[Term, Term] = dict(fixed or {})
         self.used: set[Term] = set(self.assignment.values()) if injective else set()
+        if injective:  # constants and frozen terms of the source are their own images
+            self.used.update(
+                t for a in self.atoms for t in a.args if isinstance(t, Const) or t in frozen
+            )
         if stats is not None:
             stats["hom_calls"] = stats.get("hom_calls", 0) + 1
 
@@ -218,113 +218,112 @@ def are_isomorphic(left, right, stats: Optional[dict] = None) -> bool:
     return find_homomorphism(la, ra, injective=True, stats=stats) is not None
 
 
-# --- canonical codes -------------------------------------------------------
+# --- isomorphism table -----------------------------------------------------
+
+# Search nodes per isomorphism check. One that runs out counts the two atom
+# sets as distinct: a table lookup may then miss, but never hits wrongly.
+ISO_CHECK_BUDGET = 20000
 
 
-def _refine(atoms: Sequence[Atom], colors: dict[Term, tuple]) -> dict[Term, tuple]:
-    while True:
-        sigs: dict[Term, tuple] = {}
-        for t in colors:
-            occ = []
-            for a in atoms:
-                if t in a.args:
-                    positions = tuple(i for i, x in enumerate(a.args) if x == t)
-                    argcolors = tuple(
-                        ("c", x.name) if isinstance(x, Const) else colors[x]
-                        for x in a.args
-                    )
-                    occ.append((a.pred, positions, argcolors))
-            sigs[t] = (colors[t], tuple(sorted(occ)))
-        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
-        new = {t: ("r", ranking[sigs[t]]) for t in colors}
-        if new == colors:
-            return colors
-        colors = new
+def _refine(atoms: Sequence[Atom]) -> dict[Term, int]:
+    """Stable colouring by colour refinement: constants get their rank in name
+    order, a movable term the rank of its colour and sorted occurrences (the
+    atom's predicate and argument colours, position). Ranks of sorted
+    signatures are isomorphism-invariant; an occurrence index built once
+    makes a round O(|atoms| * arity), not O(|terms| * |atoms|)."""
+    consts = sorted({t for a in atoms for t in a.args if isinstance(t, Const)}, key=str)
+    colours: dict[Term, int] = {c: k for k, c in enumerate(consts)}
+    occurrences: dict[Term, list[tuple[int, int]]] = {}
+    for k, a in enumerate(atoms):
+        for i, t in enumerate(a.args):
+            if not isinstance(t, Const):
+                colours[t] = len(consts)
+                occurrences.setdefault(t, []).append((k, i))
+    classes = 1
+    while occurrences:
+        argcolours = [(a.pred, tuple([colours[t] for t in a.args])) for a in atoms]
+        sigs = {
+            t: (colours[t], tuple(sorted([(argcolours[k], i) for k, i in occ])))
+            for t, occ in occurrences.items()
+        }
+        ranks = {sig: len(consts) + r for r, sig in enumerate(sorted(set(sigs.values())))}
+        if len(ranks) == classes:
+            return colours
+        classes = len(ranks)
+        for t, sig in sigs.items():
+            colours[t] = ranks[sig]
+    return colours
 
 
-def _code_bytes(atoms: Sequence[Atom], order: dict[Term, int]) -> bytes:
-    lines = []
-    for a in atoms:
-        parts = []
-        for t in a.args:
-            if isinstance(t, Const):
-                parts.append("c:" + t.name)
-            else:
-                parts.append("n%d" % order[t])
-        lines.append("%s(%s)" % (a.pred, ",".join(parts)))
-    return "\n".join(sorted(lines)).encode("utf-8")
+class _Entry:
+    """An atom set with its bucket key, colour classes and stored value."""
+
+    def __init__(self, atoms: frozenset[Atom]) -> None:
+        colours = _refine(tuple(atoms))
+        self.atoms, self.value = atoms, None
+        self.key = (
+            tuple(sorted(t.name for t in colours if isinstance(t, Const))),
+            tuple(sorted((a.pred, tuple([colours[t] for t in a.args])) for a in atoms)),
+        )
+        self.classes: dict[int, list[Term]] = {}
+        for t, c in colours.items():
+            if not isinstance(t, Const):
+                self.classes.setdefault(c, []).append(t)
+        self.colour_atoms = [  # make the search keep the colours of shared classes
+            Atom("\x00%d" % c, (t,)) for c, ts in self.classes.items() if len(ts) > 1 for t in ts
+        ]
+
+    def isomorphic(self, other: "_Entry") -> bool:
+        """Exact check against an entry with an equal key (so as many atoms).
+
+        Isomorphisms preserve colours, so a term alone in its class has one
+        possible image; the other terms are mapped by an injective,
+        colour-preserving search. As the atom counts agree, an injective map
+        of the atoms into `other` is onto, so class sizes need no check."""
+        fixed = {ts[0]: other.classes[c][0] for c, ts in self.classes.items() if len(ts) == 1}
+        rigid = [a for a in self.atoms if all(isinstance(t, Const) or t in fixed for t in a.args)]
+        if any(a.substitute(fixed) not in other.atoms for a in rigid):
+            return False
+        loose = [*self.atoms.difference(rigid), *self.colour_atoms]
+        if not loose:
+            return True
+        target = FactBase(other.atoms.union(other.colour_atoms))
+        try:
+            h = find_homomorphism(loose, target, fixed, injective=True, budget=ISO_CHECK_BUDGET)
+        except HomBudgetExceeded:
+            return False
+        return h is not None
 
 
-def _orbit_representatives(
-    atoms: Sequence[Atom], colors: dict[Term, tuple], split: Sequence[Term]
-) -> list[Term]:
-    """One member per automorphism orbit of the split class.
+class IsoTable:
+    """A map keyed by atom sets up to isomorphism (a bijective renaming of
+    nulls and variables). Entries are bucketed by their colour-refinement
+    invariant: the constants, and the sorted atoms with argument colours. A
+    lookup runs an exact isomorphism check within its own bucket only."""
 
-    Terms in the same orbit of the colour-preserving automorphism group give
-    branches with identical codes, so exploring one representative is enough;
-    highly symmetric fact bases would otherwise branch factorially. Colours
-    are made part of the structure via virtual unary atoms so the pinned
-    automorphism search respects the current partition."""
-    rank = {c: i for i, c in enumerate(sorted(set(colors.values())))}
-    augmented = list(atoms) + [
-        Atom("\x00color%d" % rank[c], (t,)) for t, c in colors.items()
-    ]
-    reps: list[Term] = []
-    for t in sorted(split, key=term_key):
-        equivalent = False
-        for rep in reps:
-            try:
-                auto = find_homomorphism(
-                    augmented, augmented, fixed={rep: t}, injective=True, budget=20000
-                )
-            except HomBudgetExceeded:
-                auto = None
-            if auto is not None:
-                equivalent = True
-                break
-        if not equivalent:
-            reps.append(t)
-    return reps
+    def __init__(self) -> None:
+        self._buckets: dict[tuple, list[_Entry]] = {}
+        # the last lookup, as `put` usually follows `get` on the same state
+        self._last: Optional[tuple[_Entry, Optional[_Entry]]] = None
 
+    def _lookup(self, atoms) -> tuple[_Entry, Optional[_Entry]]:
+        atoms = frozenset(atoms.atoms if isinstance(atoms, FactBase) else atoms)
+        if self._last is None or self._last[0].atoms != atoms:
+            probe = _Entry(atoms)
+            found = (e for e in self._buckets.get(probe.key, ()) if probe.isomorphic(e))
+            self._last = (probe, next(found, None))
+        return self._last
 
-def _canonical_search(atoms: Sequence[Atom], colors: dict[Term, tuple]) -> bytes:
-    classes: dict[tuple, list[Term]] = {}
-    for t, c in colors.items():
-        classes.setdefault(c, []).append(t)
-    split = None
-    for c in sorted(classes):
-        if len(classes[c]) > 1:
-            split = classes[c]
-            break
-    if split is None:
-        # Discrete partition: colours are unique, so ordering by colour is
-        # label-independent.
-        ranked = sorted(colors.items(), key=lambda item: item[1])
-        order = {t: i for i, (t, _) in enumerate(ranked)}
-        return _code_bytes(atoms, order)
-    best: Optional[bytes] = None
-    for t in _orbit_representatives(atoms, colors, split):
-        branch = dict(colors)
-        branch[t] = ("i", branch[t])
-        refined = _refine(atoms, branch)
-        code = _canonical_search(atoms, refined)
-        if best is None or code < best:
-            best = code
-    return best
+    def get(self, atoms) -> Optional[object]:
+        """The value stored for an atom set isomorphic to `atoms`, or None."""
+        entry = self._lookup(atoms)[1]
+        return None if entry is None else entry.value
 
-
-def canonical_code(fb) -> bytes:
-    """Iso-invariant, iso-complete byte code for an atom set.
-
-    Colour refinement on the atom-term incidence structure; when the
-    partition stalls with non-singleton classes, individualize and recurse,
-    keeping the lexicographically smallest code.
-    """
-    atoms = sort_atoms(fb.atoms if isinstance(fb, FactBase) else fb)
-    movables: set[Term] = set()
-    for a in atoms:
-        movables.update(t for t in a.args if not isinstance(t, Const))
-    if not movables:
-        return _code_bytes(atoms, {})
-    colors = _refine(atoms, {t: ("r", 0) for t in movables})
-    return _canonical_search(atoms, colors)
+    def put(self, atoms, value: object) -> None:
+        """Store `value` for `atoms`, replacing that of an isomorphic entry."""
+        probe, entry = self._lookup(atoms)
+        if entry is None:
+            entry = probe
+            self._buckets.setdefault(probe.key, []).append(probe)
+        entry.value = value
+        self._last = None

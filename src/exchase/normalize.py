@@ -16,7 +16,8 @@ from .core import Atom, FactBase, Rule, Var, sort_atoms
 
 
 class FreshNameClashError(ValueError):
-    """A generated predicate name already occurs in the input signature."""
+    """A generated predicate name already occurs in the input signature, or
+    two input rules would get the same one."""
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,16 @@ def _check_clash(rules: Sequence[Rule], reserved: Iterable[str]) -> None:
     for r in rules:
         for a in r.body + r.head:
             sig.add(a.pred)
+    owner: dict[str, str] = {}
     for r in rules:
         name = _fresh_name(r.id)
         if name in sig:
             raise FreshNameClashError("fresh predicate %r clashes with the input signature" % name)
+        if name in owner:
+            raise FreshNameClashError(
+                "rules %r and %r would both get fresh predicate %r" % (owner[name], r.id, name)
+            )
+        owner[name] = r.id
 
 
 def one_way(

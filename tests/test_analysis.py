@@ -85,6 +85,18 @@ def test_explore_budget_exceeded():
     assert report.frontier is not None
 
 
+def test_explore_deeper_than_the_recursion_limit():
+    # the explorer keeps one frame per depth on an explicit stack, so a depth
+    # budget above Python's recursion limit (1000) works
+    from exchase import textio
+
+    kb = textio.parse_document("[g] p(X,Y) -> exists Z. p(Y,Z).\np(a,b).\n").knowledge_base()
+    report = explore_all(kb, O, max_depth=1500, max_nodes=5000, dedup=False)
+    assert report.verdict == GROWTH
+    assert len(report.witness) == 1501
+    assert report.nodes == 1501
+
+
 def test_explore_rejects_bad_budgets():
     with pytest.raises(ValueError):
         explore_all(load_kb("ex1.erl"), R, 0, 10)

@@ -88,11 +88,65 @@ def test_entails_command(capsys):
     assert "witness" in report
 
 
+def run_cli_error(capsys, *argv) -> dict:
+    """Run a failing command: exit 2 and one JSON object on stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert sorted(error) == ["command", "error"]
+    assert error["command"] == argv[0]
+    return error
+
+
 def test_entails_requires_query(tmp_path, capsys):
     erl = tmp_path / "noq.erl"
     erl.write_text("p(a,b).\n")
-    code, _ = run_cli(capsys, "entails", str(erl))
-    assert code == 2
+    error = run_cli_error(capsys, "entails", str(erl))
+    assert "no queries" in error["error"]
+
+
+def test_entails_query_index_out_of_range(capsys):
+    error = run_cli_error(capsys, "entails", str(CORPUS / "ex1.erl"), "--query-index", "7")
+    assert "out of range" in error["error"]
+
+
+def test_unknown_variant_json_error(capsys):
+    for command in ("run", "explore", "entails"):
+        error = run_cli_error(capsys, command, str(CORPUS / "ex1.erl"), "--variant", "bogus")
+        assert "bogus" in error["error"]
+
+
+def test_unknown_strategy_json_error(capsys):
+    error = run_cli_error(capsys, "run", str(CORPUS / "ex1.erl"), "--strategy", "nope")
+    assert "nope" in error["error"]
+
+
+def test_malformed_strategy_file_json_error(tmp_path, capsys):
+    for kind, text in (("phased", "[[[\"r1\"], "), ("scripted", "{not json"), ("phased", "[1, 2]")):
+        path = tmp_path / ("%s.json" % kind)
+        path.write_text(text)
+        error = run_cli_error(
+            capsys, "run", str(CORPUS / "t2f.erl"), "--strategy", "%s:%s" % (kind, path)
+        )
+        assert "malformed %s strategy file" % kind in error["error"]
+
+
+def test_strategy_error_json_error(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([["ex1", 5]]))  # ex1 has a single trigger
+    error = run_cli_error(
+        capsys, "run", str(CORPUS / "ex1.erl"), "--strategy", "scripted:%s" % script
+    )
+    assert "scripted step 1" in error["error"]
+
+
+def test_normalize_fresh_name_clash_json_error(tmp_path, capsys):
+    erl = tmp_path / "clash.erl"
+    erl.write_text("[a.b] p(X) -> exists Z. r(Z), s(X).\n[a_b] q(X) -> exists Z. r(Z), t(X).\n")
+    error = run_cli_error(capsys, "normalize", str(erl), "--proc", "1ad")
+    assert "X__a_b" in error["error"]
 
 
 def test_classify_command_passes_corpus(capsys):

@@ -1,10 +1,13 @@
 import itertools
 import random
 
+from hypothesis import given, settings, strategies as st
+
+from exchase import hom
 from exchase.core import Atom, Const, FactBase, Null, Var
 from exchase.hom import (
+    IsoTable,
     are_isomorphic,
-    canonical_code,
     entails,
     exists_retraction,
     find_homomorphism,
@@ -97,33 +100,49 @@ def test_are_isomorphic_examples():
     fb = FactBase.of([P(a, n1), P(n1, n2)])
     assert are_isomorphic(fb, fb)
     assert not are_isomorphic([P(a, b)], [P(b, a)])  # constants are rigid
+    # a null may not take a constant's place: n1 -> a would merge q(n1), q(a)
+    Q = lambda t: Atom("q", (t,))
+    assert not are_isomorphic([Q(n1), Q(a), P(n1, n2)], [Q(a), Q(n9), P(a, n2)])
 
 
-def test_canonical_code_examples():
-    assert canonical_code([P(a, n1)]) == canonical_code([P(a, n9)])
-    assert canonical_code([P(a, b)]) != canonical_code([P(b, a)])
+def same_entry(left, right) -> bool:
+    """True iff a table holding only `left` finds it when looking up `right`."""
+    table = IsoTable()
+    table.put(left, "left")
+    return table.get(right) == "left"
 
 
-def test_canonical_code_stable_under_relabelling():
+def test_iso_table_examples():
+    assert same_entry([P(a, n1)], [P(a, n9)])
+    assert not same_entry([P(a, b)], [P(b, a)])
+    table = IsoTable()
+    assert table.get([P(a, n1)]) is None
+    table.put([P(a, n1)], 1)
+    table.put([P(a, n9)], 2)  # isomorphic: replaces the value
+    table.put([P(n1, a)], 3)
+    assert (table.get([P(a, n2)]), table.get([P(n2, a)])) == (2, 3)
+
+
+def test_iso_table_stable_under_relabelling():
     from exchase.chase import ChaseVariant, FIFO, run_chase
     from conftest import load_doc
 
     kb = load_doc("ex1.erl").knowledge_base()
     result = run_chase(kb, ChaseVariant.parse("r"), FIFO(), 10).result
-    code = canonical_code(result)
+    table = IsoTable()
+    table.put(result, "result")
     rng = random.Random(3)
     nulls = sorted(result.nulls, key=str)
     for _ in range(10):
         names = ["m%d" % rng.randint(0, 10**6) for _ in nulls]
         mapping = {old: Null(new) for old, new in zip(nulls, names)}
         relabelled = FactBase.of(at.substitute(mapping) for at in result.atoms)
-        assert canonical_code(relabelled) == code
+        assert table.get(relabelled) == "result"
 
 
-def test_canonical_code_handles_symmetric_stars():
+def test_iso_table_handles_symmetric_stars():
     atoms = [P(a, Null("s%d" % i)) for i in range(12)]
-    code = canonical_code(atoms)
-    assert code == canonical_code([P(a, Null("t%d" % i)) for i in range(12)])
+    assert same_entry(atoms, [P(a, Null("t%d" % i)) for i in range(12)])
 
 
 def _oracle_isomorphic(left, right):
@@ -152,7 +171,7 @@ def random_atomset(rng, max_atoms=8, max_nulls=4):
     return frozenset(atoms)
 
 
-def test_canonical_code_agrees_with_isomorphism_oracle():
+def test_iso_table_agrees_with_isomorphism_oracle():
     rng = random.Random(42)
     for i in range(1000):
         left = random_atomset(rng)
@@ -165,7 +184,7 @@ def test_canonical_code_agrees_with_isomorphism_oracle():
             right = random_atomset(rng)
         expected = _oracle_isomorphic(left, right)
         assert are_isomorphic(left, right) == expected
-        assert (canonical_code(left) == canonical_code(right)) == expected
+        assert same_entry(left, right) == expected
 
 
 def test_entailment_bridge():
@@ -184,19 +203,37 @@ def test_injective_search_respects_term_injectivity():
     assert find_homomorphism([P(x, y), P(z, y)], FactBase.of([P(a, n1), P(b, n2)]), injective=True) is None
 
 
-def test_canonical_code_on_symmetric_rings():
-    # a directed p-cycle of nulls: rotations are automorphisms, refinement
-    # alone cannot split the terms
-    def ring(prefix, k):
-        nulls = [Null("%s%d" % (prefix, i)) for i in range(k)]
-        return [P(nulls[i], nulls[(i + 1) % k]) for i in range(k)]
+def ring(prefix, k):
+    """A directed p-cycle of k nulls: rotations are automorphisms, so colour
+    refinement alone cannot split its terms."""
+    nulls = [Null("%s%d" % (prefix, i)) for i in range(k)]
+    return [P(nulls[i], nulls[(i + 1) % k]) for i in range(k)]
 
+
+def test_iso_table_on_symmetric_rings():
     for k in (3, 6, 9):
-        assert canonical_code(ring("u", k)) == canonical_code(ring("v", k))
-    assert canonical_code(ring("u", 6)) != canonical_code(ring("u", 3) + ring("w", 3))
+        assert same_entry(ring("u", k), ring("v", k))
+    six, three_three = ring("u", 6), ring("u", 3) + ring("w", 3)
+    # equal refinement keys, so only the exact check can tell them apart
+    assert hom._Entry(frozenset(six)).key == hom._Entry(frozenset(three_three)).key
+    assert not same_entry(six, three_three)
+    table = IsoTable()
+    table.put(six, "ring6")
+    assert table.get(three_three) is None
+    table.put(three_three, "ring3+ring3")
+    assert table.get(ring("v", 6)) == "ring6"
+    assert table.get(ring("x", 3) + ring("y", 3)) == "ring3+ring3"
 
 
-def test_canonical_code_agrees_on_larger_structures():
+def test_iso_table_check_out_of_budget_counts_as_distinct(monkeypatch):
+    # the rings' terms all share one colour, so the check needs a search
+    assert same_entry(ring("u", 6), ring("v", 6))
+    monkeypatch.setattr(hom, "ISO_CHECK_BUDGET", 1)
+    assert not same_entry(ring("u", 6), ring("v", 6))
+    assert same_entry([P(a, n1)], [P(a, n9)])  # decided without a search
+
+
+def test_iso_table_agrees_on_larger_structures():
     rng = random.Random(77)
     terms = [a, b] + [Null("v%d" % i) for i in range(6)]
     for trial in range(40):
@@ -210,9 +247,35 @@ def test_canonical_code_agrees_on_larger_structures():
         mapping = dict(zip(nulls, (Null("w%d" % i) for i in range(len(shuffled)))))
         mapping = {old: Null("w%d" % i) for i, old in enumerate(shuffled)}
         right = frozenset(at.substitute(mapping) for at in left)
-        assert canonical_code(left) == canonical_code(right), trial
+        assert same_entry(left, right), trial
         assert are_isomorphic(left, right)
         # and a perturbed copy must differ unless genuinely isomorphic
         extra = right | {P(rng.choice(terms), rng.choice(terms)).substitute(mapping)}
         if not are_isomorphic(left, extra):
-            assert canonical_code(left) != canonical_code(extra)
+            assert not same_entry(left, extra)
+
+
+# --- property tests: the table against the isomorphism search ----------------
+
+_TERMS = [a, b] + [Null("u%d" % i) for i in range(4)]
+_term = st.sampled_from(_TERMS)
+atom_sets = st.lists(
+    st.one_of(st.builds(P, _term, _term), st.builds(lambda t: Atom("q", (t,)), _term)),
+    min_size=1,
+    max_size=7,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(atom_sets, st.permutations(range(4)), st.randoms(use_true_random=False))
+def test_iso_table_hits_relabelled_shuffled_copy(atoms, perm, rnd):
+    mapping = {Null("u%d" % i): Null("w%d" % j) for i, j in enumerate(perm)}
+    copy = [at.substitute(mapping) for at in atoms]
+    rnd.shuffle(copy)
+    assert same_entry(atoms, copy)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(atom_sets, atom_sets)
+def test_iso_table_hit_iff_isomorphic(left, right):
+    assert same_entry(left, right) == are_isomorphic(left, right)

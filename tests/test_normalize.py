@@ -183,6 +183,24 @@ def test_fresh_name_clash():
         two_way((rule,))
 
 
+def test_fresh_names_of_two_rules_must_differ():
+    # ids a.b and a_b both escape to X__a_b; sharing it would merge the two
+    # rules' witnesses
+    from exchase import textio
+
+    rules = tuple(
+        textio.parse_document(
+            "[a.b] p(X) -> exists Z. r(Z), s(X).\n[a_b] q(X) -> exists Z. r(Z), t(X).\n"
+        ).rules
+    )
+    with pytest.raises(FreshNameClashError, match="X__a_b"):
+        one_way(rules)
+    with pytest.raises(FreshNameClashError, match="X__a_b"):
+        two_way(rules)
+    # distinct escapes keep today's names
+    assert one_way(rules[:1]).fresh_predicates == (("X__a_b", 2),)
+
+
 # --- two-way atomic -------------------------------------------------------------
 
 
