@@ -26,7 +26,7 @@ from .core import (
     sort_atoms,
 )
 from .chase import (
-    ChaseState,
+    STOPPED,
     ChaseVariant,
     DatalogFirst,
     FIFO,
@@ -209,12 +209,11 @@ def find_terminating(
     for budget in range(1, max_steps + 1):
         found = dfs(budget)
         if found is not None:
-            return Derivation(
-                initial=kb.facts,
-                steps=tuple(found),
-                variant=variant.label,
-                verdict=TERMINATED_FAIR,
-            )
+            records, fb = [], kb.facts
+            for t, after in found:
+                records.append((t, sort_atoms(after.atoms - fb.atoms)))
+                fb = after
+            return Derivation(kb.facts, tuple(records), fb, variant.label, TERMINATED_FAIR)
     return None
 
 
@@ -243,28 +242,19 @@ def entails(
     match; Unknown when the step budget runs out first.
     """
     query = tuple(query)
-    strategy = strategy or DatalogFirst()
-    strategy.reset()
-    state = ChaseState(kb=kb, variant=variant, fb=kb.facts, hom_budget=hom_budget)
-    witness = hom.entails(state.fb, query)
-    if witness is not None:
+    witness = None
+
+    def entailed(fb) -> bool:
+        nonlocal witness
+        witness = hom.entails(fb, query)
+        return witness is not None
+
+    outcome = run_chase(
+        kb, variant, strategy or DatalogFirst(), max_steps, hom_budget=hom_budget, stop=entailed
+    )
+    if outcome.verdict == STOPPED:
         return TriState("yes", witness)
-    steps = 0
-    try:
-        while steps < max_steps:
-            t = strategy.choose(state)
-            if t is None:
-                if strategy.exhausted_early() and state.first_applicable() is not None:
-                    return TriState("unknown")
-                return TriState("no")
-            state.apply(t)
-            steps += 1
-            witness = hom.entails(state.fb, query)
-            if witness is not None:
-                return TriState("yes", witness)
-    except hom.HomBudgetExceeded:
-        return TriState("unknown")
-    if state.first_applicable() is None:
+    if outcome.verdict == TERMINATED_FAIR:
         return TriState("no")
     return TriState("unknown")
 

@@ -1,5 +1,6 @@
-"""Trigger enumeration, applicability tests, derivation construction, and
-the breadth-first saturation used for bounded-depth entailment checks.
+"""Trigger enumeration, applicability tests, the chase runner with its
+strategies, and the breadth-first saturation used for bounded-depth
+entailment checks.
 
 Applicability of a trigger t on a fact base F:
 
@@ -11,18 +12,39 @@ Applicability of a trigger t on a fact base F:
   E   no homomorphism at all from F + out(t) to F (every null may move).
 
 Because null labels are a pure function of (rule, match), "was applied" is
-equivalent to "its output is already present", so O/SO can be decided either
-from a History of fired keys (fast path along a derivation) or intrinsically
-from the fact base alone (used by the derivation-graph explorer).
+equivalent to "its output is already present", so O needs no record and SO
+can be decided either from a History of fired frontier keys (along a
+derivation) or intrinsically from the fact base alone (the explorer). R is
+decided as head satisfaction: a search for out(t) into F in which every term
+F holds is frozen, so only the fresh nulls F lacks may move. That is the
+retraction test at the cost of |out(t)| atoms instead of |F|; E runs it
+first as its cheap case.
 
 The Datalog-first modifier gates non-Datalog triggers: they only become
 applicable once every Datalog rule is satisfied.
+
+`run_chase` grows one mutable `Store` per run and keeps a trigger agenda
+over it (semi-naive evaluation). Invariant: after every step the agenda
+holds every trigger on the store, in canonical (rule index, match) order,
+except those that were applied or dropped. After a step only the body
+matches that use an atom of the step's delta are found and inserted. Every
+strategy, and the final fairness check, scans the agenda and re-tests
+applicability. A scan drops a trigger only for a reason that cannot go away
+as F grows: its output is present (which covers O), its SO frontier key has
+fired, or its head is satisfied (R, and E's cheap case). An E-blocked
+trigger stays, because a homomorphism of F + out(t) into F that moves nulls
+of F must map every later atom too, so it can stop existing; so does a Datalog-first-gated one, because the gate reopens once
+the Datalog rules are satisfied again. The gate itself is "no live Datalog
+trigger is left on the agenda".
 """
 from __future__ import annotations
 
 import itertools
+import operator
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     BUDGET_EXHAUSTED,
@@ -33,6 +55,7 @@ from .core import (
     FactBase,
     KnowledgeBase,
     Rule,
+    Store,
     Term,
     Trigger,
     Var,
@@ -48,10 +71,6 @@ class StrategyError(ValueError):
 
 class VariantError(ValueError):
     """A chase variant name is not o, so, r or e, optionally df-prefixed."""
-
-
-class BudgetError(RuntimeError):
-    """A defensive step budget was exceeded (cannot happen semantically)."""
 
 
 _TAGS = ("o", "so", "r", "e")
@@ -81,17 +100,18 @@ class ChaseVariant:
 
 @dataclass
 class History:
-    """Fired-trigger bookkeeping along one derivation."""
+    """Frontier keys of the triggers fired along one derivation (for SO).
 
-    fired_o: set = field(default_factory=set)
+    O needs no record: null labels are content-addressed, so a trigger was
+    applied iff its output is present."""
+
     fired_so: set = field(default_factory=set)
 
     def record(self, t: Trigger) -> None:
-        self.fired_o.add(t.body_key)
         self.fired_so.add(t.frontier_key)
 
 
-def body_matches(rule: Rule, fb: FactBase, stats: Optional[dict] = None) -> list[dict[str, Term]]:
+def body_matches(rule: Rule, fb, stats: Optional[dict] = None) -> list[dict[str, Term]]:
     """All homomorphisms from the rule body into the fact base, canonical order."""
     sols = []
     for h in hom.iter_homomorphisms(rule.body, fb, stats=stats):
@@ -102,7 +122,7 @@ def body_matches(rule: Rule, fb: FactBase, stats: Optional[dict] = None) -> list
 
 def enumerate_triggers(
     rules: Sequence[Rule],
-    fb: FactBase,
+    fb,
     counter: Optional[Iterator[int]] = None,
     stats: Optional[dict] = None,
 ) -> Iterator[Trigger]:
@@ -112,6 +132,47 @@ def enumerate_triggers(
     for rule in rules:
         for m in body_matches(rule, fb, stats=stats):
             yield Trigger(rule, make_match(m), serial=next(counter))
+
+
+def _bind(pattern: Atom, fact: Atom) -> Optional[dict[Term, Term]]:
+    """The variable binding that maps `pattern` onto `fact`, or None."""
+    binding: dict[Term, Term] = {}
+    for s, t in zip(pattern.args, fact.args):
+        if isinstance(s, Var):
+            if binding.setdefault(s, t) != t:
+                return None
+        elif s != t:
+            return None
+    return binding
+
+
+def delta_triggers(
+    rules: Sequence[Rule],
+    fb,
+    delta: Sequence[Atom],
+    counter: Optional[Iterator[int]] = None,
+    stats: Optional[dict] = None,
+) -> Iterator[Trigger]:
+    """The semi-naive step: every trigger on `fb` whose body match uses an
+    atom of `delta` (the atoms just added to `fb`), each exactly once, in
+    rule order. Together with the triggers on `fb` minus `delta` these are
+    all triggers on `fb`."""
+    counter = counter or itertools.count(1)
+    new_by_pred: dict[str, list[Atom]] = {}
+    for a in delta:
+        new_by_pred.setdefault(a.pred, []).append(a)
+    for rule in rules:
+        seen: set = set()
+        for b in rule.body:
+            for a in new_by_pred.get(b.pred, ()):
+                binding = _bind(b, a)
+                if binding is None:
+                    continue
+                for h in hom.iter_homomorphisms(rule.body, fb, fixed=binding, stats=stats):
+                    m = make_match({v.name: img for v, img in h.items() if isinstance(v, Var)})
+                    if m not in seen:
+                        seen.add(m)
+                        yield Trigger(rule, m, serial=next(counter))
 
 
 def datalog_satisfied(datalog_rules: Sequence[Rule], fb: FactBase, stats: Optional[dict] = None) -> bool:
@@ -124,7 +185,7 @@ def datalog_satisfied(datalog_rules: Sequence[Rule], fb: FactBase, stats: Option
     return True
 
 
-def _so_blocked_intrinsic(t: Trigger, fb: FactBase, stats: Optional[dict]) -> bool:
+def _so_blocked_intrinsic(t: Trigger, fb, stats: Optional[dict]) -> bool:
     """Some trigger with the same rule and frontier image has its output in F."""
     fixed = {Var(n): v for n, v in t.match if n in t.rule.frontier}
     for h in hom.iter_homomorphisms(t.rule.body, fb, fixed=fixed, stats=stats):
@@ -135,48 +196,82 @@ def _so_blocked_intrinsic(t: Trigger, fb: FactBase, stats: Optional[dict]) -> bo
     return False
 
 
-def is_applicable(
+def head_satisfied(
+    t: Trigger, fb, budget: Optional[int] = None, stats: Optional[dict] = None
+) -> bool:
+    """True iff out(t) maps into F with every term F holds kept fixed.
+
+    This is the restricted chase's blocking test, a retraction of
+    F + out(t) onto F: only the fresh nulls of t that F does not hold may
+    move, so the search covers the |out(t)| atoms, not F."""
+    pending = [a for a in t.output if a not in fb.atoms]
+    movable = {n for n in t.output_nulls if n not in fb.terms}
+    if any(movable.isdisjoint(a.args) for a in pending):
+        return False  # a rigid atom is missing from F
+    frozen = frozenset(x for a in pending for x in a.args if x not in movable)
+    return hom.find_homomorphism(pending, fb, frozen=frozen, budget=budget, stats=stats) is not None
+
+
+# Why a trigger is not applicable. PRESENT, FIRED and SATISFIED hold for good
+# once they hold, because F only grows along a derivation; FOLDED (E) and
+# GATED (Datalog-first) can stop holding.
+PRESENT = "output present"
+FIRED = "frontier twin fired"
+SATISFIED = "head satisfied"
+FOLDED = "folds into F"
+GATED = "Datalog rule unsatisfied"
+PERMANENT = frozenset((PRESENT, FIRED, SATISFIED))
+
+
+def blocking(
     variant: ChaseVariant,
     t: Trigger,
-    fb: FactBase,
+    fb,
     history: Optional[History] = None,
     *,
     datalog_rules: Sequence[Rule] = (),
     datalog_ok: Optional[bool] = None,
     hom_budget: Optional[int] = None,
     stats: Optional[dict] = None,
-) -> bool:
+) -> Optional[str]:
+    """The reason `t` is not applicable on `fb` under the variant, or None
+    if it is applicable. Without a history, SO is decided from `fb` alone;
+    `datalog_ok` (every Datalog rule satisfied) is computed when not given."""
     out = t.output
     if all(a in fb.atoms for a in out):
-        return False
-    if variant.datalog_first and not t.rule.is_datalog:
+        return PRESENT
+    if t.rule.is_datalog:
+        # For Datalog triggers all four notions coincide with out(t) not in F.
+        return None
+    if variant.datalog_first:
         if datalog_ok is None:
             datalog_ok = datalog_satisfied(datalog_rules, fb, stats=stats)
         if not datalog_ok:
-            return False
+            return GATED
     tag = variant.tag
-    if t.rule.is_datalog:
-        # For Datalog triggers all four notions coincide with out(t) not in F.
-        return True
     if tag == "o":
-        if history is not None:
-            return t.body_key not in history.fired_o
-        return True  # content-addressed labels: applied iff output present
+        return None  # content-addressed labels: applied iff output present
     if tag == "so":
         if history is not None:
-            return t.frontier_key not in history.fired_so
-        return not _so_blocked_intrinsic(t, fb, stats)
-    if tag == "r":
-        return not hom.exists_retraction(
-            itertools.chain(fb.atoms, out), fb, budget=hom_budget, stats=stats
-        )
+            fired = t.frontier_key in history.fired_so
+        else:
+            fired = _so_blocked_intrinsic(t, fb, stats)
+        return FIRED if fired else None
+    # R, and E's cheap case first: a retraction is a homomorphism.
+    if head_satisfied(t, fb, budget=hom_budget, stats=stats):
+        return SATISFIED
     if tag == "e":
-        # A retraction is a homomorphism, so check the cheap case first.
-        if hom.exists_retraction(itertools.chain(fb.atoms, out), fb, budget=hom_budget, stats=stats):
-            return False
-        src = list(fb.sorted_atoms) + list(out)
-        return hom.find_homomorphism(src, fb, budget=hom_budget, stats=stats) is None
-    raise ValueError(tag)
+        h = hom.find_homomorphism([*fb, *out], fb, budget=hom_budget, stats=stats)
+        if h is not None:
+            return FOLDED
+    return None
+
+
+def is_applicable(
+    variant: ChaseVariant, t: Trigger, fb, history: Optional[History] = None, **options
+) -> bool:
+    """True iff `blocking` finds no reason; takes the same options."""
+    return blocking(variant, t, fb, history, **options) is None
 
 
 def applicable_edges(
@@ -208,48 +303,95 @@ def applicable_edges(
             yield t
 
 
+_MATCH_ORDER = operator.attrgetter("body_key")
+
+
 @dataclass
 class ChaseState:
-    """Mutable cursor over a derivation under construction."""
+    """One derivation under construction: its store, agenda and records.
+
+    `store` is the run's fact base, grown in place. `agenda[i]` holds the
+    triggers of rule i in canonical match order; every trigger on `store`
+    is in it unless it was applied or dropped for a permanent reason.
+    """
 
     kb: KnowledgeBase
     variant: ChaseVariant
-    fb: FactBase
-    history: History = field(default_factory=History)
-    serial: Iterator[int] = field(default_factory=lambda: itertools.count(1))
     hom_budget: Optional[int] = None
     stats: dict = field(default_factory=dict)
+    history: History = field(default_factory=History)
+    serial: Iterator[int] = field(default_factory=lambda: itertools.count(1))
+    records: list[tuple[Trigger, tuple[Atom, ...]]] = field(default_factory=list)
 
-    def iter_applicable(self, rule_ids: Optional[frozenset[str]] = None) -> Iterator[Trigger]:
-        rules = self.kb.rules
-        if rule_ids is not None:
-            rules = tuple(r for r in rules if r.id in rule_ids)
+    def __post_init__(self) -> None:
+        self.store = Store(self.kb.facts.sorted_atoms)
+        self.stats.setdefault("triggers_considered", 0)
+        self.rule_index = {r.id: i for i, r in enumerate(self.kb.rules)}
+        self.datalog_ids = frozenset(r.id for r in self.kb.datalog_rules)
+        self.agenda: list[list[Trigger]] = [[] for _ in self.kb.rules]
+        self._insert(enumerate_triggers(self.kb.rules, self.store, self.serial, stats=self.stats))
+
+    def _insert(self, triggers: Iterable[Trigger]) -> None:
+        for t in triggers:
+            insort(self.agenda[self.rule_index[t.rule.id]], t, key=_MATCH_ORDER)
+
+    def _scan(self, rule_ids: Optional[frozenset[str]], first: bool) -> list[Trigger]:
+        """Applicable agenda triggers in canonical order (only the first one
+        if `first`), dropping every trigger found blocked for good."""
+        found: list[Trigger] = []
         datalog_ok: Optional[bool] = None
-        for t in enumerate_triggers(rules, self.fb, self.serial, stats=self.stats):
-            self.stats["triggers_considered"] = self.stats.get("triggers_considered", 0) + 1
-            if self.variant.datalog_first and not t.rule.is_datalog and datalog_ok is None:
-                datalog_ok = datalog_satisfied(self.kb.datalog_rules, self.fb, stats=self.stats)
-            if is_applicable(
-                self.variant,
-                t,
-                self.fb,
-                self.history,
-                datalog_rules=self.kb.datalog_rules,
-                datalog_ok=datalog_ok,
-                hom_budget=self.hom_budget,
-                stats=self.stats,
-            ):
-                yield t
+        for rule, entries in zip(self.kb.rules, self.agenda):
+            if rule_ids is not None and rule.id not in rule_ids:
+                continue
+            gated = self.variant.datalog_first and not rule.is_datalog
+            if gated and datalog_ok is None and entries:
+                datalog_ok = self.first_applicable(self.datalog_ids) is None
+            kept: list[Trigger] = []
+            pos = 0
+            try:
+                while pos < len(entries):
+                    t = entries[pos]
+                    self.stats["triggers_considered"] += 1
+                    reason = blocking(
+                        self.variant,
+                        t,
+                        self.store,
+                        self.history,
+                        datalog_ok=datalog_ok,
+                        hom_budget=self.hom_budget,
+                        stats=self.stats,
+                    )
+                    pos += 1
+                    if reason in PERMANENT:
+                        continue
+                    kept.append(t)
+                    if reason is None:
+                        found.append(t)
+                        if first:
+                            return found
+            finally:
+                entries[:pos] = kept
+        return found
+
+    def applicable(self, rule_ids: Optional[frozenset[str]] = None) -> list[Trigger]:
+        return self._scan(rule_ids, first=False)
 
     def first_applicable(self, rule_ids: Optional[frozenset[str]] = None) -> Optional[Trigger]:
-        for t in self.iter_applicable(rule_ids):
-            return t
-        return None
+        found = self._scan(rule_ids, first=True)
+        return found[0] if found else None
 
-    def apply(self, t: Trigger) -> FactBase:
+    def apply(self, t: Trigger) -> tuple[Atom, ...]:
+        """Fire `t`: add its output to the store, take it off the agenda,
+        and put on the agenda the triggers whose match uses a new atom."""
         self.history.record(t)
-        self.fb = self.fb.union(t.output)
-        return self.fb
+        delta = self.store.add(t.output)
+        entries = self.agenda[self.rule_index[t.rule.id]]
+        i = bisect_left(entries, t.body_key, key=_MATCH_ORDER)
+        if i < len(entries) and entries[i].body_key == t.body_key:
+            del entries[i]
+        self._insert(delta_triggers(self.kb.rules, self.store, delta, self.serial, self.stats))
+        self.records.append((t, delta))
+        return delta
 
 
 class Strategy:
@@ -280,16 +422,15 @@ class FIFO(Strategy):
 class DatalogFirst(Strategy):
     """Prefer applicable Datalog triggers; otherwise first applicable.
 
-    Pending Datalog triggers found by one sweep are queued and revalidated at
-    pop time (their heads may have shown up meanwhile), which keeps long
-    saturation phases from re-enumerating every rule at every step.
+    A refill queues the agenda's live Datalog triggers in canonical order;
+    they are revalidated at pop time (their heads may have shown up
+    meanwhile), and the Datalog triggers that firing them creates wait for
+    the next refill.
     """
 
     name = "datalog-first"
 
     def __init__(self) -> None:
-        from collections import deque
-
         self._queue: "deque[Trigger]" = deque()
 
     def reset(self) -> None:
@@ -299,24 +440,15 @@ class DatalogFirst(Strategy):
         while True:
             while self._queue:
                 t = self._queue.popleft()
-                if any(a not in state.fb.atoms for a in t.output):
+                state.stats["triggers_considered"] += 1
+                if any(a not in state.store.atoms for a in t.output):
                     return t
-            swept = False
-            for t in enumerate_triggers(
-                state.kb.datalog_rules, state.fb, state.serial, stats=state.stats
-            ):
-                state.stats["triggers_considered"] = (
-                    state.stats.get("triggers_considered", 0) + 1
-                )
-                if any(a not in state.fb.atoms for a in t.output):
-                    self._queue.append(t)
-                    swept = True
-            if not swept:
+            self._queue.extend(state.applicable(state.datalog_ids))
+            if not self._queue:
                 break
-        ex_ids = frozenset(r.id for r in state.kb.existential_rules)
-        if not ex_ids:
+        if not state.kb.existential_rules:
             return None
-        return state.first_applicable(ex_ids)
+        return state.first_applicable(frozenset(r.id for r in state.kb.existential_rules))
 
 
 class Phased(Strategy):
@@ -375,7 +507,7 @@ class Scripted(Strategy):
             return None
         rule_id, pick = self.steps[self._index]
         self._index += 1
-        candidates = list(state.iter_applicable(frozenset([rule_id])))
+        candidates = state.applicable(frozenset([rule_id]))
         if pick >= len(candidates):
             raise StrategyError(
                 "scripted step %d: rule %r has %d applicable trigger(s), wanted index %d"
@@ -398,7 +530,7 @@ class RandomChoice(Strategy):
         self._rng = random.Random(seed)
 
     def choose(self, state: ChaseState) -> Optional[Trigger]:
-        candidates = list(state.iter_applicable())
+        candidates = state.applicable()
         if not candidates:
             return None
         return self._rng.choice(candidates)
@@ -412,6 +544,10 @@ class ChaseOutcome:
     stats: dict
 
 
+# Verdict of a run that its stop hook ended.
+STOPPED = "stopped"
+
+
 def run_chase(
     kb: KnowledgeBase,
     variant: ChaseVariant,
@@ -419,64 +555,39 @@ def run_chase(
     max_steps: int = 1000,
     *,
     hom_budget: Optional[int] = None,
+    stop: Optional[Callable[[Store], bool]] = None,
 ) -> ChaseOutcome:
     """Build a derivation under the variant's applicability and the strategy's
     order. Stops fairly when nothing is applicable, unfairly when a phased or
     scripted strategy gives up early, or with a budget verdict at max_steps.
+    `stop`, if given, sees the fact base before the first and after every
+    step; once it returns True the run ends with the verdict STOPPED.
     """
     strategy = strategy or FIFO()
     strategy.reset()
-    state = ChaseState(kb=kb, variant=variant, fb=kb.facts, hom_budget=hom_budget)
-    steps: list[tuple[Trigger, FactBase]] = []
+    state = ChaseState(kb=kb, variant=variant, hom_budget=hom_budget)
     verdict = None
     try:
-        while len(steps) < max_steps:
-            t = strategy.choose(state)
-            if t is None:
-                if strategy.exhausted_early() and state.first_applicable() is not None:
+        while verdict is None:
+            if stop is not None and stop(state.store):
+                verdict = STOPPED
+            elif len(state.records) >= max_steps:
+                nothing_left = state.first_applicable() is None
+                verdict = TERMINATED_FAIR if nothing_left else BUDGET_EXHAUSTED
+            else:
+                t = strategy.choose(state)
+                if t is not None:
+                    state.apply(t)
+                elif strategy.exhausted_early() and state.first_applicable() is not None:
                     verdict = TERMINATED_UNFAIR
                 else:
                     verdict = TERMINATED_FAIR
-                break
-            fb = state.apply(t)
-            steps.append((t, fb))
-        else:
-            if state.first_applicable() is None:
-                verdict = TERMINATED_FAIR
-            else:
-                verdict = BUDGET_EXHAUSTED
     except hom.HomBudgetExceeded:
         verdict = BUDGET_EXHAUSTED
-    state.stats["steps"] = len(steps)
-    derivation = Derivation(
-        initial=kb.facts, steps=tuple(steps), variant=variant.label, verdict=verdict
-    )
-    return ChaseOutcome(derivation, derivation.result, verdict, dict(state.stats))
-
-
-def datalog_saturate(
-    rules: Sequence[Rule], fb: FactBase, max_steps: int = 100000, stats: Optional[dict] = None
-) -> FactBase:
-    """Least fixpoint of the Datalog subset of `rules` over `fb`."""
-    datalog = [r for r in rules if r.is_datalog]
-    applied = 0
-    changed = True
-    while changed:
-        changed = False
-        new: set[Atom] = set()
-        for rule in datalog:
-            for h in hom.iter_homomorphisms(rule.body, fb, stats=stats):
-                head = [a.substitute(h) for a in rule.head]
-                fresh = [x for x in head if x not in fb.atoms and x not in new]
-                if fresh:
-                    new.update(fresh)
-                    applied += 1
-                    if applied > max_steps:
-                        raise BudgetError("datalog saturation exceeded %d steps" % max_steps)
-        if new:
-            fb = fb.union(new)
-            changed = True
-    return fb
+    state.stats["steps"] = len(state.records)
+    result = state.store.snapshot() if state.records else kb.facts
+    derivation = Derivation(kb.facts, tuple(state.records), result, variant.label, verdict)
+    return ChaseOutcome(derivation, result, verdict, dict(state.stats))
 
 
 def breadth_first_layer(rules: Sequence[Rule], fb: FactBase, stats: Optional[dict] = None) -> FactBase:

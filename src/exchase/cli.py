@@ -102,7 +102,7 @@ def _cmd_run(args) -> int:
                 "match": {n: str(v) for n, v in t.match},
                 "added": [str(a) for a in delta],
             }
-            for (t, _), delta in zip(outcome.derivation.steps, outcome.derivation.deltas())
+            for t, delta in outcome.derivation.records
         ]
     _emit(report, args.json)
     if args.output:

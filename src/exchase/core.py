@@ -1,8 +1,10 @@
-"""Immutable value objects for existential-rule knowledge bases.
+"""Value objects for existential-rule knowledge bases.
 
-Terms, atoms, rules, fact bases, triggers and derivations. Everything is
+Terms, atoms, rules, fact bases, triggers and derivations are immutable,
 hashable and safe to share between threads; fact bases lazily cache their
 per-predicate indexes (plain dict writes, safe because instances are frozen).
+`Store` is the one mutable exception: the fact base a chase run grows in
+place, indexed like `FactBase`.
 
 Canonical ordering: constants sort before nulls, nulls before variables;
 atoms sort by predicate name then argument order. All iteration and
@@ -11,6 +13,8 @@ serialization in the package follows this order so runs are reproducible.
 from __future__ import annotations
 
 import hashlib
+import re
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
@@ -153,11 +157,6 @@ class Rule:
         return "[%s] %s -> %s%s." % (self.id, body, ex, head)
 
 
-def frontier_of(rule: Rule) -> frozenset[str]:
-    """Variables shared between a rule's body and head."""
-    return rule.frontier
-
-
 class FactBaseError(ValueError):
     """A fact base contains an unbound variable."""
 
@@ -235,6 +234,46 @@ class FactBase:
         return FactBase(frozenset(a for a in self.atoms if a.pred in sig))
 
 
+class Store:
+    """The fact base of one chase run, grown in place.
+
+    It has the lookups of `FactBase` (`atoms`, `terms`, `by_pred`,
+    `by_pred_pos`, iteration in canonical order), and keeps every index
+    bucket in canonical atom order as a `FactBase` does, so a homomorphism
+    search visits candidates in the same order over either and finds the
+    same first solution. Atoms come from a `FactBase` or trigger outputs,
+    so they are not checked for variables again.
+    """
+
+    def __init__(self, atoms: Iterable[Atom] = ()) -> None:
+        self.atoms: set[Atom] = set()
+        self.terms: set[Term] = set()
+        self.by_pred: dict[str, list[Atom]] = {}
+        self.by_pred_pos: dict[tuple[str, int, Term], list[Atom]] = {}
+        self._keys: dict[Atom, tuple] = {}
+        self.add(atoms)
+
+    def __iter__(self) -> Iterator[Atom]:
+        for pred in sorted(self.by_pred):
+            yield from self.by_pred[pred]
+
+    def add(self, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
+        """Insert the atoms; return those that were new, in canonical order."""
+        new = sort_atoms(frozenset(atoms) - self.atoms)
+        key = self._keys.__getitem__
+        for a in new:
+            self.atoms.add(a)
+            self.terms.update(a.args)
+            self._keys[a] = a.key()
+            insort(self.by_pred.setdefault(a.pred, []), a, key=key)
+            for i, t in enumerate(a.args):
+                insort(self.by_pred_pos.setdefault((a.pred, i, t), []), a, key=key)
+        return new
+
+    def snapshot(self) -> FactBase:
+        return FactBase(frozenset(self.atoms))
+
+
 class KnowledgeBaseError(ValueError):
     """Rule ids clash or a predicate is used with two arities."""
 
@@ -290,19 +329,32 @@ def make_match(mapping: Mapping[str, Term]) -> Match:
     return tuple(sorted(mapping.items()))
 
 
-def _match_digest(rule_id: str, match: Match) -> str:
-    """Deterministic fingerprint of (rule, body match).
+# A minted null's label is "<rule id>#<40 hex digits>.<variable>".
+_MINTED_DIGEST = re.compile(r"#([0-9a-f]{10})[0-9a-f]{30}\.")
 
-    Null labels are minted from this digest, so a trigger's output is a pure
-    function of the rule and its match: re-enumerating the same trigger later
-    (or in another derivation from the same KB) yields identical atoms, and
-    distinct triggers mint disjoint labels.
+
+def _match_digest(rule_id: str, match: Match) -> str:
+    """Deterministic fingerprint of (rule, body match): 40 hex digits.
+
+    Null labels are minted from it, so a trigger's output is a pure function
+    of the rule and its match: re-enumerating the same trigger later (or in
+    another derivation from the same KB) yields identical atoms, and distinct
+    triggers mint distinct labels. The last thirty digits are those of the
+    SHA-1 of the match, so two triggers share a label only if SHA-1 does.
+    The first ten are those of the SHA-1 of the match with every minted null
+    written with the first ten digits of its digest only: the whole label of
+    earlier versions, whose 40 bits let two triggers share a null after about
+    700k triggers. Labels order nulls, so keeping those ten digits keeps the
+    canonical order of nulls, and with it every derivation, as it was.
     """
-    parts = [rule_id]
-    for name, t in match:
-        k = term_key(t)
-        parts.append("%s=%d:%s" % (name, k[0], k[1]))
-    return hashlib.sha1("|".join(parts).encode("utf-8")).hexdigest()[:10]
+    full = ["%s=%d:%s" % (name, *term_key(t)) for name, t in match]
+    short = [_MINTED_DIGEST.sub(r"#\1.", part) if "#" in part else part for part in full]
+
+    def sha1(parts: list[str]) -> str:
+        return hashlib.sha1("|".join([rule_id, *parts]).encode("utf-8")).hexdigest()
+
+    head = sha1(short)
+    return head if short == full else head[:10] + sha1(full)[10:]
 
 
 @dataclass(frozen=True)
@@ -369,14 +421,6 @@ class Trigger:
         return "(%s, {%s})" % (self.rule.id, binding)
 
 
-def trigger_support(t: Trigger) -> tuple[Atom, ...]:
-    return t.support
-
-
-def trigger_output(t: Trigger) -> tuple[Atom, ...]:
-    return t.output
-
-
 TERMINATED_FAIR = "terminated_fair"
 TERMINATED_UNFAIR = "terminated_unfair"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -384,32 +428,29 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 
 @dataclass(frozen=True)
 class Derivation:
-    """A sequence of trigger applications with the fact base after each step."""
+    """A sequence of trigger applications, kept as the atoms each one added,
+    with the fact bases before the first and after the last step."""
 
     initial: FactBase
-    steps: tuple[tuple[Trigger, FactBase], ...]
+    records: tuple[tuple[Trigger, tuple[Atom, ...]], ...]
+    result: FactBase
     variant: str
     verdict: str
 
-    @property
-    def result(self) -> FactBase:
-        if self.steps:
-            return self.steps[-1][1]
-        return self.initial
-
     def __len__(self) -> int:
-        return len(self.steps)
-
-    def factbases(self) -> Iterator[FactBase]:
-        yield self.initial
-        for _, fb in self.steps:
-            yield fb
+        return len(self.records)
 
     def deltas(self) -> list[tuple[Atom, ...]]:
         """Per-step newly added atoms, in canonical order."""
+        return [delta for _, delta in self.records]
+
+    @cached_property
+    def steps(self) -> tuple[tuple[Trigger, FactBase], ...]:
+        """(trigger, fact base after it) per step, rebuilt from the deltas on
+        first use: O(steps * |F|), for callers that need every snapshot."""
         out = []
-        prev = self.initial
-        for _, fb in self.steps:
-            out.append(sort_atoms(fb.atoms - prev.atoms))
-            prev = fb
-        return out
+        fb = self.initial
+        for t, delta in self.records:
+            fb = fb.union(delta)
+            out.append((t, fb))
+        return tuple(out)

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .core import Atom, Const, FactBase, Term
+from .core import Atom, Const, FactBase, Store, Term
 
 
 class HomBudgetExceeded(Exception):
     """The per-check node budget ran out before the search finished."""
 
 
-def _target_index(target) -> dict[str, tuple[Atom, ...]]:
-    if isinstance(target, FactBase):
+def _target_index(target) -> dict[str, Sequence[Atom]]:
+    if isinstance(target, (FactBase, Store)):
         return target.by_pred
     index: dict[str, list[Atom]] = {}
     for a in sorted(target, key=Atom.key):
@@ -34,7 +34,7 @@ class _Search:
 
     def __init__(self, source, target, fixed, frozen, injective, budget, stats):
         self.atoms = list(source)
-        self.fb = target if isinstance(target, FactBase) else None
+        self.fb = target if isinstance(target, (FactBase, Store)) else None
         self.index = _target_index(target)
         self.frozen = frozen
         self.injective = injective
@@ -56,12 +56,15 @@ class _Search:
 
     def _pool(self, a: Atom) -> tuple[Atom, ...]:
         """Smallest candidate bucket, using the positional index when some
-        argument already has an image."""
+        argument already has an image, and the atom set when all do."""
         pool = self.index.get(a.pred, ())
         if self.fb is None or not pool:
             return pool
-        for i, s in enumerate(a.args):
-            img = self._image(s)
+        images = [self._image(s) for s in a.args]
+        if None not in images:
+            ground = Atom(a.pred, tuple(images))
+            return (ground,) if ground in self.fb.atoms else ()
+        for i, img in enumerate(images):
             if img is not None:
                 bucket = self.fb.by_pred_pos.get((a.pred, i, img), ())
                 if len(bucket) < len(pool):
@@ -95,36 +98,55 @@ class _Search:
         return out
 
     def run(self) -> Iterator[dict[Term, Term]]:
-        yield from self._extend(self.atoms)
+        """Depth-first over the source atoms, on an explicit stack so the
+        depth is not bounded by the recursion limit. A frame holds the atoms
+        left below its choice point, its remaining candidate bindings and
+        the binding it has made."""
+        stack: list[list] = []
+        remaining = self.atoms
+        while True:
+            self.nodes += 1
+            if self.budget is not None and self.nodes > self.budget:
+                raise HomBudgetExceeded()
+            if not remaining:
+                yield dict(self.assignment)
+            else:
+                best_i, best_cands = self._most_constrained(remaining)
+                if best_cands:
+                    rest = remaining[:best_i] + remaining[best_i + 1 :]
+                    stack.append([rest, iter(best_cands), ()])
+            remaining = None
+            while stack and remaining is None:
+                frame = stack[-1]
+                for s, t in frame[2]:
+                    del self.assignment[s]
+                    if self.injective:
+                        self.used.discard(t)
+                nxt = next(frame[1], None)
+                if nxt is None:
+                    stack.pop()
+                    continue
+                frame[2] = nxt[1]
+                for s, t in frame[2]:
+                    self.assignment[s] = t
+                    if self.injective:
+                        self.used.add(t)
+                remaining = frame[0]
+            if remaining is None:
+                return
 
-    def _extend(self, remaining: list[Atom]) -> Iterator[dict[Term, Term]]:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise HomBudgetExceeded()
-        if not remaining:
-            yield dict(self.assignment)
-            return
+    def _most_constrained(self, remaining: list[Atom]):
+        """The remaining atom with the fewest candidates (the first such),
+        stopping early at an atom with none or one."""
         best_i = 0
         best_cands = None
         for i, a in enumerate(remaining):
             cands = self._candidates(a)
             if best_cands is None or len(cands) < len(best_cands):
                 best_i, best_cands = i, cands
-                if not cands:
-                    return
-                if len(cands) == 1:
+                if len(cands) <= 1:
                     break
-        rest = remaining[:best_i] + remaining[best_i + 1 :]
-        for _, binds in best_cands:
-            for s, t in binds:
-                self.assignment[s] = t
-                if self.injective:
-                    self.used.add(t)
-            yield from self._extend(rest)
-            for s, t in binds:
-                del self.assignment[s]
-                if self.injective:
-                    self.used.discard(t)
+        return best_i, best_cands
 
 
 def iter_homomorphisms(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Atom, FactBase, Rule, Var, sort_atoms
+from .core import Atom, Rule, Var, sort_atoms
 
 
 class FreshNameClashError(ValueError):
@@ -160,11 +160,6 @@ def two_way(
         out.append(Rule(rid, rule.head, (x_atom,)))
         mapping[rule.id] = mapping[rule.id] + (rid,)
     return DecompositionReport(base.input_rules, tuple(out), base.fresh_predicates, mapping)
-
-
-def restrict_signature(fb: FactBase, signature: Iterable[str]) -> FactBase:
-    """Atoms whose predicate belongs to the given set."""
-    return fb.restrict(signature)
 
 
 def report_sidecar(report: DecompositionReport) -> dict:

@@ -125,7 +125,6 @@ class SourceDocument:
     rules: list[Rule] = field(default_factory=list)
     facts: list[Atom] = field(default_factory=list)
     queries: list[tuple[Atom, ...]] = field(default_factory=list)
-    provenance: dict[tuple[str, int], int] = field(default_factory=dict)
     arities: dict[str, int] = field(default_factory=dict)
 
     def factbase(self) -> FactBase:
@@ -254,7 +253,6 @@ class _Parser:
         if any(r.id == rule_id for r in self.doc.rules):
             raise ParseError("duplicate rule id %r" % rule_id, line, 1)
         rule = Rule(rule_id, tuple(body), tuple(head))
-        self.doc.provenance[("rule", len(self.doc.rules))] = line
         self.doc.rules.append(rule)
 
     def parse(self) -> SourceDocument:
@@ -268,7 +266,6 @@ class _Parser:
                     for t in a.args:
                         if isinstance(t, Null):
                             raise ParseError("nulls are not allowed in queries", tok.line, tok.col)
-                self.doc.provenance[("query", len(self.doc.queries))] = tok.line
                 self.doc.queries.append(tuple(atoms))
                 continue
             rule_id: Optional[str] = None
@@ -297,7 +294,6 @@ class _Parser:
                         raise ParseError(
                             "facts must be variable-free, found %s" % t, tok.line, tok.col
                         )
-                self.doc.provenance[("fact", len(self.doc.facts))] = tok.line
                 self.doc.facts.append(first)
                 continue
             body = [first]
@@ -313,14 +309,6 @@ def parse_document(text: str) -> SourceDocument:
 
 
 # --- serialization ---------------------------------------------------------
-
-
-def serialize_term(t: Term) -> str:
-    return str(t)
-
-
-def serialize_atom(a: Atom) -> str:
-    return str(a)
 
 
 def serialize_factbase(fb: FactBase) -> str:

@@ -169,7 +169,6 @@ class Encoding:
     rules_w: tuple[Rule, ...]
     rules_m: tuple[Rule, ...]
     seed: FactBase
-    predicate_map: dict[str, str]
 
     @property
     def rules(self) -> tuple[Rule, ...]:
@@ -347,30 +346,11 @@ def _seed(machine: TuringMachine) -> FactBase:
 
 
 def encode(machine: TuringMachine) -> Encoding:
-    predicate_map = {
-        "next": "nxt",
-        "next_plus": "nxtp",
-        "step": "stp",
-        "end": "end",
-        "first": "frst",
-        "interior": "int",
-        "non_final": "nf",
-        "final": "fin",
-        "done": "done",
-        "real": "real",
-        "brake": "brk",
-        "last": "lst",
-    }
-    for c in machine.alphabet:
-        predicate_map["content[%s]" % c] = content_pred(c)
-    for q in machine.states:
-        predicate_map["head[%s]" % q] = head_pred(q)
     return Encoding(
         machine=machine,
         rules_w=_tape_rules(machine),
         rules_m=_simulation_rules(machine),
         seed=_seed(machine),
-        predicate_map=predicate_map,
     )
 
 

@@ -44,7 +44,7 @@ from exchase.core import (
     TERMINATED_UNFAIR,
     Var,
 )
-from exchase.normalize import one_way, restrict_signature, single_piece, two_way
+from exchase.normalize import one_way, single_piece, two_way
 from exchase import textio
 
 from conftest import (
@@ -288,7 +288,7 @@ def test_criterion_6_breadth_first_correspondences():
         kb2 = KnowledgeBase(two_way(rules).output_rules, fb)
         for i in (1, 2, 3):
             left = ch_k(kb, i)
-            if not hom.are_isomorphic(left, restrict_signature(ch_k(kb1, 2 * i), sigma)):
+            if not hom.are_isomorphic(left, ch_k(kb1, 2 * i).restrict(sigma)):
                 failures += 1
             if hom.find_homomorphism(left.atoms, ch_k(kb2, 2 * i), injective=True) is None:
                 failures += 1

@@ -33,6 +33,7 @@ from exchase.core import (
     Var,
 )
 from exchase.normalize import one_way, single_piece, two_way
+from exchase.textio import parse_document
 
 from conftest import CORPUS, load_doc, load_kb
 
@@ -351,3 +352,17 @@ def test_dedup_on_off_agree_on_random_kbs():
         assert with_dedup.verdict == without.verdict
         agreed += 1
     assert agreed >= 15
+
+
+def test_nulls_whose_short_digests_collide_stay_distinct():
+    """The two triggers' SHA-1 digests share their first ten hex digits;
+    the labels keep all forty, so the query needs one null for both."""
+    doc = parse_document(
+        "[r] p(X) -> exists Z. q(X,Z).\np(c650856).\np(c718194).\n"
+        "? q(c650856,Z), q(c718194,Z).\n"
+    )
+    kb = doc.knowledge_base()
+    for name in ("o", "r"):
+        variant = ChaseVariant.parse(name)
+        assert entails(kb, doc.queries[0], variant, 10).kind == "no"
+        assert len(run_chase(kb, variant, FIFO(), 10).result.nulls) == 2

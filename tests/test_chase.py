@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exchase import hom
 from exchase.core import (
@@ -27,11 +28,12 @@ from exchase.chase import (
     RandomChoice,
     Scripted,
     StrategyError,
+    applicable_edges,
     breadth_first_layer,
     ch_k,
     datalog_satisfied,
-    datalog_saturate,
     enumerate_triggers,
+    head_satisfied,
     is_applicable,
     run_chase,
 )
@@ -325,17 +327,26 @@ def test_datalog_first_variant_gates_nondatalog():
 # --- datalog saturation -------------------------------------------------------
 
 
+def _datalog_fixpoint(rules, fb, max_steps=1000):
+    """Datalog saturation through the Datalog-first strategy: the run's
+    result and verdict."""
+    out = run_chase(KnowledgeBase(tuple(rules), fb), R, DatalogFirst(), max_steps)
+    return out.result, out.verdict
+
+
 def test_datalog_saturate_symmetric_closure():
     rule = Rule("sym", (Atom("p", V("X", "Y")),), (Atom("p", V("Y", "X")),))
     a, b = Const("a"), Const("b")
-    fb = datalog_saturate([rule], FactBase.of([Atom("p", (a, b))]))
+    fb, verdict = _datalog_fixpoint([rule], FactBase.of([Atom("p", (a, b))]))
+    assert verdict == TERMINATED_FAIR
     assert fb.atoms == {Atom("p", (a, b)), Atom("p", (b, a))}
 
 
 def test_datalog_saturate_no_datalog_rules():
     rule = Rule("g", (Atom("p", V("X")),), (Atom("q", V("X", "Z")),))
     fb = FactBase.of([Atom("p", (Const("a"),))])
-    assert datalog_saturate([rule], fb) is fb
+    out = run_chase(KnowledgeBase((rule,), fb), R, DatalogFirst(), 10)
+    assert [t.rule.id for t, _ in out.derivation.records] == ["g"]  # nothing Datalog fires
 
 
 def test_datalog_saturate_t2f_rules_fixpoint():
@@ -344,7 +355,9 @@ def test_datalog_saturate_t2f_rules_fixpoint():
     rules = [kb.rule_by_id("r2"), kb.rule_by_id("r3")]
     c = Const("c")
     fb = FactBase.of([Atom("a", (c,)), Atom("r", (c, c)), Atom("s", (c, c))])
-    assert datalog_saturate(rules, fb).atoms == fb.atoms
+    result, verdict = _datalog_fixpoint(rules, fb)
+    assert verdict == TERMINATED_FAIR
+    assert result.atoms == fb.atoms
     assert datalog_satisfied(rules, fb)
 
 
@@ -493,12 +506,9 @@ def test_df_so_runs_and_prioritises_datalog():
 
 
 def test_datalog_saturate_defensive_budget():
-    from exchase.chase import BudgetError
-
     rule = Rule("sym", (Atom("p", V("X", "Y")),), (Atom("p", V("Y", "X")),))
     fb = FactBase.of([Atom("p", (Const("a"), Const("b")))])
-    with pytest.raises(BudgetError):
-        datalog_saturate([rule], fb, max_steps=0)
+    assert _datalog_fixpoint([rule], fb, max_steps=0) == (fb, BUDGET_EXHAUSTED)
 
 
 def test_ch_k_rejects_negative():
@@ -556,3 +566,72 @@ def test_fresh_output_atoms_disjoint_from_factbase():
             fresh_atoms = [a for a in t.output if set(a.args) & t.output_nulls]
             assert all(a not in fb.atoms for a in fresh_atoms)
             checked += 1
+
+
+# --- the agenda against a per-step oracle --------------------------------------
+
+_PREDS = (("p", 2), ("q", 1), ("r", 2))
+_BODY_VARS = tuple(Var(n) for n in ("X", "Y", "Z"))
+_FRESH_VARS = (Var("V1"), Var("V2"))
+
+
+@st.composite
+def _small_kbs(draw):
+    def atom(terms):
+        pred, arity = draw(st.sampled_from(_PREDS))
+        return Atom(pred, tuple(draw(st.sampled_from(terms)) for _ in range(arity)))
+
+    rules = []
+    for i in range(draw(st.integers(1, 3))):
+        body = [atom(_BODY_VARS) for _ in range(draw(st.integers(1, 2)))]
+        body_vars = sorted({t for a in body for t in a.args}, key=str)
+        head = [atom(body_vars + list(_FRESH_VARS)) for _ in range(draw(st.integers(1, 2)))]
+        rules.append(Rule("g%d" % i, tuple(body), tuple(head)))
+    consts = [Const(c) for c in "abc"]
+    facts = [atom(consts) for _ in range(draw(st.integers(1, 4)))]
+    return KnowledgeBase(tuple(rules), FactBase.of(facts))
+
+
+def _oracle_fifo(kb, variant, max_steps):
+    """FIFO without an agenda: at each step the first trigger that
+    `applicable_edges` finds on that step's snapshot."""
+    fb, steps = kb.facts, []
+    while len(steps) < max_steps:
+        t = next(applicable_edges(kb, fb, variant), None)
+        if t is None:
+            return steps, fb, TERMINATED_FAIR
+        steps.append((t.rule.id, t.match))
+        fb = fb.union(t.output)
+    left = next(applicable_edges(kb, fb, variant), None)
+    return steps, fb, TERMINATED_FAIR if left is None else BUDGET_EXHAUSTED
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_small_kbs(), st.sampled_from(("o", "so", "r", "e", "dfo", "dfso", "dfr", "dfe")))
+def test_agenda_fifo_matches_per_step_oracle(kb, name):
+    variant = ChaseVariant.parse(name)
+    out = run_chase(kb, variant, FIFO(), 6)
+    steps, result, verdict = _oracle_fifo(kb, variant, 6)
+    assert [(t.rule.id, t.match) for t, _ in out.derivation.records] == steps
+    assert out.verdict == verdict
+    assert out.result.atoms == result.atoms
+
+
+def test_head_satisfaction_equals_retraction_test():
+    rng = random.Random(99)
+    checked = 0
+    while checked < 500:
+        kb = random_kb(rng)
+        fb = run_chase(kb, O, RandomChoice(rng.randint(0, 999)), rng.randint(0, 4)).result
+        for t in enumerate_triggers(kb.rules, fb):
+            whole = itertools.chain(fb.atoms, t.output)
+            assert head_satisfied(t, fb) == hom.exists_retraction(whole, fb)
+            checked += 1
+
+
+def test_e_variant_on_a_fact_base_deeper_than_the_recursion_limit():
+    rule = Rule("r", (Atom("p", V("X")),), (Atom("q", V("X", "Z")),))
+    facts = FactBase.of(Atom("p", (Const("c%d" % i),)) for i in range(1200))
+    out = run_chase(KnowledgeBase((rule,), facts), E, FIFO(), 3)
+    assert out.verdict == BUDGET_EXHAUSTED
+    assert len(out.result) == 1203

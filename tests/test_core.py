@@ -12,14 +12,15 @@ from exchase.core import (
     Null,
     Rule,
     RuleError,
+    Store,
     Trigger,
     Var,
-    frontier_of,
     make_match,
+    sort_atoms,
     term_key,
 )
 
-from conftest import load_doc
+from conftest import load_doc, random_factbase
 
 
 def V(*names):
@@ -40,20 +41,20 @@ def test_frontier_rule6():
         (Atom("r", V("X", "Y")),),
         (Atom("p", V("X", "Z")), Atom("a", V("Z")), Atom("a", V("U")), Atom("p", V("X", "Y"))),
     )
-    assert frontier_of(rule) == {"X", "Y"}
+    assert rule.frontier == {"X", "Y"}
     assert rule.existentials == {"Z", "U"}
     assert not rule.is_datalog
 
 
 def test_frontier_datalog_all_head_vars_shared():
     rule = Rule("d", (Atom("p", V("X")),), (Atom("q", V("X")),))
-    assert frontier_of(rule) == {"X"}
+    assert rule.frontier == {"X"}
     assert rule.is_datalog
 
 
 def test_frontier_single_existential():
     rule = Rule("su", (Atom("a", V("X")),), (Atom("p", V("X", "Z")),))
-    assert frontier_of(rule) == {"X"}
+    assert rule.frontier == {"X"}
     assert rule.existentials == {"Z"}
 
 
@@ -162,3 +163,21 @@ def test_derivation_monotone_and_novel():
         assert prev.atoms < fb.atoms  # strict growth: out(t) not within F
         assert not set(t.output) <= prev.atoms
         prev = fb
+
+
+def test_store_is_indexed_like_a_factbase():
+    """Grown in two steps, a store has the atoms, terms, canonical iteration
+    order and index buckets (in the same order) of the equal fact base."""
+    rng = random.Random(41)
+    for _ in range(100):
+        fb = random_factbase(rng, max_atoms=10)
+        atoms = list(fb.atoms) + [rng.choice(sorted(fb.atoms, key=Atom.key))]
+        rng.shuffle(atoms)
+        k = rng.randint(0, len(atoms))
+        store = Store(atoms[:k])
+        assert store.add(atoms[k:]) == sort_atoms(set(atoms[k:]) - set(atoms[:k]))
+        assert list(store) == list(fb)
+        assert store.atoms == fb.atoms and store.terms == fb.terms
+        assert {p: tuple(v) for p, v in store.by_pred.items()} == fb.by_pred
+        assert {k: tuple(v) for k, v in store.by_pred_pos.items()} == fb.by_pred_pos
+        assert store.snapshot() == fb

@@ -28,7 +28,6 @@ from exchase.normalize import (
     FreshNameClashError,
     one_way,
     pieces,
-    restrict_signature,
     single_piece,
     two_way,
 )
@@ -246,8 +245,8 @@ def test_two_way_arity0_head():
 def test_restrict_signature_examples():
     a, b = Const("a"), Const("b")
     fb = FactBase.of([Atom("p", (a, b)), Atom("X__r", (a, b))])
-    assert restrict_signature(fb, {"p"}).atoms == {Atom("p", (a, b))}
-    assert restrict_signature(fb, fb.signature).atoms == fb.atoms
+    assert fb.restrict({"p"}).atoms == {Atom("p", (a, b))}
+    assert fb.restrict(fb.signature).atoms == fb.atoms
 
 
 def test_restriction_identity_small_example():
@@ -258,7 +257,7 @@ def test_restriction_identity_small_example():
     )
     onead = KnowledgeBase(one_way(kb.rules).output_rules, kb.facts)
     left = ch_k(kb, 1)
-    right = restrict_signature(ch_k(onead, 2), {"a", "p"})
+    right = ch_k(onead, 2).restrict({"a", "p"})
     assert hom.are_isomorphic(left, right)
 
 
@@ -369,7 +368,7 @@ def test_signature_identity_random():
         kb1 = KnowledgeBase(one_way(rules).output_rules, fb)
         for i in (1, 2, 3):
             left = ch_k(kb, i)
-            right = restrict_signature(ch_k(kb1, 2 * i), sigma)
+            right = ch_k(kb1, 2 * i).restrict(sigma)
             assert hom.are_isomorphic(left, right), (i, [str(r) for r in rules])
         done += 1
 
@@ -434,7 +433,7 @@ def test_two_way_df_r_invariance():
             assert decomposed.verdict == TERMINATED_FAIR, name
             assert existential_steps(base) == existential_steps(decomposed), name
             assert hom.are_isomorphic(
-                base.result, restrict_signature(decomposed.result, sigma)
+                base.result, decomposed.result.restrict(sigma)
             ), name
         else:
             assert decomposed.verdict == BUDGET_EXHAUSTED, name

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from exchase import textio
+from exchase.chase import FIFO, ChaseVariant, run_chase
 from exchase.core import Atom, Const, FactBase, Null, Var
 from exchase.hom import are_isomorphic
 
@@ -125,3 +128,12 @@ def test_rule_id_with_dots_roundtrips():
 def test_duplicate_rule_id_rejected():
     with pytest.raises(textio.ParseError):
         textio.parse_document("[r] p(X) -> q(X).\n[r] q(X) -> p(X).")
+
+
+def test_full_width_null_label_roundtrips():
+    kb = textio.parse_document("[r] p(X) -> exists Z. q(X,Z).\np(a).\n").knowledge_base()
+    out = run_chase(kb, ChaseVariant.parse("o"), FIFO(), 5)
+    (null,) = out.result.nulls
+    assert re.fullmatch(r"r#[0-9a-f]{40}\.Z", null.label)
+    text = textio.serialize_factbase(out.result)
+    assert textio.parse_document(text).factbase().atoms == out.result.atoms
