@@ -6,7 +6,16 @@ applicable triggers, deduplicating states up to isomorphism. Exhausting the
 graph within budget proves that *every* derivation of the chosen variant is
 finite; finding a path deeper than the depth budget yields a growth witness
 (a non-termination certificate only for atomic-head rule sets, where unfair
-infinite derivations imply fair ones).
+infinite derivations imply fair ones). Every state carries a trigger agenda
+derived from its parent's (see `chase`), so finding a state's edges costs a
+scan of the triggers still live plus a search for the new matches of the
+step's delta, not a re-enumeration of every trigger.
+
+`find_terminating`'s search for a terminating derivation is breadth-first
+with one isomorphism table across all levels, so it expands every state at
+most once. It returns the path that iterative deepening over the same edges
+returns: the first terminating path of the least length, in canonical edge
+order.
 """
 from __future__ import annotations
 
@@ -27,13 +36,14 @@ from .core import (
 )
 from .chase import (
     STOPPED,
+    Agenda,
     ChaseVariant,
     DatalogFirst,
     FIFO,
     Phased,
     Scripted,
     Strategy,
-    applicable_edges,
+    enumerate_triggers,
     run_chase,
 )
 
@@ -66,6 +76,24 @@ class _Growth(Exception):
         self.witness = witness
 
 
+def _root_agenda(kb: KnowledgeBase) -> Agenda:
+    return Agenda(kb.rules, enumerate_triggers(kb.rules, kb.facts))
+
+
+def _step(fb: FactBase, t: Trigger) -> tuple[FactBase, tuple[Atom, ...]]:
+    """The fact base that firing `t` on `fb` leads to, and the atoms it adds."""
+    child = fb.union(t.output)
+    return child, sort_atoms(child.atoms - fb.atoms)
+
+
+def _child_agenda(agenda: Agenda, t: Trigger, child: FactBase, delta: tuple[Atom, ...]) -> Agenda:
+    """The agenda of `child`: that of its parent, already scanned, minus `t`,
+    plus the triggers whose match uses an atom of `delta`."""
+    out = agenda.fork()
+    out.fire(t, child, delta)
+    return out
+
+
 def explore_all(
     kb: KnowledgeBase,
     variant: ChaseVariant,
@@ -89,33 +117,33 @@ def explore_all(
     atomic_only = all(len(r.head) == 1 for r in kb.rules)
     seen_depth = hom.IsoTable()
     expansions = dedup_hits = max_len = 0
-    # One frame per state on the current path: its fact base, its depth and
-    # its lazily evaluated edges. deltas[i] leads from frame i to frame i + 1.
-    stack: list[tuple[FactBase, int, Iterator[Trigger]]] = []
+    # One frame per state on the current path: its fact base, its depth, its
+    # agenda and its remaining edges. deltas[i] leads from frame i to i + 1.
+    stack: list[tuple[FactBase, int, Agenda, Iterator[Trigger]]] = []
     deltas: list[tuple[Atom, ...]] = []
 
-    def expand(fb: FactBase, depth: int) -> None:
+    def expand(fb: FactBase, depth: int, agenda: Agenda) -> None:
         nonlocal expansions, max_len
         expansions += 1
         max_len = max(max_len, depth)
         if expansions > max_nodes:
             raise _Budget()
-        stack.append((fb, depth, applicable_edges(kb, fb, variant, hom_budget=hom_budget)))
+        edges = agenda.scan(variant, fb, hom_budget=hom_budget)
+        stack.append((fb, depth, agenda, iter(edges)))
 
     try:
         if dedup:
             seen_depth.put(kb.facts, 0)
-        expand(kb.facts, 0)
+        expand(kb.facts, 0, _root_agenda(kb))
         while stack:
-            fb, depth, edges = stack[-1]
+            fb, depth, agenda, edges = stack[-1]
             t = next(edges, None)
             if t is None:
                 stack.pop()
                 if deltas:
                     deltas.pop()
                 continue
-            child = fb.union(t.output)
-            delta = sort_atoms(child.atoms - fb.atoms)
+            child, delta = _step(fb, t)
             if depth + 1 > max_depth:
                 raise _Growth(tuple(deltas) + (delta,))
             if dedup:
@@ -125,7 +153,7 @@ def explore_all(
                     continue
                 seen_depth.put(child, depth + 1)
             deltas.append(delta)
-            expand(child, depth + 1)
+            expand(child, depth + 1, _child_agenda(agenda, t, child, delta))
     except _Growth as g:
         return ExplorationReport(
             verdict=GROWTH,
@@ -162,7 +190,17 @@ def find_terminating(
     hom_budget: Optional[int] = None,
 ) -> Optional[Derivation]:
     """First fairly-terminating derivation found: the strategy pool first,
-    then iterative deepening over trigger choices. Absence is not a proof."""
+    then, if `deepening`, a search over trigger choices for the shortest one
+    within `max_steps`. Absence is not a proof.
+
+    The search is breadth-first: level by level, each state's edges in
+    canonical order, every state up to isomorphism expanded at most once.
+    It returns what iterative deepening over the same edges returns, the
+    first terminating path of the least length in the order of its edges:
+    a state isomorphic to one reached before it, on a shorter or an equally
+    long path that comes first, cannot lie on that path, because the earlier
+    state's own continuation would give a path that is shorter or that
+    comes first."""
     strategies: list[Strategy] = [FIFO(), DatalogFirst()]
     strategies.extend(pool)
     for strat in strategies:
@@ -172,48 +210,30 @@ def find_terminating(
     if not deepening:
         return None
 
-    def dfs(depth_budget: int) -> Optional[list[tuple[Trigger, FactBase]]]:
-        """Depth-first search for a terminal state within `depth_budget`
-        steps. A state whose subtree held none is memoised with the budget
-        it had left, and pruned when reached again with no more."""
-        dead = hom.IsoTable()
-        # One frame per expanded state on the path, with its remaining edges;
-        # path[i] leads from frame i to the state after it.
-        stack: list[tuple[FactBase, int, Iterator[Trigger]]] = []
-        path: list[tuple[Trigger, FactBase]] = []
-        fb, depth_left = kb.facts, depth_budget
-        while True:
-            edges = list(applicable_edges(kb, fb, variant, hom_budget=hom_budget))
-            if not edges:
-                return path
-            prev = dead.get(fb) if depth_left else None
-            if depth_left and (prev is None or prev < depth_left):
-                stack.append((fb, depth_left, iter(edges)))
-            elif path:
-                path.pop()
-            t = None
-            while stack:
-                fb, depth_left, untried = stack[-1]
-                t = next(untried, None)
-                if t is not None:
-                    break
-                stack.pop()
-                dead.put(fb, depth_left)
-                if stack:
-                    path.pop()
-            if t is None:
-                return None
-            fb, depth_left = fb.union(t.output), depth_left - 1
-            path.append((t, fb))
-
-    for budget in range(1, max_steps + 1):
-        found = dfs(budget)
-        if found is not None:
-            records, fb = [], kb.facts
-            for t, after in found:
-                records.append((t, sort_atoms(after.atoms - fb.atoms)))
-                fb = after
-            return Derivation(kb.facts, tuple(records), fb, variant.label, TERMINATED_FAIR)
+    seen = hom.IsoTable()
+    seen.put(kb.facts, 0)
+    agenda = _root_agenda(kb)
+    # The states of one level in path order: fact base, agenda, edges, and
+    # the (trigger, delta) records of the path to it. The root has edges,
+    # as FIFO would have ended on it otherwise.
+    level = [(kb.facts, agenda, agenda.scan(variant, kb.facts, hom_budget=hom_budget), ())]
+    for depth in range(1, max_steps + 1):
+        last = depth == max_steps
+        below = []
+        for fb, agenda, edges, path in level:
+            for t in edges:
+                child, delta = _step(fb, t)
+                if seen.get(child) is not None:
+                    continue
+                seen.put(child, depth)
+                child_agenda = _child_agenda(agenda, t, child, delta)
+                # A state on the last level only needs to be known terminal.
+                child_edges = child_agenda.scan(variant, child, first=last, hom_budget=hom_budget)
+                child_path = path + ((t, delta),)
+                if not child_edges:
+                    return Derivation(kb.facts, child_path, child, variant.label, TERMINATED_FAIR)
+                below.append((child, child_agenda, child_edges, child_path))
+        level = below
     return None
 
 

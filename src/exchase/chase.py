@@ -1,6 +1,6 @@
-"""Trigger enumeration, applicability tests, the chase runner with its
-strategies, and the breadth-first saturation used for bounded-depth
-entailment checks.
+"""Trigger enumeration, applicability tests, the trigger agenda, the chase
+runner with its strategies, and the breadth-first saturation used for
+bounded-depth entailment checks.
 
 Applicability of a trigger t on a fact base F:
 
@@ -23,23 +23,32 @@ first as its cheap case.
 The Datalog-first modifier gates non-Datalog triggers: they only become
 applicable once every Datalog rule is satisfied.
 
-`run_chase` grows one mutable `Store` per run and keeps a trigger agenda
-over it (semi-naive evaluation). Invariant: after every step the agenda
-holds every trigger on the store, in canonical (rule index, match) order,
-except those that were applied or dropped. After a step only the body
-matches that use an atom of the step's delta are found and inserted. Every
-strategy, and the final fairness check, scans the agenda and re-tests
-applicability. A scan drops a trigger only for a reason that cannot go away
-as F grows: its output is present (which covers O), its SO frontier key has
-fired, or its head is satisfied (R, and E's cheap case). An E-blocked
-trigger stays, because a homomorphism of F + out(t) into F that moves nulls
-of F must map every later atom too, so it can stop existing; so does a Datalog-first-gated one, because the gate reopens once
-the Datalog rules are satisfied again. The gate itself is "no live Datalog
-trigger is left on the agenda".
+An `Agenda` keeps the triggers of a fact base that may still fire
+(semi-naive evaluation). Invariant: after every step it holds every trigger
+on the fact base, per rule in canonical match order, except those that were
+applied or dropped. After a step only the body matches that use an atom of
+the step's delta are found and inserted. `Agenda.scan` is the one place
+that tests applicability along a derivation: every strategy and the final
+fairness check of `run_chase` scan its agenda, and the explorer scans the
+agenda of each state. A scan drops a trigger only for a reason that cannot
+go away as F grows: its output is present (which covers O), its SO frontier
+key has fired, or its head is satisfied (R, and E's cheap case). An
+E-blocked trigger stays, because a homomorphism of F + out(t) into F that
+moves nulls of F must map every later atom too, so it can stop existing; so
+does a Datalog-first-gated one, because the gate reopens once the Datalog
+rules are satisfied again. The gate itself is "no live Datalog trigger is
+left on the agenda".
+
+`run_chase` grows one mutable `Store` per run, and its agenda follows it.
+The explorer's states are immutable fact bases, and each holds its own
+agenda: a child's is a copy of its parent's after the parent's scan (so
+without the triggers found blocked for good), minus the fired trigger,
+plus the delta's triggers. `applicable_edges` finds the same edges from
+scratch, enumerating every trigger of a fact base.
 """
 from __future__ import annotations
 
-import itertools
+import copy
 import operator
 from bisect import bisect_left, insort
 from collections import deque
@@ -120,18 +129,12 @@ def body_matches(rule: Rule, fb, stats: Optional[dict] = None) -> list[dict[str,
     return sols
 
 
-def enumerate_triggers(
-    rules: Sequence[Rule],
-    fb,
-    counter: Optional[Iterator[int]] = None,
-    stats: Optional[dict] = None,
-) -> Iterator[Trigger]:
+def enumerate_triggers(rules: Sequence[Rule], fb, stats: Optional[dict] = None) -> Iterator[Trigger]:
     """Every (rule, body match) pair exactly once: rule order, then canonical
     match order."""
-    counter = counter or itertools.count(1)
     for rule in rules:
         for m in body_matches(rule, fb, stats=stats):
-            yield Trigger(rule, make_match(m), serial=next(counter))
+            yield Trigger(rule, make_match(m))
 
 
 def _bind(pattern: Atom, fact: Atom) -> Optional[dict[Term, Term]]:
@@ -150,14 +153,12 @@ def delta_triggers(
     rules: Sequence[Rule],
     fb,
     delta: Sequence[Atom],
-    counter: Optional[Iterator[int]] = None,
     stats: Optional[dict] = None,
 ) -> Iterator[Trigger]:
     """The semi-naive step: every trigger on `fb` whose body match uses an
     atom of `delta` (the atoms just added to `fb`), each exactly once, in
     rule order. Together with the triggers on `fb` minus `delta` these are
     all triggers on `fb`."""
-    counter = counter or itertools.count(1)
     new_by_pred: dict[str, list[Atom]] = {}
     for a in delta:
         new_by_pred.setdefault(a.pred, []).append(a)
@@ -172,7 +173,7 @@ def delta_triggers(
                     m = make_match({v.name: img for v, img in h.items() if isinstance(v, Var)})
                     if m not in seen:
                         seen.add(m)
-                        yield Trigger(rule, m, serial=next(counter))
+                        yield Trigger(rule, m)
 
 
 def datalog_satisfied(datalog_rules: Sequence[Rule], fb: FactBase, stats: Optional[dict] = None) -> bool:
@@ -306,13 +307,112 @@ def applicable_edges(
 _MATCH_ORDER = operator.attrgetter("body_key")
 
 
+class Agenda:
+    """The triggers of one fact base that may still fire, per rule in
+    canonical match order, and the scan that tests them.
+
+    It serves `run_chase`, whose one agenda follows its store, and the
+    explorer, whose states each hold their own (`fork`). Invariant: after
+    every step it holds every trigger on the fact base except those applied
+    or dropped for a permanent reason.
+    """
+
+    def __init__(self, rules: Sequence[Rule], triggers: Iterable[Trigger] = ()) -> None:
+        self.rules = tuple(rules)
+        self.rule_index = {r.id: i for i, r in enumerate(self.rules)}
+        self.datalog_ids = frozenset(r.id for r in self.rules if r.is_datalog)
+        self.lists: list[list[Trigger]] = [[] for _ in self.rules]
+        self.insert(triggers)
+
+    def fork(self) -> "Agenda":
+        """A copy whose trigger lists change apart from these."""
+        child = copy.copy(self)
+        child.lists = [list(entries) for entries in self.lists]
+        return child
+
+    def insert(self, triggers: Iterable[Trigger]) -> None:
+        for t in triggers:
+            insort(self.lists[self.rule_index[t.rule.id]], t, key=_MATCH_ORDER)
+
+    def fire(self, t: Trigger, fb, delta: Sequence[Atom], stats: Optional[dict] = None) -> None:
+        """Follow the step that fired `t` and added `delta` to `fb` (which
+        holds it already): take `t` off and put on the triggers whose match
+        uses a new atom."""
+        entries = self.lists[self.rule_index[t.rule.id]]
+        i = bisect_left(entries, t.body_key, key=_MATCH_ORDER)
+        if i < len(entries) and entries[i].body_key == t.body_key:
+            del entries[i]
+        self.insert(delta_triggers(self.rules, fb, delta, stats))
+
+    def scan(
+        self,
+        variant: ChaseVariant,
+        fb,
+        history: Optional[History] = None,
+        *,
+        rule_ids: Optional[frozenset[str]] = None,
+        first: bool = False,
+        hom_budget: Optional[int] = None,
+        stats: Optional[dict] = None,
+    ) -> list[Trigger]:
+        """Applicable triggers on `fb` in canonical order (only the first one
+        if `first`), dropping every trigger found blocked for good. Without a
+        history, SO is decided from `fb` alone. The Datalog-first gate is
+        open when no live Datalog trigger is left."""
+        found: list[Trigger] = []
+        datalog_ok: Optional[bool] = None
+        considered = 0
+        try:
+            for rule, entries in zip(self.rules, self.lists):
+                if rule_ids is not None and rule.id not in rule_ids:
+                    continue
+                gated = variant.datalog_first and not rule.is_datalog
+                if gated and datalog_ok is None and entries:
+                    datalog_ok = not self.scan(
+                        variant,
+                        fb,
+                        history,
+                        rule_ids=self.datalog_ids,
+                        first=True,
+                        hom_budget=hom_budget,
+                        stats=stats,
+                    )
+                kept: list[Trigger] = []
+                pos = 0
+                try:
+                    while pos < len(entries):
+                        t = entries[pos]
+                        considered += 1
+                        reason = blocking(
+                            variant,
+                            t,
+                            fb,
+                            history,
+                            datalog_ok=datalog_ok,
+                            hom_budget=hom_budget,
+                            stats=stats,
+                        )
+                        pos += 1
+                        if reason in PERMANENT:
+                            continue
+                        kept.append(t)
+                        if reason is None:
+                            found.append(t)
+                            if first:
+                                return found
+                finally:
+                    entries[:pos] = kept
+        finally:
+            if stats is not None:
+                stats["triggers_considered"] = stats.get("triggers_considered", 0) + considered
+        return found
+
+
 @dataclass
 class ChaseState:
     """One derivation under construction: its store, agenda and records.
 
-    `store` is the run's fact base, grown in place. `agenda[i]` holds the
-    triggers of rule i in canonical match order; every trigger on `store`
-    is in it unless it was applied or dropped for a permanent reason.
+    `store` is the run's fact base, grown in place, and `agenda` follows it.
     """
 
     kb: KnowledgeBase
@@ -320,58 +420,23 @@ class ChaseState:
     hom_budget: Optional[int] = None
     stats: dict = field(default_factory=dict)
     history: History = field(default_factory=History)
-    serial: Iterator[int] = field(default_factory=lambda: itertools.count(1))
     records: list[tuple[Trigger, tuple[Atom, ...]]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.store = Store(self.kb.facts.sorted_atoms)
         self.stats.setdefault("triggers_considered", 0)
-        self.rule_index = {r.id: i for i, r in enumerate(self.kb.rules)}
-        self.datalog_ids = frozenset(r.id for r in self.kb.datalog_rules)
-        self.agenda: list[list[Trigger]] = [[] for _ in self.kb.rules]
-        self._insert(enumerate_triggers(self.kb.rules, self.store, self.serial, stats=self.stats))
-
-    def _insert(self, triggers: Iterable[Trigger]) -> None:
-        for t in triggers:
-            insort(self.agenda[self.rule_index[t.rule.id]], t, key=_MATCH_ORDER)
+        self.agenda = Agenda(self.kb.rules, enumerate_triggers(self.kb.rules, self.store, stats=self.stats))
 
     def _scan(self, rule_ids: Optional[frozenset[str]], first: bool) -> list[Trigger]:
-        """Applicable agenda triggers in canonical order (only the first one
-        if `first`), dropping every trigger found blocked for good."""
-        found: list[Trigger] = []
-        datalog_ok: Optional[bool] = None
-        for rule, entries in zip(self.kb.rules, self.agenda):
-            if rule_ids is not None and rule.id not in rule_ids:
-                continue
-            gated = self.variant.datalog_first and not rule.is_datalog
-            if gated and datalog_ok is None and entries:
-                datalog_ok = self.first_applicable(self.datalog_ids) is None
-            kept: list[Trigger] = []
-            pos = 0
-            try:
-                while pos < len(entries):
-                    t = entries[pos]
-                    self.stats["triggers_considered"] += 1
-                    reason = blocking(
-                        self.variant,
-                        t,
-                        self.store,
-                        self.history,
-                        datalog_ok=datalog_ok,
-                        hom_budget=self.hom_budget,
-                        stats=self.stats,
-                    )
-                    pos += 1
-                    if reason in PERMANENT:
-                        continue
-                    kept.append(t)
-                    if reason is None:
-                        found.append(t)
-                        if first:
-                            return found
-            finally:
-                entries[:pos] = kept
-        return found
+        return self.agenda.scan(
+            self.variant,
+            self.store,
+            self.history,
+            rule_ids=rule_ids,
+            first=first,
+            hom_budget=self.hom_budget,
+            stats=self.stats,
+        )
 
     def applicable(self, rule_ids: Optional[frozenset[str]] = None) -> list[Trigger]:
         return self._scan(rule_ids, first=False)
@@ -381,15 +446,10 @@ class ChaseState:
         return found[0] if found else None
 
     def apply(self, t: Trigger) -> tuple[Atom, ...]:
-        """Fire `t`: add its output to the store, take it off the agenda,
-        and put on the agenda the triggers whose match uses a new atom."""
+        """Fire `t`: add its output to the store and let the agenda follow."""
         self.history.record(t)
         delta = self.store.add(t.output)
-        entries = self.agenda[self.rule_index[t.rule.id]]
-        i = bisect_left(entries, t.body_key, key=_MATCH_ORDER)
-        if i < len(entries) and entries[i].body_key == t.body_key:
-            del entries[i]
-        self._insert(delta_triggers(self.kb.rules, self.store, delta, self.serial, self.stats))
+        self.agenda.fire(t, self.store, delta, self.stats)
         self.records.append((t, delta))
         return delta
 
@@ -443,7 +503,7 @@ class DatalogFirst(Strategy):
                 state.stats["triggers_considered"] += 1
                 if any(a not in state.store.atoms for a in t.output):
                     return t
-            self._queue.extend(state.applicable(state.datalog_ids))
+            self._queue.extend(state.applicable(state.agenda.datalog_ids))
             if not self._queue:
                 break
         if not state.kb.existential_rules:

@@ -361,13 +361,12 @@ def _match_digest(rule_id: str, match: Match) -> str:
 class Trigger:
     """A rule plus a total homomorphism from its body into some fact base.
 
-    `serial` records creation order for provenance; it plays no role in null
-    labelling, which depends only on (rule id, match, variable name).
+    Two triggers are equal iff their rules and matches are; the nulls a
+    trigger mints depend only on (rule id, match, variable name).
     """
 
     rule: Rule
     match: Match
-    serial: int = 0
 
     @cached_property
     def mapping(self) -> dict[str, Term]:

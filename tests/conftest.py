@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from exchase import textio
 from exchase.core import Atom, Const, FactBase, KnowledgeBase, Null, Rule, Var
@@ -84,3 +85,30 @@ def random_factbase(rng: random.Random, preds=None, max_atoms=3, consts=None) ->
 
 def random_kb(rng: random.Random, max_rules=3, preds=None, max_atoms=3) -> KnowledgeBase:
     return KnowledgeBase(random_rules(rng, max_rules, preds), random_factbase(rng, preds, max_atoms))
+
+
+# Chase variants with and without the Datalog-first modifier.
+ALL_VARIANTS = ("o", "so", "r", "e", "dfo", "dfso", "dfr", "dfe")
+_SMALL_PREDS = (("p", 2), ("q", 1), ("r", 2))
+_BODY_VARS = tuple(Var(n) for n in ("X", "Y", "Z"))
+_FRESH_VARS = (Var("V1"), Var("V2"))
+
+
+@st.composite
+def small_kbs(draw):
+    """Hypothesis strategy: one to three rules over p/2, q/1, r/2 with one
+    or two body and head atoms, and one to four facts over a, b, c."""
+
+    def atom(terms):
+        pred, arity = draw(st.sampled_from(_SMALL_PREDS))
+        return Atom(pred, tuple(draw(st.sampled_from(terms)) for _ in range(arity)))
+
+    rules = []
+    for i in range(draw(st.integers(1, 3))):
+        body = [atom(_BODY_VARS) for _ in range(draw(st.integers(1, 2)))]
+        body_vars = sorted({t for a in body for t in a.args}, key=str)
+        head = [atom(body_vars + list(_FRESH_VARS)) for _ in range(draw(st.integers(1, 2)))]
+        rules.append(Rule("g%d" % i, tuple(body), tuple(head)))
+    consts = [Const(c) for c in "abc"]
+    facts = [atom(consts) for _ in range(draw(st.integers(1, 4)))]
+    return KnowledgeBase(tuple(rules), FactBase.of(facts))

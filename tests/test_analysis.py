@@ -1,7 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from exchase import analysis, hom
 from exchase.analysis import (
     ALL_FINITE,
     BUDGET_EXCEEDED,
@@ -21,6 +24,8 @@ from exchase.chase import (
     Phased,
     RandomChoice,
     Scripted,
+    Strategy,
+    applicable_edges,
     run_chase,
 )
 from exchase.core import (
@@ -31,11 +36,12 @@ from exchase.core import (
     TERMINATED_FAIR,
     TERMINATED_UNFAIR,
     Var,
+    sort_atoms,
 )
 from exchase.normalize import one_way, single_piece, two_way
 from exchase.textio import parse_document
 
-from conftest import CORPUS, load_doc, load_kb
+from conftest import ALL_VARIANTS, CORPUS, load_doc, load_kb, small_kbs
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
 DFR = ChaseVariant.parse("dfr")
@@ -152,6 +158,77 @@ def test_find_terminating_by_deepening_only():
     derivation = find_terminating(kb, DFR, 6)
     assert derivation is not None
     assert len(derivation) == 1
+
+
+class _GiveUp(Strategy):
+    """Stops at once, so a run ends fairly only on a terminal fact base."""
+
+    def choose(self, state):
+        return None
+
+    def exhausted_early(self):
+        return True
+
+
+def _deepening_reference(kb, variant, max_steps):
+    """The search part of `find_terminating` as iterative deepening:
+    depth-first rounds of growing depth from the root, each with its own
+    memo of states whose subtree held no terminal state, every state's
+    edges taken from `applicable_edges`. Returns the (trigger, delta)
+    records of the path found, or None."""
+    for budget in range(1, max_steps + 1):
+        dead = hom.IsoTable()
+        stack, path = [], []
+        fb, depth_left = kb.facts, budget
+        while True:
+            edges = list(applicable_edges(kb, fb, variant))
+            if not edges:
+                return [(t, sort_atoms(after.atoms - before.atoms)) for t, before, after in path]
+            prev = dead.get(fb) if depth_left else None
+            if depth_left and (prev is None or prev < depth_left):
+                stack.append((fb, depth_left, iter(edges)))
+            elif path:
+                path.pop()
+            t = None
+            while stack:
+                fb, depth_left, untried = stack[-1]
+                t = next(untried, None)
+                if t is not None:
+                    break
+                stack.pop()
+                dead.put(fb, depth_left)
+                if stack:
+                    path.pop()
+            if t is None:
+                break
+            after = fb.union(t.output)
+            path.append((t, fb, after))
+            fb, depth_left = after, depth_left - 1
+    return None
+
+
+def _search_only(kb, variant, max_steps):
+    """`find_terminating` with FIFO and DatalogFirst made to give up at once,
+    so that what it returns is what its search finds."""
+    with mock.patch.object(analysis, "FIFO", _GiveUp), mock.patch.object(analysis, "DatalogFirst", _GiveUp):
+        found = find_terminating(kb, variant, max_steps)
+    return None if found is None else list(found.records)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(small_kbs(), st.sampled_from(ALL_VARIANTS), st.integers(1, 4))
+def test_breadth_first_search_returns_the_deepening_answer(kb, name, max_steps):
+    """The search finds iterative deepening's answer: the first shortest
+    terminating path in canonical edge order."""
+    variant = ChaseVariant.parse(name)
+    assert _search_only(kb, variant, max_steps) == _deepening_reference(kb, variant, max_steps)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.erl")))
+def test_breadth_first_search_returns_the_deepening_answer_on_the_corpus(name):
+    kb = load_kb(name)
+    for variant in (O, SO, R, E, DFR):
+        assert _search_only(kb, variant, 4) == _deepening_reference(kb, variant, 4), variant.label
 
 
 # --- entails ------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from exchase.core import (
     make_match,
 )
 from exchase.chase import (
+    Agenda,
     ChaseVariant,
     DatalogFirst,
     FIFO,
@@ -32,13 +33,14 @@ from exchase.chase import (
     breadth_first_layer,
     ch_k,
     datalog_satisfied,
+    delta_triggers,
     enumerate_triggers,
     head_satisfied,
     is_applicable,
     run_chase,
 )
 
-from conftest import load_doc, load_kb, random_kb
+from conftest import ALL_VARIANTS, load_doc, load_kb, random_kb, small_kbs
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
 DFR = ChaseVariant.parse("dfr")
@@ -570,28 +572,6 @@ def test_fresh_output_atoms_disjoint_from_factbase():
 
 # --- the agenda against a per-step oracle --------------------------------------
 
-_PREDS = (("p", 2), ("q", 1), ("r", 2))
-_BODY_VARS = tuple(Var(n) for n in ("X", "Y", "Z"))
-_FRESH_VARS = (Var("V1"), Var("V2"))
-
-
-@st.composite
-def _small_kbs(draw):
-    def atom(terms):
-        pred, arity = draw(st.sampled_from(_PREDS))
-        return Atom(pred, tuple(draw(st.sampled_from(terms)) for _ in range(arity)))
-
-    rules = []
-    for i in range(draw(st.integers(1, 3))):
-        body = [atom(_BODY_VARS) for _ in range(draw(st.integers(1, 2)))]
-        body_vars = sorted({t for a in body for t in a.args}, key=str)
-        head = [atom(body_vars + list(_FRESH_VARS)) for _ in range(draw(st.integers(1, 2)))]
-        rules.append(Rule("g%d" % i, tuple(body), tuple(head)))
-    consts = [Const(c) for c in "abc"]
-    facts = [atom(consts) for _ in range(draw(st.integers(1, 4)))]
-    return KnowledgeBase(tuple(rules), FactBase.of(facts))
-
-
 def _oracle_fifo(kb, variant, max_steps):
     """FIFO without an agenda: at each step the first trigger that
     `applicable_edges` finds on that step's snapshot."""
@@ -607,7 +587,7 @@ def _oracle_fifo(kb, variant, max_steps):
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(_small_kbs(), st.sampled_from(("o", "so", "r", "e", "dfo", "dfso", "dfr", "dfe")))
+@given(small_kbs(), st.sampled_from(ALL_VARIANTS))
 def test_agenda_fifo_matches_per_step_oracle(kb, name):
     variant = ChaseVariant.parse(name)
     out = run_chase(kb, variant, FIFO(), 6)
@@ -635,3 +615,36 @@ def test_e_variant_on_a_fact_base_deeper_than_the_recursion_limit():
     out = run_chase(KnowledgeBase((rule,), facts), E, FIFO(), 3)
     assert out.verdict == BUDGET_EXHAUSTED
     assert len(out.result) == 1203
+
+
+def test_triggers_from_enumeration_and_delta_search_are_equal():
+    rule = Rule("t", (Atom("e", V("X", "Y")), Atom("e", V("Y", "Z"))), (Atom("e", V("X", "Z")),))
+    a, b, c, d = (Const(n) for n in "abcd")
+    fb = FactBase.of([Atom("e", (a, b)), Atom("e", (b, c)), Atom("e", (c, d))])
+    _, whole = enumerate_triggers([rule], fb)  # the second of two
+    (delta,) = delta_triggers([rule], fb, [Atom("e", (c, d))])
+    assert whole.match == delta.match
+    assert whole == delta
+    assert hash(whole) == hash(delta)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_kbs(), st.sampled_from(ALL_VARIANTS), st.data())
+def test_inherited_agenda_edges_match_from_scratch_edges(kb, name, data):
+    """Along a random explorer path, each state's edges from the agenda it
+    inherits equal `applicable_edges` on its fact base, and a fork leaves
+    its parent's agenda as it was."""
+    variant = ChaseVariant.parse(name)
+    fb = kb.facts
+    agenda = Agenda(kb.rules, enumerate_triggers(kb.rules, fb))
+    for _ in range(5):
+        edges = agenda.scan(variant, fb)
+        assert edges == list(applicable_edges(kb, fb, variant))
+        if not edges:
+            break
+        t = data.draw(st.sampled_from(edges))
+        child = fb.union(t.output)
+        child_agenda = agenda.fork()
+        child_agenda.fire(t, child, sorted(child.atoms - fb.atoms, key=Atom.key))
+        assert agenda.scan(variant, fb) == edges
+        fb, agenda = child, child_agenda

@@ -83,7 +83,7 @@ def test_trigger_output_example1():
     (z,) = t1.output_nulls
     assert set(out) == {Atom("p", (Const("b"), z)), Atom("p", (z, Const("b")))}
     # querying the same trigger twice yields identical labels
-    t1_again = Trigger(rule, make_match({"X": Const("a"), "Y": Const("b")}), serial=99)
+    t1_again = Trigger(rule, make_match({"X": Const("a"), "Y": Const("b")}))
     assert t1_again.output == out
 
     # t2 = (R, {x -> b, y -> z_t1}) -> {P(z_t1, z_t2), P(z_t2, z_t1)}
@@ -102,10 +102,9 @@ def test_trigger_output_datalog():
 
 def test_null_freshness_across_distinct_triggers():
     rule = Rule("su", (Atom("a", V("X")),), (Atom("p", V("X", "Z")),))
-    rng = random.Random(7)
     seen = set()
     for name in "abcdefgh":
-        t = Trigger(rule, make_match({"X": Const(name)}), serial=rng.randint(0, 100))
+        t = Trigger(rule, make_match({"X": Const(name)}))
         (z,) = t.output_nulls
         assert z not in seen
         seen.add(z)

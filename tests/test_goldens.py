@@ -1,9 +1,15 @@
 """Derivation goldens: `run --derivation --json` on every corpus `.erl`
 under o/so/r/e/dfr with the fifo and datalog-first strategies at
-`--max-steps 20`, compared with fixed reports in `goldens/derivations.json`.
+`--max-steps 20`, compared with fixed reports in `goldens/derivations.json`;
+and `find_terminating` goldens: the derivation that `find_terminating` with
+no extra strategies returns on every corpus `.erl` under o/so/r/e/dfr at
+`max_steps` 3 and 5, compared with `goldens/find_terminating.json`.
 
-The reports were made by the chase that re-enumerated every trigger at every
-step, before the trigger agenda replaced it. They leave out `stats`, whose
+The derivation reports were made by the chase that re-enumerated every
+trigger at every step, before the trigger agenda replaced it; the
+`find_terminating` results by the iterative-deepening search that re-walked
+its tree from the root each round, before the breadth-first search replaced
+it. They leave out `stats`, whose
 counters measure work rather than results, and number the null digests by
 first appearance (`_ex1#1.Z`), so they fix which triggers fire and what they
 add but not the digest text of the labels.
@@ -19,10 +25,15 @@ from pathlib import Path
 import pytest
 
 from exchase import cli
+from exchase.analysis import find_terminating
+from exchase.chase import ChaseVariant
 
-from conftest import CORPUS
+from conftest import CORPUS, load_kb
 
-GOLDENS = json.loads((Path(__file__).parent / "goldens" / "derivations.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+GOLDENS = json.loads((GOLDEN_DIR / "derivations.json").read_text())
+TERMINATING = json.loads((GOLDEN_DIR / "find_terminating.json").read_text())
+VARIANTS = ("o", "so", "r", "e", "dfr")
 _DIGEST = re.compile(r"#([0-9a-f]+)\.")
 
 
@@ -40,7 +51,7 @@ def test_goldens_cover_the_corpus():
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.erl")))
 def test_derivation_reports_match_goldens(name):
     mismatches = []
-    for variant in ("o", "so", "r", "e", "dfr"):
+    for variant in VARIANTS:
         for strategy in ("fifo", "datalog-first"):
             out = io.StringIO()
             argv = ["run", str(CORPUS / name), "--variant", variant, "--strategy", strategy]
@@ -52,4 +63,35 @@ def test_derivation_reports_match_goldens(name):
             report = json.loads(number_digests(json.dumps(report, sort_keys=True, indent=2)))
             if report != GOLDENS["%s %s %s" % (name, variant, strategy)]:
                 mismatches.append((variant, strategy))
+    assert not mismatches
+
+
+def find_terminating_report(name: str, variant: str, max_steps: int):
+    """The steps of `find_terminating(kb, variant, max_steps)` on a corpus
+    file as (rule, match, added) records with numbered digests, or None."""
+    found = find_terminating(load_kb(name), ChaseVariant.parse(variant), max_steps)
+    if found is None:
+        return None
+    steps = [
+        {"rule": t.rule.id, "match": {n: str(v) for n, v in t.match}, "added": [str(a) for a in delta]}
+        for t, delta in found.records
+    ]
+    return json.loads(number_digests(json.dumps(steps)))
+
+
+def test_find_terminating_goldens_cover_the_corpus():
+    names = {key.split()[0] for key in TERMINATING}
+    assert names == {p.name for p in CORPUS.glob("*.erl")}
+    assert len(TERMINATING) == len(names) * len(VARIANTS) * 2
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.erl")))
+def test_find_terminating_matches_goldens(name):
+    mismatches = [
+        (variant, max_steps)
+        for variant in VARIANTS
+        for max_steps in (3, 5)
+        if find_terminating_report(name, variant, max_steps)
+        != TERMINATING["%s %s %d" % (name, variant, max_steps)]
+    ]
     assert not mismatches

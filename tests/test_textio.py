@@ -1,13 +1,14 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exchase import textio
-from exchase.chase import FIFO, ChaseVariant, run_chase
-from exchase.core import Atom, Const, FactBase, Null, Var
+from exchase.chase import FIFO, ChaseVariant, RandomChoice, run_chase
+from exchase.core import Atom, Const, FactBase, KnowledgeBase, Null, Rule, Var, sort_atoms
 from exchase.hom import are_isomorphic
 
-from conftest import CORPUS, load_doc
+from conftest import CORPUS, load_doc, small_kbs
 
 
 def test_parse_example1_rule():
@@ -137,3 +138,32 @@ def test_full_width_null_label_roundtrips():
     assert re.fullmatch(r"r#[0-9a-f]{40}\.Z", null.label)
     text = textio.serialize_factbase(out.result)
     assert textio.parse_document(text).factbase().atoms == out.result.atoms
+
+
+# Rule ids are identifiers joined by dots; minted null labels embed them.
+_RULE_IDS = st.from_regex(r"[a-zA-Z][a-zA-Z0-9_]{0,3}(\.[a-zA-Z][a-zA-Z0-9_]{0,3}){0,2}", fullmatch=True)
+_QUERY_TERMS = (Var("X"), Var("Y"), Const("a"), Const("b"))
+_QUERY_ATOMS = st.one_of(
+    st.tuples(st.sampled_from(_QUERY_TERMS)).map(lambda args: Atom("q", args)),
+    st.tuples(st.sampled_from(("p", "r")), st.sampled_from(_QUERY_TERMS), st.sampled_from(_QUERY_TERMS)).map(
+        lambda x: Atom(x[0], x[1:])
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_kbs(), st.sampled_from(("o", "so", "r", "e")), st.integers(0, 4), st.integers(0, 999), st.data())
+def test_generated_documents_roundtrip(kb, name, steps, seed, data):
+    """Rules under generated ids, the facts of a chase result with minted
+    nulls in any order, and queries come back from their text unchanged."""
+    ids = data.draw(st.lists(_RULE_IDS, min_size=len(kb.rules), max_size=len(kb.rules), unique=True))
+    rules = [Rule(i, r.body, r.head) for i, r in zip(ids, kb.rules)]
+    kb = KnowledgeBase(tuple(rules), kb.facts)
+    result = run_chase(kb, ChaseVariant.parse(name), RandomChoice(seed), steps).result
+    facts = data.draw(st.permutations(result.sorted_atoms))
+    queries = data.draw(st.lists(st.lists(_QUERY_ATOMS, min_size=1, max_size=3).map(sort_atoms), max_size=2))
+    doc = textio.SourceDocument(rules=rules, facts=list(facts), queries=queries)
+    again = textio.parse_document(textio.serialize_document(doc))
+    assert again.rules == doc.rules
+    assert again.facts == doc.facts
+    assert again.queries == doc.queries
