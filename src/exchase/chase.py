@@ -27,17 +27,24 @@ An `Agenda` keeps the triggers of a fact base that may still fire
 (semi-naive evaluation). Invariant: after every step it holds every trigger
 on the fact base, per rule in canonical match order, except those that were
 applied or dropped. After a step only the body matches that use an atom of
-the step's delta are found and inserted. `Agenda.scan` is the one place
-that tests applicability along a derivation: every strategy and the final
-fairness check of `run_chase` scan its agenda, and the explorer scans the
-agenda of each state. A scan drops a trigger only for a reason that cannot
-go away as F grows: its output is present (which covers O), its SO frontier
-key has fired, or its head is satisfied (R, and E's cheap case). An
-E-blocked trigger stays, because a homomorphism of F + out(t) into F that
-moves nulls of F must map every later atom too, so it can stop existing; so
-does a Datalog-first-gated one, because the gate reopens once the Datalog
-rules are satisfied again. The gate itself is "no live Datalog trigger is
-left on the agenda".
+the step's delta are found and inserted. They are found by `_join`, which
+follows a static order that each rule compiles once (`Rule.join_orders`):
+per body position j, the other body atoms, most bound arguments first, once
+atom j is bound to a delta atom. An atom whose arguments are all bound is
+looked up in the fact base; any other walks the smallest (predicate,
+position, term) bucket among its bound positions. Enumerating every trigger
+of a fact base joins the whole body the same way.
+
+`Agenda.scan` is the one place that tests applicability along a
+derivation: every strategy and the final fairness check of `run_chase`
+scan its agenda, and the explorer scans the agenda of each state. A scan
+drops a trigger only for a reason that cannot go away as F grows: its
+output is present (which covers O), its SO frontier key has fired, or its
+head is satisfied (R, and E's cheap case). An E-blocked trigger stays,
+because a homomorphism of F + out(t) into F that moves nulls of F must map
+every later atom too, so it can stop existing; so does a Datalog-first-gated
+one, because the gate reopens once the Datalog rules are satisfied again.
+The gate itself is "no live Datalog trigger is left on the agenda".
 
 `run_chase` grows one mutable `Store` per run, and its agenda follows it.
 The explorer's states are immutable fact bases, and each holds its own
@@ -62,6 +69,7 @@ from .core import (
     Atom,
     Derivation,
     FactBase,
+    JoinStep,
     KnowledgeBase,
     Rule,
     Store,
@@ -120,11 +128,66 @@ class History:
         self.fired_so.add(t.frontier_key)
 
 
+def _join(
+    order: Sequence[JoinStep], fb, binding: dict[str, Term], stats: Optional[dict] = None
+) -> Iterator[dict[str, Term]]:
+    """Every extension of `binding` (variable name -> term) that maps the
+    atoms of a join order (`Rule.join_orders`) into `fb`, atom by atom in
+    that order. An atom whose arguments are all bound is looked up in
+    `fb.atoms`; any other walks the smallest `by_pred_pos` bucket of a bound
+    argument, or its predicate's `by_pred` bucket when none is bound.
+    Counted as one search in stats["hom_calls"]."""
+    if stats is not None:
+        stats["hom_calls"] = stats.get("hom_calls", 0) + 1
+    return _extend(order, 0, fb, binding)
+
+
+def _extend(
+    order: Sequence[JoinStep], k: int, fb, binding: dict[str, Term]
+) -> Iterator[dict[str, Term]]:
+    if k == len(order):
+        yield binding
+        return
+    pred, args = order[k]
+    bound: list[tuple[int, Term]] = []
+    free: list[tuple[int, str]] = []
+    for i, s in enumerate(args):
+        if s.__class__ is str:
+            t = binding.get(s)
+            if t is None:
+                free.append((i, s))
+                continue
+            s = t
+        bound.append((i, s))
+    if not free:
+        if Atom(pred, tuple([t for _, t in bound])) in fb.atoms:
+            yield from _extend(order, k + 1, fb, binding)
+        return
+    pool = fb.by_pred.get(pred, ())
+    for i, t in bound:
+        bucket = fb.by_pred_pos.get((pred, i, t), ())
+        if len(bucket) < len(pool):
+            pool = bucket
+    arity = len(args)
+    for cand in pool:
+        cargs = cand.args
+        if len(cargs) != arity:
+            continue
+        for i, t in bound:
+            if cargs[i] != t:
+                break
+        else:
+            ext = dict(binding)
+            for i, s in free:
+                if ext.setdefault(s, cargs[i]) != cargs[i]:
+                    break  # a variable repeated within the atom
+            else:
+                yield from _extend(order, k + 1, fb, ext)
+
+
 def body_matches(rule: Rule, fb, stats: Optional[dict] = None) -> list[dict[str, Term]]:
     """All homomorphisms from the rule body into the fact base, canonical order."""
-    sols = []
-    for h in hom.iter_homomorphisms(rule.body, fb, stats=stats):
-        sols.append({t.name: img for t, img in h.items() if isinstance(t, Var)})
+    sols = list(_join(rule.join_orders.whole, fb, {}, stats))
     sols.sort(key=lambda m: tuple(sorted((n, term_key(t)) for n, t in m.items())))
     return sols
 
@@ -137,12 +200,13 @@ def enumerate_triggers(rules: Sequence[Rule], fb, stats: Optional[dict] = None) 
             yield Trigger(rule, make_match(m))
 
 
-def _bind(pattern: Atom, fact: Atom) -> Optional[dict[Term, Term]]:
-    """The variable binding that maps `pattern` onto `fact`, or None."""
-    binding: dict[Term, Term] = {}
+def _bind(pattern: Atom, fact: Atom) -> Optional[dict[str, Term]]:
+    """The binding (variable name -> term) that maps `pattern` onto `fact`,
+    or None."""
+    binding: dict[str, Term] = {}
     for s, t in zip(pattern.args, fact.args):
         if isinstance(s, Var):
-            if binding.setdefault(s, t) != t:
+            if binding.setdefault(s.name, t) != t:
                 return None
         elif s != t:
             return None
@@ -158,22 +222,23 @@ def delta_triggers(
     """The semi-naive step: every trigger on `fb` whose body match uses an
     atom of `delta` (the atoms just added to `fb`), each exactly once, in
     rule order. Together with the triggers on `fb` minus `delta` these are
-    all triggers on `fb`."""
+    all triggers on `fb`. Each delta atom that body atom j matches is joined
+    with the other body atoms in the rule's static order for j."""
     new_by_pred: dict[str, list[Atom]] = {}
     for a in delta:
         new_by_pred.setdefault(a.pred, []).append(a)
     for rule in rules:
         seen: set = set()
-        for b in rule.body:
+        for b, order in zip(rule.body, rule.join_orders.given):
             for a in new_by_pred.get(b.pred, ()):
                 binding = _bind(b, a)
                 if binding is None:
                     continue
-                for h in hom.iter_homomorphisms(rule.body, fb, fixed=binding, stats=stats):
-                    m = make_match({v.name: img for v, img in h.items() if isinstance(v, Var)})
-                    if m not in seen:
-                        seen.add(m)
-                        yield Trigger(rule, m)
+                for m in _join(order, fb, binding, stats):
+                    match = make_match(m)
+                    if match not in seen:
+                        seen.add(match)
+                        yield Trigger(rule, match)
 
 
 def datalog_satisfied(datalog_rules: Sequence[Rule], fb: FactBase, stats: Optional[dict] = None) -> bool:
@@ -188,10 +253,9 @@ def datalog_satisfied(datalog_rules: Sequence[Rule], fb: FactBase, stats: Option
 
 def _so_blocked_intrinsic(t: Trigger, fb, stats: Optional[dict]) -> bool:
     """Some trigger with the same rule and frontier image has its output in F."""
-    fixed = {Var(n): v for n, v in t.match if n in t.rule.frontier}
-    for h in hom.iter_homomorphisms(t.rule.body, fb, fixed=fixed, stats=stats):
-        m = make_match({v.name: img for v, img in h.items() if isinstance(v, Var)})
-        other = Trigger(t.rule, m)
+    fixed = {n: v for n, v in t.match if n in t.rule.frontier}
+    for m in _join(t.rule.join_orders.whole, fb, fixed, stats):
+        other = Trigger(t.rule, make_match(m))
         if all(a in fb.atoms for a in other.output):
             return True
     return False
@@ -321,6 +385,7 @@ class Agenda:
         self.rules = tuple(rules)
         self.rule_index = {r.id: i for i, r in enumerate(self.rules)}
         self.datalog_ids = frozenset(r.id for r in self.rules if r.is_datalog)
+        self.existential_ids = frozenset(r.id for r in self.rules if not r.is_datalog)
         self.lists: list[list[Trigger]] = [[] for _ in self.rules]
         self.insert(triggers)
 
@@ -425,6 +490,7 @@ class ChaseState:
     def __post_init__(self) -> None:
         self.store = Store(self.kb.facts.sorted_atoms)
         self.stats.setdefault("triggers_considered", 0)
+        self.stats.setdefault("hom_calls", 0)
         self.agenda = Agenda(self.kb.rules, enumerate_triggers(self.kb.rules, self.store, stats=self.stats))
 
     def _scan(self, rule_ids: Optional[frozenset[str]], first: bool) -> list[Trigger]:
@@ -506,9 +572,9 @@ class DatalogFirst(Strategy):
             self._queue.extend(state.applicable(state.agenda.datalog_ids))
             if not self._queue:
                 break
-        if not state.kb.existential_rules:
+        if not state.agenda.existential_ids:
             return None
-        return state.first_applicable(frozenset(r.id for r in state.kb.existential_rules))
+        return state.first_applicable(state.agenda.existential_ids)
 
 
 class Phased(Strategy):

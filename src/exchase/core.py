@@ -15,9 +15,9 @@ from __future__ import annotations
 import hashlib
 import re
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,12 +68,24 @@ def term_key(t: Term) -> tuple:
 
 @dataclass(frozen=True, slots=True)
 class Atom:
+    """A predicate applied to terms. Its hash is computed once, and is the
+    value the dataclass would compute, so set order is unchanged by caching."""
+
     pred: str
     args: tuple[Term, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.args, tuple):
             object.__setattr__(self, "args", tuple(self.args))
+        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: a hash depends on the process's hash seed.
+        return (Atom, (self.pred, self.args))
 
     @property
     def arity(self) -> int:
@@ -100,6 +112,39 @@ def atom(pred: str, *args: Term) -> Atom:
 
 def sort_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(sorted(atoms, key=Atom.key))
+
+
+# One atom of a join order: its predicate and its arguments, with every
+# variable given by its name (a str) and every constant as itself.
+JoinStep = tuple[str, tuple[Union[str, Const], ...]]
+
+
+class JoinOrders(NamedTuple):
+    """`whole`: the body atoms in join order with nothing bound. `given[j]`:
+    the other body atoms in join order once body atom j is bound to a fact."""
+
+    whole: tuple[JoinStep, ...]
+    given: tuple[tuple[JoinStep, ...], ...]
+
+
+def _join_order(atoms: Iterable[Atom], bound: frozenset[str]) -> tuple[JoinStep, ...]:
+    """Greedy: next comes the atom with the most bound arguments (constants
+    and variables of earlier atoms), then the fewest free ones, then the
+    first in canonical order."""
+    left = list(atoms)
+    bound = set(bound)
+    order = []
+
+    def rank(a: Atom) -> tuple[int, int]:
+        free = a.variables() - bound
+        return (sum(not isinstance(t, Var) or t.name in bound for t in a.args), -len(free))
+
+    while left:
+        best = max(left, key=rank)
+        left.remove(best)
+        bound |= best.variables()
+        order.append((best.pred, tuple(t.name if isinstance(t, Var) else t for t in best.args)))
+    return tuple(order)
 
 
 class RuleError(ValueError):
@@ -143,6 +188,17 @@ class Rule:
     @cached_property
     def existentials(self) -> frozenset[str]:
         return self.head_vars - self.body_vars
+
+    @cached_property
+    def join_orders(self) -> JoinOrders:
+        """Static orders in which trigger discovery joins the body atoms."""
+        return JoinOrders(
+            _join_order(self.body, frozenset()),
+            tuple(
+                _join_order(self.body[:j] + self.body[j + 1 :], a.variables())
+                for j, a in enumerate(self.body)
+            ),
+        )
 
     @property
     def is_datalog(self) -> bool:

@@ -18,6 +18,7 @@ from exchase.core import (
     Trigger,
     Var,
     make_match,
+    term_key,
 )
 from exchase.chase import (
     Agenda,
@@ -29,6 +30,8 @@ from exchase.chase import (
     RandomChoice,
     Scripted,
     StrategyError,
+    _bind,
+    _join,
     applicable_edges,
     breadth_first_layer,
     ch_k,
@@ -648,3 +651,91 @@ def test_inherited_agenda_edges_match_from_scratch_edges(kb, name, data):
         child_agenda.fire(t, child, sorted(child.atoms - fb.atoms, key=Atom.key))
         assert agenda.scan(variant, fb) == edges
         fb, agenda = child, child_agenda
+
+
+# --- compiled joins against the homomorphism search --------------------------
+
+_JOIN_PREDS = (("p", 2), ("q", 1), ("s", 3))
+_JOIN_TERMS = (Const("a"), Const("b"), Null("n"))
+
+
+@st.composite
+def join_cases(draw):
+    """A rule body that `small_kbs` cannot draw: constants, variables
+    repeated within and across atoms, and a ternary predicate; with a fact
+    base over two constants and a null, and a subset of it as a delta."""
+
+    def atom(terms):
+        pred, arity = draw(st.sampled_from(_JOIN_PREDS))
+        return Atom(pred, tuple(draw(st.sampled_from(terms)) for _ in range(arity)))
+
+    pattern_terms = (*V("X", "Y", "Z"), Const("a"), Const("b"))
+    body = [atom(pattern_terms) for _ in range(draw(st.integers(1, 3)))]
+    head_vars = sorted({t for a in body for t in a.args if isinstance(t, Var)}, key=str)
+    rule = Rule("j", tuple(body), (Atom("out", tuple(head_vars)),))
+    facts = sorted({atom(_JOIN_TERMS) for _ in range(draw(st.integers(1, 8)))}, key=Atom.key)
+    delta = [a for a in facts if draw(st.booleans())]
+    return rule, FactBase.of(facts), delta
+
+
+def _canonical(matches):
+    return sorted(matches, key=lambda m: [(n, term_key(t)) for n, t in m])
+
+
+def _search_matches(rule, fb, fixed=None):
+    return _canonical(
+        make_match({v.name: t for v, t in h.items() if isinstance(v, Var)})
+        for h in hom.iter_homomorphisms(rule.body, fb, fixed=fixed)
+    )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(join_cases())
+def test_join_matches_equal_homomorphism_search(case):
+    """The join over the whole body, and over the other atoms once body atom
+    j is bound to a fact, finds exactly the homomorphisms the search finds,
+    each once."""
+    rule, fb, _ = case
+    whole = _canonical(make_match(m) for m in _join(rule.join_orders.whole, fb, {}))
+    assert whole == _search_matches(rule, fb)
+    for b, order in zip(rule.body, rule.join_orders.given):
+        for fact in fb.by_pred.get(b.pred, ()):
+            binding = _bind(b, fact)
+            if binding is None:
+                continue
+            got = _canonical(make_match(m) for m in _join(order, fb, dict(binding)))
+            fixed = {Var(n): t for n, t in binding.items()}
+            assert got == _search_matches(rule, fb, fixed)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(join_cases())
+def test_delta_triggers_find_each_new_match_once(case):
+    """Delta discovery yields each match that uses a delta atom exactly once,
+    also when two delta atoms bind the same body atom."""
+    rule, fb, delta = case
+    got = [t.match for t in delta_triggers([rule], fb, delta)]
+    assert len(got) == len(set(got))
+    want = [
+        m
+        for m in _search_matches(rule, fb)
+        if any(a in delta for a in Trigger(rule, m).support)
+    ]
+    assert _canonical(got) == want
+
+
+def test_join_order_puts_the_most_bound_atom_next():
+    rule = Rule(
+        "mv",
+        (
+            Atom("content", V("X")),
+            Atom("head", V("X")),
+            Atom("nxt", V("Z", "W")),
+            Atom("stp", V("X", "Z")),
+        ),
+        (Atom("head", V("W")),),
+    )
+    assert [pred for pred, _ in rule.join_orders.whole] == ["content", "head", "stp", "nxt"]
+    # given nxt(Z,W) bound: stp(X,Z) has one bound argument, the rest none
+    given_nxt = rule.join_orders.given[2]
+    assert given_nxt == (("stp", ("X", "Z")), ("content", ("X",)), ("head", ("X",)))

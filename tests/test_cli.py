@@ -283,6 +283,19 @@ def test_run_facts_only_file(tmp_path, capsys):
     assert report["atoms"] == 2
 
 
+def test_run_stats_keys_same_with_and_without_rules(tmp_path, capsys):
+    facts = tmp_path / "facts.erl"
+    facts.write_text("p(a,b).\n")
+    rules = tmp_path / "rules.erl"
+    rules.write_text("[g] p(X,Y) -> q(X).\np(a,b).\n")
+    keys = []
+    for erl in (facts, rules):
+        code, out = run_cli(capsys, "run", str(erl), "--json")
+        assert code == 0
+        keys.append(list(json.loads(out)["stats"]))
+    assert keys[0] == keys[1] == ["hom_calls", "steps", "triggers_considered"]
+
+
 def test_explore_witness_stable_across_processes():
     import os
     import subprocess

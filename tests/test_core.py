@@ -1,4 +1,10 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +186,45 @@ def test_store_is_indexed_like_a_factbase():
         assert {p: tuple(v) for p, v in store.by_pred.items()} == fb.by_pred
         assert {k: tuple(v) for k, v in store.by_pred_pos.items()} == fb.by_pred_pos
         assert store.snapshot() == fb
+
+
+_PICKLE_ATOMS = "[Atom('p', (Const('a'), Null('n1'))), Atom('q', (Const('b'),)), Atom('r', ())]"
+
+
+def _in_process(code: str, seed: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    prelude = "import pickle, sys\nfrom exchase.core import Atom, Const, Null\n"
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code], capture_output=True, env=env, check=True
+    )
+
+
+def test_atom_hash_is_the_dataclass_hash():
+    a = Atom("p", [Const("a"), Null("n")])
+    assert a.args == (Const("a"), Null("n"))
+    assert hash(a) == hash(("p", (Const("a"), Null("n"))))
+
+
+def test_pickled_atoms_keep_membership_under_another_hash_seed():
+    """An atom set pickled in a process with one hash seed still finds its
+    atoms after unpickling in a process with another."""
+    pickled = _in_process(
+        "sys.stdout.buffer.write(pickle.dumps(frozenset(%s)))" % _PICKLE_ATOMS, "1"
+    ).stdout
+    out = _in_process(
+        "atoms = pickle.loads(bytes.fromhex(%r))\n"
+        "print(all(a in atoms for a in %s))\n"
+        "print(all(hash(a) == hash((a.pred, a.args)) for a in atoms))"
+        % (pickled.hex(), _PICKLE_ATOMS),
+        "2",
+    ).stdout
+    assert out.split() == [b"True", b"True"]
+
+
+def test_copied_atoms_keep_equality_and_hash():
+    a = Atom("p", (Const("a"), Null("n1")))
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a)
+        assert b in {a}
