@@ -88,7 +88,8 @@ def _step(fb: FactBase, t: Trigger) -> tuple[FactBase, tuple[Atom, ...]]:
 
 def _child_agenda(agenda: Agenda, t: Trigger, child: FactBase, delta: tuple[Atom, ...]) -> Agenda:
     """The agenda of `child`: that of its parent, already scanned, minus `t`,
-    plus the triggers whose match uses an atom of `delta`."""
+    plus the triggers whose match uses an atom of `delta`, with `t`'s
+    frontier key among the fired ones."""
     out = agenda.fork()
     out.fire(t, child, delta)
     return out
@@ -101,7 +102,6 @@ def explore_all(
     max_nodes: int,
     *,
     dedup: bool = True,
-    hom_budget: Optional[int] = None,
 ) -> ExplorationReport:
     """Exhaustive expansion of the derivation graph from kb.facts.
 
@@ -128,7 +128,7 @@ def explore_all(
         max_len = max(max_len, depth)
         if expansions > max_nodes:
             raise _Budget()
-        edges = agenda.scan(variant, fb, hom_budget=hom_budget)
+        edges = agenda.scan(variant, fb)
         stack.append((fb, depth, agenda, iter(edges)))
 
     try:
@@ -187,7 +187,6 @@ def find_terminating(
     pool: Sequence[Strategy] = (),
     *,
     deepening: bool = True,
-    hom_budget: Optional[int] = None,
 ) -> Optional[Derivation]:
     """First fairly-terminating derivation found: the strategy pool first,
     then, if `deepening`, a search over trigger choices for the shortest one
@@ -204,7 +203,7 @@ def find_terminating(
     strategies: list[Strategy] = [FIFO(), DatalogFirst()]
     strategies.extend(pool)
     for strat in strategies:
-        outcome = run_chase(kb, variant, strat, max_steps, hom_budget=hom_budget)
+        outcome = run_chase(kb, variant, strat, max_steps)
         if outcome.verdict == TERMINATED_FAIR:
             return outcome.derivation
     if not deepening:
@@ -216,7 +215,7 @@ def find_terminating(
     # The states of one level in path order: fact base, agenda, edges, and
     # the (trigger, delta) records of the path to it. The root has edges,
     # as FIFO would have ended on it otherwise.
-    level = [(kb.facts, agenda, agenda.scan(variant, kb.facts, hom_budget=hom_budget), ())]
+    level = [(kb.facts, agenda, agenda.scan(variant, kb.facts), ())]
     for depth in range(1, max_steps + 1):
         last = depth == max_steps
         below = []
@@ -228,7 +227,7 @@ def find_terminating(
                 seen.put(child, depth)
                 child_agenda = _child_agenda(agenda, t, child, delta)
                 # A state on the last level only needs to be known terminal.
-                child_edges = child_agenda.scan(variant, child, first=last, hom_budget=hom_budget)
+                child_edges = child_agenda.scan(variant, child, first=last)
                 child_path = path + ((t, delta),)
                 if not child_edges:
                     return Derivation(kb.facts, child_path, child, variant.label, TERMINATED_FAIR)
@@ -253,7 +252,6 @@ def entails(
     variant: ChaseVariant,
     max_steps: int,
     strategy: Optional[Strategy] = None,
-    hom_budget: Optional[int] = None,
 ) -> TriState:
     """Budgeted BCQ entailment via the chase.
 
@@ -269,9 +267,7 @@ def entails(
         witness = hom.entails(fb, query)
         return witness is not None
 
-    outcome = run_chase(
-        kb, variant, strategy or DatalogFirst(), max_steps, hom_budget=hom_budget, stop=entailed
-    )
+    outcome = run_chase(kb, variant, strategy or DatalogFirst(), max_steps, stop=entailed)
     if outcome.verdict == STOPPED:
         return TriState("yes", witness)
     if outcome.verdict == TERMINATED_FAIR:
@@ -305,10 +301,13 @@ class Fixture:
 
 
 def _strategy_from_spec(spec) -> Strategy:
-    if isinstance(spec, dict) and "phased" in spec:
-        return Phased([(tuple(ids), mode) for ids, mode in spec["phased"]])
-    if isinstance(spec, dict) and "scripted" in spec:
-        return Scripted([tuple(s) if isinstance(s, list) else s for s in spec["scripted"]])
+    try:
+        if isinstance(spec, dict) and "phased" in spec:
+            return Phased(spec["phased"])
+        if isinstance(spec, dict) and "scripted" in spec:
+            return Scripted(spec["scripted"])
+    except (ValueError, TypeError, LookupError) as e:
+        raise FixtureError("malformed strategy spec %r: %s" % (spec, e))
     raise FixtureError("unknown strategy spec: %r" % (spec,))
 
 
@@ -334,6 +333,8 @@ def load_fixture(path: Path) -> Fixture:
     for entry in expect:
         if entry.get("mode") not in ("forall", "exists"):
             raise FixtureError("%s: bad mode in %r" % (path, entry))
+        if "verdict" not in entry:
+            raise FixtureError("%s: no verdict in %r" % (path, entry))
         ChaseVariant.parse(entry.get("variant", ""))
     return Fixture(fixture_id, kb, budgets, expect, strategies, str(erl_path.name))
 

@@ -12,13 +12,12 @@ Applicability of a trigger t on a fact base F:
   E   no homomorphism at all from F + out(t) to F (every null may move).
 
 Because null labels are a pure function of (rule, match), "was applied" is
-equivalent to "its output is already present", so O needs no record and SO
-can be decided either from a History of fired frontier keys (along a
-derivation) or intrinsically from the fact base alone (the explorer). R is
-decided as head satisfaction: a search for out(t) into F in which every term
-F holds is frozen, so only the fresh nulls F lacks may move. That is the
-retraction test at the cost of |out(t)| atoms instead of |F|; E runs it
-first as its cheap case.
+equivalent to "its output is already present", so O needs no record. SO
+reads the frontier keys of the triggers fired along the derivation, which
+the agenda keeps (`Agenda.fired`). R is decided as head satisfaction: a
+search for out(t) into F in which every term F holds is frozen, so only the
+fresh nulls F lacks may move. That is the retraction test at the cost of
+|out(t)| atoms instead of |F|; E runs it first as its cheap case.
 
 The Datalog-first modifier gates non-Datalog triggers: they only become
 applicable once every Datalog rule is satisfied.
@@ -50,8 +49,7 @@ The gate itself is "no live Datalog trigger is left on the agenda".
 The explorer's states are immutable fact bases, and each holds its own
 agenda: a child's is a copy of its parent's after the parent's scan (so
 without the triggers found blocked for good), minus the fired trigger,
-plus the delta's triggers. `applicable_edges` finds the same edges from
-scratch, enumerating every trigger of a fact base.
+plus the delta's triggers, with the fired trigger's frontier key added.
 """
 from __future__ import annotations
 
@@ -60,7 +58,7 @@ import operator
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     BUDGET_EXHAUSTED,
@@ -83,7 +81,8 @@ from . import hom
 
 
 class StrategyError(ValueError):
-    """A scripted trigger choice was not applicable at its step."""
+    """A scripted trigger choice is not a trigger index, or was not
+    applicable at its step."""
 
 
 class VariantError(ValueError):
@@ -113,19 +112,6 @@ class ChaseVariant:
     def label(self) -> str:
         base = self.tag.upper()
         return "DF-" + base if self.datalog_first else base
-
-
-@dataclass
-class History:
-    """Frontier keys of the triggers fired along one derivation (for SO).
-
-    O needs no record: null labels are content-addressed, so a trigger was
-    applied iff its output is present."""
-
-    fired_so: set = field(default_factory=set)
-
-    def record(self, t: Trigger) -> None:
-        self.fired_so.add(t.frontier_key)
 
 
 def _join(
@@ -241,26 +227,6 @@ def delta_triggers(
                         yield Trigger(rule, match)
 
 
-def datalog_satisfied(datalog_rules: Sequence[Rule], fb: FactBase, stats: Optional[dict] = None) -> bool:
-    """True iff every Datalog rule's head instance is present for every match."""
-    for rule in datalog_rules:
-        for h in hom.iter_homomorphisms(rule.body, fb, stats=stats):
-            head = [a.substitute(h) for a in rule.head]
-            if any(x not in fb.atoms for x in head):
-                return False
-    return True
-
-
-def _so_blocked_intrinsic(t: Trigger, fb, stats: Optional[dict]) -> bool:
-    """Some trigger with the same rule and frontier image has its output in F."""
-    fixed = {n: v for n, v in t.match if n in t.rule.frontier}
-    for m in _join(t.rule.join_orders.whole, fb, fixed, stats):
-        other = Trigger(t.rule, make_match(m))
-        if all(a in fb.atoms for a in other.output):
-            return True
-    return False
-
-
 def head_satisfied(
     t: Trigger, fb, budget: Optional[int] = None, stats: Optional[dict] = None
 ) -> bool:
@@ -292,36 +258,30 @@ def blocking(
     variant: ChaseVariant,
     t: Trigger,
     fb,
-    history: Optional[History] = None,
+    fired: Collection[tuple],
     *,
-    datalog_rules: Sequence[Rule] = (),
     datalog_ok: Optional[bool] = None,
     hom_budget: Optional[int] = None,
     stats: Optional[dict] = None,
 ) -> Optional[str]:
     """The reason `t` is not applicable on `fb` under the variant, or None
-    if it is applicable. Without a history, SO is decided from `fb` alone;
-    `datalog_ok` (every Datalog rule satisfied) is computed when not given."""
+    if it is applicable. `fired` holds the frontier keys of the triggers
+    fired along the derivation to `fb`. `datalog_ok` tells whether every
+    Datalog rule is satisfied; only a non-Datalog trigger under a
+    Datalog-first variant reads it, and is gated unless it is true."""
     out = t.output
     if all(a in fb.atoms for a in out):
         return PRESENT
     if t.rule.is_datalog:
         # For Datalog triggers all four notions coincide with out(t) not in F.
         return None
-    if variant.datalog_first:
-        if datalog_ok is None:
-            datalog_ok = datalog_satisfied(datalog_rules, fb, stats=stats)
-        if not datalog_ok:
-            return GATED
+    if variant.datalog_first and not datalog_ok:
+        return GATED
     tag = variant.tag
     if tag == "o":
         return None  # content-addressed labels: applied iff output present
     if tag == "so":
-        if history is not None:
-            fired = t.frontier_key in history.fired_so
-        else:
-            fired = _so_blocked_intrinsic(t, fb, stats)
-        return FIRED if fired else None
+        return FIRED if t.frontier_key in fired else None
     # R, and E's cheap case first: a retraction is a homomorphism.
     if head_satisfied(t, fb, budget=hom_budget, stats=stats):
         return SATISFIED
@@ -332,48 +292,14 @@ def blocking(
     return None
 
 
-def is_applicable(
-    variant: ChaseVariant, t: Trigger, fb, history: Optional[History] = None, **options
-) -> bool:
-    """True iff `blocking` finds no reason; takes the same options."""
-    return blocking(variant, t, fb, history, **options) is None
-
-
-def applicable_edges(
-    kb: KnowledgeBase,
-    fb: FactBase,
-    variant: ChaseVariant,
-    hom_budget: Optional[int] = None,
-    stats: Optional[dict] = None,
-) -> Iterator[Trigger]:
-    """Applicable triggers on a bare fact base, in canonical order.
-
-    History-free: O/SO applicability is decided intrinsically, which matches
-    the fired-key bookkeeping because null labels are content-addressed.
-    """
-    datalog_ok: Optional[bool] = None
-    for t in enumerate_triggers(kb.rules, fb, stats=stats):
-        if variant.datalog_first and not t.rule.is_datalog and datalog_ok is None:
-            datalog_ok = datalog_satisfied(kb.datalog_rules, fb, stats=stats)
-        if is_applicable(
-            variant,
-            t,
-            fb,
-            None,
-            datalog_rules=kb.datalog_rules,
-            datalog_ok=datalog_ok,
-            hom_budget=hom_budget,
-            stats=stats,
-        ):
-            yield t
-
-
 _MATCH_ORDER = operator.attrgetter("body_key")
 
 
 class Agenda:
     """The triggers of one fact base that may still fire, per rule in
-    canonical match order, and the scan that tests them.
+    canonical match order, the frontier keys of the triggers fired along
+    the derivation to it (`fired`, which SO reads), and the scan that tests
+    them.
 
     It serves `run_chase`, whose one agenda follows its store, and the
     explorer, whose states each hold their own (`fork`). Invariant: after
@@ -387,12 +313,14 @@ class Agenda:
         self.datalog_ids = frozenset(r.id for r in self.rules if r.is_datalog)
         self.existential_ids = frozenset(r.id for r in self.rules if not r.is_datalog)
         self.lists: list[list[Trigger]] = [[] for _ in self.rules]
+        self.fired: set[tuple] = set()
         self.insert(triggers)
 
     def fork(self) -> "Agenda":
-        """A copy whose trigger lists change apart from these."""
+        """A copy whose trigger lists and fired keys change apart from these."""
         child = copy.copy(self)
         child.lists = [list(entries) for entries in self.lists]
+        child.fired = set(self.fired)
         return child
 
     def insert(self, triggers: Iterable[Trigger]) -> None:
@@ -401,8 +329,9 @@ class Agenda:
 
     def fire(self, t: Trigger, fb, delta: Sequence[Atom], stats: Optional[dict] = None) -> None:
         """Follow the step that fired `t` and added `delta` to `fb` (which
-        holds it already): take `t` off and put on the triggers whose match
-        uses a new atom."""
+        holds it already): record its frontier key, take it off and put on
+        the triggers whose match uses a new atom."""
+        self.fired.add(t.frontier_key)
         entries = self.lists[self.rule_index[t.rule.id]]
         i = bisect_left(entries, t.body_key, key=_MATCH_ORDER)
         if i < len(entries) and entries[i].body_key == t.body_key:
@@ -413,7 +342,6 @@ class Agenda:
         self,
         variant: ChaseVariant,
         fb,
-        history: Optional[History] = None,
         *,
         rule_ids: Optional[frozenset[str]] = None,
         first: bool = False,
@@ -421,9 +349,8 @@ class Agenda:
         stats: Optional[dict] = None,
     ) -> list[Trigger]:
         """Applicable triggers on `fb` in canonical order (only the first one
-        if `first`), dropping every trigger found blocked for good. Without a
-        history, SO is decided from `fb` alone. The Datalog-first gate is
-        open when no live Datalog trigger is left."""
+        if `first`), dropping every trigger found blocked for good. The
+        Datalog-first gate is open when no live Datalog trigger is left."""
         found: list[Trigger] = []
         datalog_ok: Optional[bool] = None
         considered = 0
@@ -436,7 +363,6 @@ class Agenda:
                     datalog_ok = not self.scan(
                         variant,
                         fb,
-                        history,
                         rule_ids=self.datalog_ids,
                         first=True,
                         hom_budget=hom_budget,
@@ -452,7 +378,7 @@ class Agenda:
                             variant,
                             t,
                             fb,
-                            history,
+                            self.fired,
                             datalog_ok=datalog_ok,
                             hom_budget=hom_budget,
                             stats=stats,
@@ -484,7 +410,6 @@ class ChaseState:
     variant: ChaseVariant
     hom_budget: Optional[int] = None
     stats: dict = field(default_factory=dict)
-    history: History = field(default_factory=History)
     records: list[tuple[Trigger, tuple[Atom, ...]]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -497,7 +422,6 @@ class ChaseState:
         return self.agenda.scan(
             self.variant,
             self.store,
-            self.history,
             rule_ids=rule_ids,
             first=first,
             hom_budget=self.hom_budget,
@@ -513,7 +437,6 @@ class ChaseState:
 
     def apply(self, t: Trigger) -> tuple[Atom, ...]:
         """Fire `t`: add its output to the store and let the agenda follow."""
-        self.history.record(t)
         delta = self.store.add(t.output)
         self.agenda.fire(t, self.store, delta, self.stats)
         self.records.append((t, delta))
@@ -620,6 +543,12 @@ class Scripted(Strategy):
 
     def __init__(self, steps: Sequence):
         self.steps = [(s, 0) if isinstance(s, str) else (s[0], s[1]) for s in steps]
+        for rule_id, pick in self.steps:
+            if not isinstance(pick, int) or pick < 0:
+                raise StrategyError(
+                    "scripted step for rule %r: index %r is not a non-negative integer"
+                    % (rule_id, pick)
+                )
         self._index = 0
         self._done = False
 

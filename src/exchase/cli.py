@@ -49,10 +49,8 @@ def _strategy(spec: str) -> Strategy:
         raise UsageError("unknown strategy %r" % spec)
     try:
         raw = json.loads(Path(path).read_text())
-        if kind == "phased":
-            return Phased([(tuple(ids), mode) for ids, mode in raw])
-        return Scripted([tuple(s) if isinstance(s, list) else s for s in raw])
-    except (ValueError, TypeError, IndexError) as e:
+        return Phased(raw) if kind == "phased" else Scripted(raw)
+    except (ValueError, TypeError, LookupError) as e:
         raise UsageError("malformed %s strategy file %s: %s" % (kind, path, e))
 
 

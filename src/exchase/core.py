@@ -360,14 +360,6 @@ class KnowledgeBase:
         yield from self.facts.atoms
 
     @cached_property
-    def datalog_rules(self) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.is_datalog)
-
-    @cached_property
-    def existential_rules(self) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if not r.is_datalog)
-
-    @cached_property
     def signature(self) -> frozenset[str]:
         return frozenset(a.pred for a in self._all_atoms())
 

@@ -186,30 +186,6 @@ def find_homomorphism(
     return None
 
 
-def exists_retraction(
-    whole: Iterable[Atom],
-    part: Iterable[Atom],
-    budget: Optional[int] = None,
-    stats: Optional[dict] = None,
-) -> bool:
-    """True iff a homomorphism whole -> part fixes every term of `part`."""
-    part_atoms = frozenset(part)
-    part_fb = part_atoms if not isinstance(part, FactBase) else part
-    frozen_terms: set[Term] = set()
-    for a in part_atoms:
-        frozen_terms.update(a.args)
-    pending = [a for a in whole if a not in part_atoms]
-    for a in list(pending):
-        if all(isinstance(t, Const) or t in frozen_terms for t in a.args):
-            return False  # atom is rigid but missing from the part
-    return (
-        find_homomorphism(
-            pending, part_fb, frozen=frozenset(frozen_terms), budget=budget, stats=stats
-        )
-        is not None
-    )
-
-
 def entails(fb: FactBase, query: Iterable[Atom], stats: Optional[dict] = None):
     """Witness homomorphism from the query into the fact base, or None.
 

@@ -25,7 +25,7 @@ from exchase.chase import (
     RandomChoice,
     Scripted,
     Strategy,
-    applicable_edges,
+    enumerate_triggers,
     run_chase,
 )
 from exchase.core import (
@@ -42,6 +42,7 @@ from exchase.normalize import one_way, single_piece, two_way
 from exchase.textio import parse_document
 
 from conftest import ALL_VARIANTS, CORPUS, load_doc, load_kb, small_kbs
+from oracles import applicable_edges
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
 DFR = ChaseVariant.parse("dfr")
@@ -55,6 +56,21 @@ def test_explore_example1_restricted():
     assert report.verdict == ALL_FINITE
     assert report.max_len == 1
     assert report.nodes == 2
+
+
+def test_run_and_explore_agree_under_so_when_a_twin_output_is_a_fact():
+    """The facts hold the output of the (a,b) trigger, which never fired.
+    SO reads the frontier keys fired along the derivation, so its (a,c)
+    twin is applicable, in `run_chase` and in the explorer alike."""
+    kb = parse_document("[r] p(X,Y) -> exists Z. q(X,Z).\np(a,b).\np(a,c).\n").knowledge_base()
+    t_ab, t_ac = enumerate_triggers(kb.rules, kb.facts)
+    kb = KnowledgeBase(kb.rules, kb.facts.union(t_ab.output))
+    out = run_chase(kb, SO, FIFO(), 10)
+    assert out.verdict == TERMINATED_FAIR
+    assert [t for t, _ in out.derivation.records] == [t_ac]
+    report = explore_all(kb, SO, 10, 100)
+    assert report.verdict == ALL_FINITE
+    assert report.max_len == 1
 
 
 def test_explore_no_applicable_triggers():

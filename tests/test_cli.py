@@ -124,7 +124,12 @@ def test_unknown_strategy_json_error(capsys):
 
 
 def test_malformed_strategy_file_json_error(tmp_path, capsys):
-    for kind, text in (("phased", "[[[\"r1\"], "), ("scripted", "{not json"), ("phased", "[1, 2]")):
+    for kind, text in (
+        ("phased", "[[[\"r1\"], "),
+        ("scripted", "{not json"),
+        ("phased", "[1, 2]"),
+        ("scripted", "[{\"ex1\": 0}]"),
+    ):
         path = tmp_path / ("%s.json" % kind)
         path.write_text(text)
         error = run_cli_error(
@@ -140,6 +145,43 @@ def test_strategy_error_json_error(tmp_path, capsys):
         capsys, "run", str(CORPUS / "ex1.erl"), "--strategy", "scripted:%s" % script
     )
     assert "scripted step 1" in error["error"]
+
+
+def test_negative_scripted_index_json_error(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([["ex1", -1]]))
+    error = run_cli_error(
+        capsys, "run", str(CORPUS / "ex1.erl"), "--strategy", "scripted:%s" % script
+    )
+    assert "index -1" in error["error"]
+
+
+def _malformed_fixture_error(tmp_path, capsys, **fields) -> dict:
+    (tmp_path / "x.erl").write_text("[g] p(X,Y) -> exists Z. p(X,Z).\np(a,b).\n")
+    fixture = {
+        "id": "X",
+        "erl": "x.erl",
+        "budgets": {"max_depth": 5, "max_nodes": 100},
+        "expect": [{"variant": "r", "mode": "forall", "verdict": "all_finite"}],
+    }
+    fixture.update(fields)
+    (tmp_path / "x.json").write_text(json.dumps(fixture))
+    return run_cli_error(capsys, "classify", "--fixtures", str(tmp_path))
+
+
+def test_classify_phased_spec_without_pairs_json_error(tmp_path, capsys):
+    error = _malformed_fixture_error(tmp_path, capsys, strategies=[{"phased": [1, 2]}])
+    assert "malformed strategy spec" in error["error"]
+
+
+def test_classify_phased_spec_with_bad_mode_json_error(tmp_path, capsys):
+    error = _malformed_fixture_error(tmp_path, capsys, strategies=[{"phased": [[["r1"], "twice"]]}])
+    assert "twice" in error["error"]
+
+
+def test_classify_expectation_without_verdict_json_error(tmp_path, capsys):
+    error = _malformed_fixture_error(tmp_path, capsys, expect=[{"variant": "r", "mode": "forall"}])
+    assert "no verdict" in error["error"]
 
 
 def test_normalize_fresh_name_clash_json_error(tmp_path, capsys):

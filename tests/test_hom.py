@@ -9,10 +9,11 @@ from exchase.hom import (
     IsoTable,
     are_isomorphic,
     entails,
-    exists_retraction,
     find_homomorphism,
     iter_homomorphisms,
 )
+
+from oracles import exists_retraction
 
 a, b = Const("a"), Const("b")
 x, y, z = Var("X"), Var("Y"), Var("Z")

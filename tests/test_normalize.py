@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exchase import hom
 from exchase.core import (
@@ -20,7 +21,6 @@ from exchase.chase import (
     RandomChoice,
     ch_k,
     enumerate_triggers,
-    is_applicable,
     run_chase,
 )
 from exchase.normalize import (
@@ -39,7 +39,9 @@ from conftest import (
     random_factbase,
     random_rules,
     rules_isomorphic,
+    small_kbs,
 )
+from oracles import is_applicable
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
 DFR = ChaseVariant.parse("dfr")
@@ -398,6 +400,27 @@ def test_restricted_equals_semioblivious_on_one_way_output():
                 break
             current = current.union(rng.choice(fresh).output)
     assert checked >= 1000
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(small_kbs(), st.data())
+def test_restricted_equals_semioblivious_on_reachable_one_way_states(kb, data):
+    """Acceptance criterion 5 as a property: on every state of a derivation
+    of the one-way decomposition, each step firing any trigger whose output
+    is not yet present, R and SO (reading the path's fired frontier keys)
+    decide every trigger the same way."""
+    rules = one_way(kb.rules).output_rules
+    fb, fired = kb.facts, set()
+    for _ in range(8):
+        triggers = list(enumerate_triggers(rules, fb))
+        for t in triggers:
+            assert is_applicable(R, t, fb, fired) == is_applicable(SO, t, fb, fired), str(t)
+        unapplied = [t for t in triggers if not set(t.output) <= fb.atoms]
+        if not unapplied:
+            break
+        t = data.draw(st.sampled_from(unapplied))
+        fired.add(t.frontier_key)
+        fb = fb.union(t.output)
 
 
 def test_atomic_decompositions_never_gain_oblivious_termination():
