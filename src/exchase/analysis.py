@@ -6,10 +6,11 @@ applicable triggers, deduplicating states up to isomorphism. Exhausting the
 graph within budget proves that *every* derivation of the chosen variant is
 finite; finding a path deeper than the depth budget yields a growth witness
 (a non-termination certificate only for atomic-head rule sets, where unfair
-infinite derivations imply fair ones). Every state carries a trigger agenda
-derived from its parent's (see `chase`), so finding a state's edges costs a
-scan of the triggers still live plus a search for the new matches of the
-step's delta, not a re-enumeration of every trigger.
+infinite derivations imply fair ones). Both searches step the
+`chase.ChaseState` that `run_chase` steps, so finding a state's edges costs
+a scan of the triggers still live plus a search for the new matches of the
+step's delta. The depth-first explorer walks one state for the whole
+search, applying a step on the way down and undoing it on the way back.
 
 `find_terminating`'s search for a terminating derivation is breadth-first
 with one isomorphism table across all levels, so it expands every state at
@@ -25,25 +26,16 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import hom, normalize
-from .core import (
-    TERMINATED_FAIR,
-    Atom,
-    Derivation,
-    FactBase,
-    KnowledgeBase,
-    Trigger,
-    sort_atoms,
-)
+from .core import TERMINATED_FAIR, Atom, Derivation, KnowledgeBase, Trigger
 from .chase import (
     STOPPED,
-    Agenda,
+    ChaseState,
     ChaseVariant,
     DatalogFirst,
     FIFO,
     Phased,
     Scripted,
     Strategy,
-    enumerate_triggers,
     run_chase,
 )
 
@@ -76,25 +68,6 @@ class _Growth(Exception):
         self.witness = witness
 
 
-def _root_agenda(kb: KnowledgeBase) -> Agenda:
-    return Agenda(kb.rules, enumerate_triggers(kb.rules, kb.facts))
-
-
-def _step(fb: FactBase, t: Trigger) -> tuple[FactBase, tuple[Atom, ...]]:
-    """The fact base that firing `t` on `fb` leads to, and the atoms it adds."""
-    child = fb.union(t.output)
-    return child, sort_atoms(child.atoms - fb.atoms)
-
-
-def _child_agenda(agenda: Agenda, t: Trigger, child: FactBase, delta: tuple[Atom, ...]) -> Agenda:
-    """The agenda of `child`: that of its parent, already scanned, minus `t`,
-    plus the triggers whose match uses an atom of `delta`, with `t`'s
-    frontier key among the fired ones."""
-    out = agenda.fork()
-    out.fire(t, child, delta)
-    return out
-
-
 def explore_all(
     kb: KnowledgeBase,
     variant: ChaseVariant,
@@ -110,50 +83,54 @@ def explore_all(
     whole breadth-first frontier. States are deduplicated up to isomorphism;
     a state reached again at a *smaller* depth is re-expanded, which keeps
     the all-finite verdict sound (every derivation of length <= max_depth
-    is still covered)."""
+    is still covered). A child is looked up in the table before it is
+    applied, so a known state costs no step."""
     if max_depth <= 0 or max_nodes <= 0:
         raise ValueError("budgets must be positive")
     budgets = {"max_depth": max_depth, "max_nodes": max_nodes}
     atomic_only = all(len(r.head) == 1 for r in kb.rules)
     seen_depth = hom.IsoTable()
     expansions = dedup_hits = max_len = 0
-    # One frame per state on the current path: its fact base, its depth, its
-    # agenda and its remaining edges. deltas[i] leads from frame i to i + 1.
-    stack: list[tuple[FactBase, int, Agenda, Iterator[Trigger]]] = []
-    deltas: list[tuple[Atom, ...]] = []
+    state = ChaseState(kb, variant)
+    # One frame per state on the current path: its remaining edges, and the
+    # trigger lists to put back when the step to it is undone (None at the
+    # root). The state on top of the stack is `state`, at len(records) deep.
+    stack: list[tuple[Iterator[Trigger], Optional[list]]] = []
 
-    def expand(fb: FactBase, depth: int, agenda: Agenda) -> None:
+    def expand(restore: Optional[list]) -> None:
         nonlocal expansions, max_len
         expansions += 1
-        max_len = max(max_len, depth)
+        max_len = max(max_len, len(state.records))
         if expansions > max_nodes:
             raise _Budget()
-        edges = agenda.scan(variant, fb)
-        stack.append((fb, depth, agenda, iter(edges)))
+        stack.append((iter(state.scan()), restore))
 
     try:
         if dedup:
             seen_depth.put(kb.facts, 0)
-        expand(kb.facts, 0, _root_agenda(kb))
+        expand(None)
         while stack:
-            fb, depth, agenda, edges = stack[-1]
+            edges, restore = stack[-1]
             t = next(edges, None)
             if t is None:
                 stack.pop()
-                if deltas:
-                    deltas.pop()
+                if restore is not None:
+                    state.undo(restore)
                 continue
-            child, delta = _step(fb, t)
-            if depth + 1 > max_depth:
-                raise _Growth(tuple(deltas) + (delta,))
+            depth = len(state.records) + 1
+            if depth > max_depth:
+                state.apply(t)
+                raise _Growth(tuple(delta for _, delta in state.records))
             if dedup:
+                child = state.store.atoms.union(t.output)
                 prev = seen_depth.get(child)
-                if prev is not None and prev <= depth + 1:
+                if prev is not None and prev <= depth:
                     dedup_hits += 1
                     continue
-                seen_depth.put(child, depth + 1)
-            deltas.append(delta)
-            expand(child, depth + 1, _child_agenda(agenda, t, child, delta))
+                seen_depth.put(child, depth)
+            restore = state.checkpoint()
+            state.apply(t)
+            expand(restore)
     except _Growth as g:
         return ExplorationReport(
             verdict=GROWTH,
@@ -167,7 +144,7 @@ def explore_all(
         return ExplorationReport(
             verdict=BUDGET_EXCEEDED,
             nodes=expansions,
-            frontier=len(deltas),
+            frontier=len(state.records),
             dedup_hits=dedup_hits,
             budgets=budgets,
         )
@@ -199,7 +176,7 @@ def find_terminating(
     a state isomorphic to one reached before it, on a shorter or an equally
     long path that comes first, cannot lie on that path, because the earlier
     state's own continuation would give a path that is shorter or that
-    comes first."""
+    comes first. Each child is a fork of its parent's state."""
     strategies: list[Strategy] = [FIFO(), DatalogFirst()]
     strategies.extend(pool)
     for strat in strategies:
@@ -211,27 +188,26 @@ def find_terminating(
 
     seen = hom.IsoTable()
     seen.put(kb.facts, 0)
-    agenda = _root_agenda(kb)
-    # The states of one level in path order: fact base, agenda, edges, and
-    # the (trigger, delta) records of the path to it. The root has edges,
-    # as FIFO would have ended on it otherwise.
-    level = [(kb.facts, agenda, agenda.scan(variant, kb.facts), ())]
+    root = ChaseState(kb, variant)
+    # The states of one level in path order, each with its edges. The root
+    # has edges, as FIFO would have ended on it otherwise.
+    level = [(root, root.scan())]
     for depth in range(1, max_steps + 1):
         last = depth == max_steps
         below = []
-        for fb, agenda, edges, path in level:
+        for state, edges in level:
             for t in edges:
-                child, delta = _step(fb, t)
-                if seen.get(child) is not None:
+                child_atoms = state.store.atoms.union(t.output)
+                if seen.get(child_atoms) is not None:
                     continue
-                seen.put(child, depth)
-                child_agenda = _child_agenda(agenda, t, child, delta)
+                seen.put(child_atoms, depth)
+                child = state.fork()
+                child.apply(t)
                 # A state on the last level only needs to be known terminal.
-                child_edges = child_agenda.scan(variant, child, first=last)
-                child_path = path + ((t, delta),)
+                child_edges = child.scan(first=last)
                 if not child_edges:
-                    return Derivation(kb.facts, child_path, child, variant.label, TERMINATED_FAIR)
-                below.append((child, child_agenda, child_edges, child_path))
+                    return child.derivation(TERMINATED_FAIR)
+                below.append((child, child_edges))
         level = below
     return None
 
@@ -240,10 +216,6 @@ def find_terminating(
 class TriState:
     kind: str  # yes | no | unknown
     witness: Optional[dict] = None
-
-    @property
-    def is_yes(self) -> bool:
-        return self.kind == "yes"
 
 
 def entails(
@@ -311,6 +283,40 @@ def _strategy_from_spec(spec) -> Strategy:
     raise FixtureError("unknown strategy spec: %r" % (spec,))
 
 
+# Budgets of a fixture and the least value each may take.
+_BUDGET_MINIMA = {"max_depth": 1, "max_nodes": 1, "max_steps": 0}
+
+
+def _shape_error(raw: dict) -> Optional[str]:
+    """What is wrong with the shape of a parsed fixture that has every
+    required key, or None."""
+    budgets, expect = raw["budgets"], raw["expect"]
+    if not isinstance(raw["erl"], str):
+        return "erl must be a file name"
+    if raw.get("transform") not in tuple(_TRANSFORMS):  # not hashed: it may be a list
+        return "transform must be sp, 1ad or 2ad"
+    if not isinstance(raw.get("strategies", []), list):
+        return "strategies must be a list"
+    if not isinstance(budgets, dict):
+        return "budgets must be an object"
+    for name, least in _BUDGET_MINIMA.items():
+        value = budgets.get(name, least)
+        if type(value) is not int or value < least:
+            return "budget %s must be an integer of at least %d" % (name, least)
+    if not isinstance(budgets.get("deepening", True), bool):
+        return "budget deepening must be true or false"
+    if not isinstance(expect, list) or not all(isinstance(e, dict) for e in expect):
+        return "expect must be a list of objects"
+    for entry in expect:
+        if entry.get("mode") not in ("forall", "exists"):
+            return "bad mode in %r" % entry
+        if "verdict" not in entry:
+            return "no verdict in %r" % entry
+        if not isinstance(entry.get("variant"), str):
+            return "no variant name in %r" % entry
+    return None
+
+
 def load_fixture(path: Path) -> Fixture:
     from . import textio
 
@@ -318,25 +324,22 @@ def load_fixture(path: Path) -> Fixture:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise FixtureError("%s: %s" % (path, e))
-    try:
-        fixture_id = raw["id"]
-        erl = raw["erl"]
-        budgets = raw["budgets"]
-        expect = raw["expect"]
-    except KeyError as e:
-        raise FixtureError("%s: missing key %s" % (path, e))
-    erl_path = path.parent / erl
+    if not isinstance(raw, dict):
+        raise FixtureError("%s: a fixture must be a JSON object, got %r" % (path, raw))
+    missing = [key for key in ("id", "erl", "budgets", "expect") if key not in raw]
+    if missing:
+        raise FixtureError("%s: missing key %s" % (path, ", ".join(missing)))
+    error = _shape_error(raw)
+    if error is not None:
+        raise FixtureError("%s: %s" % (path, error))
+    for entry in raw["expect"]:
+        ChaseVariant.parse(entry["variant"])
+    erl_path = path.parent / raw["erl"]
     doc = textio.parse_document(erl_path.read_text())
     rules = _TRANSFORMS[raw.get("transform")](tuple(doc.rules))
     kb = KnowledgeBase(tuple(rules), doc.factbase())
     strategies = [_strategy_from_spec(s) for s in raw.get("strategies", [])]
-    for entry in expect:
-        if entry.get("mode") not in ("forall", "exists"):
-            raise FixtureError("%s: bad mode in %r" % (path, entry))
-        if "verdict" not in entry:
-            raise FixtureError("%s: no verdict in %r" % (path, entry))
-        ChaseVariant.parse(entry.get("variant", ""))
-    return Fixture(fixture_id, kb, budgets, expect, strategies, str(erl_path.name))
+    return Fixture(raw["id"], kb, raw["budgets"], raw["expect"], strategies, str(erl_path.name))
 
 
 def classify_fixture(fixture: Fixture) -> list[dict]:

@@ -1,6 +1,5 @@
-"""Trigger enumeration, applicability tests, the trigger agenda, the chase
-runner with its strategies, and the breadth-first saturation used for
-bounded-depth entailment checks.
+"""Trigger enumeration, applicability tests, the derivation state, and the
+chase runner with its strategies.
 
 Applicability of a trigger t on a fact base F:
 
@@ -14,50 +13,49 @@ Applicability of a trigger t on a fact base F:
 Because null labels are a pure function of (rule, match), "was applied" is
 equivalent to "its output is already present", so O needs no record. SO
 reads the frontier keys of the triggers fired along the derivation, which
-the agenda keeps (`Agenda.fired`). R is decided as head satisfaction: a
-search for out(t) into F in which every term F holds is frozen, so only the
-fresh nulls F lacks may move. That is the retraction test at the cost of
-|out(t)| atoms instead of |F|; E runs it first as its cheap case.
+the derivation state keeps (`ChaseState.fired`). R is decided as head
+satisfaction: a search for out(t) into F in which every term F holds is
+frozen, so only the fresh nulls F lacks may move. That is the retraction
+test at the cost of |out(t)| atoms instead of |F|; E runs it first as its
+cheap case.
 
 The Datalog-first modifier gates non-Datalog triggers: they only become
 applicable once every Datalog rule is satisfied.
 
-An `Agenda` keeps the triggers of a fact base that may still fire
-(semi-naive evaluation). Invariant: after every step it holds every trigger
-on the fact base, per rule in canonical match order, except those that were
-applied or dropped. After a step only the body matches that use an atom of
-the step's delta are found and inserted. They are found by `_join`, which
-follows a static order that each rule compiles once (`Rule.join_orders`):
-per body position j, the other body atoms, most bound arguments first, once
-atom j is bound to a delta atom. An atom whose arguments are all bound is
-looked up in the fact base; any other walks the smallest (predicate,
-position, term) bucket among its bound positions. Enumerating every trigger
-of a fact base joins the whole body the same way.
+A `ChaseState` is one derivation: a mutable `Store`, the triggers on it
+that may still fire (semi-naive evaluation), the fired frontier keys and
+the (trigger, delta) records. Invariant: after every step it holds every
+trigger on the store, per rule in canonical match order, except those that
+were applied or dropped. After a step only the body matches that use an
+atom of the step's delta are found and inserted. They are found by
+`_join`, which follows a static order that each rule compiles once
+(`Rule.join_orders`): per body position j, the other body atoms, most
+bound arguments first, once atom j is bound to a delta atom. An atom whose
+arguments are all bound is looked up in the fact base; any other walks the
+smallest (predicate, position, term) bucket among its bound positions.
+Enumerating every trigger of a fact base joins the whole body the same way.
 
-`Agenda.scan` is the one place that tests applicability along a
-derivation: every strategy and the final fairness check of `run_chase`
-scan its agenda, and the explorer scans the agenda of each state. A scan
-drops a trigger only for a reason that cannot go away as F grows: its
-output is present (which covers O), its SO frontier key has fired, or its
-head is satisfied (R, and E's cheap case). An E-blocked trigger stays,
-because a homomorphism of F + out(t) into F that moves nulls of F must map
-every later atom too, so it can stop existing; so does a Datalog-first-gated
-one, because the gate reopens once the Datalog rules are satisfied again.
-The gate itself is "no live Datalog trigger is left on the agenda".
+`ChaseState.scan` is the one place that tests applicability along a
+derivation: every strategy, the final fairness check of `run_chase` and
+both searches of the explorer scan a state. A scan drops a trigger only
+for a reason that cannot go away as F grows: its output is present (which
+covers O), its SO frontier key has fired, or its head is satisfied (R, and
+E's cheap case). An E-blocked trigger stays, because a homomorphism of
+F + out(t) into F that moves nulls of F must map every later atom too, so
+it can stop existing; so does a Datalog-first-gated one, because the gate
+reopens once the Datalog rules are satisfied again. The gate itself is "no
+live Datalog trigger is left in the state".
 
-`run_chase` grows one mutable `Store` per run, and its agenda follows it.
-The explorer's states are immutable fact bases, and each holds its own
-agenda: a child's is a copy of its parent's after the parent's scan (so
-without the triggers found blocked for good), minus the fired trigger,
-plus the delta's triggers, with the fired trigger's frontier key added.
+`run_chase` steps one state forward. The explorer's depth-first search
+steps one state down a path and back (`checkpoint`, `apply`, `undo`), and
+its breadth-first search `fork`s a state per child.
 """
 from __future__ import annotations
 
-import copy
 import operator
 from bisect import bisect_left, insort
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -171,19 +169,14 @@ def _extend(
                 yield from _extend(order, k + 1, fb, ext)
 
 
-def body_matches(rule: Rule, fb, stats: Optional[dict] = None) -> list[dict[str, Term]]:
-    """All homomorphisms from the rule body into the fact base, canonical order."""
-    sols = list(_join(rule.join_orders.whole, fb, {}, stats))
-    sols.sort(key=lambda m: tuple(sorted((n, term_key(t)) for n, t in m.items())))
-    return sols
-
-
 def enumerate_triggers(rules: Sequence[Rule], fb, stats: Optional[dict] = None) -> Iterator[Trigger]:
     """Every (rule, body match) pair exactly once: rule order, then canonical
     match order."""
     for rule in rules:
-        for m in body_matches(rule, fb, stats=stats):
-            yield Trigger(rule, make_match(m))
+        matches = [make_match(m) for m in _join(rule.join_orders.whole, fb, {}, stats)]
+        matches.sort(key=lambda m: tuple((n, term_key(t)) for n, t in m))
+        for m in matches:
+            yield Trigger(rule, m)
 
 
 def _bind(pattern: Atom, fact: Atom) -> Optional[dict[str, Term]]:
@@ -295,79 +288,60 @@ def blocking(
 _MATCH_ORDER = operator.attrgetter("body_key")
 
 
-class Agenda:
-    """The triggers of one fact base that may still fire, per rule in
-    canonical match order, the frontier keys of the triggers fired along
-    the derivation to it (`fired`, which SO reads), and the scan that tests
-    them.
-
-    It serves `run_chase`, whose one agenda follows its store, and the
-    explorer, whose states each hold their own (`fork`). Invariant: after
-    every step it holds every trigger on the fact base except those applied
-    or dropped for a permanent reason.
+class ChaseState:
+    """One derivation under construction: its `store`, grown in place, the
+    triggers on it that may still fire (`lists`, per rule in canonical match
+    order), the frontier keys fired along it (`fired`, which SO reads, as a
+    count so that `undo` keeps a key an earlier step fired too) and its
+    (trigger, delta) `records`. Invariant: after every step `lists` holds
+    every trigger on the store except those applied or dropped by a scan
+    for a permanent reason.
     """
 
-    def __init__(self, rules: Sequence[Rule], triggers: Iterable[Trigger] = ()) -> None:
-        self.rules = tuple(rules)
-        self.rule_index = {r.id: i for i, r in enumerate(self.rules)}
-        self.datalog_ids = frozenset(r.id for r in self.rules if r.is_datalog)
-        self.existential_ids = frozenset(r.id for r in self.rules if not r.is_datalog)
-        self.lists: list[list[Trigger]] = [[] for _ in self.rules]
-        self.fired: set[tuple] = set()
-        self.insert(triggers)
+    def __init__(self, kb: KnowledgeBase, variant: ChaseVariant, hom_budget: Optional[int] = None) -> None:
+        self.kb, self.variant, self.hom_budget = kb, variant, hom_budget
+        self.stats: dict = {"triggers_considered": 0, "hom_calls": 0}
+        self.rule_index = {r.id: i for i, r in enumerate(kb.rules)}
+        self.datalog_ids = frozenset(r.id for r in kb.rules if r.is_datalog)
+        self.existential_ids = frozenset(r.id for r in kb.rules if not r.is_datalog)
+        self.store = Store(kb.facts.sorted_atoms)
+        self.lists: list[list[Trigger]] = [[] for _ in kb.rules]
+        self.fired: Counter[tuple] = Counter()
+        self.records: list[tuple[Trigger, tuple[Atom, ...]]] = []
+        self._insert(enumerate_triggers(kb.rules, self.store, stats=self.stats))
 
-    def fork(self) -> "Agenda":
-        """A copy whose trigger lists and fired keys change apart from these."""
-        child = copy.copy(self)
+    def fork(self) -> "ChaseState":
+        """A copy that changes apart from this state. It is built field by
+        field, so no other attribute set on this state carries over."""
+        child = object.__new__(ChaseState)
+        child.kb, child.variant, child.hom_budget = self.kb, self.variant, self.hom_budget
+        child.stats = dict(self.stats)
+        child.rule_index, child.datalog_ids = self.rule_index, self.datalog_ids
+        child.existential_ids = self.existential_ids
+        child.store, child.fired = self.store.copy(), self.fired.copy()
         child.lists = [list(entries) for entries in self.lists]
-        child.fired = set(self.fired)
+        child.records = list(self.records)
         return child
 
-    def insert(self, triggers: Iterable[Trigger]) -> None:
+    def _insert(self, triggers: Iterable[Trigger]) -> None:
         for t in triggers:
             insort(self.lists[self.rule_index[t.rule.id]], t, key=_MATCH_ORDER)
 
-    def fire(self, t: Trigger, fb, delta: Sequence[Atom], stats: Optional[dict] = None) -> None:
-        """Follow the step that fired `t` and added `delta` to `fb` (which
-        holds it already): record its frontier key, take it off and put on
-        the triggers whose match uses a new atom."""
-        self.fired.add(t.frontier_key)
-        entries = self.lists[self.rule_index[t.rule.id]]
-        i = bisect_left(entries, t.body_key, key=_MATCH_ORDER)
-        if i < len(entries) and entries[i].body_key == t.body_key:
-            del entries[i]
-        self.insert(delta_triggers(self.rules, fb, delta, stats))
-
-    def scan(
-        self,
-        variant: ChaseVariant,
-        fb,
-        *,
-        rule_ids: Optional[frozenset[str]] = None,
-        first: bool = False,
-        hom_budget: Optional[int] = None,
-        stats: Optional[dict] = None,
-    ) -> list[Trigger]:
-        """Applicable triggers on `fb` in canonical order (only the first one
-        if `first`), dropping every trigger found blocked for good. The
+    def scan(self, rule_ids: Optional[frozenset[str]] = None, first: bool = False) -> list[Trigger]:
+        """Applicable triggers in canonical order (only the first one if
+        `first`), dropping every trigger found blocked for good. The
         Datalog-first gate is open when no live Datalog trigger is left."""
+        variant, store, stats = self.variant, self.store, self.stats
         found: list[Trigger] = []
         datalog_ok: Optional[bool] = None
         considered = 0
         try:
-            for rule, entries in zip(self.rules, self.lists):
+            for rule, entries in zip(self.kb.rules, self.lists):
                 if rule_ids is not None and rule.id not in rule_ids:
                     continue
                 gated = variant.datalog_first and not rule.is_datalog
                 if gated and datalog_ok is None and entries:
-                    datalog_ok = not self.scan(
-                        variant,
-                        fb,
-                        rule_ids=self.datalog_ids,
-                        first=True,
-                        hom_budget=hom_budget,
-                        stats=stats,
-                    )
+                    datalog_ok = not self.scan(self.datalog_ids, first=True)
                 kept: list[Trigger] = []
                 pos = 0
                 try:
@@ -377,10 +351,10 @@ class Agenda:
                         reason = blocking(
                             variant,
                             t,
-                            fb,
+                            store,
                             self.fired,
                             datalog_ok=datalog_ok,
-                            hom_budget=hom_budget,
+                            hom_budget=self.hom_budget,
                             stats=stats,
                         )
                         pos += 1
@@ -394,53 +368,49 @@ class Agenda:
                 finally:
                     entries[:pos] = kept
         finally:
-            if stats is not None:
-                stats["triggers_considered"] = stats.get("triggers_considered", 0) + considered
+            stats["triggers_considered"] += considered
         return found
 
-
-@dataclass
-class ChaseState:
-    """One derivation under construction: its store, agenda and records.
-
-    `store` is the run's fact base, grown in place, and `agenda` follows it.
-    """
-
-    kb: KnowledgeBase
-    variant: ChaseVariant
-    hom_budget: Optional[int] = None
-    stats: dict = field(default_factory=dict)
-    records: list[tuple[Trigger, tuple[Atom, ...]]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.store = Store(self.kb.facts.sorted_atoms)
-        self.stats.setdefault("triggers_considered", 0)
-        self.stats.setdefault("hom_calls", 0)
-        self.agenda = Agenda(self.kb.rules, enumerate_triggers(self.kb.rules, self.store, stats=self.stats))
-
-    def _scan(self, rule_ids: Optional[frozenset[str]], first: bool) -> list[Trigger]:
-        return self.agenda.scan(
-            self.variant,
-            self.store,
-            rule_ids=rule_ids,
-            first=first,
-            hom_budget=self.hom_budget,
-            stats=self.stats,
-        )
-
-    def applicable(self, rule_ids: Optional[frozenset[str]] = None) -> list[Trigger]:
-        return self._scan(rule_ids, first=False)
-
     def first_applicable(self, rule_ids: Optional[frozenset[str]] = None) -> Optional[Trigger]:
-        found = self._scan(rule_ids, first=True)
+        found = self.scan(rule_ids, first=True)
         return found[0] if found else None
 
     def apply(self, t: Trigger) -> tuple[Atom, ...]:
-        """Fire `t`: add its output to the store and let the agenda follow."""
+        """Fire `t`: add its output to the store, record its frontier key,
+        take it off its list and put on the triggers whose match uses an
+        atom it added."""
         delta = self.store.add(t.output)
-        self.agenda.fire(t, self.store, delta, self.stats)
+        self.fired[t.frontier_key] += 1
+        entries = self.lists[self.rule_index[t.rule.id]]
+        i = bisect_left(entries, t.body_key, key=_MATCH_ORDER)
+        if i < len(entries) and entries[i].body_key == t.body_key:
+            del entries[i]
+        self._insert(delta_triggers(self.kb.rules, self.store, delta, self.stats))
         self.records.append((t, delta))
         return delta
+
+    def checkpoint(self) -> list[list[Trigger]]:
+        """The trigger lists, for `undo`; the state goes on with a copy."""
+        lists = self.lists
+        self.lists = [list(entries) for entries in lists]
+        return lists
+
+    def undo(self, lists: list[list[Trigger]]) -> None:
+        """Take back the last `apply`, given what `checkpoint` returned
+        before it."""
+        t, delta = self.records.pop()
+        self.store.remove(delta)
+        key = t.frontier_key
+        if self.fired[key] == 1:
+            del self.fired[key]
+        else:
+            self.fired[key] -= 1
+        self.lists = lists
+
+    def derivation(self, verdict: str) -> Derivation:
+        """The derivation so far, ended with `verdict`."""
+        result = self.store.snapshot() if self.records else self.kb.facts
+        return Derivation(self.kb.facts, tuple(self.records), result, self.variant.label, verdict)
 
 
 class Strategy:
@@ -471,7 +441,7 @@ class FIFO(Strategy):
 class DatalogFirst(Strategy):
     """Prefer applicable Datalog triggers; otherwise first applicable.
 
-    A refill queues the agenda's live Datalog triggers in canonical order;
+    A refill queues the state's live Datalog triggers in canonical order;
     they are revalidated at pop time (their heads may have shown up
     meanwhile), and the Datalog triggers that firing them creates wait for
     the next refill.
@@ -492,12 +462,12 @@ class DatalogFirst(Strategy):
                 state.stats["triggers_considered"] += 1
                 if any(a not in state.store.atoms for a in t.output):
                     return t
-            self._queue.extend(state.applicable(state.agenda.datalog_ids))
+            self._queue.extend(state.scan(state.datalog_ids))
             if not self._queue:
                 break
-        if not state.agenda.existential_ids:
+        if not state.existential_ids:
             return None
-        return state.first_applicable(state.agenda.existential_ids)
+        return state.first_applicable(state.existential_ids)
 
 
 class Phased(Strategy):
@@ -562,7 +532,7 @@ class Scripted(Strategy):
             return None
         rule_id, pick = self.steps[self._index]
         self._index += 1
-        candidates = state.applicable(frozenset([rule_id]))
+        candidates = state.scan(frozenset([rule_id]))
         if pick >= len(candidates):
             raise StrategyError(
                 "scripted step %d: rule %r has %d applicable trigger(s), wanted index %d"
@@ -585,7 +555,7 @@ class RandomChoice(Strategy):
         self._rng = random.Random(seed)
 
     def choose(self, state: ChaseState) -> Optional[Trigger]:
-        candidates = state.applicable()
+        candidates = state.scan()
         if not candidates:
             return None
         return self._rng.choice(candidates)
@@ -620,7 +590,7 @@ def run_chase(
     """
     strategy = strategy or FIFO()
     strategy.reset()
-    state = ChaseState(kb=kb, variant=variant, hom_budget=hom_budget)
+    state = ChaseState(kb, variant, hom_budget)
     verdict = None
     try:
         while verdict is None:
@@ -640,29 +610,6 @@ def run_chase(
     except hom.HomBudgetExceeded:
         verdict = BUDGET_EXHAUSTED
     state.stats["steps"] = len(state.records)
-    result = state.store.snapshot() if state.records else kb.facts
-    derivation = Derivation(kb.facts, tuple(state.records), result, variant.label, verdict)
-    return ChaseOutcome(derivation, result, verdict, dict(state.stats))
+    derivation = state.derivation(verdict)
+    return ChaseOutcome(derivation, derivation.result, verdict, dict(state.stats))
 
-
-def breadth_first_layer(rules: Sequence[Rule], fb: FactBase, stats: Optional[dict] = None) -> FactBase:
-    """One parallel layer: `fb` plus the output of every trigger on it.
-
-    Trigger outputs reuse the content-addressed nulls, so a trigger fired in
-    an earlier layer contributes nothing new and the layers stabilize exactly
-    when the oblivious chase terminates.
-    """
-    new: list[Atom] = []
-    for t in enumerate_triggers(rules, fb, stats=stats):
-        new.extend(t.output)
-    return fb.union(new)
-
-
-def ch_k(kb: KnowledgeBase, k: int, stats: Optional[dict] = None) -> FactBase:
-    """k-fold breadth-first saturation; layer 0 is the fact base itself."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    fb = kb.facts
-    for _ in range(k):
-        fb = breadth_first_layer(kb.rules, fb, stats=stats)
-    return fb

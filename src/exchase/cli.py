@@ -35,6 +35,11 @@ class UsageError(ValueError):
     """A command-line value or a file it names cannot be used."""
 
 
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError("%s must be at least %d, got %d" % (flag, least, value))
+
+
 def _load_document(path: str) -> textio.SourceDocument:
     return textio.parse_document(Path(path).read_text())
 
@@ -81,6 +86,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _cmd_run(args) -> int:
+    _at_least("--max-steps", args.max_steps, 0)
     doc = _load_document(args.file)
     kb = doc.knowledge_base()
     variant = ChaseVariant.parse(args.variant)
@@ -138,6 +144,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    _at_least("--max-depth", args.max_depth, 1)
+    _at_least("--max-nodes", args.max_nodes, 1)
     doc = _load_document(args.file)
     kb = doc.knowledge_base()
     variant = ChaseVariant.parse(args.variant)
@@ -159,6 +167,8 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_entails(args) -> int:
+    _at_least("--query-index", args.query_index, 0)
+    _at_least("--max-steps", args.max_steps, 0)
     doc = _load_document(args.file)
     kb = doc.knowledge_base()
     if not doc.queries:
@@ -206,6 +216,7 @@ def _cmd_tm(args) -> int:
         encoding = tmgen.encode(machine)
         text = textio.serialize_rules(encoding.rules) + textio.serialize_factbase(encoding.seed)
     else:
+        _at_least("--len", args.len, 1)
         text = textio.serialize_factbase(tmgen.tape_factbase(args.len))
     if args.json:
         print(
@@ -292,7 +303,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         StrategyError,
         VariantError,
         UsageError,
-        FileNotFoundError,
+        OSError,
+        UnicodeDecodeError,
     ) as e:
         print(
             json.dumps({"command": args.command, "error": str(e)}, sort_keys=True),

@@ -3,8 +3,8 @@
 Terms, atoms, rules, fact bases, triggers and derivations are immutable,
 hashable and safe to share between threads; fact bases lazily cache their
 per-predicate indexes (plain dict writes, safe because instances are frozen).
-`Store` is the one mutable exception: the fact base a chase run grows in
-place, indexed like `FactBase`.
+`Store` is the one mutable exception: the fact base a derivation grows in
+place (and shrinks again when a search backtracks), indexed like `FactBase`.
 
 Canonical ordering: constants sort before nulls, nulls before variables;
 atoms sort by predicate name then argument order. All iteration and
@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from bisect import insort
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
@@ -290,20 +291,32 @@ class FactBase:
         return FactBase(frozenset(a for a in self.atoms if a.pred in sig))
 
 
+def _discard(index: dict, k, a: Atom, key) -> None:
+    """Take `a` out of the canonically ordered bucket `index[k]`, and the
+    bucket out of the index once it is empty."""
+    bucket = index[k]
+    del bucket[bisect_left(bucket, key(a), key=key)]
+    if not bucket:
+        del index[k]
+
+
 class Store:
-    """The fact base of one chase run, grown in place.
+    """The fact base of a derivation, grown in place and shrunk on undo.
 
     It has the lookups of `FactBase` (`atoms`, `terms`, `by_pred`,
     `by_pred_pos`, iteration in canonical order), and keeps every index
     bucket in canonical atom order as a `FactBase` does, so a homomorphism
     search visits candidates in the same order over either and finds the
-    same first solution. Atoms come from a `FactBase` or trigger outputs,
-    so they are not checked for variables again.
+    same first solution. `terms` is the live key view of a count of term
+    uses, so a term leaves it with its last atom. Atoms come from a
+    `FactBase` or trigger outputs, so they are not checked for variables
+    again.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
         self.atoms: set[Atom] = set()
-        self.terms: set[Term] = set()
+        self._uses: Counter[Term] = Counter()
+        self.terms = self._uses.keys()
         self.by_pred: dict[str, list[Atom]] = {}
         self.by_pred_pos: dict[tuple[str, int, Term], list[Atom]] = {}
         self._keys: dict[Atom, tuple] = {}
@@ -319,12 +332,38 @@ class Store:
         key = self._keys.__getitem__
         for a in new:
             self.atoms.add(a)
-            self.terms.update(a.args)
             self._keys[a] = a.key()
             insort(self.by_pred.setdefault(a.pred, []), a, key=key)
             for i, t in enumerate(a.args):
                 insort(self.by_pred_pos.setdefault((a.pred, i, t), []), a, key=key)
+        self._uses.update([t for a in new for t in a.args])
         return new
+
+    def remove(self, delta: Iterable[Atom]) -> None:
+        """Undo the `add` that returned `delta`: the atoms, the terms only
+        they used and the index buckets they alone filled leave the store."""
+        key = self._keys.__getitem__
+        uses = self._uses
+        for a in delta:
+            self.atoms.remove(a)
+            _discard(self.by_pred, a.pred, a, key)
+            for i, t in enumerate(a.args):
+                _discard(self.by_pred_pos, (a.pred, i, t), a, key)
+                if uses[t] == 1:
+                    del uses[t]
+                else:
+                    uses[t] -= 1
+            del self._keys[a]
+
+    def copy(self) -> "Store":
+        out = Store()
+        out.atoms = set(self.atoms)
+        out._uses = self._uses.copy()
+        out.terms = out._uses.keys()
+        out.by_pred = {p: list(v) for p, v in self.by_pred.items()}
+        out.by_pred_pos = {k: list(v) for k, v in self.by_pred_pos.items()}
+        out._keys = dict(self._keys)
+        return out
 
     def snapshot(self) -> FactBase:
         return FactBase(frozenset(self.atoms))

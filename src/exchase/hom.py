@@ -20,22 +20,12 @@ class HomBudgetExceeded(Exception):
     """The per-check node budget ran out before the search finished."""
 
 
-def _target_index(target) -> dict[str, Sequence[Atom]]:
-    if isinstance(target, (FactBase, Store)):
-        return target.by_pred
-    index: dict[str, list[Atom]] = {}
-    for a in sorted(target, key=Atom.key):
-        index.setdefault(a.pred, []).append(a)
-    return {p: tuple(v) for p, v in index.items()}
-
-
 class _Search:
     """Most-constrained-atom-first backtracking with forward pruning."""
 
     def __init__(self, source, target, fixed, frozen, injective, budget, stats):
         self.atoms = list(source)
-        self.fb = target if isinstance(target, (FactBase, Store)) else None
-        self.index = _target_index(target)
+        self.fb = target if isinstance(target, (FactBase, Store)) else Store(target)
         self.frozen = frozen
         self.injective = injective
         self.budget = budget
@@ -57,8 +47,8 @@ class _Search:
     def _pool(self, a: Atom) -> tuple[Atom, ...]:
         """Smallest candidate bucket, using the positional index when some
         argument already has an image, and the atom set when all do."""
-        pool = self.index.get(a.pred, ())
-        if self.fb is None or not pool:
+        pool = self.fb.by_pred.get(a.pred, ())
+        if not pool:
             return pool
         images = [self._image(s) for s in a.args]
         if None not in images:

@@ -27,7 +27,6 @@ from exchase.chase import (
     Phased,
     RandomChoice,
     Scripted,
-    ch_k,
     enumerate_triggers,
     run_chase,
 )
@@ -55,7 +54,7 @@ from conftest import (
     random_rules,
     rules_isomorphic,
 )
-from oracles import is_applicable
+from oracles import ch_k, is_applicable
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
 DFR = ChaseVariant.parse("dfr")

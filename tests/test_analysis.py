@@ -120,6 +120,26 @@ def test_explore_deeper_than_the_recursion_limit():
     assert report.nodes == 1501
 
 
+def test_explore_without_dedup_walks_one_state_at_depth_3000():
+    """The explorer applies each step on the way down and undoes it on the
+    way back, so memory grows with the path, not with a fact base per
+    frame (which took about 440 MB at this depth)."""
+    import tracemalloc
+
+    from exchase import textio
+
+    kb = textio.parse_document("[g] p(X,Y) -> exists Z. p(Y,Z).\np(a,b).\n").knowledge_base()
+    tracemalloc.start()
+    try:
+        report = explore_all(kb, O, max_depth=3000, max_nodes=5000, dedup=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == GROWTH
+    assert len(report.witness) == 3001
+    assert peak < 50 * 2**20
+
+
 def test_explore_rejects_bad_budgets():
     with pytest.raises(ValueError):
         explore_all(load_kb("ex1.erl"), R, 0, 10)

@@ -21,7 +21,7 @@ from exchase.core import (
     term_key,
 )
 from exchase.chase import (
-    Agenda,
+    ChaseState,
     ChaseVariant,
     DatalogFirst,
     FIFO,
@@ -31,8 +31,6 @@ from exchase.chase import (
     StrategyError,
     _bind,
     _join,
-    breadth_first_layer,
-    ch_k,
     delta_triggers,
     enumerate_triggers,
     head_satisfied,
@@ -40,7 +38,14 @@ from exchase.chase import (
 )
 
 from conftest import ALL_VARIANTS, load_doc, load_kb, random_kb, small_kbs
-from oracles import applicable_edges, datalog_satisfied, exists_retraction, is_applicable
+from oracles import (
+    applicable_edges,
+    breadth_first_layer,
+    ch_k,
+    datalog_satisfied,
+    exists_retraction,
+    is_applicable,
+)
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
 DFR = ChaseVariant.parse("dfr")
@@ -631,23 +636,57 @@ def test_triggers_from_enumeration_and_delta_search_are_equal():
 @settings(max_examples=150, deadline=None, database=None)
 @given(small_kbs(), st.sampled_from(ALL_VARIANTS), st.data())
 def test_inherited_agenda_edges_match_from_scratch_edges(kb, name, data):
-    """Along a random explorer path, each state's edges from the agenda it
-    inherits equal `applicable_edges` on its fact base, and a fork leaves
-    its parent's agenda as it was."""
+    """Along a random explorer path, each state's edges from the triggers
+    it inherits equal `applicable_edges` on its fact base, and a fork
+    leaves its parent's triggers as they were."""
     variant = ChaseVariant.parse(name)
-    fb = kb.facts
-    agenda = Agenda(kb.rules, enumerate_triggers(kb.rules, fb))
+    state = ChaseState(kb, variant)
     for _ in range(5):
-        edges = agenda.scan(variant, fb)
+        fb = state.store.snapshot()
+        edges = state.scan()
         assert edges == list(applicable_edges(kb, fb, variant))
         if not edges:
             break
         t = data.draw(st.sampled_from(edges))
-        child = fb.union(t.output)
-        child_agenda = agenda.fork()
-        child_agenda.fire(t, child, sorted(child.atoms - fb.atoms, key=Atom.key))
-        assert agenda.scan(variant, fb) == edges
-        fb, agenda = child, child_agenda
+        child = state.fork()
+        child.apply(t)
+        assert state.scan() == edges
+        assert state.store.snapshot() == fb
+        state = child
+
+
+def _state_view(state: ChaseState) -> tuple:
+    store = state.store
+    return (
+        set(store.atoms),
+        set(store.terms),
+        list(store),
+        {p: list(v) for p, v in store.by_pred.items()},
+        {k: list(v) for k, v in store.by_pred_pos.items()},
+        dict(state.fired),
+        list(state.records),
+        [list(entries) for entries in state.lists],
+    )
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_kbs(), st.sampled_from(ALL_VARIANTS), st.data())
+def test_undo_takes_back_apply_along_a_random_path(kb, name, data):
+    """Down a random path and back: each `undo` gives back the store (atoms,
+    terms, iteration order, every bucket), fired keys, records and trigger
+    lists that the state had before the step, scans below it included."""
+    state = ChaseState(kb, ChaseVariant.parse(name))
+    trail = []
+    for _ in range(6):
+        edges = state.scan()
+        if not edges:
+            break
+        trail.append((_state_view(state), state.checkpoint()))
+        state.apply(data.draw(st.sampled_from(edges)))
+    while trail:
+        before, lists = trail.pop()
+        state.undo(lists)
+        assert _state_view(state) == before
 
 
 # --- compiled joins against the homomorphism search --------------------------

@@ -1,14 +1,19 @@
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from exchase import textio
 from exchase.cli import main
 
-from conftest import CORPUS
+from conftest import ALL_VARIANTS, CORPUS, small_kbs
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -184,6 +189,59 @@ def test_classify_expectation_without_verdict_json_error(tmp_path, capsys):
     assert "no verdict" in error["error"]
 
 
+def test_classify_unknown_transform_json_error(tmp_path, capsys):
+    error = _malformed_fixture_error(tmp_path, capsys, transform="3ad")
+    assert "transform" in error["error"]
+
+
+def test_classify_budgets_not_an_object_json_error(tmp_path, capsys):
+    error = _malformed_fixture_error(tmp_path, capsys, budgets=[1])
+    assert "budgets must be an object" in error["error"]
+
+
+def test_classify_expect_not_a_list_json_error(tmp_path, capsys):
+    error = _malformed_fixture_error(tmp_path, capsys, expect=5)
+    assert "expect must be a list of objects" in error["error"]
+
+
+def test_classify_expectation_not_an_object_json_error(tmp_path, capsys):
+    error = _malformed_fixture_error(tmp_path, capsys, expect=[["r"]])
+    assert "expect must be a list of objects" in error["error"]
+
+
+def test_classify_budget_not_an_integer_json_error(tmp_path, capsys):
+    error = _malformed_fixture_error(tmp_path, capsys, budgets={"max_depth": "7"})
+    assert "budget max_depth must be an integer of at least 1" in error["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("explore", "ex1.erl", "--max-depth", "0"),
+        ("explore", "ex1.erl", "--max-nodes", "-1"),
+        ("tm", "tape", "--machine", "machines/halt1.tm", "--len", "0"),
+        ("entails", "ex1.erl", "--query-index", "-1"),
+        ("run", "ex1.erl", "--max-steps", "-5"),
+        ("entails", "ex1.erl", "--max-steps", "-5"),
+    ],
+    ids=lambda argv: "%s%s=%s" % (argv[0], argv[-2], argv[-1]),
+)
+def test_number_out_of_range_json_error(capsys, argv):
+    argv = [str(CORPUS / a) if a.endswith((".erl", ".tm")) else a for a in argv]
+    error = run_cli_error(capsys, *argv)
+    assert "%s must be at least" % argv[-2] in error["error"]
+    assert argv[-1] in error["error"]
+
+
+def test_unreadable_input_file_json_error(tmp_path, capsys):
+    binary = tmp_path / "binary.erl"
+    binary.write_bytes(b"\xff\xfe p(a).")
+    error = run_cli_error(capsys, "run", str(binary))
+    assert "utf-8" in error["error"]
+    error = run_cli_error(capsys, "run", str(tmp_path))
+    assert str(tmp_path) in error["error"]
+
+
 def test_normalize_fresh_name_clash_json_error(tmp_path, capsys):
     erl = tmp_path / "clash.erl"
     erl.write_text("[a.b] p(X) -> exists Z. r(Z), s(X).\n[a_b] q(X) -> exists Z. r(Z), t(X).\n")
@@ -354,3 +412,105 @@ def test_explore_witness_stable_across_processes():
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+_BUDGETS = {"max_depth": 4, "max_nodes": 50, "max_steps": 3}
+# Ways to break a fixture, by name: fields that replace its own, or a JSON
+# value that is not an object. A broken budget keeps the others small, so
+# that a check that lets it through does not run for long.
+_FIXTURE_FLAWS = {
+    "transform-unknown": {"transform": "3ad"},
+    "transform-list": {"transform": ["sp"]},
+    "budgets-list": {"budgets": [1]},
+    "max_depth-string": {"budgets": {**_BUDGETS, "max_depth": "7"}},
+    "max_nodes-zero": {"budgets": {**_BUDGETS, "max_nodes": 0}},
+    "max_steps-negative": {"budgets": {**_BUDGETS, "max_steps": -1}},
+    "deepening-string": {"budgets": {**_BUDGETS, "deepening": "no"}},
+    "expect-number": {"expect": 5},
+    "expect-entry-list": {"expect": [["r"]]},
+    "variant-number": {"expect": [{"variant": 3, "mode": "forall", "verdict": "all_finite"}]},
+    "erl-list": {"erl": ["x.erl"]},
+    "strategies-number": {"strategies": 5},
+    "fixture-number": 5,
+}
+# One property run per command, and per way to break a fixture, so that each
+# check is drawn many times.
+_CASES = [
+    *(pytest.param(c, None, id=c) for c in ("run", "explore", "entails", "normalize", "tm", "classify")),
+    *(pytest.param("classify", flaw, id="classify-" + name) for name, flaw in _FIXTURE_FLAWS.items()),
+]
+
+
+def _around(least: int, most: int):
+    """A number below `least` about as often as one in [least, most]."""
+    return st.one_of(st.integers(least - 3, least - 1), st.integers(least, most))
+
+
+@st.composite
+def cli_calls(draw, command: str, flaw, erl: Path, fixtures: Path):
+    """A command line over `erl` (or, for classify, a fixture directory over
+    it with the given flaw), and whether one of its numbers is out of range
+    or its fixture is broken."""
+    variant = ["--variant", draw(st.sampled_from(ALL_VARIANTS))]
+    json_flag = ["--json"] if draw(st.booleans()) else []
+    if command == "run":
+        steps = draw(_around(0, 6))
+        strategy = draw(st.sampled_from(("fifo", "datalog-first")))
+        argv = [str(erl), *variant, "--strategy", strategy, "--max-steps", str(steps)]
+        return ["run", *argv, *json_flag], steps < 0
+    if command == "explore":
+        depth, nodes = draw(_around(1, 5)), draw(_around(1, 60))
+        argv = [str(erl), *variant, "--max-depth", str(depth), "--max-nodes", str(nodes)]
+        return ["explore", *argv, *json_flag], depth < 1 or nodes < 1
+    if command == "entails":
+        index, steps = draw(_around(0, 1)), draw(_around(0, 6))
+        argv = [str(erl), *variant, "--query-index", str(index), "--max-steps", str(steps)]
+        return ["entails", *argv, *json_flag], index < 0 or steps < 0
+    if command == "normalize":
+        proc = draw(st.sampled_from(("sp", "1ad", "2ad")))
+        return ["normalize", str(erl), "--proc", proc, *json_flag], False
+    if command == "tm":
+        length = draw(_around(1, 3))
+        machine = str(CORPUS / "machines" / "halt1.tm")
+        return ["tm", "tape", "--machine", machine, "--len", str(length), *json_flag], length < 1
+    fixture = {
+        "id": "G",
+        "erl": erl.name,
+        "budgets": _BUDGETS,
+        "expect": [
+            {"variant": variant[1], "mode": draw(st.sampled_from(("forall", "exists"))), "verdict": "x"}
+        ],
+    }
+    if isinstance(flaw, dict):
+        fixture.update(flaw)
+    elif flaw is not None:
+        fixture = flaw
+    (fixtures / "g.json").write_text(json.dumps(fixture))
+    return ["classify", "--fixtures", str(fixtures), *json_flag], flaw is not None
+
+
+@pytest.mark.parametrize("command,flaw", _CASES)
+@settings(max_examples=40, deadline=None, database=None)
+@given(kb=small_kbs(), data=st.data())
+def test_main_never_raises(command, flaw, kb, data):
+    """On generated documents and flags, `main` exits 0 or 1, or 2 with one
+    JSON error on stderr and nothing on stdout; it exits 2 whenever a
+    number is out of range or the fixture is broken."""
+    queries = data.draw(st.lists(st.sampled_from([r.body for r in kb.rules]), min_size=1, max_size=2))
+    doc = textio.SourceDocument(rules=list(kb.rules), facts=list(kb.facts), queries=queries)
+    with tempfile.TemporaryDirectory() as tmp:
+        erl = Path(tmp) / "g.erl"
+        erl.write_text(textio.serialize_document(doc))
+        argv, bad = data.draw(cli_calls(command, flaw, erl, Path(tmp)))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if bad:
+        assert code == 2
+    if code == 2:
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())
+        assert sorted(error) == ["command", "error"] and error["command"] == argv[0]
+    else:
+        assert err.getvalue() == ""

@@ -188,6 +188,23 @@ def test_store_is_indexed_like_a_factbase():
         assert store.snapshot() == fb
 
 
+def test_store_remove_undoes_add_and_copy_is_apart():
+    def view(s: Store) -> tuple:
+        return list(s), set(s.atoms), set(s.terms), s.by_pred, s.by_pred_pos
+
+    rng = random.Random(43)
+    for _ in range(100):
+        atoms = sorted(random_factbase(rng, max_atoms=10).atoms, key=Atom.key)
+        rng.shuffle(atoms)
+        k = rng.randint(0, len(atoms))
+        store, before = Store(atoms[:k]), view(Store(atoms[:k]))
+        copy = store.copy()
+        delta = store.add(atoms[k:])
+        assert view(copy) == before
+        store.remove(delta)
+        assert view(store) == before
+
+
 _PICKLE_ATOMS = "[Atom('p', (Const('a'), Null('n1'))), Atom('q', (Const('b'),)), Atom('r', ())]"
 
 

@@ -19,7 +19,6 @@ from exchase.chase import (
     DatalogFirst,
     FIFO,
     RandomChoice,
-    ch_k,
     enumerate_triggers,
     run_chase,
 )
@@ -41,7 +40,7 @@ from conftest import (
     rules_isomorphic,
     small_kbs,
 )
-from oracles import is_applicable
+from oracles import ch_k, is_applicable
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
 DFR = ChaseVariant.parse("dfr")
