@@ -21,7 +21,7 @@ order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -56,7 +56,6 @@ class ExplorationReport:
     witness_label: Optional[str] = None
     frontier: Optional[int] = None
     dedup_hits: int = 0
-    budgets: dict = field(default_factory=dict)
 
 
 class _Budget(Exception):
@@ -87,7 +86,6 @@ def explore_all(
     applied, so a known state costs no step."""
     if max_depth <= 0 or max_nodes <= 0:
         raise ValueError("budgets must be positive")
-    budgets = {"max_depth": max_depth, "max_nodes": max_nodes}
     atomic_only = all(len(r.head) == 1 for r in kb.rules)
     seen_depth = hom.IsoTable()
     expansions = dedup_hits = max_len = 0
@@ -138,7 +136,6 @@ def explore_all(
             witness=g.witness,
             witness_label=CERTIFIED if atomic_only else UNCERTIFIED,
             dedup_hits=dedup_hits,
-            budgets=budgets,
         )
     except _Budget:
         return ExplorationReport(
@@ -146,14 +143,12 @@ def explore_all(
             nodes=expansions,
             frontier=len(state.records),
             dedup_hits=dedup_hits,
-            budgets=budgets,
         )
     return ExplorationReport(
         verdict=ALL_FINITE,
         nodes=expansions,
         max_len=max_len,
         dedup_hits=dedup_hits,
-        budgets=budgets,
     )
 
 
@@ -236,7 +231,7 @@ def entails(
 
     def entailed(fb) -> bool:
         nonlocal witness
-        witness = hom.entails(fb, query)
+        witness = hom.find_homomorphism(query, fb)
         return witness is not None
 
     outcome = run_chase(kb, variant, strategy or DatalogFirst(), max_steps, stop=entailed)
@@ -255,10 +250,10 @@ class FixtureError(ValueError):
 
 
 _TRANSFORMS = {
-    None: lambda rules: rules,
-    "sp": lambda rules: normalize.single_piece(rules).output_rules,
-    "1ad": lambda rules: normalize.one_way(rules).output_rules,
-    "2ad": lambda rules: normalize.two_way(rules).output_rules,
+    None: None,
+    "sp": normalize.single_piece,
+    "1ad": normalize.one_way,
+    "2ad": normalize.two_way,
 }
 
 
@@ -269,7 +264,6 @@ class Fixture:
     budgets: dict
     expect: list[dict]
     strategies: list[Strategy]
-    source: str
 
 
 def _strategy_from_spec(spec) -> Strategy:
@@ -334,12 +328,14 @@ def load_fixture(path: Path) -> Fixture:
         raise FixtureError("%s: %s" % (path, error))
     for entry in raw["expect"]:
         ChaseVariant.parse(entry["variant"])
-    erl_path = path.parent / raw["erl"]
-    doc = textio.parse_document(erl_path.read_text())
-    rules = _TRANSFORMS[raw.get("transform")](tuple(doc.rules))
-    kb = KnowledgeBase(tuple(rules), doc.factbase())
+    doc = textio.parse_document((path.parent / raw["erl"]).read_text())
+    rules = tuple(doc.rules)
+    transform = _TRANSFORMS[raw.get("transform")]
+    if transform is not None:
+        rules = transform(rules, reserved=doc.data_predicates()).output_rules
+    kb = KnowledgeBase(rules, doc.factbase())
     strategies = [_strategy_from_spec(s) for s in raw.get("strategies", [])]
-    return Fixture(raw["id"], kb, raw["budgets"], raw["expect"], strategies, str(erl_path.name))
+    return Fixture(raw["id"], kb, raw["budgets"], raw["expect"], strategies)
 
 
 def classify_fixture(fixture: Fixture) -> list[dict]:

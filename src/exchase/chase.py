@@ -31,9 +31,10 @@ atom of the step's delta are found and inserted. They are found by
 `_join`, which follows a static order that each rule compiles once
 (`Rule.join_orders`): per body position j, the other body atoms, most
 bound arguments first, once atom j is bound to a delta atom. An atom whose
-arguments are all bound is looked up in the fact base; any other walks the
-smallest (predicate, position, term) bucket among its bound positions.
-Enumerating every trigger of a fact base joins the whole body the same way.
+arguments are all bound is looked up in the store; any other walks
+`Store.candidates`, the rule the homomorphism search picks its candidates
+by too. Enumerating every trigger of a store joins the whole body the same
+way.
 
 `ChaseState.scan` is the one place that tests applicability along a
 derivation: every strategy, the final fairness check of `run_chase` and
@@ -79,8 +80,8 @@ from . import hom
 
 
 class StrategyError(ValueError):
-    """A scripted trigger choice is not a trigger index, or was not
-    applicable at its step."""
+    """A phase's rule group is not a list of rule ids, or a scripted trigger
+    choice is not a trigger index or was not applicable at its step."""
 
 
 class VariantError(ValueError):
@@ -113,13 +114,12 @@ class ChaseVariant:
 
 
 def _join(
-    order: Sequence[JoinStep], fb, binding: dict[str, Term], stats: Optional[dict] = None
+    order: Sequence[JoinStep], fb: Store, binding: dict[str, Term], stats: Optional[dict] = None
 ) -> Iterator[dict[str, Term]]:
     """Every extension of `binding` (variable name -> term) that maps the
     atoms of a join order (`Rule.join_orders`) into `fb`, atom by atom in
     that order. An atom whose arguments are all bound is looked up in
-    `fb.atoms`; any other walks the smallest `by_pred_pos` bucket of a bound
-    argument, or its predicate's `by_pred` bucket when none is bound.
+    `fb.atoms`; any other walks `fb.candidates` for its bound arguments.
     Counted as one search in stats["hom_calls"]."""
     if stats is not None:
         stats["hom_calls"] = stats.get("hom_calls", 0) + 1
@@ -127,7 +127,7 @@ def _join(
 
 
 def _extend(
-    order: Sequence[JoinStep], k: int, fb, binding: dict[str, Term]
+    order: Sequence[JoinStep], k: int, fb: Store, binding: dict[str, Term]
 ) -> Iterator[dict[str, Term]]:
     if k == len(order):
         yield binding
@@ -147,13 +147,8 @@ def _extend(
         if Atom(pred, tuple([t for _, t in bound])) in fb.atoms:
             yield from _extend(order, k + 1, fb, binding)
         return
-    pool = fb.by_pred.get(pred, ())
-    for i, t in bound:
-        bucket = fb.by_pred_pos.get((pred, i, t), ())
-        if len(bucket) < len(pool):
-            pool = bucket
     arity = len(args)
-    for cand in pool:
+    for cand in fb.candidates(pred, bound):
         cargs = cand.args
         if len(cargs) != arity:
             continue
@@ -169,9 +164,9 @@ def _extend(
                 yield from _extend(order, k + 1, fb, ext)
 
 
-def enumerate_triggers(rules: Sequence[Rule], fb, stats: Optional[dict] = None) -> Iterator[Trigger]:
-    """Every (rule, body match) pair exactly once: rule order, then canonical
-    match order."""
+def enumerate_triggers(rules: Sequence[Rule], fb: Store, stats: Optional[dict] = None) -> Iterator[Trigger]:
+    """Every (rule, body match) pair on the store exactly once: rule order,
+    then canonical match order."""
     for rule in rules:
         matches = [make_match(m) for m in _join(rule.join_orders.whole, fb, {}, stats)]
         matches.sort(key=lambda m: tuple((n, term_key(t)) for n, t in m))
@@ -194,15 +189,16 @@ def _bind(pattern: Atom, fact: Atom) -> Optional[dict[str, Term]]:
 
 def delta_triggers(
     rules: Sequence[Rule],
-    fb,
+    fb: Store,
     delta: Sequence[Atom],
     stats: Optional[dict] = None,
 ) -> Iterator[Trigger]:
-    """The semi-naive step: every trigger on `fb` whose body match uses an
-    atom of `delta` (the atoms just added to `fb`), each exactly once, in
-    rule order. Together with the triggers on `fb` minus `delta` these are
-    all triggers on `fb`. Each delta atom that body atom j matches is joined
-    with the other body atoms in the rule's static order for j."""
+    """The semi-naive step: every trigger on the store `fb` whose body
+    match uses an atom of `delta` (the atoms just added to `fb`), each
+    exactly once, in rule order. Together with the triggers on `fb` minus
+    `delta` these are all triggers on `fb`. Each delta atom that body atom j
+    matches is joined with the other body atoms in the rule's static order
+    for j."""
     new_by_pred: dict[str, list[Atom]] = {}
     for a in delta:
         new_by_pred.setdefault(a.pred, []).append(a)
@@ -304,7 +300,7 @@ class ChaseState:
         self.rule_index = {r.id: i for i, r in enumerate(kb.rules)}
         self.datalog_ids = frozenset(r.id for r in kb.rules if r.is_datalog)
         self.existential_ids = frozenset(r.id for r in kb.rules if not r.is_datalog)
-        self.store = Store(kb.facts.sorted_atoms)
+        self.store = Store(kb.facts.atoms)
         self.lists: list[list[Trigger]] = [[] for _ in kb.rules]
         self.fired: Counter[tuple] = Counter()
         self.records: list[tuple[Trigger, tuple[Atom, ...]]] = []
@@ -416,8 +412,6 @@ class ChaseState:
 class Strategy:
     """Chooses the next trigger to apply; stateful within one run."""
 
-    name = "strategy"
-
     def reset(self) -> None:
         pass
 
@@ -432,8 +426,6 @@ class Strategy:
 class FIFO(Strategy):
     """First applicable trigger in canonical order, every step."""
 
-    name = "fifo"
-
     def choose(self, state: ChaseState) -> Optional[Trigger]:
         return state.first_applicable()
 
@@ -446,8 +438,6 @@ class DatalogFirst(Strategy):
     meanwhile), and the Datalog triggers that firing them creates wait for
     the next refill.
     """
-
-    name = "datalog-first"
 
     def __init__(self) -> None:
         self._queue: "deque[Trigger]" = deque()
@@ -472,11 +462,15 @@ class DatalogFirst(Strategy):
 
 class Phased(Strategy):
     """Apply rule groups in order; each phase either exhausts its rules or
-    fires one trigger. Phases that have nothing applicable are skipped."""
+    fires one trigger. Phases that have nothing applicable are skipped. A
+    phase is a (group, mode) pair: a list or tuple of rule ids, and
+    "exhaust" or "once"."""
 
-    name = "phased"
-
-    def __init__(self, phases: Sequence[tuple[Iterable[str], str]]):
+    def __init__(self, phases: Sequence[tuple[Sequence[str], str]]):
+        for ids, _ in phases:
+            # a bare string would read as the set of its characters
+            if not isinstance(ids, (list, tuple)) or not all(isinstance(i, str) for i in ids):
+                raise StrategyError("phase rule group %r is not a list of rule ids" % (ids,))
         self.phases = [(frozenset(ids), mode) for ids, mode in phases]
         for _, mode in self.phases:
             if mode not in ("exhaust", "once"):
@@ -508,8 +502,6 @@ class Phased(Strategy):
 class Scripted(Strategy):
     """Explicit choices: each step names a rule and the index of the wanted
     trigger among that rule's applicable triggers in canonical order."""
-
-    name = "scripted"
 
     def __init__(self, steps: Sequence):
         self.steps = [(s, 0) if isinstance(s, str) else (s[0], s[1]) for s in steps]
@@ -546,8 +538,6 @@ class Scripted(Strategy):
 
 class RandomChoice(Strategy):
     """Uniformly random applicable trigger; deterministic given the seed."""
-
-    name = "random"
 
     def __init__(self, seed: int):
         import random

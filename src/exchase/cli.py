@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import analysis, normalize, textio, tmgen
+from .core import KnowledgeBaseError
 from .chase import (
     ChaseVariant,
     DatalogFirst,
@@ -119,10 +120,11 @@ def _cmd_normalize(args) -> int:
     proc = {"sp": normalize.single_piece, "1ad": normalize.one_way, "2ad": normalize.two_way}[
         args.proc
     ]
+    reserved = doc.data_predicates()
     if args.proc == "sp":
-        report = proc(tuple(doc.rules))
+        report = proc(tuple(doc.rules), reserved=reserved)
     else:
-        report = proc(tuple(doc.rules), skip_atomic=args.skip_atomic)
+        report = proc(tuple(doc.rules), skip_atomic=args.skip_atomic, reserved=reserved)
     erl = textio.serialize_rules(report.output_rules)
     if args.json:
         payload = {
@@ -300,6 +302,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         analysis.FixtureError,
         tmgen.InvalidMachine,
         normalize.FreshNameClashError,
+        KnowledgeBaseError,
         StrategyError,
         VariantError,
         UsageError,

@@ -1,10 +1,12 @@
 """Value objects for existential-rule knowledge bases.
 
 Terms, atoms, rules, fact bases, triggers and derivations are immutable,
-hashable and safe to share between threads; fact bases lazily cache their
-per-predicate indexes (plain dict writes, safe because instances are frozen).
-`Store` is the one mutable exception: the fact base a derivation grows in
-place (and shrinks again when a search backtracks), indexed like `FactBase`.
+hashable and safe to share between threads; a `FactBase` is a validated atom
+set that lazily caches its sorted atoms, terms and nulls (plain dict writes,
+safe because instances are frozen). `Store` is the one mutable exception and
+the one indexed fact base: the fact base a derivation grows in place (and
+shrinks again when the explorer backtracks), which every trigger join and
+homomorphism search runs over.
 
 Canonical ordering: constants sort before nulls, nulls before variables;
 atoms sort by predicate name then argument order. All iteration and
@@ -18,7 +20,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,10 +107,6 @@ class Atom:
         if not self.args:
             return self.pred
         return "%s(%s)" % (self.pred, ",".join(str(a) for a in self.args))
-
-
-def atom(pred: str, *args: Term) -> Atom:
-    return Atom(pred, tuple(args))
 
 
 def sort_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -220,9 +218,10 @@ class FactBaseError(ValueError):
 
 @dataclass(frozen=True)
 class FactBase:
-    """A finite atom set over constants and nulls, with cached indexes."""
+    """A finite atom set over constants and nulls: the hashable value of a
+    fact base. Searches run over a `Store` built from it."""
 
-    atoms: frozenset[Atom]
+    atoms: frozenset[Atom] = frozenset()
 
     def __post_init__(self) -> None:
         if not isinstance(self.atoms, frozenset):
@@ -231,10 +230,6 @@ class FactBase:
             for t in a.args:
                 if isinstance(t, Var):
                     raise FactBaseError("fact base atom %s contains variable %s" % (a, t))
-
-    @staticmethod
-    def of(atoms: Iterable[Atom] = ()) -> "FactBase":
-        return FactBase(frozenset(atoms))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -248,22 +243,6 @@ class FactBase:
     @cached_property
     def sorted_atoms(self) -> tuple[Atom, ...]:
         return sort_atoms(self.atoms)
-
-    @cached_property
-    def by_pred(self) -> dict[str, tuple[Atom, ...]]:
-        index: dict[str, list[Atom]] = {}
-        for a in self.sorted_atoms:
-            index.setdefault(a.pred, []).append(a)
-        return {p: tuple(atoms) for p, atoms in index.items()}
-
-    @cached_property
-    def by_pred_pos(self) -> dict[tuple[str, int, Term], tuple[Atom, ...]]:
-        """Index (predicate, argument position, term) -> atoms, for joins."""
-        index: dict[tuple[str, int, Term], list[Atom]] = {}
-        for a in self.sorted_atoms:
-            for i, t in enumerate(a.args):
-                index.setdefault((a.pred, i, t), []).append(a)
-        return {k: tuple(v) for k, v in index.items()}
 
     @cached_property
     def signature(self) -> frozenset[str]:
@@ -301,16 +280,19 @@ def _discard(index: dict, k, a: Atom, key) -> None:
 
 
 class Store:
-    """The fact base of a derivation, grown in place and shrunk on undo.
+    """The indexed fact base: the one a derivation grows in place and
+    shrinks on undo, and the target of every trigger join and homomorphism
+    search.
 
-    It has the lookups of `FactBase` (`atoms`, `terms`, `by_pred`,
-    `by_pred_pos`, iteration in canonical order), and keeps every index
-    bucket in canonical atom order as a `FactBase` does, so a homomorphism
-    search visits candidates in the same order over either and finds the
-    same first solution. `terms` is the live key view of a count of term
-    uses, so a term leaves it with its last atom. Atoms come from a
-    `FactBase` or trigger outputs, so they are not checked for variables
-    again.
+    It has the atom set (`atoms`), the terms (`terms`), iteration in
+    canonical order and two indexes: `by_pred` (predicate -> atoms) and
+    `by_pred_pos` ((predicate, argument position, term) -> atoms). Every
+    bucket is kept in canonical atom order, so a search that walks
+    `candidates` visits atoms in the same order whatever the store's
+    history, and finds the same first solution. `terms` is the live key
+    view of a count of term uses, so a term leaves it with its last atom.
+    Atoms come from a `FactBase` or trigger outputs, so they are not
+    checked for variables again.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
@@ -354,6 +336,19 @@ class Store:
                 else:
                     uses[t] -= 1
             del self._keys[a]
+
+    def candidates(self, pred: str, bound: Iterable[tuple[int, Term]]) -> Sequence[Atom]:
+        """The atoms a search tries for an atom of `pred` whose arguments at
+        the `bound` (position, term) pairs are fixed: the smallest
+        (predicate, position, term) bucket among those pairs, else the
+        predicate's bucket. In canonical order; it holds every stored atom
+        that agrees with the bound terms, and may hold others."""
+        pool = self.by_pred.get(pred, ())
+        for i, t in bound:
+            bucket = self.by_pred_pos.get((pred, i, t), ())
+            if len(bucket) < len(pool):
+                pool = bucket
+        return pool
 
     def copy(self) -> "Store":
         out = Store()

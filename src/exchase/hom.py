@@ -21,11 +21,12 @@ class HomBudgetExceeded(Exception):
 
 
 class _Search:
-    """Most-constrained-atom-first backtracking with forward pruning."""
+    """Most-constrained-atom-first backtracking with forward pruning, over
+    a `Store` whose `candidates` give each atom's pool."""
 
     def __init__(self, source, target, fixed, frozen, injective, budget, stats):
         self.atoms = list(source)
-        self.fb = target if isinstance(target, (FactBase, Store)) else Store(target)
+        self.fb = target if isinstance(target, Store) else Store(target)
         self.frozen = frozen
         self.injective = injective
         self.budget = budget
@@ -44,22 +45,14 @@ class _Search:
             return t
         return self.assignment.get(t)
 
-    def _pool(self, a: Atom) -> tuple[Atom, ...]:
-        """Smallest candidate bucket, using the positional index when some
-        argument already has an image, and the atom set when all do."""
-        pool = self.fb.by_pred.get(a.pred, ())
-        if not pool:
-            return pool
+    def _pool(self, a: Atom) -> Sequence[Atom]:
+        """The atom itself when every argument has an image and it is in the
+        target, else the target's candidates for the arguments that have one."""
         images = [self._image(s) for s in a.args]
         if None not in images:
             ground = Atom(a.pred, tuple(images))
             return (ground,) if ground in self.fb.atoms else ()
-        for i, img in enumerate(images):
-            if img is not None:
-                bucket = self.fb.by_pred_pos.get((a.pred, i, img), ())
-                if len(bucket) < len(pool):
-                    pool = bucket
-        return pool
+        return self.fb.candidates(a.pred, [(i, t) for i, t in enumerate(images) if t is not None])
 
     def _candidates(self, a: Atom) -> list[tuple[Atom, list[tuple[Term, Term]]]]:
         out = []
@@ -151,7 +144,8 @@ def iter_homomorphisms(
     """All extensions of `fixed` mapping the source atoms into the target.
 
     `frozen` terms map to themselves; constants always do. The returned
-    assignments cover only the movable terms that actually occur.
+    assignments cover only the movable terms that actually occur. A target
+    that is not a `Store` is indexed as one first, once per call.
     """
     if fixed:
         for k, v in fixed.items():
@@ -174,15 +168,6 @@ def find_homomorphism(
     for h in iter_homomorphisms(source, target, fixed, frozen, injective, budget, stats):
         return h
     return None
-
-
-def entails(fb: FactBase, query: Iterable[Atom], stats: Optional[dict] = None):
-    """Witness homomorphism from the query into the fact base, or None.
-
-    For atom sets over constants and nulls this is exactly BCQ entailment:
-    F entails Q iff Q maps homomorphically into F.
-    """
-    return find_homomorphism(query, fb, stats=stats)
 
 
 def are_isomorphic(left, right, stats: Optional[dict] = None) -> bool:
@@ -275,7 +260,7 @@ class _Entry:
         loose = [*self.atoms.difference(rigid), *self.colour_atoms]
         if not loose:
             return True
-        target = FactBase(other.atoms.union(other.colour_atoms))
+        target = Store(other.atoms.union(other.colour_atoms))
         try:
             h = find_homomorphism(loose, target, fixed, injective=True, budget=ISO_CHECK_BUDGET)
         except HomBudgetExceeded:

@@ -16,41 +16,23 @@ from .core import Atom, Rule, Var, sort_atoms
 
 
 class FreshNameClashError(ValueError):
-    """A generated predicate name already occurs in the input signature, or
-    two input rules would get the same one."""
-
-
-@dataclass(frozen=True)
-class PieceGraph:
-    vertices: tuple[Atom, ...]
-    edges: frozenset[frozenset[int]]  # indexes into vertices
+    """A name a decomposition generates is taken: a fresh predicate by a
+    predicate of the input or by another rule's fresh predicate, or a
+    generated rule id by an input rule id."""
 
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    input_rules: tuple[Rule, ...]
     output_rules: tuple[Rule, ...]
     fresh_predicates: tuple[tuple[str, int], ...]
     mapping: dict[str, tuple[str, ...]]  # input rule id -> output rule ids
 
 
-def piece_graph(rule: Rule) -> PieceGraph:
-    verts = rule.head
-    ex = rule.existentials
-    edges = set()
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            shared = verts[i].variables() & verts[j].variables() & ex
-            if shared:
-                edges.add(frozenset((i, j)))
-    return PieceGraph(verts, frozenset(edges))
-
-
 def pieces(rule: Rule) -> list[tuple[Atom, ...]]:
-    """Connected components of the piece graph, in canonical order."""
-    graph = piece_graph(rule)
-    n = len(graph.vertices)
-    parent = list(range(n))
+    """Connected components of the head under the shares-an-existential
+    relation, in canonical order."""
+    head = rule.head
+    parent = list(range(len(head)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -58,18 +40,47 @@ def pieces(rule: Rule) -> list[tuple[Atom, ...]]:
             x = parent[x]
         return x
 
-    for edge in graph.edges:
-        i, j = tuple(edge)
-        parent[find(i)] = find(j)
+    for i in range(len(head)):
+        for j in range(i + 1, len(head)):
+            if head[i].variables() & head[j].variables() & rule.existentials:
+                parent[find(i)] = find(j)
     groups: dict[int, list[Atom]] = {}
-    for i, a in enumerate(graph.vertices):
+    for i, a in enumerate(head):
         groups.setdefault(find(i), []).append(a)
     comps = [sort_atoms(g) for g in groups.values()]
     comps.sort(key=lambda c: tuple(a.key() for a in c))
     return comps
 
 
-def single_piece(rules: Sequence[Rule]) -> DecompositionReport:
+def _checked(
+    rules: Sequence[Rule], report: DecompositionReport, reserved: Iterable[str]
+) -> DecompositionReport:
+    """`report`, once no name it generates is taken: a fresh predicate by a
+    predicate of the input rules or of `reserved` (the facts and queries
+    that go with them), or by another rule's fresh predicate; a generated
+    rule id by an input rule id."""
+    signature = set(reserved).union(a.pred for r in rules for a in r.body + r.head)
+    fresh: set[str] = set()
+    for name, _ in report.fresh_predicates:
+        if name in signature:
+            raise FreshNameClashError("fresh predicate %r clashes with the input signature" % name)
+        if name in fresh:
+            raise FreshNameClashError("two rules would both get fresh predicate %r" % name)
+        fresh.add(name)
+    input_ids = {r.id for r in rules}
+    for rule_id, ids in report.mapping.items():
+        for rid in ids:
+            if rid != rule_id and rid in input_ids:
+                raise FreshNameClashError(
+                    "rule %r would get the id %r of an input rule" % (rule_id, rid)
+                )
+    return report
+
+
+def single_piece(rules: Sequence[Rule], reserved: Iterable[str] = ()) -> DecompositionReport:
+    """Per rule: one rule per piece of its head, ids suffixed .p1, .p2, ...;
+    a single-piece rule is kept. It makes no fresh predicate, so only the
+    rule ids it generates are checked."""
     out: list[Rule] = []
     mapping: dict[str, tuple[str, ...]] = {}
     for rule in rules:
@@ -84,7 +95,7 @@ def single_piece(rules: Sequence[Rule]) -> DecompositionReport:
             out.append(Rule(rid, rule.body, comp))
             ids.append(rid)
         mapping[rule.id] = tuple(ids)
-    return DecompositionReport(tuple(rules), tuple(out), (), mapping)
+    return _checked(rules, DecompositionReport(tuple(out), (), mapping), reserved)
 
 
 def _fresh_name(rule_id: str) -> str:
@@ -99,30 +110,7 @@ def _fresh_atom(rule: Rule) -> Atom:
     return Atom(_fresh_name(rule.id), args)
 
 
-def _check_clash(rules: Sequence[Rule], reserved: Iterable[str]) -> None:
-    sig = set(reserved)
-    for r in rules:
-        for a in r.body + r.head:
-            sig.add(a.pred)
-    owner: dict[str, str] = {}
-    for r in rules:
-        name = _fresh_name(r.id)
-        if name in sig:
-            raise FreshNameClashError("fresh predicate %r clashes with the input signature" % name)
-        if name in owner:
-            raise FreshNameClashError(
-                "rules %r and %r would both get fresh predicate %r" % (owner[name], r.id, name)
-            )
-        owner[name] = r.id
-
-
-def one_way(
-    rules: Sequence[Rule], skip_atomic: bool = False, reserved: Iterable[str] = ()
-) -> DecompositionReport:
-    """Per rule: a generator B -> exists z. X_R(x, z) and one projection
-    X_R(x, z) -> P(t) per head atom. Applied to every rule unless
-    `skip_atomic` leaves single-atom heads untouched."""
-    _check_clash(rules, reserved)
+def _one_way(rules: Sequence[Rule], skip_atomic: bool) -> DecompositionReport:
     out: list[Rule] = []
     fresh: list[tuple[str, int]] = []
     mapping: dict[str, tuple[str, ...]] = {}
@@ -142,14 +130,23 @@ def one_way(
             out.append(Rule(rid, (x_atom,), (head_atom,)))
             ids.append(rid)
         mapping[rule.id] = tuple(ids)
-    return DecompositionReport(tuple(rules), tuple(out), tuple(fresh), mapping)
+    return DecompositionReport(tuple(out), tuple(fresh), mapping)
+
+
+def one_way(
+    rules: Sequence[Rule], skip_atomic: bool = False, reserved: Iterable[str] = ()
+) -> DecompositionReport:
+    """Per rule: a generator B -> exists z. X_R(x, z) and one projection
+    X_R(x, z) -> P(t) per head atom. Applied to every rule unless
+    `skip_atomic` leaves single-atom heads untouched."""
+    return _checked(rules, _one_way(rules, skip_atomic), reserved)
 
 
 def two_way(
     rules: Sequence[Rule], skip_atomic: bool = False, reserved: Iterable[str] = ()
 ) -> DecompositionReport:
     """One-way output plus, per rule, the backward rule H(x, z) -> X_R(x, z)."""
-    base = one_way(rules, skip_atomic=skip_atomic, reserved=reserved)
+    base = _one_way(rules, skip_atomic)
     out = list(base.output_rules)
     mapping = dict(base.mapping)
     for rule in rules:
@@ -159,7 +156,7 @@ def two_way(
         rid = "%s.b" % rule.id
         out.append(Rule(rid, rule.head, (x_atom,)))
         mapping[rule.id] = mapping[rule.id] + (rid,)
-    return DecompositionReport(base.input_rules, tuple(out), base.fresh_predicates, mapping)
+    return _checked(rules, DecompositionReport(tuple(out), base.fresh_predicates, mapping), reserved)
 
 
 def report_sidecar(report: DecompositionReport) -> dict:

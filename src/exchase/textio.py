@@ -31,12 +31,13 @@ class ParseError(ValueError):
 
 
 class ArityError(ValueError):
-    def __init__(self, predicate: str, seen: int, expected: int, line: int = 0):
+    def __init__(self, predicate: str, seen: int, expected: int, line: int):
         self.predicate = predicate
         self.seen = seen
         self.expected = expected
         super().__init__(
-            "predicate %r used with arity %d but previously %d" % (predicate, seen, expected)
+            "predicate %r used with arity %d but previously %d (line %d)"
+            % (predicate, seen, expected, line)
         )
 
 
@@ -128,7 +129,11 @@ class SourceDocument:
     arities: dict[str, int] = field(default_factory=dict)
 
     def factbase(self) -> FactBase:
-        return FactBase.of(self.facts)
+        return FactBase(self.facts)
+
+    def data_predicates(self) -> frozenset[str]:
+        """The predicates of the facts and queries."""
+        return frozenset(a.pred for a in self.facts).union(a.pred for q in self.queries for a in q)
 
     def knowledge_base(self):
         from .core import KnowledgeBase
@@ -317,21 +322,17 @@ def serialize_factbase(fb: FactBase) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def serialize_rule(rule: Rule) -> str:
-    return str(rule)
-
-
 def serialize_query(query: Iterable[Atom]) -> str:
     return "? %s." % ", ".join(str(a) for a in sorted(query, key=Atom.key))
 
 
 def serialize_document(doc: SourceDocument) -> str:
-    lines = [serialize_rule(r) for r in doc.rules]
+    lines = [str(r) for r in doc.rules]
     lines += ["%s." % a for a in doc.facts]
     lines += [serialize_query(q) for q in doc.queries]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def serialize_rules(rules: Iterable[Rule]) -> str:
-    lines = [serialize_rule(r) for r in rules]
+    lines = [str(r) for r in rules]
     return "\n".join(lines) + ("\n" if lines else "")

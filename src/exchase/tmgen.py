@@ -165,7 +165,6 @@ def head_pred(state: str) -> str:
 
 @dataclass(frozen=True)
 class Encoding:
-    machine: TuringMachine
     rules_w: tuple[Rule, ...]
     rules_m: tuple[Rule, ...]
     seed: FactBase
@@ -342,12 +341,11 @@ def _seed(machine: TuringMachine) -> FactBase:
         atoms.append(Atom(head_pred(q), (b,)))
     for c in machine.alphabet:
         atoms.append(Atom(content_pred(c), (b,)))
-    return FactBase.of(atoms)
+    return FactBase(atoms)
 
 
 def encode(machine: TuringMachine) -> Encoding:
     return Encoding(
-        machine=machine,
         rules_w=_tape_rules(machine),
         rules_m=_simulation_rules(machine),
         seed=_seed(machine),
@@ -371,7 +369,7 @@ def tape_factbase(n: int, initial_state: Optional[str] = None) -> FactBase:
     atoms.append(Atom(content_pred(BLANK), (cells[n],)))
     if initial_state is not None:
         atoms.append(Atom(head_pred(initial_state), (cells[0],)))
-    return FactBase.of(atoms)
+    return FactBase(atoms)
 
 
 def tape_generation_strategy(n: int) -> Phased:

@@ -80,7 +80,7 @@ def random_factbase(rng: random.Random, preds=None, max_atoms=3, consts=None) ->
     for _ in range(rng.randint(1, max_atoms)):
         pred, arity = rng.choice(preds)
         atoms.append(Atom(pred, tuple(rng.choice(consts) for _ in range(arity))))
-    return FactBase.of(atoms)
+    return FactBase(atoms)
 
 
 def random_kb(rng: random.Random, max_rules=3, preds=None, max_atoms=3) -> KnowledgeBase:
@@ -111,4 +111,4 @@ def small_kbs(draw):
         rules.append(Rule("g%d" % i, tuple(body), tuple(head)))
     consts = [Const(c) for c in "abc"]
     facts = [atom(consts) for _ in range(draw(st.integers(1, 4)))]
-    return KnowledgeBase(tuple(rules), FactBase.of(facts))
+    return KnowledgeBase(tuple(rules), FactBase(facts))

@@ -6,17 +6,30 @@ derivation state (`chase.ChaseState`) that keeps the frontier keys fired
 along the derivation. The functions here state the same definitions
 without that bookkeeping: they enumerate every trigger of a bare fact base,
 decide SO from the fact base alone, and run body matches and retractions
-through the general homomorphism search. The tests hold the state's scans,
+through the general homomorphism search. `applicable_edges` and
+`breadth_first_layer` index the fact base they are given as a `Store` once
+per call. The tests hold the state's scans,
 its fired keys and head satisfaction against them. `ch_k` is the k-fold
 breadth-first saturation that acceptance criterion 6 is stated over.
 """
 from __future__ import annotations
 
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
 
 from exchase import hom
 from exchase.chase import ChaseVariant, blocking, enumerate_triggers
-from exchase.core import Atom, Const, FactBase, KnowledgeBase, Rule, Term, Trigger, Var, make_match
+from exchase.core import (
+    Atom,
+    Const,
+    FactBase,
+    KnowledgeBase,
+    Rule,
+    Store,
+    Term,
+    Trigger,
+    Var,
+    make_match,
+)
 
 
 def exists_retraction(
@@ -24,7 +37,6 @@ def exists_retraction(
 ) -> bool:
     """True iff a homomorphism whole -> part fixes every term of `part`."""
     part_atoms = frozenset(part)
-    part_fb = part_atoms if not isinstance(part, FactBase) else part
     frozen_terms: set[Term] = set()
     for a in part_atoms:
         frozen_terms.update(a.args)
@@ -32,11 +44,11 @@ def exists_retraction(
     for a in pending:
         if all(isinstance(t, Const) or t in frozen_terms for t in a.args):
             return False  # atom is rigid but missing from the part
-    found = hom.find_homomorphism(pending, part_fb, frozen=frozenset(frozen_terms), budget=budget)
+    found = hom.find_homomorphism(pending, part_atoms, frozen=frozenset(frozen_terms), budget=budget)
     return found is not None
 
 
-def datalog_satisfied(datalog_rules: Sequence[Rule], fb: FactBase) -> bool:
+def datalog_satisfied(datalog_rules: Sequence[Rule], fb: Union[FactBase, Store]) -> bool:
     """True iff every Datalog rule's head instance is present for every match."""
     for rule in datalog_rules:
         for h in hom.iter_homomorphisms(rule.body, fb):
@@ -45,7 +57,7 @@ def datalog_satisfied(datalog_rules: Sequence[Rule], fb: FactBase) -> bool:
     return True
 
 
-def so_blocked_intrinsic(t: Trigger, fb: FactBase) -> bool:
+def so_blocked_intrinsic(t: Trigger, fb: Union[FactBase, Store]) -> bool:
     """Some trigger with the same rule and frontier image as `t` has its
     output in `fb`. Null labels are a function of (rule, match), so on a
     derivation from facts that hold no minted null this is the same as
@@ -61,7 +73,7 @@ def so_blocked_intrinsic(t: Trigger, fb: FactBase) -> bool:
 def is_applicable(
     variant: ChaseVariant,
     t: Trigger,
-    fb: FactBase,
+    fb: Union[FactBase, Store],
     fired: Optional[Collection[tuple]] = None,
     *,
     datalog_ok: bool = True,
@@ -77,10 +89,11 @@ def applicable_edges(kb: KnowledgeBase, fb: FactBase, variant: ChaseVariant) -> 
     """Applicable triggers on a bare fact base, in canonical order: every
     trigger enumerated, SO decided intrinsically, and the Datalog-first gate
     open iff every Datalog rule is satisfied."""
+    store = Store(fb.atoms)
     datalog_rules = [r for r in kb.rules if r.is_datalog]
-    datalog_ok = not variant.datalog_first or datalog_satisfied(datalog_rules, fb)
-    for t in enumerate_triggers(kb.rules, fb):
-        if is_applicable(variant, t, fb, datalog_ok=datalog_ok):
+    datalog_ok = not variant.datalog_first or datalog_satisfied(datalog_rules, store)
+    for t in enumerate_triggers(kb.rules, store):
+        if is_applicable(variant, t, store, datalog_ok=datalog_ok):
             yield t
 
 
@@ -92,7 +105,7 @@ def breadth_first_layer(rules: Sequence[Rule], fb: FactBase, stats: Optional[dic
     when the oblivious chase terminates.
     """
     new: list[Atom] = []
-    for t in enumerate_triggers(rules, fb, stats=stats):
+    for t in enumerate_triggers(rules, Store(fb.atoms), stats=stats):
         new.extend(t.output)
     return fb.union(new)
 

@@ -16,6 +16,7 @@ from exchase.analysis import (
     entails,
     explore_all,
     find_terminating,
+    load_fixture,
 )
 from exchase.chase import (
     ChaseVariant,
@@ -33,12 +34,13 @@ from exchase.core import (
     Const,
     FactBase,
     KnowledgeBase,
+    Store,
     TERMINATED_FAIR,
     TERMINATED_UNFAIR,
     Var,
     sort_atoms,
 )
-from exchase.normalize import one_way, single_piece, two_way
+from exchase.normalize import FreshNameClashError, one_way, single_piece, two_way
 from exchase.textio import parse_document
 
 from conftest import ALL_VARIANTS, CORPUS, load_doc, load_kb, small_kbs
@@ -63,7 +65,7 @@ def test_run_and_explore_agree_under_so_when_a_twin_output_is_a_fact():
     SO reads the frontier keys fired along the derivation, so its (a,c)
     twin is applicable, in `run_chase` and in the explorer alike."""
     kb = parse_document("[r] p(X,Y) -> exists Z. q(X,Z).\np(a,b).\np(a,c).\n").knowledge_base()
-    t_ab, t_ac = enumerate_triggers(kb.rules, kb.facts)
+    t_ab, t_ac = enumerate_triggers(kb.rules, Store(kb.facts))
     kb = KnowledgeBase(kb.rules, kb.facts.union(t_ab.output))
     out = run_chase(kb, SO, FIFO(), 10)
     assert out.verdict == TERMINATED_FAIR
@@ -75,7 +77,7 @@ def test_run_and_explore_agree_under_so_when_a_twin_output_is_a_fact():
 
 def test_explore_no_applicable_triggers():
     kb = load_kb("ex1.erl")
-    empty = KnowledgeBase(kb.rules, FactBase.of([Atom("q0", (Const("a"),))]))
+    empty = KnowledgeBase(kb.rules, FactBase([Atom("q0", (Const("a"),))]))
     report = explore_all(empty, R, 12, 5000)
     assert report.verdict == ALL_FINITE
     assert report.max_len == 0
@@ -285,7 +287,7 @@ def test_entails_yes_with_witness():
 
 
 def test_entails_no_on_fair_termination():
-    kb = KnowledgeBase((), FactBase.of([Atom("p", (Const("a"), Const("b")))]))
+    kb = KnowledgeBase((), FactBase([Atom("p", (Const("a"), Const("b")))]))
     verdict = entails(kb, (Atom("q0", (Var("X"),)),), R, 10)
     assert verdict.kind == "no"
 
@@ -450,6 +452,31 @@ def test_fixture_errors(tmp_path):
     )
     with pytest.raises(FixtureError):
         classify(tmp_path)
+
+
+def test_fixture_with_a_bare_string_phase_group_is_rejected(tmp_path):
+    (tmp_path / "x.erl").write_text("[r1] p(X) -> q(X).\np(a).\n")
+    path = tmp_path / "x.json"
+    path.write_text(
+        '{"id": "B", "erl": "x.erl", "budgets": {}, "strategies": [{"phased": [["r1", "exhaust"]]}],'
+        ' "expect": [{"variant": "r", "mode": "exists", "verdict": "terminating"}]}'
+    )
+    with pytest.raises(FixtureError, match="not a list of rule ids"):
+        load_fixture(path)
+
+
+def test_fixture_transform_checks_fresh_names_against_facts_and_queries(tmp_path):
+    (tmp_path / "x.json").write_text(
+        '{"id": "C", "erl": "x.erl", "budgets": {}, "transform": "1ad",'
+        ' "expect": [{"variant": "r", "mode": "forall", "verdict": "all_finite"}]}'
+    )
+    rules = "[r1] p(X) -> exists Z. q(X,Z), s(Z).\n"
+    for data in ("X__r1(a,b).\n", "p(a).\n? X__r1(A,B).\n"):
+        (tmp_path / "x.erl").write_text(rules + data)
+        with pytest.raises(FreshNameClashError, match="X__r1"):
+            load_fixture(tmp_path / "x.json")
+    (tmp_path / "x.erl").write_text(rules + "p(a).\n")
+    assert [r.id for r in load_fixture(tmp_path / "x.json").kb.rules] == ["r1.x", "r1.h1", "r1.h2"]
 
 
 def test_dedup_on_off_agree_on_random_kbs():

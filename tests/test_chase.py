@@ -13,6 +13,7 @@ from exchase.core import (
     KnowledgeBase,
     Null,
     Rule,
+    Store,
     TERMINATED_FAIR,
     TERMINATED_UNFAIR,
     Trigger,
@@ -71,15 +72,15 @@ def satisfies(fb: FactBase, rule: Rule) -> bool:
 
 
 def test_enumerate_single_trigger_example1():
-    fb = FactBase.of([Atom("p", (Const("a"), Const("b")))])
-    triggers = list(enumerate_triggers([ex1_rule()], fb))
+    fb = FactBase([Atom("p", (Const("a"), Const("b")))])
+    triggers = list(enumerate_triggers([ex1_rule()], Store(fb)))
     assert len(triggers) == 1
     assert dict(triggers[0].match) == {"X": Const("a"), "Y": Const("b")}
 
 
 def test_enumerate_empty_when_no_match():
-    fb = FactBase.of([Atom("q", (Const("a"),))])
-    assert list(enumerate_triggers([ex1_rule()], fb)) == []
+    fb = FactBase([Atom("q", (Const("a"),))])
+    assert list(enumerate_triggers([ex1_rule()], Store(fb))) == []
 
 
 def test_enumerate_two_triggers_matches_brute_force():
@@ -89,7 +90,7 @@ def test_enumerate_two_triggers_matches_brute_force():
         (Atom("q", V("X")),),
     )
     a, b = Const("a"), Const("b")
-    fb = FactBase.of([Atom("p", (a, b)), Atom("p", (b, a))])
+    fb = FactBase([Atom("p", (a, b)), Atom("p", (b, a))])
     # oracle: all assignments over {a, b}
     oracle = [
         m
@@ -100,7 +101,7 @@ def test_enumerate_two_triggers_matches_brute_force():
             Atom("p", (m[u], m[v])) in fb.atoms for u, v in (("X", "Y"), ("Y", "Z"))
         )
     ]
-    triggers = list(enumerate_triggers([rule], fb))
+    triggers = list(enumerate_triggers([rule], Store(fb)))
     assert len(oracle) == 2
     assert len(triggers) == 2
     key = lambda match: [(n, str(t)) for n, t in match]
@@ -110,8 +111,8 @@ def test_enumerate_two_triggers_matches_brute_force():
 def test_enumeration_order_is_canonical():
     rule = Rule("g", (Atom("p", V("X", "Y")),), (Atom("q", V("X")),))
     a, b = Const("a"), Const("b")
-    fb = FactBase.of([Atom("p", (b, a)), Atom("p", (a, b))])
-    matches = [dict(t.match) for t in enumerate_triggers([rule], fb)]
+    fb = FactBase([Atom("p", (b, a)), Atom("p", (a, b))])
+    matches = [dict(t.match) for t in enumerate_triggers([rule], Store(fb))]
     assert matches == [{"X": a, "Y": b}, {"X": b, "Y": a}]
 
 
@@ -122,7 +123,7 @@ def example1_f1():
     rule = ex1_rule()
     a, b = Const("a"), Const("b")
     t1 = Trigger(rule, make_match({"X": a, "Y": b}))
-    f0 = FactBase.of([Atom("p", (a, b))])
+    f0 = FactBase([Atom("p", (a, b))])
     f1 = f0.union(t1.output)
     history = set()
     history.add(t1.frontier_key)
@@ -141,7 +142,7 @@ def test_example1_t2_applicability_by_variant():
 
 def test_datalog_trigger_blocked_when_head_present():
     rule = Rule("d", (Atom("p", V("X")),), (Atom("q", V("X")),))
-    fb = FactBase.of([Atom("p", (Const("a"),)), Atom("q", (Const("a"),))])
+    fb = FactBase([Atom("p", (Const("a"),)), Atom("q", (Const("a"),))])
     t = Trigger(rule, make_match({"X": Const("a")}))
     for variant in (O, SO, R, E):
         assert not is_applicable(variant, t, fb, set())
@@ -152,7 +153,7 @@ def test_so_blocks_same_frontier_different_body_match():
         "g", (Atom("p", V("X", "Y")),), (Atom("q", V("X", "Z")),)
     )  # frontier {X}
     a, b, c = Const("a"), Const("b"), Const("c")
-    fb0 = FactBase.of([Atom("p", (a, b)), Atom("p", (a, c))])
+    fb0 = FactBase([Atom("p", (a, b)), Atom("p", (a, c))])
     t1 = Trigger(rule, make_match({"X": a, "Y": b}))
     history = set()
     history.add(t1.frontier_key)
@@ -175,7 +176,7 @@ def test_intrinsic_checks_agree_with_history():
         for t, after in out.derivation.steps:
             history.add(t.frontier_key)
             fb = after
-        for t in enumerate_triggers(kb.rules, fb):
+        for t in enumerate_triggers(kb.rules, Store(fb)):
             with_history = is_applicable(variant, t, fb, history)
             intrinsic = is_applicable(variant, t, fb, None)
             assert with_history == intrinsic
@@ -194,7 +195,7 @@ def test_applicability_chain_property():
         history = set()
         for t, _ in out.derivation.steps:
             history.add(t.frontier_key)
-        for t in enumerate_triggers(kb.rules, fb):
+        for t in enumerate_triggers(kb.rules, Store(fb)):
             flags = {
                 v.tag: is_applicable(v, t, fb, history) for v in (O, SO, R, E)
             }
@@ -241,6 +242,12 @@ def test_t2f_phased_golden():
     }
 
 
+def test_phased_rejects_a_rule_group_that_is_not_a_list_of_ids():
+    for group in ("r1", ["r1", 2], None):
+        with pytest.raises(StrategyError, match="not a list of rule ids"):
+            Phased([(group, "exhaust")])
+
+
 def test_phased_early_stop_is_unfair():
     kb = load_kb("t2f.erl")
     out = run_chase(kb, R, Phased([(("r1",), "exhaust")]), 100)
@@ -257,7 +264,7 @@ def test_budget_zero_checks_fairness():
     kb = load_kb("ex1.erl")
     out = run_chase(kb, R, FIFO(), 0)
     assert out.verdict == BUDGET_EXHAUSTED
-    empty = KnowledgeBase(kb.rules, FactBase.of([]))
+    empty = KnowledgeBase(kb.rules, FactBase())
     out = run_chase(empty, R, FIFO(), 0)
     assert out.verdict == TERMINATED_FAIR
 
@@ -344,14 +351,14 @@ def _datalog_fixpoint(rules, fb, max_steps=1000):
 def test_datalog_saturate_symmetric_closure():
     rule = Rule("sym", (Atom("p", V("X", "Y")),), (Atom("p", V("Y", "X")),))
     a, b = Const("a"), Const("b")
-    fb, verdict = _datalog_fixpoint([rule], FactBase.of([Atom("p", (a, b))]))
+    fb, verdict = _datalog_fixpoint([rule], FactBase([Atom("p", (a, b))]))
     assert verdict == TERMINATED_FAIR
     assert fb.atoms == {Atom("p", (a, b)), Atom("p", (b, a))}
 
 
 def test_datalog_saturate_no_datalog_rules():
     rule = Rule("g", (Atom("p", V("X")),), (Atom("q", V("X", "Z")),))
-    fb = FactBase.of([Atom("p", (Const("a"),))])
+    fb = FactBase([Atom("p", (Const("a"),))])
     out = run_chase(KnowledgeBase((rule,), fb), R, DatalogFirst(), 10)
     assert [t.rule.id for t, _ in out.derivation.records] == ["g"]  # nothing Datalog fires
 
@@ -361,7 +368,7 @@ def test_datalog_saturate_t2f_rules_fixpoint():
     kb = load_kb("t2f.erl")
     rules = [kb.rule_by_id("r2"), kb.rule_by_id("r3")]
     c = Const("c")
-    fb = FactBase.of([Atom("a", (c,)), Atom("r", (c, c)), Atom("s", (c, c))])
+    fb = FactBase([Atom("a", (c,)), Atom("r", (c, c)), Atom("s", (c, c))])
     result, verdict = _datalog_fixpoint(rules, fb)
     assert verdict == TERMINATED_FAIR
     assert result.atoms == fb.atoms
@@ -387,7 +394,7 @@ def _oracle_layer(rules, fb, mint):
             for z in sorted(rule.existentials):
                 subst[Var(z)] = mint(key, z)
             new.update(a.substitute(subst) for a in rule.head)
-    return FactBase.of(new)
+    return FactBase(new)
 
 
 def oracle_ch(kb, k):
@@ -413,7 +420,7 @@ def test_ch_zero_is_factbase():
 def test_ch_one_single_rule():
     kb = KnowledgeBase(
         (Rule("su", (Atom("a", V("X")),), (Atom("p", V("X", "Z")),)),),
-        FactBase.of([Atom("a", (Const("a"),))]),
+        FactBase([Atom("a", (Const("a"),))]),
     )
     fb = ch_k(kb, 1)
     assert len(fb) == 2
@@ -453,7 +460,7 @@ def test_breadth_first_layer_is_union_of_all_trigger_outputs():
     fb = kb.facts
     layer = breadth_first_layer(kb.rules, fb)
     expected = set(fb.atoms)
-    for t in enumerate_triggers(kb.rules, fb):
+    for t in enumerate_triggers(kb.rules, Store(fb)):
         expected.update(t.output)
     assert layer.atoms == expected
 
@@ -477,8 +484,8 @@ def test_bcq_soundness_at_fixpoint():
                 for i, arg in enumerate(atom.args)
             )
             query.append(Atom(atom.pred, args))
-        via_result = hom.entails(out.result, query) is not None
-        via_stable = hom.entails(stable, query) is not None
+        via_result = hom.find_homomorphism(query, out.result) is not None
+        via_stable = hom.find_homomorphism(query, stable) is not None
         assert via_result == via_stable
 
 
@@ -487,7 +494,7 @@ def test_e_strictly_stronger_than_r():
     ones, so it can block triggers the retraction test cannot."""
     gen = Rule("gen", (Atom("p", V("X", "Y")),), (Atom("p", V("Y", "Z")),))
     a, b, z1 = Const("a"), Const("b"), Null("z1")
-    fb = FactBase.of([Atom("p", (a, b)), Atom("p", (b, z1)), Atom("p", (b, a))])
+    fb = FactBase([Atom("p", (a, b)), Atom("p", (b, z1)), Atom("p", (b, a))])
     t = Trigger(gen, make_match({"X": b, "Y": z1}))
     # no retraction: z1 stays fixed and nothing follows it
     assert is_applicable(R, t, fb, set())
@@ -514,7 +521,7 @@ def test_df_so_runs_and_prioritises_datalog():
 
 def test_datalog_saturate_defensive_budget():
     rule = Rule("sym", (Atom("p", V("X", "Y")),), (Atom("p", V("Y", "X")),))
-    fb = FactBase.of([Atom("p", (Const("a"), Const("b")))])
+    fb = FactBase([Atom("p", (Const("a"), Const("b")))])
     assert _datalog_fixpoint([rule], fb, max_steps=0) == (fb, BUDGET_EXHAUSTED)
 
 
@@ -540,7 +547,7 @@ def test_restricted_applicability_matches_naive_definition():
         kb = random_kb(rng)
         out = run_chase(kb, R, RandomChoice(rng.randint(0, 10**6)), rng.randint(0, 3))
         fb = out.result
-        for t in enumerate_triggers(kb.rules, fb):
+        for t in enumerate_triggers(kb.rules, Store(fb)):
             assert is_applicable(R, t, fb, None) == _naive_r_applicable(t, fb)
             checked += 1
 
@@ -550,7 +557,7 @@ def test_empty_frontier_rule_applicability():
     every trigger under SO/R/E, while O fires once per body match."""
     rule = Rule("mk", (Atom("a", V("X")),), (Atom("b", V("Z")),))
     c1, c2 = Const("c1"), Const("c2")
-    kb = KnowledgeBase((rule,), FactBase.of([Atom("a", (c1,)), Atom("a", (c2,))]))
+    kb = KnowledgeBase((rule,), FactBase([Atom("a", (c1,)), Atom("a", (c2,))]))
     for variant, expected_steps in ((SO, 1), (R, 1), (E, 1), (O, 2)):
         out = run_chase(kb, variant, FIFO(), 10)
         assert out.verdict == TERMINATED_FAIR, variant.tag
@@ -565,7 +572,7 @@ def test_fresh_output_atoms_disjoint_from_factbase():
         kb = random_kb(rng)
         out = run_chase(kb, O, RandomChoice(rng.randint(0, 10**6)), 3)
         fb = out.result
-        for t in enumerate_triggers(kb.rules, fb):
+        for t in enumerate_triggers(kb.rules, Store(fb)):
             if not t.output_nulls or t.body_key is None:
                 continue
             if set(t.output) <= fb.atoms:
@@ -608,7 +615,7 @@ def test_head_satisfaction_equals_retraction_test():
     while checked < 500:
         kb = random_kb(rng)
         fb = run_chase(kb, O, RandomChoice(rng.randint(0, 999)), rng.randint(0, 4)).result
-        for t in enumerate_triggers(kb.rules, fb):
+        for t in enumerate_triggers(kb.rules, Store(fb)):
             whole = itertools.chain(fb.atoms, t.output)
             assert head_satisfied(t, fb) == exists_retraction(whole, fb)
             checked += 1
@@ -616,7 +623,7 @@ def test_head_satisfaction_equals_retraction_test():
 
 def test_e_variant_on_a_fact_base_deeper_than_the_recursion_limit():
     rule = Rule("r", (Atom("p", V("X")),), (Atom("q", V("X", "Z")),))
-    facts = FactBase.of(Atom("p", (Const("c%d" % i),)) for i in range(1200))
+    facts = FactBase(Atom("p", (Const("c%d" % i),)) for i in range(1200))
     out = run_chase(KnowledgeBase((rule,), facts), E, FIFO(), 3)
     assert out.verdict == BUDGET_EXHAUSTED
     assert len(out.result) == 1203
@@ -625,9 +632,9 @@ def test_e_variant_on_a_fact_base_deeper_than_the_recursion_limit():
 def test_triggers_from_enumeration_and_delta_search_are_equal():
     rule = Rule("t", (Atom("e", V("X", "Y")), Atom("e", V("Y", "Z"))), (Atom("e", V("X", "Z")),))
     a, b, c, d = (Const(n) for n in "abcd")
-    fb = FactBase.of([Atom("e", (a, b)), Atom("e", (b, c)), Atom("e", (c, d))])
-    _, whole = enumerate_triggers([rule], fb)  # the second of two
-    (delta,) = delta_triggers([rule], fb, [Atom("e", (c, d))])
+    fb = FactBase([Atom("e", (a, b)), Atom("e", (b, c)), Atom("e", (c, d))])
+    _, whole = enumerate_triggers([rule], Store(fb))  # the second of two
+    (delta,) = delta_triggers([rule], Store(fb), [Atom("e", (c, d))])
     assert whole.match == delta.match
     assert whole == delta
     assert hash(whole) == hash(delta)
@@ -698,8 +705,8 @@ _JOIN_TERMS = (Const("a"), Const("b"), Null("n"))
 @st.composite
 def join_cases(draw):
     """A rule body that `small_kbs` cannot draw: constants, variables
-    repeated within and across atoms, and a ternary predicate; with a fact
-    base over two constants and a null, and a subset of it as a delta."""
+    repeated within and across atoms, and a ternary predicate; with a store
+    over two constants and a null, and a subset of it as a delta."""
 
     def atom(terms):
         pred, arity = draw(st.sampled_from(_JOIN_PREDS))
@@ -711,7 +718,7 @@ def join_cases(draw):
     rule = Rule("j", tuple(body), (Atom("out", tuple(head_vars)),))
     facts = sorted({atom(_JOIN_TERMS) for _ in range(draw(st.integers(1, 8)))}, key=Atom.key)
     delta = [a for a in facts if draw(st.booleans())]
-    return rule, FactBase.of(facts), delta
+    return rule, Store(facts), delta
 
 
 def _canonical(matches):

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exchase import textio
+from exchase import analysis, textio
 from exchase.cli import main
+from exchase.core import KnowledgeBaseError
 
 from conftest import ALL_VARIANTS, CORPUS, small_kbs
 
@@ -143,6 +144,16 @@ def test_malformed_strategy_file_json_error(tmp_path, capsys):
         assert "malformed %s strategy file" % kind in error["error"]
 
 
+def test_phased_strategy_file_with_a_bare_string_group_json_error(tmp_path, capsys):
+    phased = tmp_path / "phases.json"
+    phased.write_text(json.dumps([["r1", "exhaust"], ["r2", "exhaust"]]))
+    error = run_cli_error(
+        capsys, "run", str(CORPUS / "t2f.erl"), "--strategy", "phased:%s" % phased
+    )
+    assert "malformed phased strategy file" in error["error"]
+    assert "'r1' is not a list of rule ids" in error["error"]
+
+
 def test_strategy_error_json_error(tmp_path, capsys):
     script = tmp_path / "script.json"
     script.write_text(json.dumps([["ex1", 5]]))  # ex1 has a single trigger
@@ -161,8 +172,10 @@ def test_negative_scripted_index_json_error(tmp_path, capsys):
     assert "index -1" in error["error"]
 
 
-def _malformed_fixture_error(tmp_path, capsys, **fields) -> dict:
-    (tmp_path / "x.erl").write_text("[g] p(X,Y) -> exists Z. p(X,Z).\np(a,b).\n")
+def _malformed_fixture_error(
+    tmp_path, capsys, erl: str = "[g] p(X,Y) -> exists Z. p(X,Z).\np(a,b).\n", **fields
+) -> dict:
+    (tmp_path / "x.erl").write_text(erl)
     fixture = {
         "id": "X",
         "erl": "x.erl",
@@ -182,6 +195,12 @@ def test_classify_phased_spec_without_pairs_json_error(tmp_path, capsys):
 def test_classify_phased_spec_with_bad_mode_json_error(tmp_path, capsys):
     error = _malformed_fixture_error(tmp_path, capsys, strategies=[{"phased": [[["r1"], "twice"]]}])
     assert "twice" in error["error"]
+
+
+def test_classify_phased_spec_with_a_bare_string_group_json_error(tmp_path, capsys):
+    error = _malformed_fixture_error(tmp_path, capsys, strategies=[{"phased": [["g", "exhaust"]]}])
+    assert "malformed strategy spec" in error["error"]
+    assert "not a list of rule ids" in error["error"]
 
 
 def test_classify_expectation_without_verdict_json_error(tmp_path, capsys):
@@ -247,6 +266,53 @@ def test_normalize_fresh_name_clash_json_error(tmp_path, capsys):
     erl.write_text("[a.b] p(X) -> exists Z. r(Z), s(X).\n[a_b] q(X) -> exists Z. r(Z), t(X).\n")
     error = run_cli_error(capsys, "normalize", str(erl), "--proc", "1ad")
     assert "X__a_b" in error["error"]
+
+
+# A rule whose 1ad fresh predicate is X__r1, and whose sp pieces get the
+# ids r1.p1 and r1.p2.
+_TWO_PIECES = "[r1] p(X) -> exists Y,Z. q(X,Y), s(X,Z).\n"
+
+
+@pytest.mark.parametrize("transform", ["1ad", "2ad"])
+@pytest.mark.parametrize("fact", ["X__r1(a,b).", "X__r1(a)."], ids=["same-arity", "other-arity"])
+def test_classify_fresh_predicate_of_a_fact_json_error(tmp_path, capsys, transform, fact):
+    erl = _TWO_PIECES + "p(a).\n" + fact + "\n"
+    error = _malformed_fixture_error(tmp_path, capsys, erl=erl, transform=transform)
+    assert "fresh predicate 'X__r1' clashes" in error["error"]
+
+
+def test_classify_fresh_predicate_of_a_query_json_error(tmp_path, capsys):
+    erl = _TWO_PIECES + "p(a).\n? X__r1(A,B).\n"
+    error = _malformed_fixture_error(tmp_path, capsys, erl=erl, transform="1ad")
+    assert "fresh predicate 'X__r1' clashes" in error["error"]
+
+
+def test_classify_generated_rule_id_of_an_input_rule_json_error(tmp_path, capsys):
+    erl = _TWO_PIECES + "[r1.p1] p(X) -> t(X).\np(a).\n"
+    error = _malformed_fixture_error(tmp_path, capsys, erl=erl, transform="sp")
+    assert "'r1.p1'" in error["error"]
+
+
+def test_normalize_generated_name_clash_json_error(tmp_path, capsys):
+    erl = tmp_path / "clash.erl"
+    erl.write_text(_TWO_PIECES + "[r1.p1] p(X) -> t(X).\n")
+    error = run_cli_error(capsys, "normalize", str(erl), "--proc", "sp")
+    assert "'r1.p1'" in error["error"]
+    erl.write_text(_TWO_PIECES + "X__r1(a,b).\n")
+    for proc in ("1ad", "2ad"):
+        error = run_cli_error(capsys, "normalize", str(erl), "--proc", proc)
+        assert "X__r1" in error["error"]
+    code, out = run_cli(capsys, "normalize", str(erl), "--proc", "sp")
+    assert code == 0 and out.count("->") == 2
+
+
+def test_knowledge_base_error_json_error(monkeypatch, capsys):
+    def clash(fixture_dir):
+        raise KnowledgeBaseError("duplicate rule ids: r")
+
+    monkeypatch.setattr(analysis, "classify", clash)
+    error = run_cli_error(capsys, "classify", "--fixtures", str(CORPUS / "fixtures"))
+    assert error["error"] == "duplicate rule ids: r"
 
 
 def test_classify_command_passes_corpus(capsys):

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exchase.core import (
     Atom,
@@ -118,15 +119,15 @@ def test_null_freshness_across_distinct_triggers():
 
 def test_factbase_rejects_variables_and_dedups():
     with pytest.raises(FactBaseError):
-        FactBase.of([Atom("p", V("X"))])
-    fb = FactBase.of([Atom("p", (Const("a"),)), Atom("p", (Const("a"),))])
+        FactBase([Atom("p", V("X"))])
+    fb = FactBase([Atom("p", (Const("a"),)), Atom("p", (Const("a"),))])
     assert len(fb) == 1
 
 
 def test_factbase_union_and_restrict():
     a = Atom("p", (Const("a"), Const("b")))
     b = Atom("q", (Const("a"),))
-    fb = FactBase.of([a])
+    fb = FactBase([a])
     fb2 = fb.union([b])
     assert fb2.signature == {"p", "q"}
     assert fb2.restrict({"p"}).atoms == frozenset([a])
@@ -137,10 +138,10 @@ def test_kb_duplicate_ids_and_arity_clash():
     r1 = Rule("r", (Atom("p", V("X")),), (Atom("q", V("X")),))
     r2 = Rule("r", (Atom("q", V("X")),), (Atom("p", V("X")),))
     with pytest.raises(KnowledgeBaseError):
-        KnowledgeBase((r1, r2), FactBase.of([]))
+        KnowledgeBase((r1, r2), FactBase())
     r3 = Rule("r3", (Atom("p", V("X", "Y")),), (Atom("q", V("X")),))
     with pytest.raises(KnowledgeBaseError):
-        KnowledgeBase((r1, r3), FactBase.of([]))
+        KnowledgeBase((r1, r3), FactBase())
 
 
 def test_derivation_replay_determinism():
@@ -171,8 +172,9 @@ def test_derivation_monotone_and_novel():
 
 
 def test_store_is_indexed_like_a_factbase():
-    """Grown in two steps, a store has the atoms, terms, canonical iteration
-    order and index buckets (in the same order) of the equal fact base."""
+    """Grown in two steps, a store has the atoms, terms and canonical
+    iteration order of the equal fact base, and each index bucket holds the
+    fact base's atoms of its key in canonical order."""
     rng = random.Random(41)
     for _ in range(100):
         fb = random_factbase(rng, max_atoms=10)
@@ -183,9 +185,49 @@ def test_store_is_indexed_like_a_factbase():
         assert store.add(atoms[k:]) == sort_atoms(set(atoms[k:]) - set(atoms[:k]))
         assert list(store) == list(fb)
         assert store.atoms == fb.atoms and store.terms == fb.terms
-        assert {p: tuple(v) for p, v in store.by_pred.items()} == fb.by_pred
-        assert {k: tuple(v) for k, v in store.by_pred_pos.items()} == fb.by_pred_pos
+        assert store.by_pred == {p: [a for a in fb.sorted_atoms if a.pred == p] for p in fb.signature}
+        assert store.by_pred_pos == {
+            (a.pred, i, t): [b for b in fb.sorted_atoms if b.pred == a.pred and b.args[i] == t]
+            for a in fb.atoms
+            for i, t in enumerate(a.args)
+        }
         assert store.snapshot() == fb
+
+
+_STORE_PREDS = (("p", 2), ("q", 1), ("s", 3))
+_STORE_TERMS = (Const("a"), Const("b"), Null("n"))
+
+
+@st.composite
+def _store_atoms(draw):
+    pred, arity = draw(st.sampled_from(_STORE_PREDS))
+    return Atom(pred, tuple(draw(st.sampled_from(_STORE_TERMS)) for _ in range(arity)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_store_candidates_hold_every_agreeing_atom_in_canonical_order(data):
+    """After random adds, and removes that undo them, the candidates for a
+    predicate with some arguments bound are in canonical order, and the
+    atoms among them that agree with the bound terms are exactly the stored
+    ones that do."""
+    store, deltas = Store(), []
+    for _ in range(data.draw(st.integers(0, 8))):
+        if deltas and data.draw(st.booleans()):
+            store.remove(deltas.pop())
+        else:
+            deltas.append(store.add(data.draw(st.lists(_store_atoms(), max_size=6))))
+    stored = sort_atoms(store.atoms)
+    for pred, arity in _STORE_PREDS:
+        positions = data.draw(st.sets(st.integers(0, arity - 1)))
+        bound = [(i, data.draw(st.sampled_from(_STORE_TERMS))) for i in sorted(positions)]
+
+        def agrees(a: Atom) -> bool:
+            return a.pred == pred and all(a.args[i] == t for i, t in bound)
+
+        cands = store.candidates(pred, bound)
+        assert list(cands) == sorted(cands, key=Atom.key)
+        assert [a for a in cands if agrees(a)] == [a for a in stored if agrees(a)]
 
 
 def test_store_remove_undoes_add_and_copy_is_apart():

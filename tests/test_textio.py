@@ -61,6 +61,7 @@ def test_arity_error():
         textio.parse_document("p(a,b).\np(a).")
     assert err.value.predicate == "p"
     assert {err.value.seen, err.value.expected} == {1, 2}
+    assert "(line 2)" in str(err.value)
 
 
 def test_variable_scope_errors():
@@ -78,9 +79,9 @@ def test_facts_must_be_ground():
 
 
 def test_serialize_factbase_golden():
-    fb = FactBase.of([Atom("p", (Const("a"), Const("b")))])
+    fb = FactBase([Atom("p", (Const("a"), Const("b")))])
     assert textio.serialize_factbase(fb) == "p(a,b).\n"
-    assert textio.serialize_factbase(FactBase.of([])) == ""
+    assert textio.serialize_factbase(FactBase()) == ""
 
 
 def test_serialize_one_step_chase_result_reparses_isomorphic():

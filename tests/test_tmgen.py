@@ -10,6 +10,7 @@ from exchase.core import (
     Const,
     FactBase,
     KnowledgeBase,
+    Store,
     TERMINATED_FAIR,
 )
 from exchase.tmgen import (
@@ -97,7 +98,7 @@ def test_encoded_rules_serialize_and_reparse():
     text = textio.serialize_rules(enc.rules) + textio.serialize_factbase(enc.seed)
     doc = textio.parse_document(text)
     assert len(doc.rules) == len(enc.rules)
-    assert FactBase.of(doc.facts).atoms == enc.seed.atoms
+    assert FactBase(doc.facts).atoms == enc.seed.atoms
 
 
 def test_arities_match_contract():
@@ -204,7 +205,7 @@ def test_brake_semantics_on_explored_states():
             braked = True
         fb = after
         if braked:
-            for cand in enumerate_triggers((chain,), fb):
+            for cand in enumerate_triggers((chain,), Store(fb)):
                 assert not is_applicable(R, cand, fb, None), str(cand)
 
 
