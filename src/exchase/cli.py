@@ -116,6 +116,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    if args.skip_atomic and args.proc == "sp":
+        raise UsageError("--skip-atomic applies to --proc 1ad and 2ad, not sp")
     doc = _load_document(args.file)
     proc = {"sp": normalize.single_piece, "1ad": normalize.one_way, "2ad": normalize.two_way}[
         args.proc

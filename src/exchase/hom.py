@@ -21,8 +21,11 @@ class HomBudgetExceeded(Exception):
 
 
 class _Search:
-    """Most-constrained-atom-first backtracking with forward pruning, over
-    a `Store` whose `candidates` give each atom's pool."""
+    """Backtracking search with forward pruning over a `Store`, branching on
+    the most constrained atom (fail-first): the first remaining atom with the
+    fewest candidates, or the first with at most one. `_most_constrained`
+    counts candidates only as far as that choice needs, so a node costs the
+    atoms it reads up to the choice, not every candidate of every atom."""
 
     def __init__(self, source, target, fixed, frozen, injective, budget, stats):
         self.atoms = list(source)
@@ -40,44 +43,47 @@ class _Search:
         if stats is not None:
             stats["hom_calls"] = stats.get("hom_calls", 0) + 1
 
-    def _image(self, t: Term) -> Optional[Term]:
-        if isinstance(t, Const) or t in self.frozen:
-            return t
-        return self.assignment.get(t)
-
-    def _pool(self, a: Atom) -> Sequence[Atom]:
-        """The atom itself when every argument has an image and it is in the
-        target, else the target's candidates for the arguments that have one."""
-        images = [self._image(s) for s in a.args]
+    def _candidates(
+        self, a: Atom, limit: Optional[int] = None
+    ) -> list[tuple[Atom, list[tuple[Term, Term]]]]:
+        """The target atoms `a` can map to under the current assignment, each
+        with the bindings it adds, in the store's canonical order; at most
+        `limit` of them. An atom whose every argument has an image is looked
+        up directly; otherwise the store's candidates for the bound arguments
+        are checked for arity, the bound terms, repeated variables and, in an
+        injective search, images already used."""
+        frozen, assignment = self.frozen, self.assignment
+        images = [
+            s if isinstance(s, Const) or s in frozen else assignment.get(s) for s in a.args
+        ]
         if None not in images:
             ground = Atom(a.pred, tuple(images))
-            return (ground,) if ground in self.fb.atoms else ()
-        return self.fb.candidates(a.pred, [(i, t) for i, t in enumerate(images) if t is not None])
-
-    def _candidates(self, a: Atom) -> list[tuple[Atom, list[tuple[Term, Term]]]]:
+            return [(ground, [])] if ground in self.fb.atoms else []
+        bound = [(i, t) for i, t in enumerate(images) if t is not None]
+        free = [(i, s) for i, s in enumerate(a.args) if images[i] is None]
+        injective, used = self.injective, self.used
         out = []
-        for cand in self._pool(a):
-            if cand.arity != a.arity:
+        for cand in self.fb.candidates(a.pred, bound):
+            args = cand.args
+            if len(args) != len(images) or any(args[i] != t for i, t in bound):
                 continue
             binds: list[tuple[Term, Term]] = []
-            ok = True
             local: dict[Term, Term] = {}
-            for s, t in zip(a.args, cand.args):
-                img = self._image(s)
-                if img is None:
-                    img = local.get(s)
+            for i, s in free:
+                t = args[i]
+                img = local.get(s)
                 if img is not None:
                     if img != t:
-                        ok = False
                         break
+                elif injective and (t in used or t in local.values()):
+                    break
                 else:
-                    if self.injective and (t in self.used or t in local.values()):
-                        ok = False
-                        break
                     local[s] = t
                     binds.append((s, t))
-            if ok:
+            else:
                 out.append((cand, binds))
+                if len(out) == limit:
+                    break
         return out
 
     def run(self) -> Iterator[dict[Term, Term]]:
@@ -119,16 +125,25 @@ class _Search:
                 return
 
     def _most_constrained(self, remaining: list[Atom]):
-        """The remaining atom with the fewest candidates (the first such),
-        stopping early at an atom with none or one."""
-        best_i = 0
-        best_cands = None
+        """The index and full candidate list of the remaining atom with the
+        fewest candidates (the first such), where an atom with at most one
+        candidate is taken at once. Two passes give that choice without
+        listing every candidate of every atom:
+
+        1. Count each atom up to 2 candidates. The first with at most one is
+           the choice, since every atom before it has at least two.
+        2. Otherwise, scan for the first minimum, counting each atom only up
+           to the size of the best list so far: one that reaches it cannot
+           have strictly fewer. The chosen list is then complete."""
         for i, a in enumerate(remaining):
-            cands = self._candidates(a)
-            if best_cands is None or len(cands) < len(best_cands):
+            cands = self._candidates(a, 2)
+            if len(cands) <= 1:
+                return i, cands
+        best_i, best_cands = 0, self._candidates(remaining[0])
+        for i in range(1, len(remaining)):
+            cands = self._candidates(remaining[i], len(best_cands))
+            if len(cands) < len(best_cands):
                 best_i, best_cands = i, cands
-                if len(cands) <= 1:
-                    break
         return best_i, best_cands
 
 

@@ -11,6 +11,8 @@ through the general homomorphism search. `applicable_edges` and
 per call. The tests hold the state's scans,
 its fired keys and head satisfaction against them. `ch_k` is the k-fold
 breadth-first saturation that acceptance criterion 6 is stated over.
+`ReferenceSearch` is the homomorphism search with its branch rule stated
+plainly, every candidate of every atom listed at each node.
 """
 from __future__ import annotations
 
@@ -118,3 +120,60 @@ def ch_k(kb: KnowledgeBase, k: int, stats: Optional[dict] = None) -> FactBase:
     for _ in range(k):
         fb = breadth_first_layer(kb.rules, fb, stats=stats)
     return fb
+
+
+class ReferenceSearch(hom._Search):
+    """`hom._Search` branching by the fail-first rule stated plainly: at
+    each node, list every candidate of each remaining atom in turn and take
+    the first atom with the fewest, stopping at one with at most one. The
+    package reaches the same choice while counting candidates only as far
+    as it needs, so both searches walk the same tree."""
+
+    def _image(self, t: Term) -> Optional[Term]:
+        if isinstance(t, Const) or t in self.frozen:
+            return t
+        return self.assignment.get(t)
+
+    def _pool(self, a: Atom) -> Sequence[Atom]:
+        images = [self._image(s) for s in a.args]
+        if None not in images:
+            ground = Atom(a.pred, tuple(images))
+            return (ground,) if ground in self.fb.atoms else ()
+        return self.fb.candidates(a.pred, [(i, t) for i, t in enumerate(images) if t is not None])
+
+    def _candidates(self, a: Atom) -> list:
+        out = []
+        for cand in self._pool(a):
+            if cand.arity != a.arity:
+                continue
+            binds: list[tuple[Term, Term]] = []
+            ok = True
+            local: dict[Term, Term] = {}
+            for s, t in zip(a.args, cand.args):
+                img = self._image(s)
+                if img is None:
+                    img = local.get(s)
+                if img is not None:
+                    if img != t:
+                        ok = False
+                        break
+                else:
+                    if self.injective and (t in self.used or t in local.values()):
+                        ok = False
+                        break
+                    local[s] = t
+                    binds.append((s, t))
+            if ok:
+                out.append((cand, binds))
+        return out
+
+    def _most_constrained(self, remaining: list[Atom]):
+        best_i = 0
+        best_cands = None
+        for i, a in enumerate(remaining):
+            cands = self._candidates(a)
+            if best_cands is None or len(cands) < len(best_cands):
+                best_i, best_cands = i, cands
+                if len(cands) <= 1:
+                    break
+        return best_i, best_cands

@@ -69,6 +69,15 @@ def test_normalize_sp_plain_output(capsys):
     assert out.count("->") == 3
 
 
+def test_normalize_sp_rejects_skip_atomic(capsys):
+    rule6 = str(CORPUS / "rule6.erl")
+    error = run_cli_error(capsys, "normalize", rule6, "--proc", "sp", "--skip-atomic")
+    assert "--skip-atomic" in error["error"]
+    for proc in ("1ad", "2ad"):
+        code, _ = run_cli(capsys, "normalize", rule6, "--proc", proc, "--skip-atomic")
+        assert code == 0
+
+
 def test_explore_command(capsys):
     code, out = run_cli(
         capsys, "explore", str(CORPUS / "ex1.erl"), "--variant", "r", "--json"
@@ -534,7 +543,8 @@ def cli_calls(draw, command: str, flaw, erl: Path, fixtures: Path):
         return ["entails", *argv, *json_flag], index < 0 or steps < 0
     if command == "normalize":
         proc = draw(st.sampled_from(("sp", "1ad", "2ad")))
-        return ["normalize", str(erl), "--proc", proc, *json_flag], False
+        skip = ["--skip-atomic"] if draw(st.booleans()) else []
+        return ["normalize", str(erl), "--proc", proc, *skip, *json_flag], proc == "sp" and bool(skip)
     if command == "tm":
         length = draw(_around(1, 3))
         machine = str(CORPUS / "machines" / "halt1.tm")

@@ -4,7 +4,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from exchase import hom
-from exchase.core import Atom, Const, FactBase, Null, Var
+from exchase.chase import head_satisfied
+from exchase.core import Atom, Const, FactBase, Null, Rule, Store, Trigger, Var, make_match
 from exchase.hom import (
     IsoTable,
     are_isomorphic,
@@ -12,7 +13,7 @@ from exchase.hom import (
     iter_homomorphisms,
 )
 
-from oracles import exists_retraction
+from oracles import ReferenceSearch, exists_retraction
 
 a, b = Const("a"), Const("b")
 x, y, z = Var("X"), Var("Y"), Var("Z")
@@ -279,3 +280,117 @@ def test_iso_table_hits_relabelled_shuffled_copy(atoms, perm, rnd):
 @given(atom_sets, atom_sets)
 def test_iso_table_hit_iff_isomorphic(left, right):
     assert same_entry(left, right) == are_isomorphic(left, right)
+
+
+# --- property tests: the search tree against the reference branch rule --------
+
+_SOURCE_TERMS = [a, b, x, y, z, Var("W"), n1, n2]
+_TARGET_TERMS = [a, b, Const("c"), n1, n2, Null("n3")]
+
+
+def _atom_lists(terms, min_size, max_size):
+    """Atoms of q/1, p/2 and r/3, and of q/2, a predicate with two arities."""
+    t = st.sampled_from(terms)
+    return st.lists(
+        st.one_of(
+            st.builds(lambda u: Atom("q", (u,)), t),
+            st.builds(P, t, t),
+            st.builds(lambda u, v, w: Atom("r", (u, v, w)), t, t, t),
+            st.builds(lambda u, v: Atom("q", (u, v)), t, t),
+        ),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+@st.composite
+def searches(draw):
+    """(source, target, fixed, frozen, injective) for one search. Targets
+    are dense enough that most atoms have several candidates, so the
+    branch rule has real choices to make."""
+    source = draw(_atom_lists(_SOURCE_TERMS, 1, 4))
+    target = draw(_atom_lists(_TARGET_TERMS, 8, 24))
+    movable = sorted({t for at in source for t in at.args if not isinstance(t, Const)}, key=str)
+    frozen, fixed = frozenset(), {}
+    if movable:
+        frozen = frozenset(draw(st.sets(st.sampled_from(movable), max_size=1)))
+        keys = st.sampled_from(movable)
+        fixed = draw(st.dictionaries(keys, st.sampled_from(_TARGET_TERMS), max_size=1))
+    return source, target, fixed, frozen, draw(st.booleans())
+
+
+def _walk(search_cls, source, target, fixed, frozen, injective, budget=None):
+    """Every solution in order, the final node count, and whether the
+    budget ran out."""
+    search = search_cls(source, Store(target), fixed, frozen, injective, budget, None)
+    found = []
+    try:
+        for h in search.run():
+            found.append(h)
+    except hom.HomBudgetExceeded:
+        return found, search.nodes, True
+    return found, search.nodes, False
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(searches(), st.data())
+def test_search_tree_matches_the_reference_branch_rule(case, data):
+    whole = _walk(hom._Search, *case)
+    assert whole == _walk(ReferenceSearch, *case)
+    budget = data.draw(st.integers(0, whole[1]))
+    assert _walk(hom._Search, *case, budget) == _walk(ReferenceSearch, *case, budget)
+
+
+# --- work gates: atoms a search reads do not grow with the store -----------
+
+
+def _count_reads(monkeypatch) -> list[int]:
+    """Make `Store.candidates` count every atom a search takes from it."""
+    reads = [0]
+    candidates = Store.candidates
+
+    def counted(self, pred, bound):
+        for atom in candidates(self, pred, bound):
+            reads[0] += 1
+            yield atom
+
+    monkeypatch.setattr(Store, "candidates", counted)
+    return reads
+
+
+def _emp_store(employees: int, depts: int) -> Store:
+    """emp-ent's shape: every employee works in one of `depts` departments,
+    and `closed(hq)` marks a department nobody works in."""
+    ds = [Const("d%d" % i) for i in range(depts)]
+    atoms = [Atom("dept", (d,)) for d in ds] + [Atom("dept", (Const("hq"),))]
+    atoms.append(Atom("closed", (Const("hq"),)))
+    for i in range(employees):
+        e = Const("e%d" % i)
+        atoms += [Atom("emp", (e,)), Atom("works", (e, ds[i % depts]))]
+    return Store(atoms)
+
+
+def test_bcq_check_reads_as_many_atoms_over_a_larger_store(monkeypatch):
+    query = [Atom("works", (x, y)), Atom("closed", (y,))]
+    reads = _count_reads(monkeypatch)
+    counts = []
+    for employees in (50, 500):
+        store = _emp_store(employees, 10)
+        reads[0] = 0
+        assert find_homomorphism(query, store) is None
+        counts.append(reads[0])
+    assert counts[0] == counts[1]
+
+
+def test_head_satisfied_reads_as_many_atoms_over_a_larger_store(monkeypatch):
+    rule = Rule("emp", (Atom("emp", (x,)),), (Atom("works", (x, z)), Atom("dept", (z,))))
+    reads = _count_reads(monkeypatch)
+    for employee, satisfied in (("e0", True), ("new", False)):
+        t = Trigger(rule, make_match({"X": Const(employee)}))
+        counts = []
+        for depts in (20, 200):
+            store = _emp_store(depts, depts)
+            reads[0] = 0
+            assert head_satisfied(t, store) == satisfied
+            counts.append(reads[0])
+        assert counts[0] == counts[1], employee
