@@ -249,14 +249,6 @@ class FixtureError(ValueError):
     """A fixture file is malformed or references unknown material."""
 
 
-_TRANSFORMS = {
-    None: None,
-    "sp": normalize.single_piece,
-    "1ad": normalize.one_way,
-    "2ad": normalize.two_way,
-}
-
-
 @dataclass
 class Fixture:
     id: str
@@ -287,7 +279,7 @@ def _shape_error(raw: dict) -> Optional[str]:
     budgets, expect = raw["budgets"], raw["expect"]
     if not isinstance(raw["erl"], str):
         return "erl must be a file name"
-    if raw.get("transform") not in tuple(_TRANSFORMS):  # not hashed: it may be a list
+    if raw.get("transform") not in (None, *normalize.PROCEDURES):  # not hashed: it may be a list
         return "transform must be sp, 1ad or 2ad"
     if not isinstance(raw.get("strategies", []), list):
         return "strategies must be a list"
@@ -330,9 +322,9 @@ def load_fixture(path: Path) -> Fixture:
         ChaseVariant.parse(entry["variant"])
     doc = textio.parse_document((path.parent / raw["erl"]).read_text())
     rules = tuple(doc.rules)
-    transform = _TRANSFORMS[raw.get("transform")]
+    transform = raw.get("transform")
     if transform is not None:
-        rules = transform(rules, reserved=doc.data_predicates()).output_rules
+        rules = normalize.PROCEDURES[transform](rules, reserved=doc.data_predicates()).output_rules
     kb = KnowledgeBase(rules, doc.factbase())
     strategies = [_strategy_from_spec(s) for s in raw.get("strategies", [])]
     return Fixture(raw["id"], kb, raw["budgets"], raw["expect"], strategies)

@@ -536,21 +536,6 @@ class Scripted(Strategy):
         return self._done
 
 
-class RandomChoice(Strategy):
-    """Uniformly random applicable trigger; deterministic given the seed."""
-
-    def __init__(self, seed: int):
-        import random
-
-        self._rng = random.Random(seed)
-
-    def choose(self, state: ChaseState) -> Optional[Trigger]:
-        candidates = state.scan()
-        if not candidates:
-            return None
-        return self._rng.choice(candidates)
-
-
 @dataclass(frozen=True)
 class ChaseOutcome:
     derivation: Derivation

@@ -119,14 +119,10 @@ def _cmd_normalize(args) -> int:
     if args.skip_atomic and args.proc == "sp":
         raise UsageError("--skip-atomic applies to --proc 1ad and 2ad, not sp")
     doc = _load_document(args.file)
-    proc = {"sp": normalize.single_piece, "1ad": normalize.one_way, "2ad": normalize.two_way}[
-        args.proc
-    ]
-    reserved = doc.data_predicates()
-    if args.proc == "sp":
-        report = proc(tuple(doc.rules), reserved=reserved)
-    else:
-        report = proc(tuple(doc.rules), skip_atomic=args.skip_atomic, reserved=reserved)
+    options = {"skip_atomic": True} if args.skip_atomic else {}
+    report = normalize.PROCEDURES[args.proc](
+        tuple(doc.rules), reserved=doc.data_predicates(), **options
+    )
     erl = textio.serialize_rules(report.output_rules)
     if args.json:
         payload = {
@@ -255,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="apply a normalisation procedure")
     p.add_argument("file")
-    p.add_argument("--proc", choices=("sp", "1ad", "2ad"), required=True)
+    p.add_argument("--proc", choices=tuple(normalize.PROCEDURES), required=True)
     p.add_argument("--skip-atomic", action="store_true")
     p.add_argument("--output")
     p.add_argument("--json", action="store_true")

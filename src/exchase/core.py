@@ -265,9 +265,6 @@ class FactBase:
             return self
         return FactBase(self.atoms | extra)
 
-    def restrict(self, signature: Iterable[str]) -> "FactBase":
-        sig = frozenset(signature)
-        return FactBase(frozenset(a for a in self.atoms if a.pred in sig))
 
 
 def _discard(index: dict, k, a: Atom, key) -> None:
@@ -397,11 +394,6 @@ class KnowledgeBase:
     def signature(self) -> frozenset[str]:
         return frozenset(a.pred for a in self._all_atoms())
 
-    def rule_by_id(self, rule_id: str) -> Rule:
-        for r in self.rules:
-            if r.id == rule_id:
-                return r
-        raise KeyError(rule_id)
 
 
 Match = tuple[tuple[str, Term], ...]
@@ -453,14 +445,6 @@ class Trigger:
     @cached_property
     def mapping(self) -> dict[str, Term]:
         return dict(self.match)
-
-    @cached_property
-    def support(self) -> tuple[Atom, ...]:
-        m = self.mapping
-        return sort_atoms(
-            Atom(a.pred, tuple(m[t.name] if isinstance(t, Var) else t for t in a.args))
-            for a in self.rule.body
-        )
 
     @cached_property
     def _extended(self) -> dict[str, Term]:

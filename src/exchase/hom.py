@@ -185,27 +185,6 @@ def find_homomorphism(
     return None
 
 
-def are_isomorphic(left, right, stats: Optional[dict] = None) -> bool:
-    """True iff a bijective renaming of nulls/variables maps left onto right."""
-    la = frozenset(left.atoms if isinstance(left, FactBase) else left)
-    ra = frozenset(right.atoms if isinstance(right, FactBase) else right)
-    if len(la) != len(ra):
-        return False
-    lprofile = sorted((a.pred, a.arity) for a in la)
-    rprofile = sorted((a.pred, a.arity) for a in ra)
-    if lprofile != rprofile:
-        return False
-    lterms: set[Term] = set().union(*(a.args for a in la)) if la else set()
-    rterms: set[Term] = set().union(*(a.args for a in ra)) if ra else set()
-    lconsts = {t for t in lterms if isinstance(t, Const)}
-    rconsts = {t for t in rterms if isinstance(t, Const)}
-    if lconsts != rconsts or len(lterms) != len(rterms):
-        return False
-    # An injective term mapping with h(left) <= right and |left| = |right|
-    # is onto, and its inverse is then a homomorphism as well.
-    return find_homomorphism(la, ra, injective=True, stats=stats) is not None
-
-
 # --- isomorphism table -----------------------------------------------------
 
 # Search nodes per isomorphism check. One that runs out counts the two atom

@@ -159,6 +159,10 @@ def two_way(
     return _checked(rules, DecompositionReport(tuple(out), base.fresh_predicates, mapping), reserved)
 
 
+# The decompositions by the name the command line and the fixtures give them.
+PROCEDURES = {"sp": single_piece, "1ad": one_way, "2ad": two_way}
+
+
 def report_sidecar(report: DecompositionReport) -> dict:
     """JSON-ready description of a decomposition (fresh predicates, mapping)."""
     return {

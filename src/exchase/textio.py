@@ -8,18 +8,25 @@ Grammar (UTF-8, `%` comments to end of line):
     fact      := atom '.'
     query     := '?' atomlist '.'
     atomlist  := atom (',' atom)*
+    varlist   := UPPER_IDENT (',' UPPER_IDENT)*
     atom      := IDENT '(' term (',' term)* ')' | IDENT
     term      := UPPER_IDENT (variable) | LOWER_IDENT (constant) | '_' label (null)
 
-Null labels may contain '#' and '.' (a dot is part of the label only when
-followed by another label character), so chase-minted labels round-trip.
+After '->', `exists` is the keyword only when a variable follows it;
+otherwise it is a predicate like any other, so a rule may have an
+`exists(...)` head. Null labels may contain '#' and '.' (a dot is part of the
+label only when followed by another label character), so chase-minted labels
+round-trip.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, TypeVar
 
-from .core import Atom, Const, FactBase, Null, Rule, Term, Var
+from .core import Atom, Const, FactBase, KnowledgeBase, Null, Rule, Term, Var
+
+_T = TypeVar("_T")
 
 
 class ParseError(ValueError):
@@ -45,14 +52,22 @@ class VariableScopeError(ValueError):
     pass
 
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_CONT = _IDENT_START | set("0123456789_")
-_LABEL_CONT = _IDENT_CONT | {"#"}
+# One alternative per token kind; the unnamed first one skips a blank run or
+# a comment. A dot belongs to a null label only when a label character
+# follows it. `bad` catches every other character, so the matches cover the
+# text with no gaps.
+_SCANNER = re.compile(
+    r"\s+|%[^\n]*"
+    r"|(?P<punct>->|[().,?\[\]])"
+    r"|_(?P<null>[A-Za-z0-9_](?:[A-Za-z0-9_#]|\.(?=[A-Za-z0-9_#]))*)"
+    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
-@dataclass
-class _Token:
-    kind: str  # 'ident' 'null' 'punct'
+class _Token(NamedTuple):
+    kind: str  # 'ident' 'null' 'punct', or 'end' after the last token
     text: str
     line: int
     col: int
@@ -60,64 +75,22 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c == "%":
-            while i < n and text[i] != "\n":
-                advance(1)
+    line, line_start = 1, 0
+    for m in _SCANNER.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            start, end = m.span()
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, end) + 1
             continue
-        if c.isspace():
-            advance(1)
-            continue
-        if c in "().,?[]":
-            tokens.append(_Token("punct", c, line, col))
-            advance(1)
-            continue
-        if c == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("punct", "->", line, col))
-            advance(2)
-            continue
-        if c == "_":
-            start_line, start_col = line, col
-            advance(1)
-            j = i
-            if j >= n or text[j] not in _IDENT_CONT:
-                raise ParseError("null label expected after '_'", start_line, start_col, "label")
-            label = []
-            while i < n:
-                ch = text[i]
-                if ch in _LABEL_CONT:
-                    label.append(ch)
-                    advance(1)
-                elif ch == "." and i + 1 < n and text[i + 1] in _LABEL_CONT:
-                    label.append(ch)
-                    advance(1)
-                else:
-                    break
-            tokens.append(_Token("null", "".join(label), start_line, start_col))
-            continue
-        if c in _IDENT_START:
-            start_line, start_col = line, col
-            name = []
-            while i < n and text[i] in _IDENT_CONT:
-                name.append(text[i])
-                advance(1)
-            tokens.append(_Token("ident", "".join(name), start_line, start_col))
-            continue
-        raise ParseError("unexpected character %r" % c, line, col)
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            if m.group() == "_":
+                raise ParseError("null label expected after '_'", line, col, "label")
+            raise ParseError("unexpected character %r" % m.group(), line, col)
+        tokens.append(_Token(kind, m.group(kind), line, col))
     return tokens
 
 
@@ -126,7 +99,6 @@ class SourceDocument:
     rules: list[Rule] = field(default_factory=list)
     facts: list[Atom] = field(default_factory=list)
     queries: list[tuple[Atom, ...]] = field(default_factory=list)
-    arities: dict[str, int] = field(default_factory=dict)
 
     def factbase(self) -> FactBase:
         return FactBase(self.facts)
@@ -135,27 +107,32 @@ class SourceDocument:
         """The predicates of the facts and queries."""
         return frozenset(a.pred for a in self.facts).union(a.pred for q in self.queries for a in q)
 
-    def knowledge_base(self):
-        from .core import KnowledgeBase
-
+    def knowledge_base(self) -> KnowledgeBase:
         return KnowledgeBase(tuple(self.rules), self.factbase())
+
+
+def _is_variable(tok: _Token) -> bool:
+    return tok.kind == "ident" and tok.text[0].isupper()
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
+        last = self.tokens[-1] if self.tokens else _Token("end", "", 1, 1)
+        self.tokens.append(_Token("end", "", last.line, last.col))
         self.pos = 0
         self.doc = SourceDocument()
+        self.arities: dict[str, int] = {}
+        self.rule_ids: set[str] = set()
         self.auto_rule_index = 0
 
-    def _peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def _next(self, expected: str) -> _Token:
         tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("punct", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col, expected)
+        if tok.kind == "end":
+            raise ParseError("unexpected end of input", tok.line, tok.col, expected)
         self.pos += 1
         return tok
 
@@ -165,69 +142,55 @@ class _Parser:
             raise ParseError("expected %r, found %r" % (text, tok.text), tok.line, tok.col, text)
         return tok
 
-    def _check_arity(self, a: Atom, line: int) -> None:
-        seen = self.doc.arities.setdefault(a.pred, a.arity)
-        if seen != a.arity:
-            raise ArityError(a.pred, a.arity, seen, line)
+    def _list(self, item: Callable[[], _T]) -> list[_T]:
+        """`item (',' item)*`"""
+        items = [item()]
+        while self._peek().text == ",":
+            self.pos += 1
+            items.append(item())
+        return items
 
     def _term(self) -> Term:
         tok = self._next("term")
         if tok.kind == "null":
             return Null(tok.text)
+        if _is_variable(tok):
+            return Var(tok.text)
         if tok.kind == "ident":
-            if tok.text[0].isupper():
-                return Var(tok.text)
             return Const(tok.text)
         raise ParseError("expected a term, found %r" % tok.text, tok.line, tok.col, "term")
+
+    def _variable(self) -> str:
+        tok = self._next("variable")
+        if not _is_variable(tok):
+            raise ParseError("expected a variable, found %r" % tok.text, tok.line, tok.col)
+        return tok.text
 
     def _atom(self) -> Atom:
         tok = self._next("atom")
         if tok.kind != "ident":
             raise ParseError("expected a predicate, found %r" % tok.text, tok.line, tok.col, "atom")
-        pred = tok.text
         args: list[Term] = []
-        nxt = self._peek()
-        if nxt is not None and nxt.text == "(":
-            self._expect("(")
-            args.append(self._term())
-            while self._peek() is not None and self._peek().text == ",":
-                self._expect(",")
-                args.append(self._term())
+        if self._peek().text == "(":
+            self.pos += 1
+            args = self._list(self._term)
             self._expect(")")
-        a = Atom(pred, tuple(args))
-        self._check_arity(a, tok.line)
+        a = Atom(tok.text, tuple(args))
+        seen = self.arities.setdefault(a.pred, a.arity)
+        if seen != a.arity:
+            raise ArityError(a.pred, a.arity, seen, tok.line)
         return a
-
-    def _atomlist(self) -> list[Atom]:
-        atoms = [self._atom()]
-        while self._peek() is not None and self._peek().text == ",":
-            self._expect(",")
-            atoms.append(self._atom())
-        return atoms
-
-    def _varlist(self) -> list[str]:
-        names = []
-        tok = self._next("variable")
-        if tok.kind != "ident" or not tok.text[0].isupper():
-            raise ParseError("expected a variable, found %r" % tok.text, tok.line, tok.col)
-        names.append(tok.text)
-        while self._peek() is not None and self._peek().text == ",":
-            self._expect(",")
-            tok = self._next("variable")
-            if tok.kind != "ident" or not tok.text[0].isupper():
-                raise ParseError("expected a variable, found %r" % tok.text, tok.line, tok.col)
-            names.append(tok.text)
-        return names
 
     def _finish_rule(self, rule_id: Optional[str], body: list[Atom], line: int) -> None:
         self._expect("->")
         declared: list[str] = []
-        nxt = self._peek()
-        if nxt is not None and nxt.kind == "ident" and nxt.text == "exists":
-            self._next("exists")
-            declared = self._varlist()
+        # `exists` is the keyword only before a variable; else it is a predicate.
+        tok = self._peek()
+        if tok.kind == "ident" and tok.text == "exists" and _is_variable(self.tokens[self.pos + 1]):
+            self.pos += 1
+            declared = self._list(self._variable)
             self._expect(".")
-        head = self._atomlist()
+        head = self._list(self._atom)
         self._expect(".")
         body_vars = set().union(*(a.variables() for a in body))
         head_vars = set().union(*(a.variables() for a in head))
@@ -255,57 +218,46 @@ class _Parser:
         if rule_id is None:
             self.auto_rule_index += 1
             rule_id = "r%d" % self.auto_rule_index
-        if any(r.id == rule_id for r in self.doc.rules):
+        if rule_id in self.rule_ids:
             raise ParseError("duplicate rule id %r" % rule_id, line, 1)
-        rule = Rule(rule_id, tuple(body), tuple(head))
-        self.doc.rules.append(rule)
+        self.rule_ids.add(rule_id)
+        self.doc.rules.append(Rule(rule_id, tuple(body), tuple(head)))
 
     def parse(self) -> SourceDocument:
-        while self._peek() is not None:
+        while self._peek().kind != "end":
             tok = self._peek()
             if tok.text == "?":
-                self._expect("?")
-                atoms = self._atomlist()
+                self.pos += 1
+                atoms = self._list(self._atom)
                 self._expect(".")
-                for a in atoms:
-                    for t in a.args:
-                        if isinstance(t, Null):
-                            raise ParseError("nulls are not allowed in queries", tok.line, tok.col)
+                if any(isinstance(t, Null) for a in atoms for t in a.args):
+                    raise ParseError("nulls are not allowed in queries", tok.line, tok.col)
                 self.doc.queries.append(tuple(atoms))
                 continue
             rule_id: Optional[str] = None
             if tok.text == "[":
-                self._expect("[")
+                self.pos += 1
                 parts: list[str] = []
-                while self._peek() is not None and self._peek().text != "]":
+                while self._peek().kind != "end" and self._peek().text != "]":
                     piece = self._next("rule id")
-                    if piece.kind == "ident" or piece.text == ".":
-                        parts.append(piece.text)
-                    else:
+                    if piece.kind != "ident" and piece.text != ".":
                         raise ParseError("expected a rule id", piece.line, piece.col)
+                    parts.append(piece.text)
                 if not parts or parts[0] == "." or parts[-1] == ".":
                     raise ParseError("expected a rule id", tok.line, tok.col)
                 rule_id = "".join(parts)
                 self._expect("]")
-                body = self._atomlist()
-                self._finish_rule(rule_id, body, tok.line)
-                continue
-            first = self._atom()
-            nxt = self._peek()
-            if nxt is not None and nxt.text == ".":
-                self._expect(".")
-                for t in first.args:
+            body = self._list(self._atom)
+            if rule_id is None and len(body) == 1 and self._peek().text == ".":
+                self.pos += 1
+                for t in body[0].args:
                     if isinstance(t, Var):
                         raise ParseError(
                             "facts must be variable-free, found %s" % t, tok.line, tok.col
                         )
-                self.doc.facts.append(first)
+                self.doc.facts.append(body[0])
                 continue
-            body = [first]
-            while self._peek() is not None and self._peek().text == ",":
-                self._expect(",")
-                body.append(self._atom())
-            self._finish_rule(None, body, tok.line)
+            self._finish_rule(rule_id, body, tok.line)
         return self.doc
 
 
@@ -324,13 +276,6 @@ def serialize_factbase(fb: FactBase) -> str:
 
 def serialize_query(query: Iterable[Atom]) -> str:
     return "? %s." % ", ".join(str(a) for a in sorted(query, key=Atom.key))
-
-
-def serialize_document(doc: SourceDocument) -> str:
-    lines = [str(r) for r in doc.rules]
-    lines += ["%s." % a for a in doc.facts]
-    lines += [serialize_query(q) for q in doc.queries]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def serialize_rules(rules: Iterable[Rule]) -> str:

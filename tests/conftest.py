@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from exchase import textio
 from exchase.core import Atom, Const, FactBase, KnowledgeBase, Null, Rule, Var
-from exchase.hom import are_isomorphic
+from oracles import are_isomorphic
 
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "exchase" / "corpus"
 

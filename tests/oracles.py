@@ -13,13 +13,21 @@ its fired keys and head satisfaction against them. `ch_k` is the k-fold
 breadth-first saturation that acceptance criterion 6 is stated over.
 `ReferenceSearch` is the homomorphism search with its branch rule stated
 plainly, every candidate of every atom listed at each node.
+
+`reference_tokenize` is the character-at-a-time `.erl` tokenizer that the
+package's compiled scanner replaced; the scanner must give its tokens and
+its errors. The rest is API that only the tests use: `RandomChoice`,
+`are_isomorphic`, `rule_by_id`, `support`, `restrict` and
+`serialize_document`.
 """
 from __future__ import annotations
 
+import random
+from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
 
 from exchase import hom
-from exchase.chase import ChaseVariant, blocking, enumerate_triggers
+from exchase.chase import ChaseState, ChaseVariant, Strategy, blocking, enumerate_triggers
 from exchase.core import (
     Atom,
     Const,
@@ -31,7 +39,147 @@ from exchase.core import (
     Trigger,
     Var,
     make_match,
+    sort_atoms,
 )
+from exchase.textio import ParseError, SourceDocument, serialize_query
+
+
+class RandomChoice(Strategy):
+    """Uniformly random applicable trigger; deterministic given the seed."""
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+
+    def choose(self, state: ChaseState) -> Optional[Trigger]:
+        candidates = state.scan()
+        if not candidates:
+            return None
+        return self._rng.choice(candidates)
+
+
+def are_isomorphic(left, right, stats: Optional[dict] = None) -> bool:
+    """True iff a bijective renaming of nulls/variables maps left onto right."""
+    la = frozenset(left.atoms if isinstance(left, FactBase) else left)
+    ra = frozenset(right.atoms if isinstance(right, FactBase) else right)
+    if len(la) != len(ra):
+        return False
+    lprofile = sorted((a.pred, a.arity) for a in la)
+    rprofile = sorted((a.pred, a.arity) for a in ra)
+    if lprofile != rprofile:
+        return False
+    lterms: set[Term] = set().union(*(a.args for a in la)) if la else set()
+    rterms: set[Term] = set().union(*(a.args for a in ra)) if ra else set()
+    lconsts = {t for t in lterms if isinstance(t, Const)}
+    rconsts = {t for t in rterms if isinstance(t, Const)}
+    if lconsts != rconsts or len(lterms) != len(rterms):
+        return False
+    # An injective term mapping with h(left) <= right and |left| = |right|
+    # is onto, and its inverse is then a homomorphism as well.
+    return hom.find_homomorphism(la, ra, injective=True, stats=stats) is not None
+
+
+def rule_by_id(kb: KnowledgeBase, rule_id: str) -> Rule:
+    for r in kb.rules:
+        if r.id == rule_id:
+            return r
+    raise KeyError(rule_id)
+
+
+def support(t: Trigger) -> tuple[Atom, ...]:
+    """The body atoms of `t`'s rule under its match, in canonical order."""
+    m = t.mapping
+    return sort_atoms(
+        Atom(a.pred, tuple(m[v.name] if isinstance(v, Var) else v for v in a.args))
+        for a in t.rule.body
+    )
+
+
+def restrict(fb: FactBase, signature: Iterable[str]) -> FactBase:
+    sig = frozenset(signature)
+    return FactBase(frozenset(a for a in fb.atoms if a.pred in sig))
+
+
+def serialize_document(doc: SourceDocument) -> str:
+    lines = [str(r) for r in doc.rules]
+    lines += ["%s." % a for a in doc.facts]
+    lines += [serialize_query(q) for q in doc.queries]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_IDENT_CONT = _IDENT_START | set("0123456789_")
+_LABEL_CONT = _IDENT_CONT | {"#"}
+
+
+@dataclass
+class _Token:
+    kind: str  # 'ident' 'null' 'punct'
+    text: str
+    line: int
+    col: int
+
+
+def reference_tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def advance(k: int) -> None:
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        c = text[i]
+        if c == "%":
+            while i < n and text[i] != "\n":
+                advance(1)
+            continue
+        if c.isspace():
+            advance(1)
+            continue
+        if c in "().,?[]":
+            tokens.append(_Token("punct", c, line, col))
+            advance(1)
+            continue
+        if c == "-" and i + 1 < n and text[i + 1] == ">":
+            tokens.append(_Token("punct", "->", line, col))
+            advance(2)
+            continue
+        if c == "_":
+            start_line, start_col = line, col
+            advance(1)
+            j = i
+            if j >= n or text[j] not in _IDENT_CONT:
+                raise ParseError("null label expected after '_'", start_line, start_col, "label")
+            label = []
+            while i < n:
+                ch = text[i]
+                if ch in _LABEL_CONT:
+                    label.append(ch)
+                    advance(1)
+                elif ch == "." and i + 1 < n and text[i + 1] in _LABEL_CONT:
+                    label.append(ch)
+                    advance(1)
+                else:
+                    break
+            tokens.append(_Token("null", "".join(label), start_line, start_col))
+            continue
+        if c in _IDENT_START:
+            start_line, start_col = line, col
+            name = []
+            while i < n and text[i] in _IDENT_CONT:
+                name.append(text[i])
+                advance(1)
+            tokens.append(_Token("ident", "".join(name), start_line, start_col))
+            continue
+        raise ParseError("unexpected character %r" % c, line, col)
+    return tokens
 
 
 def exists_retraction(

@@ -23,7 +23,6 @@ from exchase.chase import (
     DatalogFirst,
     FIFO,
     Phased,
-    RandomChoice,
     Scripted,
     Strategy,
     enumerate_triggers,
@@ -44,7 +43,7 @@ from exchase.normalize import FreshNameClashError, one_way, single_piece, two_wa
 from exchase.textio import parse_document
 
 from conftest import ALL_VARIANTS, CORPUS, load_doc, load_kb, small_kbs
-from oracles import applicable_edges
+from oracles import RandomChoice, applicable_edges
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
 DFR = ChaseVariant.parse("dfr")

@@ -27,7 +27,6 @@ from exchase.chase import (
     DatalogFirst,
     FIFO,
     Phased,
-    RandomChoice,
     Scripted,
     StrategyError,
     _bind,
@@ -40,12 +39,16 @@ from exchase.chase import (
 
 from conftest import ALL_VARIANTS, load_doc, load_kb, random_kb, small_kbs
 from oracles import (
+    RandomChoice,
     applicable_edges,
+    are_isomorphic,
     breadth_first_layer,
     ch_k,
     datalog_satisfied,
     exists_retraction,
     is_applicable,
+    rule_by_id,
+    support,
 )
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
@@ -326,7 +329,7 @@ def test_semi_oblivious_results_isomorphic_across_strategies():
             assert out.verdict == TERMINATED_FAIR
             results.append(out.result)
         for other in results[1:]:
-            assert hom.are_isomorphic(results[0], other)
+            assert are_isomorphic(results[0], other)
 
 
 def test_datalog_first_variant_gates_nondatalog():
@@ -366,7 +369,7 @@ def test_datalog_saturate_no_datalog_rules():
 def test_datalog_saturate_t2f_rules_fixpoint():
     # rules r2, r3 over {a(c), r(c,c), s(c,c)}: hand-run fixpoint adds nothing
     kb = load_kb("t2f.erl")
-    rules = [kb.rule_by_id("r2"), kb.rule_by_id("r3")]
+    rules = [rule_by_id(kb, "r2"), rule_by_id(kb, "r3")]
     c = Const("c")
     fb = FactBase([Atom("a", (c,)), Atom("r", (c, c)), Atom("s", (c, c))])
     result, verdict = _datalog_fixpoint(rules, fb)
@@ -424,7 +427,7 @@ def test_ch_one_single_rule():
     )
     fb = ch_k(kb, 1)
     assert len(fb) == 2
-    assert hom.are_isomorphic(fb, oracle_ch(kb, 1))
+    assert are_isomorphic(fb, oracle_ch(kb, 1))
 
 
 def test_ch_layers_example1_against_oracle():
@@ -433,7 +436,7 @@ def test_ch_layers_example1_against_oracle():
         mine = ch_k(kb, k)
         oracle = oracle_ch(kb, k)
         assert len(mine) == len(oracle), k
-        assert hom.are_isomorphic(mine, oracle), k
+        assert are_isomorphic(mine, oracle), k
     assert len(ch_k(kb, 1)) == 3
     assert len(ch_k(kb, 2)) == 7  # layer 2 re-uses the layer-1 trigger's output
 
@@ -762,7 +765,7 @@ def test_delta_triggers_find_each_new_match_once(case):
     want = [
         m
         for m in _search_matches(rule, fb)
-        if any(a in delta for a in Trigger(rule, m).support)
+        if any(a in delta for a in support(Trigger(rule, m)))
     ]
     assert _canonical(got) == want
 

@@ -15,6 +15,7 @@ from exchase.cli import main
 from exchase.core import KnowledgeBaseError
 
 from conftest import ALL_VARIANTS, CORPUS, small_kbs
+from oracles import serialize_document
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -576,7 +577,7 @@ def test_main_never_raises(command, flaw, kb, data):
     doc = textio.SourceDocument(rules=list(kb.rules), facts=list(kb.facts), queries=queries)
     with tempfile.TemporaryDirectory() as tmp:
         erl = Path(tmp) / "g.erl"
-        erl.write_text(textio.serialize_document(doc))
+        erl.write_text(serialize_document(doc))
         argv, bad = data.draw(cli_calls(command, flaw, erl, Path(tmp)))
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

@@ -8,12 +8,11 @@ from exchase.chase import head_satisfied
 from exchase.core import Atom, Const, FactBase, Null, Rule, Store, Trigger, Var, make_match
 from exchase.hom import (
     IsoTable,
-    are_isomorphic,
     find_homomorphism,
     iter_homomorphisms,
 )
 
-from oracles import ReferenceSearch, exists_retraction
+from oracles import ReferenceSearch, are_isomorphic, exists_retraction
 
 a, b = Const("a"), Const("b")
 x, y, z = Var("X"), Var("Y"), Var("Z")

@@ -19,11 +19,11 @@ from exchase.chase import (
     ChaseVariant,
     DatalogFirst,
     FIFO,
-    RandomChoice,
     enumerate_triggers,
     run_chase,
 )
 from exchase.normalize import (
+    PROCEDURES,
     DecompositionReport,
     FreshNameClashError,
     one_way,
@@ -41,7 +41,7 @@ from conftest import (
     rules_isomorphic,
     small_kbs,
 )
-from oracles import ch_k, is_applicable
+from oracles import RandomChoice, are_isomorphic, ch_k, is_applicable, restrict
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
 DFR = ChaseVariant.parse("dfr")
@@ -273,8 +273,8 @@ def test_two_way_arity0_head():
 def test_restrict_signature_examples():
     a, b = Const("a"), Const("b")
     fb = FactBase([Atom("p", (a, b)), Atom("X__r", (a, b))])
-    assert fb.restrict({"p"}).atoms == {Atom("p", (a, b))}
-    assert fb.restrict(fb.signature).atoms == fb.atoms
+    assert restrict(fb, {"p"}).atoms == {Atom("p", (a, b))}
+    assert restrict(fb, fb.signature).atoms == fb.atoms
 
 
 def test_restriction_identity_small_example():
@@ -285,8 +285,8 @@ def test_restriction_identity_small_example():
     )
     onead = KnowledgeBase(one_way(kb.rules).output_rules, kb.facts)
     left = ch_k(kb, 1)
-    right = ch_k(onead, 2).restrict({"a", "p"})
-    assert hom.are_isomorphic(left, right)
+    right = restrict(ch_k(onead, 2), {"a", "p"})
+    assert are_isomorphic(left, right)
 
 
 # --- semantic properties ----------------------------------------------------------
@@ -362,6 +362,38 @@ def test_decompositions_preserve_bcq_answers():
                     assert verdict.kind != "yes", (name, label, query)
 
 
+
+_QUERY_TERMS = (Var("X"), Var("Y"), Const("a"), Const("b"), Const("c"))
+
+
+@st.composite
+def signature_queries(draw):
+    """One or two atoms over the predicates of `small_kbs`."""
+    atoms = []
+    for _ in range(draw(st.integers(1, 2))):
+        pred, arity = draw(st.sampled_from((("p", 2), ("q", 1), ("r", 2))))
+        atoms.append(Atom(pred, tuple(draw(st.sampled_from(_QUERY_TERMS)) for _ in range(arity))))
+    return tuple(atoms)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(small_kbs(), signature_queries(), st.sampled_from(("o", "so", "r")))
+def test_decompositions_preserve_bcq_answers_property(kb, query, name):
+    """A BCQ over the input signature gets the same answer from the input
+    rules and from each decomposition, whenever both answers are definite
+    within budget."""
+    from exchase.analysis import entails
+
+    variant = ChaseVariant.parse(name)
+    expected = entails(kb, query, variant, 30).kind
+    if expected == "unknown":
+        return
+    for label, proc in PROCEDURES.items():
+        decomposed = KnowledgeBase(proc(kb.rules).output_rules, kb.facts)
+        answer = entails(decomposed, query, variant, 90).kind
+        if answer != "unknown":
+            assert answer == expected, (label, [str(r) for r in kb.rules], query)
+
 def test_breadth_first_inclusions_random():
     """ch_i(R,F) embeds injectively in ch_2i of both atomic decompositions."""
     rng = random.Random(7)
@@ -396,8 +428,8 @@ def test_signature_identity_random():
         kb1 = KnowledgeBase(one_way(rules).output_rules, fb)
         for i in (1, 2, 3):
             left = ch_k(kb, i)
-            right = ch_k(kb1, 2 * i).restrict(sigma)
-            assert hom.are_isomorphic(left, right), (i, [str(r) for r in rules])
+            right = restrict(ch_k(kb1, 2 * i), sigma)
+            assert are_isomorphic(left, right), (i, [str(r) for r in rules])
         done += 1
 
 
@@ -481,8 +513,8 @@ def test_two_way_df_r_invariance():
         if base.verdict == TERMINATED_FAIR:
             assert decomposed.verdict == TERMINATED_FAIR, name
             assert existential_steps(base) == existential_steps(decomposed), name
-            assert hom.are_isomorphic(
-                base.result, decomposed.result.restrict(sigma)
+            assert are_isomorphic(
+                base.result, restrict(decomposed.result, sigma)
             ), name
         else:
             assert decomposed.verdict == BUDGET_EXHAUSTED, name

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exchase import textio
-from exchase.chase import FIFO, ChaseVariant, RandomChoice, run_chase
+from exchase.chase import FIFO, ChaseVariant, run_chase
 from exchase.core import Atom, Const, FactBase, KnowledgeBase, Null, Rule, Var, sort_atoms
-from exchase.hom import are_isomorphic
 
 from conftest import CORPUS, load_doc, small_kbs
+from oracles import RandomChoice, are_isomorphic, reference_tokenize, serialize_document
 
 
 def test_parse_example1_rule():
@@ -101,13 +101,13 @@ def test_serialize_one_step_chase_result_reparses_isomorphic():
 def test_roundtrip_whole_corpus():
     for path in sorted(CORPUS.glob("*.erl")):
         doc = textio.parse_document(path.read_text())
-        text = textio.serialize_document(doc)
+        text = serialize_document(doc)
         again = textio.parse_document(text)
         assert [str(r) for r in again.rules] == [str(r) for r in doc.rules], path.name
         assert again.facts == doc.facts, path.name
         assert again.queries == doc.queries, path.name
         # parse . serialize . parse is a fixpoint
-        assert textio.serialize_document(again) == text, path.name
+        assert serialize_document(again) == text, path.name
 
 
 def test_case_discipline_total():
@@ -123,7 +123,7 @@ def test_case_discipline_total():
 def test_rule_id_with_dots_roundtrips():
     doc = textio.parse_document("[r1.p2] p(X) -> q(X).")
     assert doc.rules[0].id == "r1.p2"
-    again = textio.parse_document(textio.serialize_document(doc))
+    again = textio.parse_document(serialize_document(doc))
     assert again.rules[0].id == "r1.p2"
 
 
@@ -140,6 +140,58 @@ def test_full_width_null_label_roundtrips():
     text = textio.serialize_factbase(out.result)
     assert textio.parse_document(text).factbase().atoms == out.result.atoms
 
+
+
+def test_exists_can_head_a_rule():
+    (rule,) = textio.parse_document("p(X) -> exists(X).").rules
+    assert rule.head == (Atom("exists", (Var("X"),)),)
+    (rule,) = textio.parse_document("p -> exists.").rules
+    assert rule.head == (Atom("exists", ()),)
+
+
+def test_a_null_labelled_exists_is_not_the_keyword():
+    with pytest.raises(textio.ParseError, match="expected a predicate, found 'exists'"):
+        textio.parse_document("p -> _exists X. q(X).")
+
+
+def test_rules_with_an_exists_head_roundtrip():
+    X, Z = Var("X"), Var("Z")
+    rules = [
+        Rule("a", (Atom("p", (X,)),), (Atom("exists", (X,)),)),
+        Rule("b", (Atom("p", (X,)),), (Atom("exists", (X, Z)),)),
+        Rule("c", (Atom("p", ()),), (Atom("exists", ()),)),
+        Rule("d", (Atom("p", (X,)),), (Atom("exists", ()), Atom("q", (X, Z)))),
+    ]
+    for rule in rules:
+        (again,) = textio.parse_document(str(rule)).rules
+        assert again == rule, str(rule)
+
+
+def _scan(tokenize, text):
+    """The tokens as (kind, text, line, col), or the error as (message,
+    line, col, expected)."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except textio.ParseError as e:
+        return (str(e), e.line, e.col, e.expected)
+
+
+_TEXT_PIECES = st.one_of(
+    st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True),
+    st.from_regex(r"_[A-Za-z0-9_#.]{0,4}", fullmatch=True),
+    st.sampled_from(["-", "->", "(", ")", ".", ",", "?", "[", "]", "#", "%"]),
+    st.from_regex(r"%[^\n]{0,5}", fullmatch=True),
+    st.sampled_from([" ", "\n", "\r", "\t", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]),
+    st.characters(),
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.lists(_TEXT_PIECES, max_size=12).map("".join))
+def test_tokenizer_matches_the_reference(text):
+    """The compiled scanner gives the character-at-a-time tokenizer's tokens,
+    or the same error at the same place."""
+    assert _scan(textio._tokenize, text) == _scan(reference_tokenize, text)
 
 # Rule ids are identifiers joined by dots; minted null labels embed them.
 _RULE_IDS = st.from_regex(r"[a-zA-Z][a-zA-Z0-9_]{0,3}(\.[a-zA-Z][a-zA-Z0-9_]{0,3}){0,2}", fullmatch=True)
@@ -164,7 +216,7 @@ def test_generated_documents_roundtrip(kb, name, steps, seed, data):
     facts = data.draw(st.permutations(result.sorted_atoms))
     queries = data.draw(st.lists(st.lists(_QUERY_ATOMS, min_size=1, max_size=3).map(sort_atoms), max_size=2))
     doc = textio.SourceDocument(rules=rules, facts=list(facts), queries=queries)
-    again = textio.parse_document(textio.serialize_document(doc))
+    again = textio.parse_document(serialize_document(doc))
     assert again.rules == doc.rules
     assert again.facts == doc.facts
     assert again.queries == doc.queries

@@ -26,7 +26,7 @@ from exchase.tmgen import (
 )
 
 from conftest import CORPUS
-from oracles import applicable_edges
+from oracles import applicable_edges, rule_by_id
 
 R = ChaseVariant.parse("r")
 DFR = ChaseVariant.parse("dfr")
@@ -184,7 +184,7 @@ def test_chain_rule_blocked_after_brake():
     kb = KnowledgeBase(enc.rules_w, enc.seed)
     out = run_chase(kb, R, tape_generation_strategy(3), 300)
     assert out.verdict == TERMINATED_FAIR
-    chain = kb.rule_by_id("w_chain")
+    chain = rule_by_id(kb, "w_chain")
     for t in applicable_edges(KnowledgeBase((chain,), out.result), out.result, R):
         raise AssertionError("chain trigger still applicable: %s" % t)
 
@@ -199,7 +199,7 @@ def test_brake_semantics_on_explored_states():
     out = run_chase(kb, R, tape_generation_strategy(2), 200)
     fb = kb.facts
     braked = False
-    chain = kb.rule_by_id("w_chain")
+    chain = rule_by_id(kb, "w_chain")
     for t, after in out.derivation.steps:
         if t.rule.id == "w_brake":
             braked = True
