@@ -58,15 +58,6 @@ class ExplorationReport:
     dedup_hits: int = 0
 
 
-class _Budget(Exception):
-    pass
-
-
-class _Growth(Exception):
-    def __init__(self, witness):
-        self.witness = witness
-
-
 def explore_all(
     kb: KnowledgeBase,
     variant: ChaseVariant,
@@ -82,74 +73,50 @@ def explore_all(
     whole breadth-first frontier. States are deduplicated up to isomorphism;
     a state reached again at a *smaller* depth is re-expanded, which keeps
     the all-finite verdict sound (every derivation of length <= max_depth
-    is still covered). A child is looked up in the table before it is
-    applied, so a known state costs no step."""
+    is still covered). A child is looked up in the table once, before it
+    is applied, so a known state costs no step. The report is returned
+    where the search ends."""
     if max_depth <= 0 or max_nodes <= 0:
         raise ValueError("budgets must be positive")
     atomic_only = all(len(r.head) == 1 for r in kb.rules)
     seen_depth = hom.IsoTable()
-    expansions = dedup_hits = max_len = 0
+    expansions, dedup_hits, max_len = 1, 0, 0  # the root is the first expansion
     state = ChaseState(kb, variant)
+    if dedup:
+        seen_depth.entry(kb.facts).value = 0
     # One frame per state on the current path: its remaining edges, and the
     # trigger lists to put back when the step to it is undone (None at the
     # root). The state on top of the stack is `state`, at len(records) deep.
-    stack: list[tuple[Iterator[Trigger], Optional[list]]] = []
-
-    def expand(restore: Optional[list]) -> None:
-        nonlocal expansions, max_len
-        expansions += 1
-        max_len = max(max_len, len(state.records))
-        if expansions > max_nodes:
-            raise _Budget()
-        stack.append((iter(state.scan()), restore))
-
-    try:
-        if dedup:
-            seen_depth.put(kb.facts, 0)
-        expand(None)
-        while stack:
-            edges, restore = stack[-1]
-            t = next(edges, None)
-            if t is None:
-                stack.pop()
-                if restore is not None:
-                    state.undo(restore)
-                continue
-            depth = len(state.records) + 1
-            if depth > max_depth:
-                state.apply(t)
-                raise _Growth(tuple(delta for _, delta in state.records))
-            if dedup:
-                child = state.store.atoms.union(t.output)
-                prev = seen_depth.get(child)
-                if prev is not None and prev <= depth:
-                    dedup_hits += 1
-                    continue
-                seen_depth.put(child, depth)
-            restore = state.checkpoint()
+    stack: list[tuple[Iterator[Trigger], Optional[list]]] = [(iter(state.scan()), None)]
+    while stack:
+        edges, restore = stack[-1]
+        t = next(edges, None)
+        if t is None:
+            stack.pop()
+            if restore is not None:
+                state.undo(restore)
+            continue
+        depth = len(state.records) + 1
+        if depth > max_depth:
             state.apply(t)
-            expand(restore)
-    except _Growth as g:
-        return ExplorationReport(
-            verdict=GROWTH,
-            nodes=expansions,
-            witness=g.witness,
-            witness_label=CERTIFIED if atomic_only else UNCERTIFIED,
-            dedup_hits=dedup_hits,
-        )
-    except _Budget:
-        return ExplorationReport(
-            verdict=BUDGET_EXCEEDED,
-            nodes=expansions,
-            frontier=len(state.records),
-            dedup_hits=dedup_hits,
-        )
-    return ExplorationReport(
-        verdict=ALL_FINITE,
-        nodes=expansions,
-        max_len=max_len,
-        dedup_hits=dedup_hits,
-    )
+            return ExplorationReport(
+                GROWTH, expansions, witness=tuple(delta for _, delta in state.records),
+                witness_label=CERTIFIED if atomic_only else UNCERTIFIED, dedup_hits=dedup_hits,
+            )
+        if dedup:
+            entry = seen_depth.entry(state.store.atoms.union(t.output))
+            if entry.value is not None and entry.value <= depth:
+                dedup_hits += 1
+                continue
+            entry.value = depth
+        restore = state.checkpoint()
+        state.apply(t)
+        expansions += 1
+        if expansions > max_nodes:
+            return ExplorationReport(BUDGET_EXCEEDED, expansions, frontier=depth, dedup_hits=dedup_hits)
+        max_len = max(max_len, depth)
+        stack.append((iter(state.scan()), restore))
+    return ExplorationReport(ALL_FINITE, expansions, max_len=max_len, dedup_hits=dedup_hits)
 
 
 def find_terminating(
@@ -182,7 +149,7 @@ def find_terminating(
         return None
 
     seen = hom.IsoTable()
-    seen.put(kb.facts, 0)
+    seen.entry(kb.facts).value = 0
     root = ChaseState(kb, variant)
     # The states of one level in path order, each with its edges. The root
     # has edges, as FIFO would have ended on it otherwise.
@@ -192,10 +159,10 @@ def find_terminating(
         below = []
         for state, edges in level:
             for t in edges:
-                child_atoms = state.store.atoms.union(t.output)
-                if seen.get(child_atoms) is not None:
+                entry = seen.entry(state.store.atoms.union(t.output))
+                if entry.value is not None:
                     continue
-                seen.put(child_atoms, depth)
+                entry.value = depth
                 child = state.fork()
                 child.apply(t)
                 # A state on the last level only needs to be known terminal.

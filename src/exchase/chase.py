@@ -50,6 +50,11 @@ live Datalog trigger is left in the state".
 `run_chase` steps one state forward. The explorer's depth-first search
 steps one state down a path and back (`checkpoint`, `apply`, `undo`), and
 its breadth-first search `fork`s a state per child.
+
+Strategies are per-run generators: `Strategy.triggers(state)` makes a new
+one for each run, and its local variables hold where the run is in the
+phases, the script or the Datalog queue. So a strategy object keeps nothing
+between runs, and one object may drive any number of them.
 """
 from __future__ import annotations
 
@@ -80,8 +85,9 @@ from . import hom
 
 
 class StrategyError(ValueError):
-    """A phase's rule group is not a list of rule ids, or a scripted trigger
-    choice is not a trigger index or was not applicable at its step."""
+    """A phase's rule group is not a list of rule ids, a scripted trigger
+    choice is not a trigger index or was not applicable at its step, or a
+    strategy names a rule the knowledge base does not have."""
 
 
 class VariantError(ValueError):
@@ -410,24 +416,28 @@ class ChaseState:
 
 
 class Strategy:
-    """Chooses the next trigger to apply; stateful within one run."""
+    """`triggers(state)` makes the generator of one run: it yields the next
+    trigger to apply on `state` and ends when it has none left. A strategy
+    that is not `complete` may end while a trigger is still applicable."""
 
-    def reset(self) -> None:
-        pass
+    complete = True
 
-    def choose(self, state: ChaseState) -> Optional[Trigger]:
+    def triggers(self, state: ChaseState) -> Iterator[Trigger]:
         raise NotImplementedError
 
-    def exhausted_early(self) -> bool:
-        """True if the strategy stopped while triggers may remain applicable."""
-        return False
+
+def _check_rule_ids(state: ChaseState, ids: Iterable[str]) -> None:
+    unknown = ", ".join(map(repr, sorted(set(ids).difference(state.rule_index))))
+    if unknown:
+        raise StrategyError("strategy names rule(s) %s that the knowledge base does not have" % unknown)
 
 
 class FIFO(Strategy):
     """First applicable trigger in canonical order, every step."""
 
-    def choose(self, state: ChaseState) -> Optional[Trigger]:
-        return state.first_applicable()
+    def triggers(self, state: ChaseState) -> Iterator[Trigger]:
+        while (t := state.first_applicable()) is not None:
+            yield t
 
 
 class DatalogFirst(Strategy):
@@ -439,25 +449,20 @@ class DatalogFirst(Strategy):
     the next refill.
     """
 
-    def __init__(self) -> None:
-        self._queue: "deque[Trigger]" = deque()
-
-    def reset(self) -> None:
-        self._queue.clear()
-
-    def choose(self, state: ChaseState) -> Optional[Trigger]:
+    def triggers(self, state: ChaseState) -> Iterator[Trigger]:
+        queue: "deque[Trigger]" = deque()
         while True:
-            while self._queue:
-                t = self._queue.popleft()
+            while queue:
+                t = queue.popleft()
                 state.stats["triggers_considered"] += 1
                 if any(a not in state.store.atoms for a in t.output):
-                    return t
-            self._queue.extend(state.scan(state.datalog_ids))
-            if not self._queue:
-                break
-        if not state.existential_ids:
-            return None
-        return state.first_applicable(state.existential_ids)
+                    yield t
+            queue.extend(state.scan(state.datalog_ids))
+            if not queue:
+                t = state.first_applicable(state.existential_ids)
+                if t is None:
+                    return
+                yield t
 
 
 class Phased(Strategy):
@@ -465,6 +470,8 @@ class Phased(Strategy):
     fires one trigger. Phases that have nothing applicable are skipped. A
     phase is a (group, mode) pair: a list or tuple of rule ids, and
     "exhaust" or "once"."""
+
+    complete = False
 
     def __init__(self, phases: Sequence[tuple[Sequence[str], str]]):
         for ids, _ in phases:
@@ -475,33 +482,21 @@ class Phased(Strategy):
         for _, mode in self.phases:
             if mode not in ("exhaust", "once"):
                 raise ValueError("phase mode must be 'exhaust' or 'once', got %r" % mode)
-        self._index = 0
-        self._done = False
 
-    def reset(self) -> None:
-        self._index = 0
-        self._done = False
-
-    def choose(self, state: ChaseState) -> Optional[Trigger]:
-        while self._index < len(self.phases):
-            ids, mode = self.phases[self._index]
-            t = state.first_applicable(ids)
-            if t is None:
-                self._index += 1
-                continue
-            if mode == "once":
-                self._index += 1
-            return t
-        self._done = True
-        return None
-
-    def exhausted_early(self) -> bool:
-        return self._done
+    def triggers(self, state: ChaseState) -> Iterator[Trigger]:
+        _check_rule_ids(state, (i for ids, _ in self.phases for i in ids))
+        for ids, mode in self.phases:
+            while (t := state.first_applicable(ids)) is not None:
+                yield t
+                if mode == "once":
+                    break
 
 
 class Scripted(Strategy):
     """Explicit choices: each step names a rule and the index of the wanted
     trigger among that rule's applicable triggers in canonical order."""
+
+    complete = False
 
     def __init__(self, steps: Sequence):
         self.steps = [(s, 0) if isinstance(s, str) else (s[0], s[1]) for s in steps]
@@ -511,29 +506,17 @@ class Scripted(Strategy):
                     "scripted step for rule %r: index %r is not a non-negative integer"
                     % (rule_id, pick)
                 )
-        self._index = 0
-        self._done = False
 
-    def reset(self) -> None:
-        self._index = 0
-        self._done = False
-
-    def choose(self, state: ChaseState) -> Optional[Trigger]:
-        if self._index >= len(self.steps):
-            self._done = True
-            return None
-        rule_id, pick = self.steps[self._index]
-        self._index += 1
-        candidates = state.scan(frozenset([rule_id]))
-        if pick >= len(candidates):
-            raise StrategyError(
-                "scripted step %d: rule %r has %d applicable trigger(s), wanted index %d"
-                % (self._index, rule_id, len(candidates), pick)
-            )
-        return candidates[pick]
-
-    def exhausted_early(self) -> bool:
-        return self._done
+    def triggers(self, state: ChaseState) -> Iterator[Trigger]:
+        _check_rule_ids(state, (rule_id for rule_id, _ in self.steps))
+        for number, (rule_id, pick) in enumerate(self.steps, 1):
+            candidates = state.scan(frozenset([rule_id]))
+            if pick >= len(candidates):
+                raise StrategyError(
+                    "scripted step %d: rule %r has %d applicable trigger(s), wanted index %d"
+                    % (number, rule_id, len(candidates), pick)
+                )
+            yield candidates[pick]
 
 
 @dataclass(frozen=True)
@@ -557,15 +540,16 @@ def run_chase(
     hom_budget: Optional[int] = None,
     stop: Optional[Callable[[Store], bool]] = None,
 ) -> ChaseOutcome:
-    """Build a derivation under the variant's applicability and the strategy's
-    order. Stops fairly when nothing is applicable, unfairly when a phased or
-    scripted strategy gives up early, or with a budget verdict at max_steps.
+    """Build a derivation under the variant's applicability and the order of
+    a new generator of the strategy. Stops fairly when nothing is applicable,
+    unfairly when a strategy that is not `complete` ends early, or with a
+    budget verdict at max_steps.
     `stop`, if given, sees the fact base before the first and after every
     step; once it returns True the run ends with the verdict STOPPED.
     """
     strategy = strategy or FIFO()
-    strategy.reset()
     state = ChaseState(kb, variant, hom_budget)
+    choices = strategy.triggers(state)
     verdict = None
     try:
         while verdict is None:
@@ -575,13 +559,13 @@ def run_chase(
                 nothing_left = state.first_applicable() is None
                 verdict = TERMINATED_FAIR if nothing_left else BUDGET_EXHAUSTED
             else:
-                t = strategy.choose(state)
+                t = next(choices, None)
                 if t is not None:
                     state.apply(t)
-                elif strategy.exhausted_early() and state.first_applicable() is not None:
-                    verdict = TERMINATED_UNFAIR
-                else:
+                elif strategy.complete or state.first_applicable() is None:
                     verdict = TERMINATED_FAIR
+                else:
+                    verdict = TERMINATED_UNFAIR
     except hom.HomBudgetExceeded:
         verdict = BUDGET_EXHAUSTED
     state.stats["steps"] = len(state.records)

@@ -8,6 +8,9 @@ callers control which terms are frozen.
 `IsoTable` maps atom sets up to isomorphism. It buckets them by a
 colour-refinement invariant and runs an exact, budgeted isomorphism check
 within a bucket; the derivation explorer uses it to deduplicate states.
+Its one lookup, `IsoTable.entry`, returns the entry of an atom set's class,
+adding it if it is new, and the caller reads and sets the entry's value; so
+the explorer makes one table lookup per child.
 """
 from __future__ import annotations
 
@@ -270,27 +273,14 @@ class IsoTable:
 
     def __init__(self) -> None:
         self._buckets: dict[tuple, list[_Entry]] = {}
-        # the last lookup, as `put` usually follows `get` on the same state
-        self._last: Optional[tuple[_Entry, Optional[_Entry]]] = None
 
-    def _lookup(self, atoms) -> tuple[_Entry, Optional[_Entry]]:
-        atoms = frozenset(atoms.atoms if isinstance(atoms, FactBase) else atoms)
-        if self._last is None or self._last[0].atoms != atoms:
-            probe = _Entry(atoms)
-            found = (e for e in self._buckets.get(probe.key, ()) if probe.isomorphic(e))
-            self._last = (probe, next(found, None))
-        return self._last
-
-    def get(self, atoms) -> Optional[object]:
-        """The value stored for an atom set isomorphic to `atoms`, or None."""
-        entry = self._lookup(atoms)[1]
-        return None if entry is None else entry.value
-
-    def put(self, atoms, value: object) -> None:
-        """Store `value` for `atoms`, replacing that of an isomorphic entry."""
-        probe, entry = self._lookup(atoms)
-        if entry is None:
-            entry = probe
-            self._buckets.setdefault(probe.key, []).append(probe)
-        entry.value = value
-        self._last = None
+    def entry(self, atoms) -> _Entry:
+        """The entry of the isomorphism class of `atoms`, added with value
+        None if the table has none. Callers read and set its `value`."""
+        probe = _Entry(frozenset(atoms.atoms if isinstance(atoms, FactBase) else atoms))
+        bucket = self._buckets.setdefault(probe.key, [])
+        for entry in bucket:
+            if probe.isomorphic(entry):
+                return entry
+        bucket.append(probe)
+        return probe

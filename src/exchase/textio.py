@@ -4,7 +4,8 @@ Grammar (UTF-8, `%` comments to end of line):
 
     document  := statement*
     statement := rule | fact | query
-    rule      := ('[' IDENT ']')? atomlist '->' ('exists' varlist '.')? atomlist '.'
+    rule      := ('[' ruleid ']')? atomlist '->' ('exists' varlist '.')? atomlist '.'
+    ruleid    := IDENT ('.' IDENT)*    (no space or line break inside)
     fact      := atom '.'
     query     := '?' atomlist '.'
     atomlist  := atom (',' atom)*
@@ -181,6 +182,18 @@ class _Parser:
             raise ArityError(a.pred, a.arity, seen, tok.line)
         return a
 
+    def _rule_id(self) -> str:
+        """`IDENT ('.' IDENT)*`, each token right after the one before it."""
+        tokens = [self._next("rule id")]
+        while tokens[-1].kind == "ident" and self._peek().text == ".":
+            tokens += [self._next("rule id"), self._next("rule id")]
+        for k, (prev, tok) in enumerate(zip([None, *tokens], tokens)):
+            if k % 2 == 0 and tok.kind != "ident":
+                raise ParseError("expected a rule id, found %r" % tok.text, tok.line, tok.col, "rule id")
+            if prev is not None and (tok.line, tok.col) != (prev.line, prev.col + len(prev.text)):
+                raise ParseError("space or line break inside a rule id", tok.line, tok.col)
+        return "".join(t.text for t in tokens)
+
     def _finish_rule(self, rule_id: Optional[str], body: list[Atom], line: int) -> None:
         self._expect("->")
         declared: list[str] = []
@@ -237,15 +250,7 @@ class _Parser:
             rule_id: Optional[str] = None
             if tok.text == "[":
                 self.pos += 1
-                parts: list[str] = []
-                while self._peek().kind != "end" and self._peek().text != "]":
-                    piece = self._next("rule id")
-                    if piece.kind != "ident" and piece.text != ".":
-                        raise ParseError("expected a rule id", piece.line, piece.col)
-                    parts.append(piece.text)
-                if not parts or parts[0] == "." or parts[-1] == ".":
-                    raise ParseError("expected a rule id", tok.line, tok.col)
-                rule_id = "".join(parts)
+                rule_id = self._rule_id()
                 self._expect("]")
             body = self._list(self._atom)
             if rule_id is None and len(body) == 1 and self._peek().text == ".":

@@ -50,11 +50,9 @@ class RandomChoice(Strategy):
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
 
-    def choose(self, state: ChaseState) -> Optional[Trigger]:
-        candidates = state.scan()
-        if not candidates:
-            return None
-        return self._rng.choice(candidates)
+    def triggers(self, state: ChaseState) -> Iterator[Trigger]:
+        while candidates := state.scan():
+            yield self._rng.choice(candidates)
 
 
 def are_isomorphic(left, right, stats: Optional[dict] = None) -> bool:

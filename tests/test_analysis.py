@@ -200,11 +200,10 @@ def test_find_terminating_by_deepening_only():
 class _GiveUp(Strategy):
     """Stops at once, so a run ends fairly only on a terminal fact base."""
 
-    def choose(self, state):
-        return None
+    complete = False
 
-    def exhausted_early(self):
-        return True
+    def triggers(self, state):
+        yield from ()
 
 
 def _deepening_reference(kb, variant, max_steps):
@@ -221,7 +220,7 @@ def _deepening_reference(kb, variant, max_steps):
             edges = list(applicable_edges(kb, fb, variant))
             if not edges:
                 return [(t, sort_atoms(after.atoms - before.atoms)) for t, before, after in path]
-            prev = dead.get(fb) if depth_left else None
+            prev = dead.entry(fb).value if depth_left else None
             if depth_left and (prev is None or prev < depth_left):
                 stack.append((fb, depth_left, iter(edges)))
             elif path:
@@ -233,7 +232,7 @@ def _deepening_reference(kb, variant, max_steps):
                 if t is not None:
                     break
                 stack.pop()
-                dead.put(fb, depth_left)
+                dead.entry(fb).value = depth_left
                 if stack:
                     path.pop()
             if t is None:

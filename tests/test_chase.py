@@ -263,6 +263,39 @@ def test_scripted_error_when_choice_inapplicable():
         run_chase(kb, R, Scripted(["ex1", "ex1"]), 100)
 
 
+_T5_SCRIPT = ["u_init", ["u_to_r", 1], "u_ext", "r_to_s", "u_to_r", "u_to_r", "u_to_r", "s_loop", "s_loop"]
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("t2f.erl", lambda: Phased([(("r3", "r4", "r5"), "exhaust"), (("r2",), "exhaust"), (("r1",), "exhaust")])),
+        ("t5.erl", lambda: Scripted(_T5_SCRIPT)),
+        ("t2f.erl", DatalogFirst),
+    ],
+    ids=["phased", "scripted", "datalog-first"],
+)
+def test_one_strategy_object_drives_runs_in_a_row_and_side_by_side(name, make):
+    kb, max_steps = load_kb(name), 20
+    fresh = run_chase(kb, R, make(), max_steps).derivation
+    assert len(fresh.records) > 2
+    shared = make()
+    for _ in range(2):
+        again = run_chase(kb, R, shared, max_steps).derivation
+        assert (again.records, again.verdict) == (fresh.records, fresh.verdict)
+    # two generators of the one object, advanced in turn on two states
+    states = [ChaseState(kb, R), ChaseState(kb, R)]
+    runs = [(state, shared.triggers(state)) for state in states]
+    while runs:
+        state, choices = runs.pop(0)
+        t = next(choices, None) if len(state.records) < max_steps else None
+        if t is not None:
+            state.apply(t)
+            runs.append((state, choices))
+    for state in states:
+        assert tuple(state.records) == fresh.records
+
+
 def test_budget_zero_checks_fairness():
     kb = load_kb("ex1.erl")
     out = run_chase(kb, R, FIFO(), 0)

@@ -173,6 +173,16 @@ def test_strategy_error_json_error(tmp_path, capsys):
     assert "scripted step 1" in error["error"]
 
 
+@pytest.mark.parametrize(
+    "kind, steps", [("phased", [[["nope"], "exhaust"]]), ("scripted", [["nope", 0]])]
+)
+def test_strategy_naming_an_unknown_rule_json_error(tmp_path, capsys, kind, steps):
+    path = tmp_path / ("%s.json" % kind)
+    path.write_text(json.dumps(steps))
+    error = run_cli_error(capsys, "run", str(CORPUS / "ex1.erl"), "--strategy", "%s:%s" % (kind, path))
+    assert error["error"] == "strategy names rule(s) 'nope' that the knowledge base does not have"
+
+
 def test_negative_scripted_index_json_error(tmp_path, capsys):
     script = tmp_path / "script.json"
     script.write_text(json.dumps([["ex1", -1]]))

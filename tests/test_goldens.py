@@ -5,7 +5,10 @@ under o/so/r/e/dfr with the fifo and datalog-first strategies at
 no extra strategies returns on every corpus `.erl` under o/so/r/e/dfr at
 `max_steps` 3 and 5, compared with `goldens/find_terminating.json`; and
 explore goldens: `explore --json --max-depth 10 --max-nodes 2000` on every
-corpus `.erl` under o/so/r/e/dfr/dfso, compared with `goldens/explore.json`.
+corpus `.erl` under o/so/r/e/dfr/dfso, compared with `goldens/explore.json`;
+and strategy goldens: `run_chase` with each phased or scripted strategy of a
+fixture, under each variant its expectations name, at the fixture's
+`max_steps`, compared with `goldens/strategies.json`.
 
 The derivation reports were made by the chase that re-enumerated every
 trigger at every step, before the trigger agenda replaced it; the
@@ -17,6 +20,9 @@ first appearance (`_ex1#1.Z`), so they fix which triggers fire and what they
 add but not the digest text of the labels. The explore reports, digests
 numbered alike, were made while `FactBase` still kept an index of its own
 beside `Store`'s; they fix the explorer's node and dedup counts as well.
+The strategy reports, digests numbered alike and without `stats`, were made
+while strategies were objects that kept their position between calls, before
+they became per-run generators.
 """
 from __future__ import annotations
 
@@ -29,8 +35,8 @@ from pathlib import Path
 import pytest
 
 from exchase import cli
-from exchase.analysis import find_terminating
-from exchase.chase import ChaseVariant
+from exchase.analysis import find_terminating, load_fixture
+from exchase.chase import ChaseVariant, run_chase
 
 from conftest import CORPUS, load_kb
 
@@ -38,6 +44,7 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDENS = json.loads((GOLDEN_DIR / "derivations.json").read_text())
 TERMINATING = json.loads((GOLDEN_DIR / "find_terminating.json").read_text())
 EXPLORE = json.loads((GOLDEN_DIR / "explore.json").read_text())
+STRATEGY_RUNS = json.loads((GOLDEN_DIR / "strategies.json").read_text())
 VARIANTS = ("o", "so", "r", "e", "dfr")
 EXPLORE_VARIANTS = VARIANTS + ("dfso",)
 _DIGEST = re.compile(r"#([0-9a-f]+)\.")
@@ -127,3 +134,29 @@ def test_find_terminating_matches_goldens(name):
         != TERMINATING["%s %s %d" % (name, variant, max_steps)]
     ]
     assert not mismatches
+
+
+def strategy_reports() -> dict:
+    """Key "fixture variant index" -> the run of the fixture's index-th
+    strategy under the variant at the fixture's `max_steps`: its verdict,
+    steps and (rule, match, added) records with numbered digests."""
+    reports = {}
+    for path in sorted((CORPUS / "fixtures").glob("*.json")):
+        fixture = load_fixture(path)
+        max_steps = fixture.budgets.get("max_steps", 20)
+        for name in sorted({entry["variant"] for entry in fixture.expect}):
+            for index, strategy in enumerate(fixture.strategies):
+                outcome = run_chase(fixture.kb, ChaseVariant.parse(name), strategy, max_steps)
+                records = [
+                    {"rule": t.rule.id, "match": {n: str(v) for n, v in t.match}, "added": [str(a) for a in delta]}
+                    for t, delta in outcome.derivation.records
+                ]
+                report = {"verdict": outcome.verdict, "steps": len(records), "records": records}
+                reports["%s %s %d" % (fixture.id, name, index)] = json.loads(number_digests(json.dumps(report)))
+    return reports
+
+
+def test_strategy_runs_match_goldens():
+    reports = strategy_reports()
+    assert {key.split()[0] for key in reports} == {"T13_2AD", "T2F", "T5", "T6"}
+    assert reports == STRATEGY_RUNS

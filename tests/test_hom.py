@@ -108,19 +108,19 @@ def test_are_isomorphic_examples():
 def same_entry(left, right) -> bool:
     """True iff a table holding only `left` finds it when looking up `right`."""
     table = IsoTable()
-    table.put(left, "left")
-    return table.get(right) == "left"
+    table.entry(left).value = "left"
+    return table.entry(right).value == "left"
 
 
 def test_iso_table_examples():
     assert same_entry([P(a, n1)], [P(a, n9)])
     assert not same_entry([P(a, b)], [P(b, a)])
     table = IsoTable()
-    assert table.get([P(a, n1)]) is None
-    table.put([P(a, n1)], 1)
-    table.put([P(a, n9)], 2)  # isomorphic: replaces the value
-    table.put([P(n1, a)], 3)
-    assert (table.get([P(a, n2)]), table.get([P(n2, a)])) == (2, 3)
+    assert table.entry([P(a, n1)]).value is None
+    table.entry([P(a, n1)]).value = 1
+    table.entry([P(a, n9)]).value = 2  # isomorphic: replaces the value
+    table.entry([P(n1, a)]).value = 3
+    assert (table.entry([P(a, n2)]).value, table.entry([P(n2, a)]).value) == (2, 3)
 
 
 def test_iso_table_stable_under_relabelling():
@@ -130,14 +130,14 @@ def test_iso_table_stable_under_relabelling():
     kb = load_doc("ex1.erl").knowledge_base()
     result = run_chase(kb, ChaseVariant.parse("r"), FIFO(), 10).result
     table = IsoTable()
-    table.put(result, "result")
+    table.entry(result).value = "result"
     rng = random.Random(3)
     nulls = sorted(result.nulls, key=str)
     for _ in range(10):
         names = ["m%d" % rng.randint(0, 10**6) for _ in nulls]
         mapping = {old: Null(new) for old, new in zip(nulls, names)}
         relabelled = FactBase(at.substitute(mapping) for at in result.atoms)
-        assert table.get(relabelled) == "result"
+        assert table.entry(relabelled).value == "result"
 
 
 def test_iso_table_handles_symmetric_stars():
@@ -218,11 +218,11 @@ def test_iso_table_on_symmetric_rings():
     assert hom._Entry(frozenset(six)).key == hom._Entry(frozenset(three_three)).key
     assert not same_entry(six, three_three)
     table = IsoTable()
-    table.put(six, "ring6")
-    assert table.get(three_three) is None
-    table.put(three_three, "ring3+ring3")
-    assert table.get(ring("v", 6)) == "ring6"
-    assert table.get(ring("x", 3) + ring("y", 3)) == "ring3+ring3"
+    table.entry(six).value = "ring6"
+    assert table.entry(three_three).value is None
+    table.entry(three_three).value = "ring3+ring3"
+    assert table.entry(ring("v", 6)).value == "ring6"
+    assert table.entry(ring("x", 3) + ring("y", 3)).value == "ring3+ring3"
 
 
 def test_iso_table_check_out_of_budget_counts_as_distinct(monkeypatch):

@@ -127,6 +127,21 @@ def test_rule_id_with_dots_roundtrips():
     assert again.rules[0].id == "r1.p2"
 
 
+@pytest.mark.parametrize(
+    "label, line, col",
+    [("[x y]", 1, 4), ("[a..b]", 1, 4), ("[a . b]", 1, 4), ("[a\n.b]", 2, 1), ("[a.]", 1, 4), ("[.a]", 1, 2)],
+)
+def test_malformed_rule_id_rejected_at_the_offending_token(label, line, col):
+    with pytest.raises(textio.ParseError) as err:
+        textio.parse_document(label + " p(X) -> q(X).")
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_generated_rule_ids_parse():
+    for rule_id in ("r.p1", "r.x", "r.h1", "r.b", "n1.h2.b"):
+        assert textio.parse_document("[%s] p(X) -> q(X)." % rule_id).rules[0].id == rule_id
+
+
 def test_duplicate_rule_id_rejected():
     with pytest.raises(textio.ParseError):
         textio.parse_document("[r] p(X) -> q(X).\n[r] q(X) -> p(X).")
