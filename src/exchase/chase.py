@@ -13,7 +13,8 @@ Applicability of a trigger t on a fact base F:
 Because null labels are a pure function of (rule, match), "was applied" is
 equivalent to "its output is already present", so O needs no record. SO
 reads the frontier keys of the triggers fired along the derivation, which
-the derivation state keeps (`ChaseState.fired`). R is decided as head
+the derivation state keeps (`ChaseState.fired`) under SO only, the one
+variant that reads them. R is decided as head
 satisfaction: a search for out(t) into F in which every term F holds is
 frozen, so only the fresh nulls F lacks may move. That is the retraction
 test at the cost of |out(t)| atoms instead of |F|; E runs it first as its
@@ -79,7 +80,6 @@ from .core import (
     Trigger,
     Var,
     make_match,
-    term_key,
 )
 from . import hom
 
@@ -175,7 +175,7 @@ def enumerate_triggers(rules: Sequence[Rule], fb: Store, stats: Optional[dict] =
     then canonical match order."""
     for rule in rules:
         matches = [make_match(m) for m in _join(rule.join_orders.whole, fb, {}, stats)]
-        matches.sort(key=lambda m: tuple((n, term_key(t)) for n, t in m))
+        matches.sort(key=lambda m: tuple([(n, t.key) for n, t in m]))
         for m in matches:
             yield Trigger(rule, m)
 
@@ -293,11 +293,11 @@ _MATCH_ORDER = operator.attrgetter("body_key")
 class ChaseState:
     """One derivation under construction: its `store`, grown in place, the
     triggers on it that may still fire (`lists`, per rule in canonical match
-    order), the frontier keys fired along it (`fired`, which SO reads, as a
-    count so that `undo` keeps a key an earlier step fired too) and its
-    (trigger, delta) `records`. Invariant: after every step `lists` holds
-    every trigger on the store except those applied or dropped by a scan
-    for a permanent reason.
+    order), the frontier keys fired along it (`fired`, kept under SO only,
+    the one variant that reads it, as a count so that `undo` keeps a key an
+    earlier step fired too) and its (trigger, delta) `records`. Invariant:
+    after every step `lists` holds every trigger on the store except those
+    applied or dropped by a scan for a permanent reason.
     """
 
     def __init__(self, kb: KnowledgeBase, variant: ChaseVariant, hom_budget: Optional[int] = None) -> None:
@@ -382,7 +382,8 @@ class ChaseState:
         take it off its list and put on the triggers whose match uses an
         atom it added."""
         delta = self.store.add(t.output)
-        self.fired[t.frontier_key] += 1
+        if self.variant.tag == "so":
+            self.fired[t.frontier_key] += 1
         entries = self.lists[self.rule_index[t.rule.id]]
         i = bisect_left(entries, t.body_key, key=_MATCH_ORDER)
         if i < len(entries) and entries[i].body_key == t.body_key:
@@ -402,11 +403,12 @@ class ChaseState:
         before it."""
         t, delta = self.records.pop()
         self.store.remove(delta)
-        key = t.frontier_key
-        if self.fired[key] == 1:
-            del self.fired[key]
-        else:
-            self.fired[key] -= 1
+        if self.variant.tag == "so":
+            key = t.frontier_key
+            if self.fired[key] == 1:
+                del self.fired[key]
+            else:
+                self.fired[key] -= 1
         self.lists = lists
 
     def derivation(self, verdict: str) -> Derivation:

@@ -2,38 +2,76 @@
 
 Terms, atoms, rules, fact bases, triggers and derivations are immutable,
 hashable and safe to share between threads; a `FactBase` is a validated atom
-set that lazily caches its sorted atoms, terms and nulls (plain dict writes,
+set that lazily caches its sorted atoms, terms and nulls, as rules and
+triggers cache their derived fields (`cached_attribute`: plain dict writes,
 safe because instances are frozen). `Store` is the one mutable exception and
 the one indexed fact base: the fact base a derivation grows in place (and
 shrinks again when the explorer backtracks), which every trigger join and
-homomorphism search runs over.
+homomorphism search runs over. Its buckets keep a parallel list of their
+atoms' canonical keys, which `add` and `remove` bisect.
 
 Canonical ordering: constants sort before nulls, nulls before variables;
 atoms sort by predicate name then argument order. All iteration and
 serialization in the package follows this order so runs are reproducible.
+Each term computes its canonical key (`key`, the order above) and its hash
+once, in `__init__`, and each atom its hash; the hashes are the values the
+dataclasses would compute, so set and dict order are as without the caches.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 
-@dataclass(frozen=True, slots=True)
+# Frozen dataclasses set their fields in `__init__` through this.
+_set = object.__setattr__
+
+
+class cached_attribute(functools.cached_property):
+    """`functools.cached_property` without the lock that Python 3.11 takes
+    on each first read: the value is computed and written into the
+    instance's `__dict__`, which answers every later read. Two threads may
+    both compute a value on first read; it is a pure function of a frozen
+    instance, so either result is the same. It stays a
+    `functools.cached_property`, so code that recognises those
+    (`bench/tracer.py`) still does."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Const:
     """A named individual; rigid under homomorphisms."""
 
     name: str
+    key: tuple = field(repr=False, compare=False)
+    _hash: int = field(repr=False, compare=False)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "key", (0, name))
+        _set(self, "_hash", hash((name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Const, (self.name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Null:
     """A labelled fresh witness minted by a trigger for an existential variable.
 
@@ -42,16 +80,42 @@ class Null:
     """
 
     label: str
+    key: tuple = field(repr=False, compare=False)
+    _hash: int = field(repr=False, compare=False)
+
+    def __init__(self, label: str) -> None:
+        _set(self, "label", label)
+        _set(self, "key", (1, label))
+        _set(self, "_hash", hash((label,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Null, (self.label,))
 
     def __str__(self) -> str:
         return "_" + self.label
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Var:
     """A rule/query variable; never occurs in a stored fact base."""
 
     name: str
+    key: tuple = field(repr=False, compare=False)
+    _hash: int = field(repr=False, compare=False)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "key", (2, name))
+        _set(self, "_hash", hash((name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Var, (self.name,))
 
     def __str__(self) -> str:
         return self.name
@@ -62,26 +126,24 @@ Term = Union[Const, Null, Var]
 
 def term_key(t: Term) -> tuple:
     """Total order on terms: constants < nulls < variables, then by name."""
-    if isinstance(t, Const):
-        return (0, t.name)
-    if isinstance(t, Null):
-        return (1, t.label)
-    return (2, t.name)
+    return t.key
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Atom:
     """A predicate applied to terms. Its hash is computed once, and is the
     value the dataclass would compute, so set order is unchanged by caching."""
 
     pred: str
     args: tuple[Term, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
-        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
+    def __init__(self, pred: str, args: Iterable[Term]) -> None:
+        if not isinstance(args, tuple):
+            args = tuple(args)
+        _set(self, "pred", pred)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((pred, args)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -95,7 +157,7 @@ class Atom:
         return len(self.args)
 
     def key(self) -> tuple:
-        return (self.pred, tuple(term_key(a) for a in self.args))
+        return (self.pred, tuple([t.key for t in self.args]))
 
     def substitute(self, mapping: Mapping[Term, Term]) -> "Atom":
         return Atom(self.pred, tuple(mapping.get(a, a) for a in self.args))
@@ -172,23 +234,23 @@ class Rule:
                 if isinstance(t, Null):
                     raise RuleError("rule %r contains a null term" % self.id)
 
-    @cached_property
+    @cached_attribute
     def body_vars(self) -> frozenset[str]:
         return frozenset().union(*(a.variables() for a in self.body))
 
-    @cached_property
+    @cached_attribute
     def head_vars(self) -> frozenset[str]:
         return frozenset().union(*(a.variables() for a in self.head))
 
-    @cached_property
+    @cached_attribute
     def frontier(self) -> frozenset[str]:
         return self.body_vars & self.head_vars
 
-    @cached_property
+    @cached_attribute
     def existentials(self) -> frozenset[str]:
         return self.head_vars - self.body_vars
 
-    @cached_property
+    @cached_attribute
     def join_orders(self) -> JoinOrders:
         """Static orders in which trigger discovery joins the body atoms."""
         return JoinOrders(
@@ -240,22 +302,22 @@ class FactBase:
     def __iter__(self) -> Iterator[Atom]:
         return iter(self.sorted_atoms)
 
-    @cached_property
+    @cached_attribute
     def sorted_atoms(self) -> tuple[Atom, ...]:
         return sort_atoms(self.atoms)
 
-    @cached_property
+    @cached_attribute
     def signature(self) -> frozenset[str]:
         return frozenset(a.pred for a in self.atoms)
 
-    @cached_property
+    @cached_attribute
     def terms(self) -> frozenset[Term]:
         out: set[Term] = set()
         for a in self.atoms:
             out.update(a.args)
         return frozenset(out)
 
-    @cached_property
+    @cached_attribute
     def nulls(self) -> frozenset[Null]:
         return frozenset(t for t in self.terms if isinstance(t, Null))
 
@@ -267,13 +329,29 @@ class FactBase:
 
 
 
-def _discard(index: dict, k, a: Atom, key) -> None:
-    """Take `a` out of the canonically ordered bucket `index[k]`, and the
-    bucket out of the index once it is empty."""
-    bucket = index[k]
-    del bucket[bisect_left(bucket, key(a), key=key)]
-    if not bucket:
-        del index[k]
+def _place(index: dict, keys: dict, b, a: Atom, k: tuple) -> None:
+    """Put `a`, whose canonical key is `k`, into the bucket `index[b]` at
+    its place in canonical order, and `k` into the bucket's key list
+    `keys[b]` at the same place."""
+    bucket_keys = keys.get(b)
+    if bucket_keys is None:
+        index[b], keys[b] = [a], [k]
+        return
+    i = bisect_right(bucket_keys, k)
+    bucket_keys.insert(i, k)
+    index[b].insert(i, a)
+
+
+def _discard(index: dict, keys: dict, b, k: tuple) -> None:
+    """Take the atom whose canonical key is `k` out of the bucket
+    `index[b]` and its key list, and both out of their indexes once they
+    are empty."""
+    bucket_keys = keys[b]
+    if len(bucket_keys) == 1:
+        del index[b], keys[b]
+    else:
+        i = bisect_left(bucket_keys, k)
+        del bucket_keys[i], index[b][i]
 
 
 class Store:
@@ -286,10 +364,13 @@ class Store:
     `by_pred_pos` ((predicate, argument position, term) -> atoms). Every
     bucket is kept in canonical atom order, so a search that walks
     `candidates` visits atoms in the same order whatever the store's
-    history, and finds the same first solution. `terms` is the live key
-    view of a count of term uses, so a term leaves it with its last atom.
-    Atoms come from a `FactBase` or trigger outputs, so they are not
-    checked for variables again.
+    history, and finds the same first solution. Beside each bucket the
+    store keeps the list of its atoms' canonical keys (`Atom.key`), in the
+    same order, so an atom's place is found by bisecting that list in C
+    rather than by computing a key per probe. `terms` is the live key view
+    of a count of term uses, so a term leaves it with its last atom. Atoms
+    come from a `FactBase` or trigger outputs, so they are not checked for
+    variables again.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
@@ -298,7 +379,8 @@ class Store:
         self.terms = self._uses.keys()
         self.by_pred: dict[str, list[Atom]] = {}
         self.by_pred_pos: dict[tuple[str, int, Term], list[Atom]] = {}
-        self._keys: dict[Atom, tuple] = {}
+        self._pred_keys: dict[str, list[tuple]] = {}
+        self._pos_keys: dict[tuple[str, int, Term], list[tuple]] = {}
         self.add(atoms)
 
     def __iter__(self) -> Iterator[Atom]:
@@ -307,32 +389,32 @@ class Store:
 
     def add(self, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
         """Insert the atoms; return those that were new, in canonical order."""
-        new = sort_atoms(frozenset(atoms) - self.atoms)
-        key = self._keys.__getitem__
-        for a in new:
+        keyed = sorted([(a.key(), a) for a in frozenset(atoms) - self.atoms])
+        for k, a in keyed:
+            pred = a.pred
             self.atoms.add(a)
-            self._keys[a] = a.key()
-            insort(self.by_pred.setdefault(a.pred, []), a, key=key)
+            _place(self.by_pred, self._pred_keys, pred, a, k)
             for i, t in enumerate(a.args):
-                insort(self.by_pred_pos.setdefault((a.pred, i, t), []), a, key=key)
+                _place(self.by_pred_pos, self._pos_keys, (pred, i, t), a, k)
+        new = tuple([a for _, a in keyed])
         self._uses.update([t for a in new for t in a.args])
         return new
 
     def remove(self, delta: Iterable[Atom]) -> None:
         """Undo the `add` that returned `delta`: the atoms, the terms only
         they used and the index buckets they alone filled leave the store."""
-        key = self._keys.__getitem__
         uses = self._uses
         for a in delta:
+            k = a.key()
+            pred = a.pred
             self.atoms.remove(a)
-            _discard(self.by_pred, a.pred, a, key)
+            _discard(self.by_pred, self._pred_keys, pred, k)
             for i, t in enumerate(a.args):
-                _discard(self.by_pred_pos, (a.pred, i, t), a, key)
+                _discard(self.by_pred_pos, self._pos_keys, (pred, i, t), k)
                 if uses[t] == 1:
                     del uses[t]
                 else:
                     uses[t] -= 1
-            del self._keys[a]
 
     def candidates(self, pred: str, bound: Iterable[tuple[int, Term]]) -> Sequence[Atom]:
         """The atoms a search tries for an atom of `pred` whose arguments at
@@ -354,7 +436,8 @@ class Store:
         out.terms = out._uses.keys()
         out.by_pred = {p: list(v) for p, v in self.by_pred.items()}
         out.by_pred_pos = {k: list(v) for k, v in self.by_pred_pos.items()}
-        out._keys = dict(self._keys)
+        out._pred_keys = {p: list(v) for p, v in self._pred_keys.items()}
+        out._pos_keys = {k: list(v) for k, v in self._pos_keys.items()}
         return out
 
     def snapshot(self) -> FactBase:
@@ -390,7 +473,7 @@ class KnowledgeBase:
             yield from r.head
         yield from self.facts.atoms
 
-    @cached_property
+    @cached_attribute
     def signature(self) -> frozenset[str]:
         return frozenset(a.pred for a in self._all_atoms())
 
@@ -421,7 +504,7 @@ def _match_digest(rule_id: str, match: Match) -> str:
     700k triggers. Labels order nulls, so keeping those ten digits keeps the
     canonical order of nulls, and with it every derivation, as it was.
     """
-    full = ["%s=%d:%s" % (name, *term_key(t)) for name, t in match]
+    full = ["%s=%d:%s" % (name, *t.key) for name, t in match]
     short = [_MINTED_DIGEST.sub(r"#\1.", part) if "#" in part else part for part in full]
 
     def sha1(parts: list[str]) -> str:
@@ -442,11 +525,11 @@ class Trigger:
     rule: Rule
     match: Match
 
-    @cached_property
+    @cached_attribute
     def mapping(self) -> dict[str, Term]:
         return dict(self.match)
 
-    @cached_property
+    @cached_attribute
     def _extended(self) -> dict[str, Term]:
         m = dict(self.mapping)
         if self.rule.existentials:
@@ -455,7 +538,7 @@ class Trigger:
                 m[z] = Null("%s#%s.%s" % (self.rule.id, digest, z))
         return m
 
-    @cached_property
+    @cached_attribute
     def output(self) -> tuple[Atom, ...]:
         m = self._extended
         return sort_atoms(
@@ -463,22 +546,22 @@ class Trigger:
             for a in self.rule.head
         )
 
-    @cached_property
+    @cached_attribute
     def output_nulls(self) -> frozenset[Null]:
         return frozenset(
             t for t in self._extended.values() if isinstance(t, Null)
         ) - frozenset(t for t in self.mapping.values() if isinstance(t, Null))
 
-    @cached_property
+    @cached_attribute
     def body_key(self) -> tuple:
-        return (self.rule.id, tuple((n, term_key(t)) for n, t in self.match))
+        return (self.rule.id, tuple([(n, t.key) for n, t in self.match]))
 
-    @cached_property
+    @cached_attribute
     def frontier_key(self) -> tuple:
         fr = self.rule.frontier
         return (
             self.rule.id,
-            tuple((n, term_key(t)) for n, t in self.match if n in fr),
+            tuple([(n, t.key) for n, t in self.match if n in fr]),
         )
 
     def __str__(self) -> str:
@@ -509,7 +592,7 @@ class Derivation:
         """Per-step newly added atoms, in canonical order."""
         return [delta for _, delta in self.records]
 
-    @cached_property
+    @cached_attribute
     def steps(self) -> tuple[tuple[Trigger, FactBase], ...]:
         """(trigger, fact base after it) per step, rebuilt from the deltas on
         first use: O(steps * |F|), for callers that need every snapshot."""

@@ -125,6 +125,14 @@ class _Parser:
         self.doc = SourceDocument()
         self.arities: dict[str, int] = {}
         self.rule_ids: set[str] = set()
+        # The one-identifier rule ids the document names anywhere, which an
+        # unnamed rule's `r<k>` must avoid even when they come after it.
+        tokens = self.tokens
+        self.named_ids = {
+            tokens[i + 1].text
+            for i in range(len(tokens) - 2)
+            if tokens[i].text == "[" and tokens[i + 1].kind == "ident" and tokens[i + 2].text == "]"
+        }
         self.auto_rule_index = 0
 
     def _peek(self) -> _Token:
@@ -230,6 +238,8 @@ class _Parser:
             )
         if rule_id is None:
             self.auto_rule_index += 1
+            while "r%d" % self.auto_rule_index in self.named_ids:
+                self.auto_rule_index += 1
             rule_id = "r%d" % self.auto_rule_index
         if rule_id in self.rule_ids:
             raise ParseError("duplicate rule id %r" % rule_id, line, 1)

@@ -40,6 +40,8 @@ def test_term_ordering_and_equality():
     assert Null("n1") == Null("n1")
     assert Null("n1") != Null("n2")
     assert Const("a") != Null("a")
+    assert Null("a") != Var("a") and Const("a") != Var("a")
+    assert len({Const("a"), Null("a"), Var("a")}) == 3  # equal hashes, unequal terms
 
 
 def test_frontier_rule6():
@@ -205,19 +207,20 @@ def _store_atoms(draw):
     return Atom(pred, tuple(draw(st.sampled_from(_STORE_TERMS)) for _ in range(arity)))
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.data())
-def test_store_candidates_hold_every_agreeing_atom_in_canonical_order(data):
-    """After random adds, and removes that undo them, the candidates for a
-    predicate with some arguments bound are in canonical order, and the
-    atoms among them that agree with the bound terms are exactly the stored
-    ones that do."""
-    store, deltas = Store(), []
+def _grow_and_shrink(store: Store, data) -> None:
+    """Random adds, and removes that undo the latest add still in place."""
+    deltas = []
     for _ in range(data.draw(st.integers(0, 8))):
         if deltas and data.draw(st.booleans()):
             store.remove(deltas.pop())
         else:
             deltas.append(store.add(data.draw(st.lists(_store_atoms(), max_size=6))))
+
+
+def _assert_candidates_agree(store: Store, data) -> None:
+    """The candidates for each predicate with some arguments bound are in
+    canonical order, and the atoms among them that agree with the bound
+    terms are exactly the stored ones that do."""
     stored = sort_atoms(store.atoms)
     for pred, arity in _STORE_PREDS:
         positions = data.draw(st.sets(st.integers(0, arity - 1)))
@@ -229,6 +232,33 @@ def test_store_candidates_hold_every_agreeing_atom_in_canonical_order(data):
         cands = store.candidates(pred, bound)
         assert list(cands) == sorted(cands, key=Atom.key)
         assert [a for a in cands if agrees(a)] == [a for a in stored if agrees(a)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_store_candidates_hold_every_agreeing_atom_in_canonical_order(data):
+    """After random adds, and removes that undo them, the candidates for a
+    predicate with some arguments bound are in canonical order, and the
+    atoms among them that agree with the bound terms are exactly the stored
+    ones that do."""
+    store = Store()
+    _grow_and_shrink(store, data)
+    _assert_candidates_agree(store, data)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_store_copy_keeps_its_key_lists_apart(data):
+    """A store and its copy, grown and shrunk apart by different atoms,
+    each keep candidates in canonical order that hold exactly its own
+    agreeing atoms: the copy shares no bucket or key list with its
+    original."""
+    original = Store(data.draw(st.lists(_store_atoms(), max_size=6)))
+    stores = (original, original.copy())
+    for store in stores:
+        _grow_and_shrink(store, data)
+    for store in stores:
+        _assert_candidates_agree(store, data)
 
 
 def test_store_remove_undoes_add_and_copy_is_apart():
@@ -255,10 +285,20 @@ def _in_process(code: str, seed: str) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONHASHSEED=seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    prelude = "import pickle, sys\nfrom exchase.core import Atom, Const, Null\n"
+    prelude = "import pickle, sys\nfrom exchase.core import Atom, Const, Null, Var\n"
     return subprocess.run(
         [sys.executable, "-c", prelude + code], capture_output=True, env=env, check=True
     )
+
+
+@pytest.mark.parametrize("cls", [Const, Null, Var])
+def test_term_hash_is_the_dataclass_hash_and_key_is_stored(cls):
+    """A term's hash is the value the dataclass computes, `hash((name,))`,
+    and `term_key` reads the key it stores."""
+    t = cls("a")
+    assert hash(t) == hash(("a",))
+    assert term_key(t) == t.key == ({Const: 0, Null: 1, Var: 2}[cls], "a")
+    assert t == cls("a") and t != cls("b")
 
 
 def test_atom_hash_is_the_dataclass_hash():
@@ -281,6 +321,32 @@ def test_pickled_atoms_keep_membership_under_another_hash_seed():
         "2",
     ).stdout
     assert out.split() == [b"True", b"True"]
+
+
+_PICKLE_TERMS = "[Const('a'), Null('n1'), Var('X'), Const('n1')]"
+
+
+def test_pickled_terms_keep_membership_under_another_hash_seed():
+    """Terms pickled under one hash seed are found in their set, and hash
+    as the dataclass would, after unpickling under another."""
+    pickled = _in_process(
+        "sys.stdout.buffer.write(pickle.dumps(frozenset(%s)))" % _PICKLE_TERMS, "1"
+    ).stdout
+    out = _in_process(
+        "terms = pickle.loads(bytes.fromhex(%r))\n"
+        "print(all(t in terms for t in %s))\n"
+        "print(all(hash(t) == hash((t.key[1],)) for t in terms))"
+        % (pickled.hex(), _PICKLE_TERMS),
+        "2",
+    ).stdout
+    assert out.split() == [b"True", b"True"]
+
+
+@pytest.mark.parametrize("t", [Const("a"), Null("n1"), Var("X")])
+def test_copied_terms_keep_equality_and_hash(t):
+    for u in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert u == t and hash(u) == hash(t) and u.key == t.key
+        assert u in {t}
 
 
 def test_copied_atoms_keep_equality_and_hash():

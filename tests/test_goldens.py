@@ -23,6 +23,14 @@ beside `Store`'s; they fix the explorer's node and dedup counts as well.
 The strategy reports, digests numbered alike and without `stats`, were made
 while strategies were objects that kept their position between calls, before
 they became per-run generators.
+
+Work goldens: the `stats` (steps, triggers considered, homomorphism
+searches) of `run --json --max-steps 60` on every corpus `.erl` under
+o/so/r/e/dfr with the fifo and datalog-first strategies, and of the
+transitive closure of a 55-edge chain under dfr with datalog-first, compared
+with `goldens/work.json`. They gate the work a run does, which timings
+cannot, and were made before terms cached their keys and hashes and store
+buckets kept lists of atom keys.
 """
 from __future__ import annotations
 
@@ -45,6 +53,7 @@ GOLDENS = json.loads((GOLDEN_DIR / "derivations.json").read_text())
 TERMINATING = json.loads((GOLDEN_DIR / "find_terminating.json").read_text())
 EXPLORE = json.loads((GOLDEN_DIR / "explore.json").read_text())
 STRATEGY_RUNS = json.loads((GOLDEN_DIR / "strategies.json").read_text())
+WORK = json.loads((GOLDEN_DIR / "work.json").read_text())
 VARIANTS = ("o", "so", "r", "e", "dfr")
 EXPLORE_VARIANTS = VARIANTS + ("dfso",)
 _DIGEST = re.compile(r"#([0-9a-f]+)\.")
@@ -160,3 +169,38 @@ def test_strategy_runs_match_goldens():
     reports = strategy_reports()
     assert {key.split()[0] for key in reports} == {"T13_2AD", "T2F", "T5", "T6"}
     assert reports == STRATEGY_RUNS
+
+
+TC_CHAIN_EDGES = 55
+
+
+def run_stats(path: Path, variant: str, strategy: str, max_steps: int) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        argv = ["run", str(path), "--variant", variant, "--strategy", strategy]
+        assert cli.main([*argv, "--max-steps", str(max_steps), "--json"]) == 0
+    return json.loads(out.getvalue())["stats"]
+
+
+def work_stats(scratch: Path) -> dict:
+    """Key "file variant strategy" -> the `stats` of the run, for every
+    corpus `.erl` at `--max-steps 60` and for the transitive closure of an
+    `e` chain of TC_CHAIN_EDGES edges, written into `scratch`, run to its
+    end."""
+    stats = {
+        "%s %s %s" % (path.name, variant, strategy): run_stats(path, variant, strategy, 60)
+        for path in sorted(CORPUS.glob("*.erl"))
+        for variant in VARIANTS
+        for strategy in ("fifo", "datalog-first")
+    }
+    chain = scratch / "tc_chain.erl"
+    edges = ["e(v%02d,v%02d)." % (i, i + 1) for i in range(TC_CHAIN_EDGES)]
+    chain.write_text("\n".join(["[tc1] e(X,Y) -> t(X,Y).", "[tc2] t(X,Y), e(Y,Z) -> t(X,Z).", *edges]) + "\n")
+    stats["tc_chain dfr datalog-first"] = run_stats(chain, "dfr", "datalog-first", 2 * TC_CHAIN_EDGES**2)
+    return stats
+
+
+def test_work_counters_match_goldens(tmp_path):
+    stats = work_stats(tmp_path)
+    assert stats["tc_chain dfr datalog-first"] == {"steps": 1540, "triggers_considered": 3080, "hom_calls": 1542}
+    assert stats == WORK

@@ -147,6 +147,20 @@ def test_duplicate_rule_id_rejected():
         textio.parse_document("[r] p(X) -> q(X).\n[r] q(X) -> p(X).")
 
 
+@pytest.mark.parametrize(
+    "text, ids",
+    [
+        ("p(X) -> q(X).\n[r1] q(X) -> s(X).\np(a).", ["r2", "r1"]),
+        ("[r1] q(X) -> s(X).\np(X) -> q(X).\np(a).", ["r1", "r2"]),
+        ("p(X) -> q(X).\n[r2] q(X) -> s(X).\ns(X) -> t(X).\n[ r1 ] t(X) -> u(X).", ["r3", "r2", "r4", "r1"]),
+    ],
+)
+def test_unnamed_rules_skip_the_ids_the_document_names(text, ids):
+    """An unnamed rule gets the next `r<k>` that no rule of the document
+    names, before or after it."""
+    assert [r.id for r in textio.parse_document(text).rules] == ids
+
+
 def test_full_width_null_label_roundtrips():
     kb = textio.parse_document("[r] p(X) -> exists Z. q(X,Z).\np(a).\n").knowledge_base()
     out = run_chase(kb, ChaseVariant.parse("o"), FIFO(), 5)

@@ -3,8 +3,10 @@
     python3 tools/compare_reports.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are `src` directories, each holding an `exchase`
-package. Each tree runs the same command set in one subprocess of its own,
-under PYTHONHASHSEED=0, through `exchase.cli.main` with its own corpus:
+package. Each tree runs the same command set through `exchase.cli.main`
+with its own corpus, once under each of PYTHONHASHSEED 0 and 1, in one
+subprocess per seed, so a change that moves set iteration order shows
+under either seed:
 
 - `run --derivation --json --max-steps 60` on every corpus `.erl` under
   o/so/r/e/dfr/dfe with the fifo and datalog-first strategies (stats kept);
@@ -16,6 +18,7 @@ under PYTHONHASHSEED=0, through `exchase.cli.main` with its own corpus:
 
 A report is the command's exit code, stdout and stderr, with the tree's
 path replaced by `<tree>` (it appears in `inputs` and in error messages).
+Its key is the command's, tagged with the seed (`seed0: run ex1.erl o fifo`).
 The script prints each key whose report differs and exits 1 if any does,
 0 otherwise. Stdlib only.
 
@@ -40,6 +43,7 @@ EXPLORE_VARIANTS = ("o", "so", "r", "e", "dfr")
 STRATEGIES = ("fifo", "datalog-first")
 EXPLORE_BUDGETS = ((10, 2000), (3, 5), (40, 40), (60, 300))
 GROWTH_ERL = "[g] p(X,Y) -> exists Z. p(Y,Z).\np(a,b).\n"
+HASH_SEEDS = ("0", "1")
 
 
 def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
@@ -92,16 +96,21 @@ def dump(src: Path, scratch: Path) -> dict[str, dict]:
 
 
 def _reports_of(src: Path, scratch: Path) -> dict[str, dict]:
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    env.pop("PYTHONPATH", None)
-    proc = subprocess.run(
-        [sys.executable, __file__, "--dump", str(src), str(scratch)],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout)
+    """The tree's reports under every seed of HASH_SEEDS, keyed by seed."""
+    reports: dict[str, dict] = {}
+    for seed in HASH_SEEDS:
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env.pop("PYTHONPATH", None)
+        proc = subprocess.run(
+            [sys.executable, __file__, "--dump", str(src), str(scratch)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        for key, report in json.loads(proc.stdout).items():
+            reports["seed%s: %s" % (seed, key)] = report
+    return reports
 
 
 def main(argv: list[str]) -> int:
