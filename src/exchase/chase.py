@@ -28,14 +28,18 @@ that may still fire (semi-naive evaluation), the fired frontier keys and
 the (trigger, delta) records. Invariant: after every step it holds every
 trigger on the store, per rule in canonical match order, except those that
 were applied or dropped. After a step only the body matches that use an
-atom of the step's delta are found and inserted. They are found by
-`_join`, which follows a static order that each rule compiles once
-(`Rule.join_orders`): per body position j, the other body atoms, most
-bound arguments first, once atom j is bound to a delta atom. An atom whose
-arguments are all bound is looked up in the store; any other walks
-`Store.candidates`, the rule the homomorphism search picks its candidates
-by too. Enumerating every trigger of a store joins the whole body the same
-way.
+atom of the step's delta are found and inserted. The knowledge base's
+`body_index` gives the body atoms of each delta predicate; each such atom j
+is bound to a delta atom and `_join`ed with the other body atoms in a
+static order, most bound arguments first (`Rule.join_orders`), compiled
+once per rule (`Rule.join_plans`) so that the join knows, per atom, which
+positions are bound, free, constant or repeated. An atom whose arguments
+are all bound is looked up in the store; any other walks `Store.pool`, the
+bucket `Store.candidates` would pick for the homomorphism search, in the
+order its atoms were added. Trigger order comes from sorting the matches
+(`enumerate_triggers`) and inserting new triggers by key (`apply`), so a
+join never makes the store sort a bucket. Enumerating every trigger of a
+store joins the whole body the same way.
 
 `ChaseState.scan` is the one place that tests applicability along a
 derivation: every strategy, the final fairness check of `run_chase` and
@@ -70,15 +74,18 @@ from .core import (
     TERMINATED_FAIR,
     TERMINATED_UNFAIR,
     Atom,
+    BodyEntry,
     Derivation,
     FactBase,
-    JoinStep,
+    JoinPlan,
     KnowledgeBase,
     Rule,
     Store,
     Term,
     Trigger,
-    Var,
+    body_index,
+    compile_join,
+    join_step,
     make_match,
 )
 from . import hom
@@ -120,77 +127,83 @@ class ChaseVariant:
 
 
 def _join(
-    order: Sequence[JoinStep], fb: Store, binding: dict[str, Term], stats: Optional[dict] = None
+    order: Sequence, fb: Store, binding: dict[str, Term], stats: Optional[dict] = None
 ) -> Iterator[dict[str, Term]]:
     """Every extension of `binding` (variable name -> term) that maps the
-    atoms of a join order (`Rule.join_orders`) into `fb`, atom by atom in
-    that order. An atom whose arguments are all bound is looked up in
-    `fb.atoms`; any other walks `fb.candidates` for its bound arguments.
-    Counted as one search in stats["hom_calls"]."""
+    atoms of a join plan (`core.compile_join`) into `fb`, atom by atom in
+    its order. A join order given as `Rule.join_orders` holds it is compiled
+    here for the variables of `binding`. An atom whose arguments are all
+    bound is looked up in `fb.atoms`; any other walks `fb.pool` for its
+    bound arguments, in the order the atoms were added. Counted as one
+    search in stats["hom_calls"]."""
     if stats is not None:
         stats["hom_calls"] = stats.get("hom_calls", 0) + 1
+    if not isinstance(order, JoinPlan):
+        order = compile_join(order, binding)
     return _extend(order, 0, fb, binding)
 
 
-def _extend(
-    order: Sequence[JoinStep], k: int, fb: Store, binding: dict[str, Term]
-) -> Iterator[dict[str, Term]]:
-    if k == len(order):
+def _extend(plan: JoinPlan, k: int, fb: Store, binding: dict[str, Term]) -> Iterator[dict[str, Term]]:
+    if k == len(plan):
         yield binding
         return
-    pred, args = order[k]
-    bound: list[tuple[int, Term]] = []
-    free: list[tuple[int, str]] = []
-    for i, s in enumerate(args):
-        if s.__class__ is str:
-            t = binding.get(s)
-            if t is None:
-                free.append((i, s))
-                continue
-            s = t
-        bound.append((i, s))
+    pred, args, bound, consts, free, repeats = plan[k]
     if not free:
-        if Atom(pred, tuple([t for _, t in bound])) in fb.atoms:
-            yield from _extend(order, k + 1, fb, binding)
+        ground = tuple([binding[s] if s.__class__ is str else s for s in args])
+        if Atom(pred, ground) in fb.atoms:
+            yield from _extend(plan, k + 1, fb, binding)
         return
+    pairs = [(i, binding[s]) for i, s in bound]
+    if consts:
+        pairs += consts
     arity = len(args)
-    for cand in fb.candidates(pred, bound):
+    for cand in fb.pool(pred, pairs):
         cargs = cand.args
         if len(cargs) != arity:
             continue
-        for i, t in bound:
-            if cargs[i] != t:
+        for i, t in pairs:
+            x = cargs[i]
+            if x is not t and x != t:
                 break
         else:
-            ext = dict(binding)
-            for i, s in free:
-                if ext.setdefault(s, cargs[i]) != cargs[i]:
-                    break  # a variable repeated within the atom
+            for i, j in repeats:
+                x, y = cargs[i], cargs[j]
+                if x is not y and x != y:
+                    break
             else:
-                yield from _extend(order, k + 1, fb, ext)
+                ext = dict(binding)
+                for i, s in free:
+                    ext[s] = cargs[i]
+                yield from _extend(plan, k + 1, fb, ext)
 
 
 def enumerate_triggers(rules: Sequence[Rule], fb: Store, stats: Optional[dict] = None) -> Iterator[Trigger]:
     """Every (rule, body match) pair on the store exactly once: rule order,
     then canonical match order."""
     for rule in rules:
-        matches = [make_match(m) for m in _join(rule.join_orders.whole, fb, {}, stats)]
+        matches = [make_match(m) for m in _join(rule.join_plans.whole, fb, {}, stats)]
         matches.sort(key=lambda m: tuple([(n, t.key) for n, t in m]))
         for m in matches:
             yield Trigger(rule, m)
 
 
-def _bind(pattern: Atom, fact: Atom) -> Optional[dict[str, Term]]:
-    """The binding (variable name -> term) that maps `pattern` onto `fact`,
-    or None."""
-    binding: dict[str, Term] = {}
-    for s, t in zip(pattern.args, fact.args):
-        if isinstance(s, Var):
-            if binding.setdefault(s.name, t) != t:
-                return None
-        elif s != t:
+def _bind(pattern, fact: Atom) -> Optional[dict[str, Term]]:
+    """The binding (variable name -> term) that maps `pattern`, a body atom
+    or its plan step compiled with nothing bound, onto `fact`, or None."""
+    if isinstance(pattern, Atom):
+        (pattern,) = compile_join([join_step(pattern)], ())
+    args = fact.args
+    if len(args) != len(pattern.args):
+        return None
+    for i, c in pattern.consts:
+        x = args[i]
+        if x is not c and x != c:
             return None
-    return binding
+    for i, j in pattern.repeats:
+        x, y = args[i], args[j]
+        if x is not y and x != y:
+            return None
+    return {s: args[i] for i, s in pattern.free}
 
 
 def delta_triggers(
@@ -204,22 +217,44 @@ def delta_triggers(
     exactly once, in rule order. Together with the triggers on `fb` minus
     `delta` these are all triggers on `fb`. Each delta atom that body atom j
     matches is joined with the other body atoms in the rule's static order
-    for j."""
+    for j. The rules are indexed by `core.body_index` on each call; a
+    `ChaseState` passes the index its knowledge base keeps to
+    `_indexed_delta_triggers`."""
+    return _indexed_delta_triggers(body_index(rules), fb, delta, stats)
+
+
+def _indexed_delta_triggers(
+    index: dict[str, tuple[BodyEntry, ...]],
+    fb: Store,
+    delta: Sequence[Atom],
+    stats: Optional[dict],
+) -> Iterator[Trigger]:
+    """`delta_triggers` over the rules of a `core.body_index`, visiting only
+    the body atoms of the delta's predicates."""
     new_by_pred: dict[str, list[Atom]] = {}
     for a in delta:
         new_by_pred.setdefault(a.pred, []).append(a)
-    for rule in rules:
-        seen: set = set()
-        for b, order in zip(rule.body, rule.join_orders.given):
-            for a in new_by_pred.get(b.pred, ()):
-                binding = _bind(b, a)
-                if binding is None:
-                    continue
-                for m in _join(order, fb, binding, stats):
-                    match = make_match(m)
-                    if match not in seen:
-                        seen.add(match)
-                        yield Trigger(rule, match)
+    entries = [e for pred in new_by_pred for e in index.get(pred, ())]
+    if len(new_by_pred) > 1:
+        entries.sort(key=_BODY_POSITION)
+    seen: set = set()
+    rule_pos = None
+    for entry in entries:
+        if entry.rule_pos != rule_pos:
+            rule_pos = entry.rule_pos
+            seen = set()
+        for a in new_by_pred[entry.pattern.pred]:
+            binding = _bind(entry.pattern, a)
+            if binding is None:
+                continue
+            for m in _join(entry.plan, fb, binding, stats):
+                match = make_match(m)
+                if match not in seen:
+                    seen.add(match)
+                    yield Trigger(entry.rule, match)
+
+
+_BODY_POSITION = operator.itemgetter(0, 1)
 
 
 def head_satisfied(
@@ -310,7 +345,8 @@ class ChaseState:
         self.lists: list[list[Trigger]] = [[] for _ in kb.rules]
         self.fired: Counter[tuple] = Counter()
         self.records: list[tuple[Trigger, tuple[Atom, ...]]] = []
-        self._insert(enumerate_triggers(kb.rules, self.store, stats=self.stats))
+        for t in enumerate_triggers(kb.rules, self.store, stats=self.stats):
+            self.lists[self.rule_index[t.rule.id]].append(t)  # in match order per rule
 
     def fork(self) -> "ChaseState":
         """A copy that changes apart from this state. It is built field by
@@ -324,10 +360,6 @@ class ChaseState:
         child.lists = [list(entries) for entries in self.lists]
         child.records = list(self.records)
         return child
-
-    def _insert(self, triggers: Iterable[Trigger]) -> None:
-        for t in triggers:
-            insort(self.lists[self.rule_index[t.rule.id]], t, key=_MATCH_ORDER)
 
     def scan(self, rule_ids: Optional[frozenset[str]] = None, first: bool = False) -> list[Trigger]:
         """Applicable triggers in canonical order (only the first one if
@@ -388,7 +420,8 @@ class ChaseState:
         i = bisect_left(entries, t.body_key, key=_MATCH_ORDER)
         if i < len(entries) and entries[i].body_key == t.body_key:
             del entries[i]
-        self._insert(delta_triggers(self.kb.rules, self.store, delta, self.stats))
+        for new in _indexed_delta_triggers(self.kb.body_index, self.store, delta, self.stats):
+            insort(self.lists[self.rule_index[new.rule.id]], new, key=_MATCH_ORDER)
         self.records.append((t, delta))
         return delta
 

@@ -7,8 +7,13 @@ triggers cache their derived fields (`cached_attribute`: plain dict writes,
 safe because instances are frozen). `Store` is the one mutable exception and
 the one indexed fact base: the fact base a derivation grows in place (and
 shrinks again when the explorer backtracks), which every trigger join and
-homomorphism search runs over. Its buckets keep a parallel list of their
-atoms' canonical keys, which `add` and `remove` bisect.
+homomorphism search runs over. Its buckets are in the order atoms were
+added; a bucket is sorted into canonical order only once a search reads it
+that way, and from then on kept so.
+
+Rules compile their trigger joins once (`Rule.join_plans`), and a knowledge
+base indexes its rules' body atoms by predicate (`KnowledgeBase.body_index`),
+so a chase step visits only the body atoms its new atoms can match.
 
 Canonical ordering: constants sort before nulls, nulls before variables;
 atoms sort by predicate name then argument order. All iteration and
@@ -23,7 +28,7 @@ import functools
 import hashlib
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from itertools import count, repeat
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -172,7 +177,8 @@ class Atom:
 
 
 def sort_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    return tuple(sorted(atoms, key=Atom.key))
+    atoms = tuple(atoms)
+    return atoms if len(atoms) < 2 else tuple(sorted(atoms, key=Atom.key))
 
 
 # One atom of a join order: its predicate and its arguments, with every
@@ -182,10 +188,15 @@ JoinStep = tuple[str, tuple[Union[str, Const], ...]]
 
 class JoinOrders(NamedTuple):
     """`whole`: the body atoms in join order with nothing bound. `given[j]`:
-    the other body atoms in join order once body atom j is bound to a fact."""
+    the other body atoms in join order once body atom j is bound to a fact.
+    Each is a tuple of `JoinStep`s, or of `PlanStep`s once compiled."""
 
-    whole: tuple[JoinStep, ...]
-    given: tuple[tuple[JoinStep, ...], ...]
+    whole: tuple
+    given: tuple[tuple, ...]
+
+
+def join_step(a: Atom) -> JoinStep:
+    return (a.pred, tuple(t.name if isinstance(t, Var) else t for t in a.args))
 
 
 def _join_order(atoms: Iterable[Atom], bound: frozenset[str]) -> tuple[JoinStep, ...]:
@@ -204,8 +215,72 @@ def _join_order(atoms: Iterable[Atom], bound: frozenset[str]) -> tuple[JoinStep,
         best = max(left, key=rank)
         left.remove(best)
         bound |= best.variables()
-        order.append((best.pred, tuple(t.name if isinstance(t, Var) else t for t in best.args)))
+        order.append(join_step(best))
     return tuple(order)
+
+
+class PlanStep(NamedTuple):
+    """One atom of a compiled join plan, its arguments sorted by what a
+    search finds there when it reaches the atom."""
+
+    pred: str
+    args: tuple[Union[str, Const], ...]  # as in its `JoinStep`
+    bound: tuple[tuple[int, str], ...]  # (position, variable bound earlier)
+    consts: tuple[tuple[int, Const], ...]  # (position, constant)
+    free: tuple[tuple[int, str], ...]  # (first position, variable it binds)
+    repeats: tuple[tuple[int, int], ...]  # (position, first position) of such a variable
+
+
+class JoinPlan(tuple):
+    """A join order compiled by `compile_join`: a tuple of `PlanStep`s."""
+
+
+def compile_join(order: Iterable[JoinStep], bound: Iterable[str]) -> JoinPlan:
+    """The plan of a join that follows `order` from a binding of the
+    variables `bound`: per atom, the positions of constants, of variables
+    bound before it, and of the first and the repeated occurrences of the
+    variables it binds, so that the search does not tell them apart at each
+    node."""
+    bound = set(bound)
+    plan = []
+    for pred, args in order:
+        fixed, consts, first, repeats = [], [], {}, []
+        for i, s in enumerate(args):
+            if s.__class__ is not str:
+                consts.append((i, s))
+            elif s in bound:
+                fixed.append((i, s))
+            elif s in first:
+                repeats.append((i, first[s]))
+            else:
+                first[s] = i
+        free = tuple((i, s) for s, i in first.items())
+        plan.append(PlanStep(pred, args, tuple(fixed), tuple(consts), free, tuple(repeats)))
+        bound.update(first)
+    return JoinPlan(plan)
+
+
+class BodyEntry(NamedTuple):
+    """Body atom `body_pos` of `rules[rule_pos]` in a `body_index`: the plan
+    step (`pattern`) that binds it, with nothing bound, to a new fact, and
+    the plan that joins the other body atoms given that binding."""
+
+    rule_pos: int
+    body_pos: int
+    rule: "Rule"
+    pattern: PlanStep
+    plan: JoinPlan
+
+
+def body_index(rules: Sequence["Rule"]) -> dict[str, tuple[BodyEntry, ...]]:
+    """Predicate -> the entry of each body atom of that predicate among the
+    rules, in (rule, body position) order."""
+    index: dict[str, list[BodyEntry]] = {}
+    for r, rule in enumerate(rules):
+        for j, (a, plan) in enumerate(zip(rule.body, rule.join_plans.given)):
+            (pattern,) = compile_join([join_step(a)], ())
+            index.setdefault(a.pred, []).append(BodyEntry(r, j, rule, pattern, plan))
+    return {pred: tuple(entries) for pred, entries in index.items()}
 
 
 class RuleError(ValueError):
@@ -259,6 +334,17 @@ class Rule:
                 _join_order(self.body[:j] + self.body[j + 1 :], a.variables())
                 for j, a in enumerate(self.body)
             ),
+        )
+
+    @cached_attribute
+    def join_plans(self) -> JoinOrders:
+        """`join_orders` compiled (`compile_join`): the whole body from
+        nothing bound, and per body atom j the other atoms from j's
+        variables."""
+        whole, given = self.join_orders
+        return JoinOrders(
+            compile_join(whole, ()),
+            tuple(compile_join(order, a.variables()) for a, order in zip(self.body, given)),
         )
 
     @property
@@ -329,30 +415,6 @@ class FactBase:
 
 
 
-def _place(index: dict, keys: dict, b, a: Atom, k: tuple) -> None:
-    """Put `a`, whose canonical key is `k`, into the bucket `index[b]` at
-    its place in canonical order, and `k` into the bucket's key list
-    `keys[b]` at the same place."""
-    bucket_keys = keys.get(b)
-    if bucket_keys is None:
-        index[b], keys[b] = [a], [k]
-        return
-    i = bisect_right(bucket_keys, k)
-    bucket_keys.insert(i, k)
-    index[b].insert(i, a)
-
-
-def _discard(index: dict, keys: dict, b, k: tuple) -> None:
-    """Take the atom whose canonical key is `k` out of the bucket
-    `index[b]` and its key list, and both out of their indexes once they
-    are empty."""
-    bucket_keys = keys[b]
-    if len(bucket_keys) == 1:
-        del index[b], keys[b]
-    else:
-        i = bisect_left(bucket_keys, k)
-        del bucket_keys[i], index[b][i]
-
 
 class Store:
     """The indexed fact base: the one a derivation grows in place and
@@ -361,60 +423,147 @@ class Store:
 
     It has the atom set (`atoms`), the terms (`terms`), iteration in
     canonical order and two indexes: `by_pred` (predicate -> atoms) and
-    `by_pred_pos` ((predicate, argument position, term) -> atoms). Every
-    bucket is kept in canonical atom order, so a search that walks
-    `candidates` visits atoms in the same order whatever the store's
-    history, and finds the same first solution. Beside each bucket the
-    store keeps the list of its atoms' canonical keys (`Atom.key`), in the
-    same order, so an atom's place is found by bisecting that list in C
-    rather than by computing a key per probe. `terms` is the live key view
-    of a count of term uses, so a term leaves it with its last atom. Atoms
-    come from a `FactBase` or trigger outputs, so they are not checked for
-    variables again.
+    `by_pred_pos` ((predicate, argument position, term) -> atoms). Buckets
+    are in the order their atoms were added, each `add` appending its delta
+    in canonical order, so `add` costs no search and `remove`, which takes
+    back the latest `add` still in place, pops the bucket tails. A trigger
+    join reads them in that order (`pool`). A search that must visit atoms
+    in the same order whatever the store's history, and so find the same
+    first solution, reads `candidates`: the canonical-order view of a
+    bucket, with the list of its atoms' canonical keys (`Atom.key`) beside
+    it. A view is sorted the first time its bucket is read that way; a
+    later read bisects into it only the atoms added since, and `remove`
+    trims it. `terms` is the live key view of a count of term uses, so a
+    term leaves it with its last atom. Atoms come from a `FactBase` or
+    trigger outputs, so they are not checked for variables again.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
         self.atoms: set[Atom] = set()
-        self._uses: Counter[Term] = Counter()
+        self._uses: dict[Term, int] = {}
         self.terms = self._uses.keys()
         self.by_pred: dict[str, list[Atom]] = {}
         self.by_pred_pos: dict[tuple[str, int, Term], list[Atom]] = {}
-        self._pred_keys: dict[str, list[tuple]] = {}
-        self._pos_keys: dict[tuple[str, int, Term], list[tuple]] = {}
+        # bucket key (a predicate or a (predicate, position, term)) ->
+        # (keys, atoms): the first len(atoms) atoms of the bucket, sorted
+        self._views: dict = {}
         self.add(atoms)
 
     def __iter__(self) -> Iterator[Atom]:
         for pred in sorted(self.by_pred):
-            yield from self.by_pred[pred]
+            yield from self._view(pred, self.by_pred[pred])
 
     def add(self, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
         """Insert the atoms; return those that were new, in canonical order."""
-        keyed = sorted([(a.key(), a) for a in frozenset(atoms) - self.atoms])
-        for k, a in keyed:
+        new = sort_atoms(frozenset(atoms) - self.atoms)
+        by_pred, by_pred_pos, uses = self.by_pred, self.by_pred_pos, self._uses
+        for a in new:
             pred = a.pred
-            self.atoms.add(a)
-            _place(self.by_pred, self._pred_keys, pred, a, k)
-            for i, t in enumerate(a.args):
-                _place(self.by_pred_pos, self._pos_keys, (pred, i, t), a, k)
-        new = tuple([a for _, a in keyed])
-        self._uses.update([t for a in new for t in a.args])
+            bucket = by_pred.get(pred)
+            if bucket is None:
+                by_pred[pred] = [a]
+            else:
+                bucket.append(a)
+            for b in zip(repeat(pred), count(), a.args):  # (pred, i, args[i])
+                bucket = by_pred_pos.get(b)
+                if bucket is None:
+                    by_pred_pos[b] = [a]
+                else:
+                    bucket.append(a)
+            for t in a.args:
+                uses[t] = uses.get(t, 0) + 1
+        self.atoms.update(new)
         return new
 
-    def remove(self, delta: Iterable[Atom]) -> None:
-        """Undo the `add` that returned `delta`: the atoms, the terms only
-        they used and the index buckets they alone filled leave the store."""
-        uses = self._uses
+    def remove(self, delta: Sequence[Atom]) -> None:
+        """Undo the `add` that returned `delta`, the latest one still in
+        place: the atoms, the terms only they used and the index buckets
+        they alone filled leave the store. Raises ValueError, leaving the
+        store as it was, when an atom of `delta` is not the last of its
+        predicate's bucket once the atoms after it in `delta` are out: the
+        call then does not undo the latest `add` in place."""
+        tails: dict[str, list[Atom]] = {}
         for a in delta:
-            k = a.key()
+            tails.setdefault(a.pred, []).append(a)
+        for pred, atoms in tails.items():
+            # A (predicate, position, term) bucket is the part of its
+            # predicate's bucket with that term there, in the same order, so
+            # its tail is then made of the same atoms of `delta` too.
+            if self.by_pred.get(pred, [])[-len(atoms) :] != atoms:
+                raise ValueError(
+                    "Store.remove takes back only the latest add still in place, "
+                    "and the %r atoms given are not the last ones of their bucket" % pred
+                )
+        uses = self._uses
+        for a in reversed(delta):
             pred = a.pred
             self.atoms.remove(a)
-            _discard(self.by_pred, self._pred_keys, pred, k)
-            for i, t in enumerate(a.args):
-                _discard(self.by_pred_pos, self._pos_keys, (pred, i, t), k)
+            self._pop(self.by_pred, pred, a)
+            for b in zip(repeat(pred), count(), a.args):
+                self._pop(self.by_pred_pos, b, a)
+            for t in a.args:
                 if uses[t] == 1:
                     del uses[t]
                 else:
                     uses[t] -= 1
+
+    def _pop(self, index: dict, b, a: Atom) -> None:
+        """Pop `a`, the last atom of the bucket `index[b]`, out of it and out
+        of its view, and drop both once the bucket is empty."""
+        bucket = index[b]
+        bucket.pop()
+        if not bucket:
+            del index[b]
+            self._views.pop(b, None)
+            return
+        view = self._views.get(b)
+        if view is not None and len(view[1]) > len(bucket):
+            keys, atoms = view
+            i = bisect_left(keys, a.key())
+            del keys[i], atoms[i]
+
+    def _view(self, b, bucket: list[Atom]) -> list[Atom]:
+        """The atoms of the bucket `bucket`, whose key is `b`, in canonical
+        order: the bucket itself while it holds one atom, else its view,
+        brought up to date with the atoms added since the last read, or
+        sorted anew when they outnumber the view's."""
+        if len(bucket) < 2:
+            return bucket
+        view = self._views.get(b)
+        if view is None or len(bucket) > 2 * len(view[1]):
+            keyed = sorted([(a.key(), a) for a in bucket])  # keys are unique
+            view = self._views[b] = ([k for k, _ in keyed], [a for _, a in keyed])
+            return view[1]
+        keys, atoms = view
+        if len(bucket) > len(atoms):
+            for a in bucket[len(atoms) :]:
+                k = a.key()
+                i = bisect_right(keys, k)
+                keys.insert(i, k)
+                atoms.insert(i, a)
+        return atoms
+
+    def _smallest(self, pred: str, bound: Iterable[tuple[int, Term]]):
+        """(key, bucket) of the smallest (predicate, position, term) bucket
+        among the `bound` pairs, else of the predicate's bucket; (None, ())
+        when some bucket is empty."""
+        b, pool = pred, self.by_pred.get(pred)
+        if pool is None:
+            return None, ()
+        by_pred_pos = self.by_pred_pos
+        for i, t in bound:
+            k = (pred, i, t)
+            bucket = by_pred_pos.get(k)
+            if bucket is None:
+                return None, ()
+            if len(bucket) < len(pool):
+                b, pool = k, bucket
+        return b, pool
+
+    def pool(self, pred: str, bound: Iterable[tuple[int, Term]]) -> Sequence[Atom]:
+        """The atoms of `candidates`, in the order they were added: what a
+        trigger join walks, as its callers order the triggers it finds."""
+        return self._smallest(pred, bound)[1]
 
     def candidates(self, pred: str, bound: Iterable[tuple[int, Term]]) -> Sequence[Atom]:
         """The atoms a search tries for an atom of `pred` whose arguments at
@@ -422,12 +571,8 @@ class Store:
         (predicate, position, term) bucket among those pairs, else the
         predicate's bucket. In canonical order; it holds every stored atom
         that agrees with the bound terms, and may hold others."""
-        pool = self.by_pred.get(pred, ())
-        for i, t in bound:
-            bucket = self.by_pred_pos.get((pred, i, t), ())
-            if len(bucket) < len(pool):
-                pool = bucket
-        return pool
+        b, pool = self._smallest(pred, bound)
+        return self._view(b, pool) if pool else pool
 
     def copy(self) -> "Store":
         out = Store()
@@ -436,8 +581,7 @@ class Store:
         out.terms = out._uses.keys()
         out.by_pred = {p: list(v) for p, v in self.by_pred.items()}
         out.by_pred_pos = {k: list(v) for k, v in self.by_pred_pos.items()}
-        out._pred_keys = {p: list(v) for p, v in self._pred_keys.items()}
-        out._pos_keys = {k: list(v) for k, v in self._pos_keys.items()}
+        out._views = {b: (list(keys), list(atoms)) for b, (keys, atoms) in self._views.items()}
         return out
 
     def snapshot(self) -> FactBase:
@@ -476,6 +620,12 @@ class KnowledgeBase:
     @cached_attribute
     def signature(self) -> frozenset[str]:
         return frozenset(a.pred for a in self._all_atoms())
+
+    @cached_attribute
+    def body_index(self) -> dict[str, tuple[BodyEntry, ...]]:
+        """`body_index` of the rules, compiled once: a chase step looks up
+        the body atoms of its delta's predicates only."""
+        return body_index(self.rules)
 
 
 

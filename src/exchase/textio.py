@@ -134,6 +134,9 @@ class _Parser:
             if tokens[i].text == "[" and tokens[i + 1].kind == "ident" and tokens[i + 2].text == "]"
         }
         self.auto_rule_index = 0
+        # One term object per distinct (token kind, text): equal terms of the
+        # document are then identical, and share one key and hash.
+        self.terms: dict[tuple[str, str], Term] = {}
 
     def _peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -161,13 +164,19 @@ class _Parser:
 
     def _term(self) -> Term:
         tok = self._next("term")
+        term = self.terms.get((tok.kind, tok.text))
+        if term is not None:
+            return term
         if tok.kind == "null":
-            return Null(tok.text)
-        if _is_variable(tok):
-            return Var(tok.text)
-        if tok.kind == "ident":
-            return Const(tok.text)
-        raise ParseError("expected a term, found %r" % tok.text, tok.line, tok.col, "term")
+            term = Null(tok.text)
+        elif _is_variable(tok):
+            term = Var(tok.text)
+        elif tok.kind == "ident":
+            term = Const(tok.text)
+        else:
+            raise ParseError("expected a term, found %r" % tok.text, tok.line, tok.col, "term")
+        self.terms[tok.kind, tok.text] = term
+        return term
 
     def _variable(self) -> str:
         tok = self._next("variable")

@@ -20,6 +20,7 @@ from exchase.core import (
     Rule,
     RuleError,
     Store,
+    Term,
     Trigger,
     Var,
     make_match,
@@ -176,8 +177,9 @@ def test_derivation_monotone_and_novel():
 
 def test_store_is_indexed_like_a_factbase():
     """Grown in two steps, a store has the atoms, terms and canonical
-    iteration order of the equal fact base, and each index bucket holds the
-    fact base's atoms of its key in canonical order."""
+    iteration order of the equal fact base, each index bucket holds the
+    fact base's atoms of its key, and `candidates` lists them in canonical
+    order."""
     rng = random.Random(41)
     for _ in range(100):
         fb = random_factbase(rng, max_atoms=10)
@@ -188,12 +190,18 @@ def test_store_is_indexed_like_a_factbase():
         assert store.add(atoms[k:]) == sort_atoms(set(atoms[k:]) - set(atoms[:k]))
         assert list(store) == list(fb)
         assert store.atoms == fb.atoms and store.terms == fb.terms
-        assert store.by_pred == {p: [a for a in fb.sorted_atoms if a.pred == p] for p in fb.signature}
-        assert store.by_pred_pos == {
+        by_pred = {p: [a for a in fb.sorted_atoms if a.pred == p] for p in fb.signature}
+        by_pred_pos = {
             (a.pred, i, t): [b for b in fb.sorted_atoms if b.pred == a.pred and b.args[i] == t]
             for a in fb.atoms
             for i, t in enumerate(a.args)
         }
+        assert {p: list(sort_atoms(v)) for p, v in store.by_pred.items()} == by_pred
+        assert {b: list(sort_atoms(v)) for b, v in store.by_pred_pos.items()} == by_pred_pos
+        for p, want in by_pred.items():
+            assert list(store.candidates(p, [])) == want
+        for (p, i, t), want in by_pred_pos.items():
+            assert [a for a in store.candidates(p, [(i, t)]) if a.args[i] == t] == want
         assert store.snapshot() == fb
 
 
@@ -276,6 +284,63 @@ def test_store_remove_undoes_add_and_copy_is_apart():
         assert view(copy) == before
         store.remove(delta)
         assert view(store) == before
+
+
+def _bounds(arity: int) -> list[list[tuple[int, Term]]]:
+    """No argument bound, and each one argument and each two bound."""
+    ones = [[(i, t)] for i in range(arity) for t in _STORE_TERMS]
+    return [[], *ones, *[a + b for a in ones for b in ones if a[0][0] < b[0][0]]]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_store_pool_and_candidates_agree_through_adds_removes_and_copies(data):
+    """After random adds, removes that undo the latest add and copies, the
+    join's pool and the candidates hold the same atoms for every bucket, the
+    candidates in canonical order. Reads come at random points, so views
+    are built early and brought up to date later, and they equal a fresh
+    sort and the candidates of a store built anew from the same atoms."""
+    store, deltas = Store(), []
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(("add", "add", "remove", "copy")))
+        if op == "remove" and deltas:
+            store.remove(deltas.pop())
+        elif op == "copy":
+            store = store.copy()
+        else:
+            deltas.append(store.add(data.draw(st.lists(_store_atoms(), max_size=6))))
+        if not data.draw(st.booleans()):
+            continue
+        fresh = Store(store.atoms)
+        for pred, arity in _STORE_PREDS:
+            for bound in _bounds(arity):
+                cands = list(store.candidates(pred, bound))
+                assert cands == sorted(store.pool(pred, bound), key=Atom.key)
+                assert cands == list(fresh.candidates(pred, bound))
+
+
+def test_store_remove_rejects_what_is_not_the_latest_add():
+    """`remove` takes back only the latest add still in place; given any
+    other delta it raises ValueError and leaves the store as it was."""
+
+    def view(s: Store) -> tuple:
+        return list(s), set(s.atoms), set(s.terms), s.by_pred, s.by_pred_pos
+
+    a, b, c = (Atom("p", (Const(x), Const("k"))) for x in "abc")
+    store = Store()
+    first = store.add([a])
+    second = store.add([c, b])
+    list(store.candidates("p", [(1, Const("k"))]))  # build a view
+    before = copy.deepcopy(view(store))
+    for wrong in (first, second[::-1], (b,), (Atom("q", ()),)):
+        with pytest.raises(ValueError):
+            store.remove(wrong)
+        assert view(store) == before
+    store.remove(second)
+    assert store.add([b]) == (b,)  # a single atom's add: undone next
+    store.remove((b,))
+    store.remove(first)
+    assert view(store) == ([], set(), set(), {}, {})
 
 
 _PICKLE_ATOMS = "[Atom('p', (Const('a'), Null('n1'))), Atom('q', (Const('b'),)), Atom('r', ())]"

@@ -30,7 +30,9 @@ o/so/r/e/dfr with the fifo and datalog-first strategies, and of the
 transitive closure of a 55-edge chain under dfr with datalog-first, compared
 with `goldens/work.json`. They gate the work a run does, which timings
 cannot, and were made before terms cached their keys and hashes and store
-buckets kept lists of atom keys.
+buckets kept lists of atom keys. A further gate checks that the chain's run
+never has its store sort a bucket into canonical order, which only
+homomorphism searches read.
 """
 from __future__ import annotations
 
@@ -44,7 +46,8 @@ import pytest
 
 from exchase import cli
 from exchase.analysis import find_terminating, load_fixture
-from exchase.chase import ChaseVariant, run_chase
+from exchase.chase import ChaseState, ChaseVariant, DatalogFirst, run_chase
+from exchase.textio import parse_document
 
 from conftest import CORPUS, load_kb
 
@@ -174,6 +177,11 @@ def test_strategy_runs_match_goldens():
 TC_CHAIN_EDGES = 55
 
 
+def tc_chain_text() -> str:
+    edges = ["e(v%02d,v%02d)." % (i, i + 1) for i in range(TC_CHAIN_EDGES)]
+    return "\n".join(["[tc1] e(X,Y) -> t(X,Y).", "[tc2] t(X,Y), e(Y,Z) -> t(X,Z).", *edges]) + "\n"
+
+
 def run_stats(path: Path, variant: str, strategy: str, max_steps: int) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -194,8 +202,7 @@ def work_stats(scratch: Path) -> dict:
         for strategy in ("fifo", "datalog-first")
     }
     chain = scratch / "tc_chain.erl"
-    edges = ["e(v%02d,v%02d)." % (i, i + 1) for i in range(TC_CHAIN_EDGES)]
-    chain.write_text("\n".join(["[tc1] e(X,Y) -> t(X,Y).", "[tc2] t(X,Y), e(Y,Z) -> t(X,Z).", *edges]) + "\n")
+    chain.write_text(tc_chain_text())
     stats["tc_chain dfr datalog-first"] = run_stats(chain, "dfr", "datalog-first", 2 * TC_CHAIN_EDGES**2)
     return stats
 
@@ -204,3 +211,15 @@ def test_work_counters_match_goldens(tmp_path):
     stats = work_stats(tmp_path)
     assert stats["tc_chain dfr datalog-first"] == {"steps": 1540, "triggers_considered": 3080, "hom_calls": 1542}
     assert stats == WORK
+
+
+def test_datalog_chain_builds_no_canonical_view():
+    """A Datalog-first run of the chain's transitive closure reads its
+    store only through trigger joins and membership tests, so no bucket is
+    ever sorted into canonical order."""
+    state = ChaseState(parse_document(tc_chain_text()).knowledge_base(), ChaseVariant.parse("dfr"))
+    for t in DatalogFirst().triggers(state):
+        state.apply(t)
+    assert state.first_applicable() is None
+    assert len(state.records) == TC_CHAIN_EDGES * (TC_CHAIN_EDGES + 1) // 2
+    assert state.store._views == {}
