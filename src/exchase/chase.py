@@ -28,18 +28,18 @@ that may still fire (semi-naive evaluation), the fired frontier keys and
 the (trigger, delta) records. Invariant: after every step it holds every
 trigger on the store, per rule in canonical match order, except those that
 were applied or dropped. After a step only the body matches that use an
-atom of the step's delta are found and inserted. The knowledge base's
-`body_index` gives the body atoms of each delta predicate; each such atom j
-is bound to a delta atom and `_join`ed with the other body atoms in a
-static order, most bound arguments first (`Rule.join_orders`), compiled
-once per rule (`Rule.join_plans`) so that the join knows, per atom, which
-positions are bound, free, constant or repeated. An atom whose arguments
-are all bound is looked up in the store; any other walks `Store.pool`, the
-bucket `Store.candidates` would pick for the homomorphism search, in the
-order its atoms were added. Trigger order comes from sorting the matches
-(`enumerate_triggers`) and inserting new triggers by key (`apply`), so a
-join never makes the store sort a bucket. Enumerating every trigger of a
-store joins the whole body the same way.
+atom of the step's delta are found and inserted (`delta_triggers`). The
+knowledge base's `body_index` gives the body atoms of each delta predicate;
+each such atom j is bound to a delta atom and `_join`ed with the other body
+atoms by the rule's static plan for j (`Rule.join_plans`, most bound
+arguments first), which tells the join, per atom, which positions are
+bound, free, constant or repeated. An atom whose arguments are all bound is
+looked up in the store; any other walks `Store.pool`, the bucket
+`Store.candidates` would pick for the homomorphism search, in the order its
+atoms were added. Trigger order is canonical match order, the order of
+`Trigger.body_key`: `enumerate_triggers` sorts by it and `apply` inserts
+new triggers by it, so a join never makes the store sort a bucket.
+Enumerating every trigger of a store joins the whole body the same way.
 
 `ChaseState.scan` is the one place that tests applicability along a
 derivation: every strategy, the final fairness check of `run_chase` and
@@ -77,24 +77,22 @@ from .core import (
     BodyEntry,
     Derivation,
     FactBase,
-    JoinPlan,
     KnowledgeBase,
+    PlanStep,
     Rule,
     Store,
     Term,
     Trigger,
-    body_index,
-    compile_join,
-    join_step,
     make_match,
 )
 from . import hom
 
 
 class StrategyError(ValueError):
-    """A phase's rule group is not a list of rule ids, a scripted trigger
-    choice is not a trigger index or was not applicable at its step, or a
-    strategy names a rule the knowledge base does not have."""
+    """A phase's rule group is not a list of rule ids or its mode is not
+    "exhaust" or "once", a scripted trigger choice is not a trigger index or
+    was not applicable at its step, or a strategy names a rule the knowledge
+    base does not have."""
 
 
 class VariantError(ValueError):
@@ -127,23 +125,22 @@ class ChaseVariant:
 
 
 def _join(
-    order: Sequence, fb: Store, binding: dict[str, Term], stats: Optional[dict] = None
+    plan: Sequence[PlanStep], fb: Store, binding: dict[str, Term], stats: Optional[dict] = None
 ) -> Iterator[dict[str, Term]]:
     """Every extension of `binding` (variable name -> term) that maps the
-    atoms of a join plan (`core.compile_join`) into `fb`, atom by atom in
-    its order. A join order given as `Rule.join_orders` holds it is compiled
-    here for the variables of `binding`. An atom whose arguments are all
-    bound is looked up in `fb.atoms`; any other walks `fb.pool` for its
-    bound arguments, in the order the atoms were added. Counted as one
-    search in stats["hom_calls"]."""
+    atoms of a join plan (`core.join_plan`, made for the variables of
+    `binding`) into `fb`, atom by atom in its order. An atom whose
+    arguments are all bound is looked up in `fb.atoms`; any other walks
+    `fb.pool` for its bound arguments, in the order the atoms were added.
+    Counted as one search in stats["hom_calls"]."""
     if stats is not None:
         stats["hom_calls"] = stats.get("hom_calls", 0) + 1
-    if not isinstance(order, JoinPlan):
-        order = compile_join(order, binding)
-    return _extend(order, 0, fb, binding)
+    return _extend(plan, 0, fb, binding)
 
 
-def _extend(plan: JoinPlan, k: int, fb: Store, binding: dict[str, Term]) -> Iterator[dict[str, Term]]:
+def _extend(
+    plan: Sequence[PlanStep], k: int, fb: Store, binding: dict[str, Term]
+) -> Iterator[dict[str, Term]]:
     if k == len(plan):
         yield binding
         return
@@ -177,21 +174,22 @@ def _extend(plan: JoinPlan, k: int, fb: Store, binding: dict[str, Term]) -> Iter
                 yield from _extend(plan, k + 1, fb, ext)
 
 
+# Canonical trigger order within a rule: the order of the match.
+_MATCH_ORDER = operator.attrgetter("body_key")
+
+
 def enumerate_triggers(rules: Sequence[Rule], fb: Store, stats: Optional[dict] = None) -> Iterator[Trigger]:
     """Every (rule, body match) pair on the store exactly once: rule order,
     then canonical match order."""
     for rule in rules:
-        matches = [make_match(m) for m in _join(rule.join_plans.whole, fb, {}, stats)]
-        matches.sort(key=lambda m: tuple([(n, t.key) for n, t in m]))
-        for m in matches:
-            yield Trigger(rule, m)
+        triggers = [Trigger(rule, make_match(m)) for m in _join(rule.join_plans.whole, fb, {}, stats)]
+        triggers.sort(key=_MATCH_ORDER)
+        yield from triggers
 
 
-def _bind(pattern, fact: Atom) -> Optional[dict[str, Term]]:
-    """The binding (variable name -> term) that maps `pattern`, a body atom
-    or its plan step compiled with nothing bound, onto `fact`, or None."""
-    if isinstance(pattern, Atom):
-        (pattern,) = compile_join([join_step(pattern)], ())
+def _bind(pattern: PlanStep, fact: Atom) -> Optional[dict[str, Term]]:
+    """The binding (variable name -> term) that maps `pattern`, the plan
+    step of a body atom with nothing bound, onto `fact`, or None."""
     args = fact.args
     if len(args) != len(pattern.args):
         return None
@@ -207,30 +205,18 @@ def _bind(pattern, fact: Atom) -> Optional[dict[str, Term]]:
 
 
 def delta_triggers(
-    rules: Sequence[Rule],
+    index: dict[str, tuple[BodyEntry, ...]],
     fb: Store,
     delta: Sequence[Atom],
     stats: Optional[dict] = None,
 ) -> Iterator[Trigger]:
     """The semi-naive step: every trigger on the store `fb` whose body
     match uses an atom of `delta` (the atoms just added to `fb`), each
-    exactly once, in rule order. Together with the triggers on `fb` minus
-    `delta` these are all triggers on `fb`. Each delta atom that body atom j
-    matches is joined with the other body atoms in the rule's static order
-    for j. The rules are indexed by `core.body_index` on each call; a
-    `ChaseState` passes the index its knowledge base keeps to
-    `_indexed_delta_triggers`."""
-    return _indexed_delta_triggers(body_index(rules), fb, delta, stats)
-
-
-def _indexed_delta_triggers(
-    index: dict[str, tuple[BodyEntry, ...]],
-    fb: Store,
-    delta: Sequence[Atom],
-    stats: Optional[dict],
-) -> Iterator[Trigger]:
-    """`delta_triggers` over the rules of a `core.body_index`, visiting only
-    the body atoms of the delta's predicates."""
+    exactly once, in rule order, over the rules of `index`, a
+    `KnowledgeBase.body_index`. Together with the triggers on `fb` minus
+    `delta` these are all triggers on `fb`. Only the body atoms of the
+    delta's predicates are visited: each delta atom that body atom j
+    matches is joined with the other body atoms by the rule's plan for j."""
     new_by_pred: dict[str, list[Atom]] = {}
     for a in delta:
         new_by_pred.setdefault(a.pred, []).append(a)
@@ -320,9 +306,6 @@ def blocking(
         if h is not None:
             return FOLDED
     return None
-
-
-_MATCH_ORDER = operator.attrgetter("body_key")
 
 
 class ChaseState:
@@ -420,7 +403,7 @@ class ChaseState:
         i = bisect_left(entries, t.body_key, key=_MATCH_ORDER)
         if i < len(entries) and entries[i].body_key == t.body_key:
             del entries[i]
-        for new in _indexed_delta_triggers(self.kb.body_index, self.store, delta, self.stats):
+        for new in delta_triggers(self.kb.body_index, self.store, delta, self.stats):
             insort(self.lists[self.rule_index[new.rule.id]], new, key=_MATCH_ORDER)
         self.records.append((t, delta))
         return delta
@@ -516,7 +499,7 @@ class Phased(Strategy):
         self.phases = [(frozenset(ids), mode) for ids, mode in phases]
         for _, mode in self.phases:
             if mode not in ("exhaust", "once"):
-                raise ValueError("phase mode must be 'exhaust' or 'once', got %r" % mode)
+                raise StrategyError("phase mode must be 'exhaust' or 'once', got %r" % mode)
 
     def triggers(self, state: ChaseState) -> Iterator[Trigger]:
         _check_rule_ids(state, (i for ids, _ in self.phases for i in ids))
@@ -536,7 +519,7 @@ class Scripted(Strategy):
     def __init__(self, steps: Sequence):
         self.steps = [(s, 0) if isinstance(s, str) else (s[0], s[1]) for s in steps]
         for rule_id, pick in self.steps:
-            if not isinstance(pick, int) or pick < 0:
+            if type(pick) is not int or pick < 0:  # a JSON true is an int too
                 raise StrategyError(
                     "scripted step for rule %r: index %r is not a non-negative integer"
                     % (rule_id, pick)

@@ -11,9 +11,10 @@ homomorphism search runs over. Its buckets are in the order atoms were
 added; a bucket is sorted into canonical order only once a search reads it
 that way, and from then on kept so.
 
-Rules compile their trigger joins once (`Rule.join_plans`), and a knowledge
-base indexes its rules' body atoms by predicate (`KnowledgeBase.body_index`),
-so a chase step visits only the body atoms its new atoms can match.
+Each rule plans its trigger joins once (`Rule.join_plans`, built by
+`join_plan`), and a knowledge base indexes its rules' body atoms by
+predicate (`KnowledgeBase.body_index`), so a chase step visits only the
+body atoms its new atoms can match.
 
 Canonical ordering: constants sort before nulls, nulls before variables;
 atoms sort by predicate name then argument order. All iteration and
@@ -129,11 +130,6 @@ class Var:
 Term = Union[Const, Null, Var]
 
 
-def term_key(t: Term) -> tuple:
-    """Total order on terms: constants < nulls < variables, then by name."""
-    return t.key
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class Atom:
     """A predicate applied to terms. Its hash is computed once, and is the
@@ -181,106 +177,75 @@ def sort_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     return atoms if len(atoms) < 2 else tuple(sorted(atoms, key=Atom.key))
 
 
-# One atom of a join order: its predicate and its arguments, with every
-# variable given by its name (a str) and every constant as itself.
-JoinStep = tuple[str, tuple[Union[str, Const], ...]]
-
-
-class JoinOrders(NamedTuple):
-    """`whole`: the body atoms in join order with nothing bound. `given[j]`:
-    the other body atoms in join order once body atom j is bound to a fact.
-    Each is a tuple of `JoinStep`s, or of `PlanStep`s once compiled."""
-
-    whole: tuple
-    given: tuple[tuple, ...]
-
-
-def join_step(a: Atom) -> JoinStep:
-    return (a.pred, tuple(t.name if isinstance(t, Var) else t for t in a.args))
-
-
-def _join_order(atoms: Iterable[Atom], bound: frozenset[str]) -> tuple[JoinStep, ...]:
-    """Greedy: next comes the atom with the most bound arguments (constants
-    and variables of earlier atoms), then the fewest free ones, then the
-    first in canonical order."""
-    left = list(atoms)
-    bound = set(bound)
-    order = []
-
-    def rank(a: Atom) -> tuple[int, int]:
-        free = a.variables() - bound
-        return (sum(not isinstance(t, Var) or t.name in bound for t in a.args), -len(free))
-
-    while left:
-        best = max(left, key=rank)
-        left.remove(best)
-        bound |= best.variables()
-        order.append(join_step(best))
-    return tuple(order)
-
-
 class PlanStep(NamedTuple):
-    """One atom of a compiled join plan, its arguments sorted by what a
-    search finds there when it reaches the atom."""
+    """One atom of a join plan, its arguments sorted by what a search finds
+    there when it reaches the atom."""
 
     pred: str
-    args: tuple[Union[str, Const], ...]  # as in its `JoinStep`
+    args: tuple[Union[str, Const], ...]  # a variable by its name, a constant as itself
     bound: tuple[tuple[int, str], ...]  # (position, variable bound earlier)
     consts: tuple[tuple[int, Const], ...]  # (position, constant)
     free: tuple[tuple[int, str], ...]  # (first position, variable it binds)
     repeats: tuple[tuple[int, int], ...]  # (position, first position) of such a variable
 
 
-class JoinPlan(tuple):
-    """A join order compiled by `compile_join`: a tuple of `PlanStep`s."""
+def join_plan(atoms: Iterable[Atom], bound: Iterable[str]) -> tuple[PlanStep, ...]:
+    """The plan of a join of `atoms` from a binding of the variables `bound`.
 
-
-def compile_join(order: Iterable[JoinStep], bound: Iterable[str]) -> JoinPlan:
-    """The plan of a join that follows `order` from a binding of the
-    variables `bound`: per atom, the positions of constants, of variables
-    bound before it, and of the first and the repeated occurrences of the
-    variables it binds, so that the search does not tell them apart at each
-    node."""
+    Greedy: next comes the atom with the most bound arguments (constants and
+    variables of `bound` or of earlier atoms), then the fewest free
+    variables, then the first in the order given. Its step holds the
+    positions of its constants, of its variables bound before it, and of the
+    first and the repeated occurrences of the variables it binds, so that
+    the search does not tell them apart at each node."""
+    left = list(atoms)
     bound = set(bound)
     plan = []
-    for pred, args in order:
-        fixed, consts, first, repeats = [], [], {}, []
-        for i, s in enumerate(args):
-            if s.__class__ is not str:
-                consts.append((i, s))
-            elif s in bound:
-                fixed.append((i, s))
-            elif s in first:
-                repeats.append((i, first[s]))
-            else:
-                first[s] = i
-        free = tuple((i, s) for s, i in first.items())
-        plan.append(PlanStep(pred, args, tuple(fixed), tuple(consts), free, tuple(repeats)))
-        bound.update(first)
-    return JoinPlan(plan)
+    while left:
+        best = None
+        for k, a in enumerate(left):
+            fixed, consts, first, repeats = [], [], {}, []
+            for i, t in enumerate(a.args):
+                if t.__class__ is not Var:
+                    consts.append((i, t))
+                elif t.name in bound:
+                    fixed.append((i, t.name))
+                elif t.name in first:
+                    repeats.append((i, first[t.name]))
+                else:
+                    first[t.name] = i
+            rank = (len(fixed) + len(consts), -len(first))
+            if best is None or rank > best[0]:
+                args = tuple(t.name if t.__class__ is Var else t for t in a.args)
+                free = tuple((i, s) for s, i in first.items())
+                step = PlanStep(a.pred, args, tuple(fixed), tuple(consts), free, tuple(repeats))
+                best = (rank, k, step)
+        _, k, step = best
+        del left[k]
+        bound.update(s for _, s in step.free)
+        plan.append(step)
+    return tuple(plan)
+
+
+class JoinPlans(NamedTuple):
+    """`whole`: the plan of the body atoms with nothing bound. `given[j]`:
+    the plan of the other body atoms once body atom j is bound to a fact."""
+
+    whole: tuple[PlanStep, ...]
+    given: tuple[tuple[PlanStep, ...], ...]
 
 
 class BodyEntry(NamedTuple):
-    """Body atom `body_pos` of `rules[rule_pos]` in a `body_index`: the plan
-    step (`pattern`) that binds it, with nothing bound, to a new fact, and
-    the plan that joins the other body atoms given that binding."""
+    """Body atom `body_pos` of `rules[rule_pos]` in a
+    `KnowledgeBase.body_index`: the plan step (`pattern`) that binds it,
+    with nothing bound, to a new fact, and the plan that joins the other
+    body atoms given that binding."""
 
     rule_pos: int
     body_pos: int
     rule: "Rule"
     pattern: PlanStep
-    plan: JoinPlan
-
-
-def body_index(rules: Sequence["Rule"]) -> dict[str, tuple[BodyEntry, ...]]:
-    """Predicate -> the entry of each body atom of that predicate among the
-    rules, in (rule, body position) order."""
-    index: dict[str, list[BodyEntry]] = {}
-    for r, rule in enumerate(rules):
-        for j, (a, plan) in enumerate(zip(rule.body, rule.join_plans.given)):
-            (pattern,) = compile_join([join_step(a)], ())
-            index.setdefault(a.pred, []).append(BodyEntry(r, j, rule, pattern, plan))
-    return {pred: tuple(entries) for pred, entries in index.items()}
+    plan: tuple[PlanStep, ...]
 
 
 class RuleError(ValueError):
@@ -326,25 +291,16 @@ class Rule:
         return self.head_vars - self.body_vars
 
     @cached_attribute
-    def join_orders(self) -> JoinOrders:
-        """Static orders in which trigger discovery joins the body atoms."""
-        return JoinOrders(
-            _join_order(self.body, frozenset()),
+    def join_plans(self) -> JoinPlans:
+        """The static plans by which trigger discovery joins the body atoms
+        (`join_plan`): the whole body from nothing bound, and per body atom
+        j the other atoms from j's variables."""
+        return JoinPlans(
+            join_plan(self.body, ()),
             tuple(
-                _join_order(self.body[:j] + self.body[j + 1 :], a.variables())
+                join_plan(self.body[:j] + self.body[j + 1 :], a.variables())
                 for j, a in enumerate(self.body)
             ),
-        )
-
-    @cached_attribute
-    def join_plans(self) -> JoinOrders:
-        """`join_orders` compiled (`compile_join`): the whole body from
-        nothing bound, and per body atom j the other atoms from j's
-        variables."""
-        whole, given = self.join_orders
-        return JoinOrders(
-            compile_join(whole, ()),
-            tuple(compile_join(order, a.variables()) for a, order in zip(self.body, given)),
         )
 
     @property
@@ -623,9 +579,16 @@ class KnowledgeBase:
 
     @cached_attribute
     def body_index(self) -> dict[str, tuple[BodyEntry, ...]]:
-        """`body_index` of the rules, compiled once: a chase step looks up
-        the body atoms of its delta's predicates only."""
-        return body_index(self.rules)
+        """Predicate -> the entry of each body atom of that predicate among
+        the rules, in (rule, body position) order. Built once per knowledge
+        base: a chase step looks up the body atoms of its delta's predicates
+        only."""
+        index: dict[str, list[BodyEntry]] = {}
+        for r, rule in enumerate(self.rules):
+            for j, (a, plan) in enumerate(zip(rule.body, rule.join_plans.given)):
+                (pattern,) = join_plan([a], ())
+                index.setdefault(a.pred, []).append(BodyEntry(r, j, rule, pattern, plan))
+        return {pred: tuple(entries) for pred, entries in index.items()}
 
 
 

@@ -13,6 +13,9 @@ its fired keys and head satisfaction against them. `ch_k` is the k-fold
 breadth-first saturation that acceptance criterion 6 is stated over.
 `ReferenceSearch` is the homomorphism search with its branch rule stated
 plainly, every candidate of every atom listed at each node.
+`reference_join_plan` plans a trigger join in two passes, the join order
+first and the positions of each step after it, as `core.join_plan` does in
+one.
 
 `reference_tokenize` is the character-at-a-time `.erl` tokenizer that the
 package's compiled scanner replaced; the scanner must give its tokens and
@@ -33,6 +36,7 @@ from exchase.core import (
     Const,
     FactBase,
     KnowledgeBase,
+    PlanStep,
     Rule,
     Store,
     Term,
@@ -323,3 +327,43 @@ class ReferenceSearch(hom._Search):
                 if len(cands) <= 1:
                     break
         return best_i, best_cands
+
+
+def reference_join_plan(atoms: Iterable[Atom], bound: Iterable[str]) -> tuple[PlanStep, ...]:
+    """`core.join_plan` in two passes. First the order: next comes the atom
+    with the most bound arguments (constants and variables bound earlier),
+    then the fewest free variables, then the first in the order given. Then
+    the steps: per atom of that order, the positions of its constants, of
+    its variables bound before it, and of the first and the repeated
+    occurrences of the variables it binds."""
+    left = list(atoms)
+    seen = set(bound)
+    order = []
+
+    def rank(a: Atom) -> tuple[int, int]:
+        free = a.variables() - seen
+        return (sum(not isinstance(t, Var) or t.name in seen for t in a.args), -len(free))
+
+    while left:
+        best = max(left, key=rank)
+        left.remove(best)
+        seen |= best.variables()
+        order.append((best.pred, tuple(t.name if isinstance(t, Var) else t for t in best.args)))
+
+    seen = set(bound)
+    plan = []
+    for pred, args in order:
+        fixed, consts, first, repeats = [], [], {}, []
+        for i, s in enumerate(args):
+            if not isinstance(s, str):
+                consts.append((i, s))
+            elif s in seen:
+                fixed.append((i, s))
+            elif s in first:
+                repeats.append((i, first[s]))
+            else:
+                first[s] = i
+        free = tuple((i, s) for s, i in first.items())
+        plan.append(PlanStep(pred, args, tuple(fixed), tuple(consts), free, tuple(repeats)))
+        seen.update(first)
+    return tuple(plan)

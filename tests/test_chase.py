@@ -18,8 +18,8 @@ from exchase.core import (
     TERMINATED_UNFAIR,
     Trigger,
     Var,
+    join_plan,
     make_match,
-    term_key,
 )
 from exchase.chase import (
     ChaseState,
@@ -47,6 +47,7 @@ from oracles import (
     datalog_satisfied,
     exists_retraction,
     is_applicable,
+    reference_join_plan,
     rule_by_id,
     support,
 )
@@ -249,6 +250,11 @@ def test_phased_rejects_a_rule_group_that_is_not_a_list_of_ids():
     for group in ("r1", ["r1", 2], None):
         with pytest.raises(StrategyError, match="not a list of rule ids"):
             Phased([(group, "exhaust")])
+
+
+def test_phased_rejects_a_mode_other_than_exhaust_or_once():
+    with pytest.raises(StrategyError, match="twice"):
+        Phased([(["r1"], "twice")])
 
 
 def test_phased_early_stop_is_unfair():
@@ -670,7 +676,8 @@ def test_triggers_from_enumeration_and_delta_search_are_equal():
     a, b, c, d = (Const(n) for n in "abcd")
     fb = FactBase([Atom("e", (a, b)), Atom("e", (b, c)), Atom("e", (c, d))])
     _, whole = enumerate_triggers([rule], Store(fb))  # the second of two
-    (delta,) = delta_triggers([rule], Store(fb), [Atom("e", (c, d))])
+    index = KnowledgeBase((rule,), FactBase()).body_index
+    (delta,) = delta_triggers(index, Store(fb), [Atom("e", (c, d))])
     assert whole.match == delta.match
     assert whole == delta
     assert hash(whole) == hash(delta)
@@ -758,7 +765,7 @@ def join_cases(draw):
 
 
 def _canonical(matches):
-    return sorted(matches, key=lambda m: [(n, term_key(t)) for n, t in m])
+    return sorted(matches, key=lambda m: [(n, t.key) for n, t in m])
 
 
 def _search_matches(rule, fb, fixed=None):
@@ -775,14 +782,14 @@ def test_join_matches_equal_homomorphism_search(case):
     j is bound to a fact, finds exactly the homomorphisms the search finds,
     each once."""
     rule, fb, _ = case
-    whole = _canonical(make_match(m) for m in _join(rule.join_orders.whole, fb, {}))
+    whole = _canonical(make_match(m) for m in _join(rule.join_plans.whole, fb, {}))
     assert whole == _search_matches(rule, fb)
-    for b, order in zip(rule.body, rule.join_orders.given):
+    for b, plan in zip(rule.body, rule.join_plans.given):
         for fact in fb.by_pred.get(b.pred, ()):
-            binding = _bind(b, fact)
+            binding = _bind(join_plan([b], ())[0], fact)
             if binding is None:
                 continue
-            got = _canonical(make_match(m) for m in _join(order, fb, dict(binding)))
+            got = _canonical(make_match(m) for m in _join(plan, fb, dict(binding)))
             fixed = {Var(n): t for n, t in binding.items()}
             assert got == _search_matches(rule, fb, fixed)
 
@@ -793,7 +800,8 @@ def test_delta_triggers_find_each_new_match_once(case):
     """Delta discovery yields each match that uses a delta atom exactly once,
     also when two delta atoms bind the same body atom."""
     rule, fb, delta = case
-    got = [t.match for t in delta_triggers([rule], fb, delta)]
+    index = KnowledgeBase((rule,), FactBase()).body_index
+    got = [t.match for t in delta_triggers(index, fb, delta)]
     assert len(got) == len(set(got))
     want = [
         m
@@ -801,6 +809,21 @@ def test_delta_triggers_find_each_new_match_once(case):
         if any(a in delta for a in support(Trigger(rule, m)))
     ]
     assert _canonical(got) == want
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(join_cases())
+def test_join_plans_equal_the_two_pass_reference(case):
+    """The one-pass planner picks the join order of the two-pass greedy
+    (order first, positions after) and gives each step the same positions,
+    for the whole body and for the rest of it given each body atom."""
+    rule, _, _ = case
+    whole, given = rule.join_plans
+    assert list(whole) == list(reference_join_plan(rule.body, ()))
+    assert len(given) == len(rule.body)
+    for j, a in enumerate(rule.body):
+        rest = rule.body[:j] + rule.body[j + 1 :]
+        assert list(given[j]) == list(reference_join_plan(rest, a.variables()))
 
 
 def test_join_order_puts_the_most_bound_atom_next():
@@ -814,7 +837,11 @@ def test_join_order_puts_the_most_bound_atom_next():
         ),
         (Atom("head", V("W")),),
     )
-    assert [pred for pred, _ in rule.join_orders.whole] == ["content", "head", "stp", "nxt"]
+    assert [s.pred for s in rule.join_plans.whole] == ["content", "head", "stp", "nxt"]
     # given nxt(Z,W) bound: stp(X,Z) has one bound argument, the rest none
-    given_nxt = rule.join_orders.given[2]
-    assert given_nxt == (("stp", ("X", "Z")), ("content", ("X",)), ("head", ("X",)))
+    given_nxt = rule.join_plans.given[2]
+    assert [(s.pred, s.args) for s in given_nxt] == [
+        ("stp", ("X", "Z")),
+        ("content", ("X",)),
+        ("head", ("X",)),
+    ]

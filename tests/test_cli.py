@@ -192,6 +192,18 @@ def test_negative_scripted_index_json_error(tmp_path, capsys):
     assert "index -1" in error["error"]
 
 
+def test_boolean_scripted_index_json_error(tmp_path, capsys):
+    """A JSON `true` is not read as index 1, although the rule has a second
+    applicable trigger."""
+    erl = tmp_path / "two.erl"
+    erl.write_text("[r1] p(X) -> q(X).\np(a).\np(b).\n")
+    script = tmp_path / "script.json"
+    script.write_text("[[\"r1\", true]]")
+    error = run_cli_error(capsys, "run", str(erl), "--strategy", "scripted:%s" % script)
+    assert "malformed scripted strategy file" in error["error"]
+    assert "index True" in error["error"]
+
+
 def _malformed_fixture_error(
     tmp_path, capsys, erl: str = "[g] p(X,Y) -> exists Z. p(X,Z).\np(a,b).\n", **fields
 ) -> dict:

@@ -25,7 +25,6 @@ from exchase.core import (
     Var,
     make_match,
     sort_atoms,
-    term_key,
 )
 
 from conftest import load_doc, random_factbase
@@ -37,7 +36,7 @@ def V(*names):
 
 
 def test_term_ordering_and_equality():
-    assert term_key(Const("a")) < term_key(Null("z")) < term_key(Var("X"))
+    assert Const("a").key < Null("z").key < Var("X").key
     assert Null("n1") == Null("n1")
     assert Null("n1") != Null("n2")
     assert Const("a") != Null("a")
@@ -359,10 +358,10 @@ def _in_process(code: str, seed: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("cls", [Const, Null, Var])
 def test_term_hash_is_the_dataclass_hash_and_key_is_stored(cls):
     """A term's hash is the value the dataclass computes, `hash((name,))`,
-    and `term_key` reads the key it stores."""
+    and its key is stored."""
     t = cls("a")
     assert hash(t) == hash(("a",))
-    assert term_key(t) == t.key == ({Const: 0, Null: 1, Var: 2}[cls], "a")
+    assert t.key == ({Const: 0, Null: 1, Var: 2}[cls], "a")
     assert t == cls("a") and t != cls("b")
 
 

@@ -14,7 +14,11 @@ under either seed:
 - `classify --json` on the fixture corpus;
 - `explore --json` on every corpus `.erl` and on the diverging rule
   `[g] p(X,Y) -> exists Z. p(Y,Z).` over `p(a,b)`, under o/so/r/e/dfr, at
-  (max-depth, max-nodes) budgets (10, 2000), (3, 5), (40, 40), (60, 300).
+  (max-depth, max-nodes) budgets (10, 2000), (3, 5), (40, 40), (60, 300);
+- `normalize --json` on every corpus `.erl` with --proc sp, 1ad and 2ad,
+  and with --skip-atomic for 1ad and 2ad;
+- `tm encode --json` and `tm tape --json --len 1`, 2 and 3 on every corpus
+  machine (`corpus/machines/*.tm`).
 
 A report is the command's exit code, stdout and stderr, with the tree's
 path replaced by `<tree>` (it appears in `inputs` and in error messages).
@@ -42,6 +46,8 @@ RUN_VARIANTS = ("o", "so", "r", "e", "dfr", "dfe")
 EXPLORE_VARIANTS = ("o", "so", "r", "e", "dfr")
 STRATEGIES = ("fifo", "datalog-first")
 EXPLORE_BUDGETS = ((10, 2000), (3, 5), (40, 40), (60, 300))
+NORMALIZE_PROCS = ("sp", "1ad", "2ad")
+TAPE_LENGTHS = (1, 2, 3)
 GROWTH_ERL = "[g] p(X,Y) -> exists Z. p(Y,Z).\np(a,b).\n"
 HASH_SEEDS = ("0", "1")
 
@@ -71,6 +77,18 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
                     "explore", str(erl), "--variant", variant,
                     "--max-depth", str(depth), "--max-nodes", str(nodes), "--json",
                 ]
+    for erl in erls:
+        for proc in NORMALIZE_PROCS:
+            argv = ["normalize", str(erl), "--proc", proc, "--json"]
+            commands["normalize %s %s" % (erl.name, proc)] = argv
+            if proc != "sp":
+                commands["normalize %s %s skip-atomic" % (erl.name, proc)] = [*argv, "--skip-atomic"]
+    for machine in sorted((corpus / "machines").glob("*.tm")):
+        commands["tm encode %s" % machine.name] = ["tm", "encode", "--machine", str(machine), "--json"]
+        for length in TAPE_LENGTHS:
+            commands["tm tape %s %d" % (machine.name, length)] = [
+                "tm", "tape", "--machine", str(machine), "--len", str(length), "--json",
+            ]
     return commands
 
 
