@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import hom, normalize
-from .core import TERMINATED_FAIR, Atom, Derivation, KnowledgeBase, Trigger
+from .core import TERMINATED_FAIR, Atom, Derivation, FactBase, KnowledgeBase, Null, Rule, Trigger, Var
 from .chase import (
     STOPPED,
     ChaseState,
@@ -36,6 +36,7 @@ from .chase import (
     Phased,
     Scripted,
     Strategy,
+    delta_triggers,
     run_chase,
 )
 
@@ -191,15 +192,24 @@ def entails(
 
     Yes as soon as the query maps into the current fact base (sound for the
     monotone variants even mid-run); No only on fair termination without a
-    match; Unknown when the step budget runs out first.
+    match; Unknown when the step budget runs out first. The query, with a
+    variable for each null, is a goal rule's body, joined first from every
+    atom, then from each step's delta, which any new match uses
+    (`delta_triggers`); one search then finds the witness.
     """
     query = tuple(query)
+    as_vars = {n: Var(str(n)) for a in query for n in a.args if isinstance(n, Null)}
+    goal = tuple(a.substitute(as_vars) for a in query)
+    index = KnowledgeBase((Rule("?", goal, goal),), FactBase()).body_index
     witness = None
 
-    def entailed(fb) -> bool:
+    def entailed(state: ChaseState) -> bool:
         nonlocal witness
-        witness = hom.find_homomorphism(query, fb)
-        return witness is not None
+        delta = state.records[-1][1] if state.records else tuple(state.store.atoms)
+        if next(delta_triggers(index, state.store, delta), None) is None:
+            return False
+        witness = hom.find_homomorphism(query, state.store)
+        return True
 
     outcome = run_chase(kb, variant, strategy or DatalogFirst(), max_steps, stop=entailed)
     if outcome.verdict == STOPPED:

@@ -14,11 +14,10 @@ Because null labels are a pure function of (rule, match), "was applied" is
 equivalent to "its output is already present", so O needs no record. SO
 reads the frontier keys of the triggers fired along the derivation, which
 the derivation state keeps (`ChaseState.fired`) under SO only, the one
-variant that reads them. R is decided as head
-satisfaction: a search for out(t) into F in which every term F holds is
-frozen, so only the fresh nulls F lacks may move. That is the retraction
-test at the cost of |out(t)| atoms instead of |F|; E runs it first as its
-cheap case.
+variant that reads them. R is decided as head satisfaction: a join of the
+rule's head from t's frontier match (`Rule.head_plan`), in which only the
+fresh nulls F lacks may move. That is the retraction test at the cost of
+|out(t)| atoms instead of |F|; E runs it first as its cheap case.
 
 The Datalog-first modifier gates non-Datalog triggers: they only become
 applicable once every Datalog rule is satisfied.
@@ -83,6 +82,7 @@ from .core import (
     Store,
     Term,
     Trigger,
+    join_plan,
     make_match,
 )
 from . import hom
@@ -243,20 +243,20 @@ def delta_triggers(
 _BODY_POSITION = operator.itemgetter(0, 1)
 
 
-def head_satisfied(
-    t: Trigger, fb, budget: Optional[int] = None, stats: Optional[dict] = None
-) -> bool:
+def head_satisfied(t: Trigger, fb, stats: Optional[dict] = None) -> bool:
     """True iff out(t) maps into F with every term F holds kept fixed.
 
     This is the restricted chase's blocking test, a retraction of
     F + out(t) onto F: only the fresh nulls of t that F does not hold may
-    move, so the search covers the |out(t)| atoms, not F."""
+    move, so the head is joined from t's match and the nulls F holds."""
     pending = [a for a in t.output if a not in fb.atoms]
     movable = {n for n in t.output_nulls if n not in fb.terms}
     if any(movable.isdisjoint(a.args) for a in pending):
         return False  # a rigid atom is missing from F
-    frozen = frozenset(x for a in pending for x in a.args if x not in movable)
-    return hom.find_homomorphism(pending, fb, frozen=frozen, budget=budget, stats=stats) is not None
+    binding = {s: x for s, x in t.extended.items() if x not in movable}
+    head = t.rule.head_plan if len(binding) == len(t.mapping) else join_plan(t.rule.head, binding)
+    store = fb if isinstance(fb, Store) else Store(fb)
+    return next(_join(head, store, binding, stats), None) is not None
 
 
 # Why a trigger is not applicable. PRESENT, FIRED and SATISFIED hold for good
@@ -299,7 +299,7 @@ def blocking(
     if tag == "so":
         return FIRED if t.frontier_key in fired else None
     # R, and E's cheap case first: a retraction is a homomorphism.
-    if head_satisfied(t, fb, budget=hom_budget, stats=stats):
+    if head_satisfied(t, fb, stats=stats):
         return SATISFIED
     if tag == "e":
         h = hom.find_homomorphism([*fb, *out], fb, budget=hom_budget, stats=stats)
@@ -323,7 +323,6 @@ class ChaseState:
         self.stats: dict = {"triggers_considered": 0, "hom_calls": 0}
         self.rule_index = {r.id: i for i, r in enumerate(kb.rules)}
         self.datalog_ids = frozenset(r.id for r in kb.rules if r.is_datalog)
-        self.existential_ids = frozenset(r.id for r in kb.rules if not r.is_datalog)
         self.store = Store(kb.facts.atoms)
         self.lists: list[list[Trigger]] = [[] for _ in kb.rules]
         self.fired: Counter[tuple] = Counter()
@@ -338,7 +337,6 @@ class ChaseState:
         child.kb, child.variant, child.hom_budget = self.kb, self.variant, self.hom_budget
         child.stats = dict(self.stats)
         child.rule_index, child.datalog_ids = self.rule_index, self.datalog_ids
-        child.existential_ids = self.existential_ids
         child.store, child.fired = self.store.copy(), self.fired.copy()
         child.lists = [list(entries) for entries in self.lists]
         child.records = list(self.records)
@@ -477,7 +475,7 @@ class DatalogFirst(Strategy):
                     yield t
             queue.extend(state.scan(state.datalog_ids))
             if not queue:
-                t = state.first_applicable(state.existential_ids)
+                t = state.first_applicable()  # the refill left no Datalog trigger
                 if t is None:
                     return
                 yield t
@@ -556,14 +554,14 @@ def run_chase(
     max_steps: int = 1000,
     *,
     hom_budget: Optional[int] = None,
-    stop: Optional[Callable[[Store], bool]] = None,
+    stop: Optional[Callable[[ChaseState], bool]] = None,
 ) -> ChaseOutcome:
     """Build a derivation under the variant's applicability and the order of
     a new generator of the strategy. Stops fairly when nothing is applicable,
     unfairly when a strategy that is not `complete` ends early, or with a
     budget verdict at max_steps.
-    `stop`, if given, sees the fact base before the first and after every
-    step; once it returns True the run ends with the verdict STOPPED.
+    `stop`, if given, sees the state before the first and after every step;
+    once it returns True the run ends with the verdict STOPPED.
     """
     strategy = strategy or FIFO()
     state = ChaseState(kb, variant, hom_budget)
@@ -571,7 +569,7 @@ def run_chase(
     verdict = None
     try:
         while verdict is None:
-            if stop is not None and stop(state.store):
+            if stop is not None and stop(state):
                 verdict = STOPPED
             elif len(state.records) >= max_steps:
                 nothing_left = state.first_applicable() is None

@@ -303,6 +303,11 @@ class Rule:
             ),
         )
 
+    @cached_attribute
+    def head_plan(self) -> tuple[PlanStep, ...]:
+        """The plan of the head from the frontier: R's head test's join."""
+        return join_plan(self.head, self.frontier)
+
     @property
     def is_datalog(self) -> bool:
         return not self.existentials
@@ -643,7 +648,7 @@ class Trigger:
         return dict(self.match)
 
     @cached_attribute
-    def _extended(self) -> dict[str, Term]:
+    def extended(self) -> dict[str, Term]:
         m = dict(self.mapping)
         if self.rule.existentials:
             digest = _match_digest(self.rule.id, self.match)
@@ -653,7 +658,7 @@ class Trigger:
 
     @cached_attribute
     def output(self) -> tuple[Atom, ...]:
-        m = self._extended
+        m = self.extended
         return sort_atoms(
             Atom(a.pred, tuple(m[t.name] if isinstance(t, Var) else t for t in a.args))
             for a in self.rule.head
@@ -662,7 +667,7 @@ class Trigger:
     @cached_attribute
     def output_nulls(self) -> frozenset[Null]:
         return frozenset(
-            t for t in self._extended.values() if isinstance(t, Null)
+            t for t in self.extended.values() if isinstance(t, Null)
         ) - frozenset(t for t in self.mapping.values() if isinstance(t, Null))
 
     @cached_attribute

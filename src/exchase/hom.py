@@ -1,9 +1,8 @@
 """Backtracking search for homomorphisms, retractions and isomorphisms.
 
-A homomorphism between atom sets maps variables and nulls to terms and fixes
-constants pointwise. A retraction into a subset additionally fixes every term
-of the subset. The equivalent-chase test moves *all* nulls of the source, so
-callers control which terms are frozen.
+A homomorphism between atom sets maps variables and nulls to terms, fixes
+constants pointwise and extends `fixed`. The searches here move nulls of F:
+the equivalent chase's fold, isomorphism checks and an entailed BCQ's witness.
 
 `IsoTable` maps atom sets up to isomorphism. It buckets them by a
 colour-refinement invariant and runs an exact, budgeted isomorphism check
@@ -30,19 +29,16 @@ class _Search:
     counts candidates only as far as that choice needs, so a node costs the
     atoms it reads up to the choice, not every candidate of every atom."""
 
-    def __init__(self, source, target, fixed, frozen, injective, budget, stats):
+    def __init__(self, source, target, fixed, injective, budget, stats):
         self.atoms = list(source)
         self.fb = target if isinstance(target, Store) else Store(target)
-        self.frozen = frozen
         self.injective = injective
         self.budget = budget
         self.nodes = 0
         self.assignment: dict[Term, Term] = dict(fixed or {})
         self.used: set[Term] = set(self.assignment.values()) if injective else set()
-        if injective:  # constants and frozen terms of the source are their own images
-            self.used.update(
-                t for a in self.atoms for t in a.args if isinstance(t, Const) or t in frozen
-            )
+        if injective:  # constants of the source are their own images
+            self.used.update(t for a in self.atoms for t in a.args if isinstance(t, Const))
         if stats is not None:
             stats["hom_calls"] = stats.get("hom_calls", 0) + 1
 
@@ -55,10 +51,8 @@ class _Search:
         up directly; otherwise the store's candidates for the bound arguments
         are checked for arity, the bound terms, repeated variables and, in an
         injective search, images already used."""
-        frozen, assignment = self.frozen, self.assignment
-        images = [
-            s if isinstance(s, Const) or s in frozen else assignment.get(s) for s in a.args
-        ]
+        assignment = self.assignment
+        images = [s if isinstance(s, Const) else assignment.get(s) for s in a.args]
         if None not in images:
             ground = Atom(a.pred, tuple(images))
             return [(ground, [])] if ground in self.fb.atoms else []
@@ -154,22 +148,21 @@ def iter_homomorphisms(
     source: Iterable[Atom],
     target,
     fixed: Optional[Mapping[Term, Term]] = None,
-    frozen: frozenset[Term] = frozenset(),
     injective: bool = False,
     budget: Optional[int] = None,
     stats: Optional[dict] = None,
 ) -> Iterator[dict[Term, Term]]:
     """All extensions of `fixed` mapping the source atoms into the target.
 
-    `frozen` terms map to themselves; constants always do. The returned
-    assignments cover only the movable terms that actually occur. A target
-    that is not a `Store` is indexed as one first, once per call.
+    Constants map to themselves. The returned assignments hold `fixed` and
+    the other movable terms that actually occur. A target that is not a
+    `Store` is indexed as one first, once per call.
     """
     if fixed:
         for k, v in fixed.items():
             if isinstance(k, Const) and k != v:
                 raise ValueError("cannot remap constant %s" % k)
-    search = _Search(source, target, fixed, frozen, injective, budget, stats)
+    search = _Search(source, target, fixed, injective, budget, stats)
     return search.run()
 
 
@@ -177,13 +170,12 @@ def find_homomorphism(
     source: Iterable[Atom],
     target,
     fixed: Optional[Mapping[Term, Term]] = None,
-    frozen: frozenset[Term] = frozenset(),
     injective: bool = False,
     budget: Optional[int] = None,
     stats: Optional[dict] = None,
 ) -> Optional[dict[Term, Term]]:
     """First solution of `iter_homomorphisms`, or None if none exists."""
-    for h in iter_homomorphisms(source, target, fixed, frozen, injective, budget, stats):
+    for h in iter_homomorphisms(source, target, fixed, injective, budget, stats):
         return h
     return None
 

@@ -13,6 +13,8 @@ its fired keys and head satisfaction against them. `ch_k` is the k-fold
 breadth-first saturation that acceptance criterion 6 is stated over.
 `ReferenceSearch` is the homomorphism search with its branch rule stated
 plainly, every candidate of every atom listed at each node.
+`reference_entails` answers a BCQ by searching the whole fact base for the
+query after every step, where the package joins it from the step's delta.
 `reference_join_plan` plans a trigger join in two passes, the join order
 first and the positions of each step after it, as `core.join_plan` does in
 one.
@@ -30,8 +32,19 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
 
 from exchase import hom
-from exchase.chase import ChaseState, ChaseVariant, Strategy, blocking, enumerate_triggers
+from exchase.analysis import TriState
+from exchase.chase import (
+    STOPPED,
+    ChaseState,
+    ChaseVariant,
+    DatalogFirst,
+    Strategy,
+    blocking,
+    enumerate_triggers,
+    run_chase,
+)
 from exchase.core import (
+    TERMINATED_FAIR,
     Atom,
     Const,
     FactBase,
@@ -189,14 +202,14 @@ def exists_retraction(
 ) -> bool:
     """True iff a homomorphism whole -> part fixes every term of `part`."""
     part_atoms = frozenset(part)
-    frozen_terms: set[Term] = set()
+    fixed: dict[Term, Term] = {}
     for a in part_atoms:
-        frozen_terms.update(a.args)
+        fixed.update(zip(a.args, a.args))
     pending = [a for a in whole if a not in part_atoms]
     for a in pending:
-        if all(isinstance(t, Const) or t in frozen_terms for t in a.args):
+        if all(isinstance(t, Const) or t in fixed for t in a.args):
             return False  # atom is rigid but missing from the part
-    found = hom.find_homomorphism(pending, part_atoms, frozen=frozenset(frozen_terms), budget=budget)
+    found = hom.find_homomorphism(pending, part_atoms, fixed=fixed, budget=budget)
     return found is not None
 
 
@@ -280,7 +293,7 @@ class ReferenceSearch(hom._Search):
     as it needs, so both searches walk the same tree."""
 
     def _image(self, t: Term) -> Optional[Term]:
-        if isinstance(t, Const) or t in self.frozen:
+        if isinstance(t, Const):
             return t
         return self.assignment.get(t)
 
@@ -327,6 +340,31 @@ class ReferenceSearch(hom._Search):
                 if len(cands) <= 1:
                     break
         return best_i, best_cands
+
+
+def reference_entails(
+    kb: KnowledgeBase,
+    query: Iterable[Atom],
+    variant: ChaseVariant,
+    max_steps: int,
+    strategy: Optional[Strategy] = None,
+) -> TriState:
+    """`analysis.entails` with the query searched for in the whole fact
+    base before the first and after every step."""
+    query = tuple(query)
+    witness = None
+
+    def entailed(state: ChaseState) -> bool:
+        nonlocal witness
+        witness = hom.find_homomorphism(query, state.store)
+        return witness is not None
+
+    outcome = run_chase(kb, variant, strategy or DatalogFirst(), max_steps, stop=entailed)
+    if outcome.verdict == STOPPED:
+        return TriState("yes", witness)
+    if outcome.verdict == TERMINATED_FAIR:
+        return TriState("no")
+    return TriState("unknown")
 
 
 def reference_join_plan(atoms: Iterable[Atom], bound: Iterable[str]) -> tuple[PlanStep, ...]:

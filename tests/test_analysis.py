@@ -33,6 +33,7 @@ from exchase.core import (
     Const,
     FactBase,
     KnowledgeBase,
+    Null,
     Store,
     TERMINATED_FAIR,
     TERMINATED_UNFAIR,
@@ -43,7 +44,7 @@ from exchase.normalize import FreshNameClashError, one_way, single_piece, two_wa
 from exchase.textio import parse_document
 
 from conftest import ALL_VARIANTS, CORPUS, load_doc, load_kb, small_kbs
-from oracles import RandomChoice, applicable_edges
+from oracles import RandomChoice, applicable_edges, reference_entails
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
 DFR = ChaseVariant.parse("dfr")
@@ -320,6 +321,27 @@ def test_entails_agreement_r_vs_e_on_terminating_kbs():
         empty_safe = KnowledgeBase(kb.rules, kb.facts)
         kinds = {entails(empty_safe, novel, v, 100).kind for v in (R, E)}
         assert kinds == {"no"}
+
+
+_QUERY_TERMS = (Var("X"), Var("Y"), Var("Z"), Const("a"), Const("b"), Null("n1"), Null("n2"))
+
+
+@st.composite
+def queries(draw):
+    """One to three atoms over the predicates of `small_kbs`, with
+    constants, repeated variables and nulls, which may move."""
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        pred, arity = draw(st.sampled_from((("p", 2), ("q", 1), ("r", 2))))
+        atoms.append(Atom(pred, tuple(draw(st.sampled_from(_QUERY_TERMS)) for _ in range(arity))))
+    return tuple(atoms)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(small_kbs(), queries(), st.sampled_from(ALL_VARIANTS))
+def test_entails_equals_the_per_step_full_search(kb, query, name):
+    variant = ChaseVariant.parse(name)
+    assert entails(kb, query, variant, 8) == reference_entails(kb, query, variant, 8)
 
 
 # --- scripted replays of the growth behaviors ----------------------------------------

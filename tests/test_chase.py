@@ -576,10 +576,10 @@ def _naive_r_applicable(t, fb):
     """Straight from the definition: no homomorphism from F + out(t) to F
     that is the identity on every variable of F."""
     whole = list(fb.sorted_atoms) + list(t.output)
-    frozen = frozenset(x for x in fb.terms if not isinstance(x, Const))
+    fixed = {x: x for x in fb.terms if not isinstance(x, Const)}
     if set(t.output) <= fb.atoms:
         return False
-    return hom.find_homomorphism(whole, fb, frozen=frozen) is None
+    return hom.find_homomorphism(whole, fb, fixed=fixed) is None
 
 
 def test_restricted_applicability_matches_naive_definition():
@@ -661,6 +661,23 @@ def test_head_satisfaction_equals_retraction_test():
             whole = itertools.chain(fb.atoms, t.output)
             assert head_satisfied(t, fb) == exists_retraction(whole, fb)
             checked += 1
+
+
+def test_head_satisfaction_keeps_a_minted_null_that_f_holds_fixed():
+    """An input that holds one of a trigger's own output nulls (`s(n)`)
+    fixes it: out(t) = p(c,n,n') cannot map onto p(c,d,e), so the trigger
+    fires once. Joining the head from the frontier match alone would move
+    n to d and block it."""
+    rule = Rule("r", (Atom("a", V("X")),), (Atom("p", V("X", "Y", "Z")),))
+    c = Const("c")
+    t = Trigger(rule, make_match({"X": c}))
+    held = t.output[0].args[1]
+    fb = FactBase([Atom("a", (c,)), Atom("p", (c, Const("d"), Const("e"))), Atom("s", (held,))])
+    assert head_satisfied(t, fb) is False
+    assert exists_retraction(itertools.chain(fb.atoms, t.output), fb) is False
+    out = run_chase(KnowledgeBase((rule,), fb), R, FIFO(), 10)
+    assert out.verdict == TERMINATED_FAIR
+    assert [r for r, _ in out.derivation.records] == [t]
 
 
 def test_e_variant_on_a_fact_base_deeper_than_the_recursion_limit():

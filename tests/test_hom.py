@@ -3,9 +3,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from exchase import hom
-from exchase.chase import head_satisfied
-from exchase.core import Atom, Const, FactBase, Null, Rule, Store, Trigger, Var, make_match
+from exchase import analysis, hom
+from exchase.analysis import entails
+from exchase.chase import ChaseVariant, delta_triggers, head_satisfied
+from exchase.core import Atom, Const, FactBase, KnowledgeBase, Null, Rule, Store, Trigger, Var, make_match
 from exchase.hom import (
     IsoTable,
     find_homomorphism,
@@ -304,24 +305,24 @@ def _atom_lists(terms, min_size, max_size):
 
 @st.composite
 def searches(draw):
-    """(source, target, fixed, frozen, injective) for one search. Targets
-    are dense enough that most atoms have several candidates, so the
-    branch rule has real choices to make."""
+    """(source, target, fixed, injective) for one search, where `fixed` may
+    map a term to itself. Targets are dense enough that most atoms have
+    several candidates, so the branch rule has real choices to make."""
     source = draw(_atom_lists(_SOURCE_TERMS, 1, 4))
     target = draw(_atom_lists(_TARGET_TERMS, 8, 24))
     movable = sorted({t for at in source for t in at.args if not isinstance(t, Const)}, key=str)
-    frozen, fixed = frozenset(), {}
+    fixed = {}
     if movable:
-        frozen = frozenset(draw(st.sets(st.sampled_from(movable), max_size=1)))
+        fixed = {t: t for t in draw(st.sets(st.sampled_from(movable), max_size=1))}
         keys = st.sampled_from(movable)
-        fixed = draw(st.dictionaries(keys, st.sampled_from(_TARGET_TERMS), max_size=1))
-    return source, target, fixed, frozen, draw(st.booleans())
+        fixed.update(draw(st.dictionaries(keys, st.sampled_from(_TARGET_TERMS), max_size=1)))
+    return source, target, fixed, draw(st.booleans())
 
 
-def _walk(search_cls, source, target, fixed, frozen, injective, budget=None):
+def _walk(search_cls, source, target, fixed, injective, budget=None):
     """Every solution in order, the final node count, and whether the
     budget ran out."""
-    search = search_cls(source, Store(target), fixed, frozen, injective, budget, None)
+    search = search_cls(source, Store(target), fixed, injective, budget, None)
     found = []
     try:
         for h in search.run():
@@ -344,16 +345,20 @@ def test_search_tree_matches_the_reference_branch_rule(case, data):
 
 
 def _count_reads(monkeypatch) -> list[int]:
-    """Make `Store.candidates` count every atom a search takes from it."""
+    """Make `Store.candidates`, which a search reads, and `Store.pool`,
+    which a join reads, count every atom taken from them."""
     reads = [0]
-    candidates = Store.candidates
 
-    def counted(self, pred, bound):
-        for atom in candidates(self, pred, bound):
-            reads[0] += 1
-            yield atom
+    def counting(method):
+        def counted(self, pred, bound):
+            for atom in method(self, pred, bound):
+                reads[0] += 1
+                yield atom
 
-    monkeypatch.setattr(Store, "candidates", counted)
+        return counted
+
+    monkeypatch.setattr(Store, "candidates", counting(Store.candidates))
+    monkeypatch.setattr(Store, "pool", counting(Store.pool))
     return reads
 
 
@@ -379,6 +384,49 @@ def test_bcq_check_reads_as_many_atoms_over_a_larger_store(monkeypatch):
         assert find_homomorphism(query, store) is None
         counts.append(reads[0])
     assert counts[0] == counts[1]
+
+
+def _emp_kb(employees: int) -> KnowledgeBase:
+    """emp-ent's knowledge base: the rule gives every employee a department,
+    and the odd-numbered half already works in one of ten."""
+    store = _emp_store(employees, 10)
+    facts = [at for at in store.atoms if at.pred != "works" or int(at.args[0].name[1:]) % 2]
+    head = (Atom("works", (x, z)), Atom("dept", (z,)))
+    return KnowledgeBase((Rule("emp", (Atom("emp", (x,)),), head),), FactBase(facts))
+
+
+def test_bcq_check_per_step_reads_as_many_atoms_over_a_larger_store(monkeypatch):
+    """`entails` joins the query from each step's delta, and searches the
+    whole store only once, for the witness of a query that holds."""
+    query = (Atom("works", (x, y)), Atom("works", (x, z)), Atom("closed", (z,)))
+    reads = _count_reads(monkeypatch)
+    searches = []
+
+    def counted_search(*args, **kwargs):
+        searches.append(args)
+        return find_homomorphism(*args, **kwargs)
+
+    monkeypatch.setattr(hom, "find_homomorphism", counted_search)
+    per_step = []
+
+    def counted_delta(index, fb, delta, stats=None):
+        before = reads[0]
+        found = next(delta_triggers(index, fb, delta, stats), None)
+        per_step.append(reads[0] - before)
+        return iter(() if found is None else (found,))
+
+    monkeypatch.setattr(analysis, "delta_triggers", counted_delta)
+    most = []
+    for employees in (40, 400):
+        per_step.clear()
+        assert entails(_emp_kb(employees), query, ChaseVariant("r"), employees).kind == "no"
+        assert len(per_step) == employees // 2 + 1  # before the first step and after each
+        most.append(max(per_step[1:]))
+    assert most[0] == most[1] > 0
+    assert searches == []
+    kb = _emp_kb(40)
+    assert entails(kb, (Atom("works", (Const("e0"), y)),), ChaseVariant("r"), 40).kind == "yes"
+    assert len(searches) == 1
 
 
 def test_head_satisfied_reads_as_many_atoms_over_a_larger_store(monkeypatch):

@@ -10,7 +10,12 @@ under either seed:
 
 - `run --derivation --json --max-steps 60` on every corpus `.erl` under
   o/so/r/e/dfr/dfe with the fifo and datalog-first strategies (stats kept);
-- `entails --json` on every corpus `.erl` under the same variants;
+- `entails --json` on every corpus `.erl` under the same variants, and on a
+  copy of each, written into the scratch directory, that adds generated
+  queries: one all-variable atom per predicate and a self-join
+  `p(X,Y), p(Y,Z)` per binary predicate, each run by `--query-index`
+  (most corpus files have no query of their own, so these cover the
+  witnesses);
 - `classify --json` on the fixture corpus;
 - `explore --json` on every corpus `.erl` and on the diverging rule
   `[g] p(X,Y) -> exists Z. p(Y,Z).` over `p(a,b)`, under o/so/r/e/dfr, at
@@ -29,7 +34,7 @@ The script prints each key whose report differs and exits 1 if any does,
     python3 tools/compare_reports.py --dump SRC DIR
 
 prints one tree's reports as a JSON object instead, with the diverging
-rule's file written into the directory DIR.
+rule's file and the query copies written into the directory DIR.
 """
 from __future__ import annotations
 
@@ -52,6 +57,27 @@ GROWTH_ERL = "[g] p(X,Y) -> exists Z. p(Y,Z).\np(a,b).\n"
 HASH_SEEDS = ("0", "1")
 
 
+def _with_queries(erl: Path, scratch: Path) -> tuple[Path, range]:
+    """A copy of `erl` in `scratch` with generated queries appended, and
+    the indexes of those queries."""
+    from exchase import textio
+
+    text = erl.read_text()
+    doc = textio.parse_document(text)
+    atoms = [a for r in doc.rules for a in (*r.body, *r.head)] + list(doc.facts)
+    arities = dict(sorted({a.pred: a.arity for a in atoms}.items()))
+    queries = []
+    for pred, arity in arities.items():
+        args = ",".join("X%d" % i for i in range(arity))
+        queries.append("? %s(%s)." % (pred, args) if args else "? %s." % pred)
+        if arity == 2:
+            queries.append("? %s(X,Y), %s(Y,Z)." % (pred, pred))
+    copy = scratch / ("queries-" + erl.name)
+    copy.write_text(text + "\n" + "\n".join(queries) + "\n")
+    first = len(doc.queries)
+    return copy, range(first, first + len(queries))
+
+
 def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
     """Report key -> argv for `exchase.cli.main`."""
     corpus = src / "exchase" / "corpus"
@@ -69,6 +95,12 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
             commands["entails %s %s" % (erl.name, variant)] = [
                 "entails", str(erl), "--variant", variant, "--json",
             ]
+        copy, indexes = _with_queries(erl, scratch)
+        for k in indexes:
+            for variant in RUN_VARIANTS:
+                commands["entails %s %d %s" % (copy.name, k, variant)] = [
+                    "entails", str(copy), "--query-index", str(k), "--variant", variant, "--json",
+                ]
     commands["classify"] = ["classify", "--fixtures", str(corpus / "fixtures"), "--json"]
     for erl in [*erls, growth]:
         for variant in EXPLORE_VARIANTS:
