@@ -21,6 +21,7 @@ order.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -105,7 +106,7 @@ def explore_all(
                 witness_label=CERTIFIED if atomic_only else UNCERTIFIED, dedup_hits=dedup_hits,
             )
         if dedup:
-            entry = seen_depth.entry(state.store.atoms.union(t.output))
+            entry = seen_depth.entry(chain(state.store.atoms, t.output))
             if entry.value is not None and entry.value <= depth:
                 dedup_hits += 1
                 continue
@@ -160,7 +161,7 @@ def find_terminating(
         below = []
         for state, edges in level:
             for t in edges:
-                entry = seen.entry(state.store.atoms.union(t.output))
+                entry = seen.entry(chain(state.store.atoms, t.output))
                 if entry.value is not None:
                     continue
                 entry.value = depth

@@ -4,9 +4,11 @@ A homomorphism between atom sets maps variables and nulls to terms, fixes
 constants pointwise and extends `fixed`. The searches here move nulls of F:
 the equivalent chase's fold, isomorphism checks and an entailed BCQ's witness.
 
-`IsoTable` maps atom sets up to isomorphism. It buckets them by a
-colour-refinement invariant and runs an exact, budgeted isomorphism check
-within a bucket; the derivation explorer uses it to deduplicate states.
+`IsoTable` maps atom sets up to isomorphism; the derivation explorer uses it
+to deduplicate states. It finds an identical atom set by hash, buckets the
+others by a cheap invariant (predicates and constant positions), and only
+within a bucket holding other sets refines colours and runs an exact,
+budgeted isomorphism check.
 Its one lookup, `IsoTable.entry`, returns the entry of an atom set's class,
 adding it if it is new, and the caller reads and sets the entry's value; so
 the explorer makes one table lookup per child.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .core import Atom, Const, FactBase, Store, Term
+from .core import Atom, Const, FactBase, Store, Term, cached_attribute
 
 
 class HomBudgetExceeded(Exception):
@@ -218,22 +220,39 @@ def _refine(atoms: Sequence[Atom]) -> dict[Term, int]:
 
 
 class _Entry:
-    """An atom set with its bucket key, colour classes and stored value."""
+    """An atom set with its stored value. Its colour refinement, and the
+    refined key, colour classes and colour atoms read from it, are computed
+    on first use, once per entry."""
 
     def __init__(self, atoms: frozenset[Atom]) -> None:
-        colours = _refine(tuple(atoms))
         self.atoms, self.value = atoms, None
-        self.key = (
+
+    @cached_attribute
+    def _colours(self) -> dict[Term, int]:
+        return _refine(tuple(self.atoms))
+
+    @cached_attribute
+    def key(self) -> tuple:
+        """The refined key: the constants, and the sorted atoms with argument
+        colours. It determines the coarse key (`_coarse_key`)."""
+        colours = self._colours
+        return (
             tuple(sorted(t.name for t in colours if isinstance(t, Const))),
-            tuple(sorted((a.pred, tuple([colours[t] for t in a.args])) for a in atoms)),
+            tuple(sorted((a.pred, tuple([colours[t] for t in a.args])) for a in self.atoms)),
         )
-        self.classes: dict[int, list[Term]] = {}
-        for t, c in colours.items():
+
+    @cached_attribute
+    def classes(self) -> dict[int, list[Term]]:
+        classes: dict[int, list[Term]] = {}
+        for t, c in self._colours.items():
             if not isinstance(t, Const):
-                self.classes.setdefault(c, []).append(t)
-        self.colour_atoms = [  # make the search keep the colours of shared classes
-            Atom("\x00%d" % c, (t,)) for c, ts in self.classes.items() if len(ts) > 1 for t in ts
-        ]
+                classes.setdefault(c, []).append(t)
+        return classes
+
+    @cached_attribute
+    def colour_atoms(self) -> list[Atom]:
+        """Atoms that make the search keep the colours of shared classes."""
+        return [Atom("\x00%d" % c, (t,)) for c, ts in self.classes.items() if len(ts) > 1 for t in ts]
 
     def isomorphic(self, other: "_Entry") -> bool:
         """Exact check against an entry with an equal key (so as many atoms).
@@ -257,22 +276,47 @@ class _Entry:
         return h is not None
 
 
+def _coarse_key(atoms: Iterable[Atom]) -> tuple:
+    """An isomorphism invariant that needs no refinement: the sorted atoms,
+    each as its predicate and, per position, the constant's name or "" for
+    a term that is not a constant. It only picks a bucket, so a constant
+    named "" would make buckets shared, never entries."""
+    return tuple(sorted(
+        (a.pred, tuple([t.name if isinstance(t, Const) else "" for t in a.args])) for a in atoms
+    ))
+
+
 class IsoTable:
     """A map keyed by atom sets up to isomorphism (a bijective renaming of
-    nulls and variables). Entries are bucketed by their colour-refinement
-    invariant: the constants, and the sorted atoms with argument colours. A
-    lookup runs an exact isomorphism check within its own bucket only."""
+    nulls and variables). A lookup first looks for its own atom set, by
+    hash. Otherwise it scans the bucket of its coarse key (`_coarse_key`)
+    in insertion order, refining colours only there: the entries whose
+    refined key (`_Entry.key`) equals the probe's are checked exactly, the
+    first isomorphic one is the answer. An atom set with no other set in
+    its bucket is never refined.
+
+    An isomorphism check that runs out of `ISO_CHECK_BUDGET` counts the two
+    sets as distinct, so a lookup may miss, but it never hits wrongly. An
+    identical atom set always finds its own entry with no check, even where
+    checking the set against itself would run out of budget."""
 
     def __init__(self) -> None:
         self._buckets: dict[tuple, list[_Entry]] = {}
+        self._by_atoms: dict[frozenset[Atom], _Entry] = {}
 
     def entry(self, atoms) -> _Entry:
-        """The entry of the isomorphism class of `atoms`, added with value
-        None if the table has none. Callers read and set its `value`."""
-        probe = _Entry(frozenset(atoms.atoms if isinstance(atoms, FactBase) else atoms))
-        bucket = self._buckets.setdefault(probe.key, [])
+        """The entry of the isomorphism class of `atoms` (an iterable of
+        atoms or a `FactBase`), added with value None if the table has
+        none. Callers read and set its `value`."""
+        atoms = atoms.atoms if isinstance(atoms, FactBase) else frozenset(atoms)
+        same = self._by_atoms.get(atoms)
+        if same is not None:
+            return same
+        probe = _Entry(atoms)
+        bucket = self._buckets.setdefault(_coarse_key(atoms), [])
         for entry in bucket:
-            if probe.isomorphic(entry):
+            if entry.key == probe.key and probe.isomorphic(entry):
                 return entry
         bucket.append(probe)
+        self._by_atoms[atoms] = probe
         return probe

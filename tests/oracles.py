@@ -13,6 +13,8 @@ its fired keys and head satisfaction against them. `ch_k` is the k-fold
 breadth-first saturation that acceptance criterion 6 is stated over.
 `ReferenceSearch` is the homomorphism search with its branch rule stated
 plainly, every candidate of every atom listed at each node.
+`ReferenceIsoTable` is the isomorphism table that refines colours on every
+lookup, where the package's table refines only on a collision.
 `reference_entails` answers a BCQ by searching the whole fact base for the
 query after every step, where the package joins it from the step's delta.
 `reference_join_plan` plans a trigger join in two passes, the join order
@@ -283,6 +285,47 @@ def ch_k(kb: KnowledgeBase, k: int, stats: Optional[dict] = None) -> FactBase:
     for _ in range(k):
         fb = breadth_first_layer(kb.rules, fb, stats=stats)
     return fb
+
+
+class _ReferenceIsoEntry:
+    """An atom set with its refined key, colour classes, colour atoms and
+    stored value, all computed when it is made."""
+
+    def __init__(self, atoms: frozenset[Atom]) -> None:
+        colours = hom._refine(tuple(atoms))
+        self.atoms, self.value = atoms, None
+        self.key = (
+            tuple(sorted(t.name for t in colours if isinstance(t, Const))),
+            tuple(sorted((a.pred, tuple([colours[t] for t in a.args])) for a in atoms)),
+        )
+        self.classes: dict[int, list[Term]] = {}
+        for t, c in colours.items():
+            if not isinstance(t, Const):
+                self.classes.setdefault(c, []).append(t)
+        self.colour_atoms = [
+            Atom("\x00%d" % c, (t,)) for c, ts in self.classes.items() if len(ts) > 1 for t in ts
+        ]
+
+    isomorphic = hom._Entry.isomorphic  # the package's exact check, as is
+
+
+class ReferenceIsoTable:
+    """`hom.IsoTable` with eager colour refinement: every lookup refines its
+    atom set first and scans the bucket of its refined key in insertion
+    order, checking each entry there for an isomorphism, so an identical
+    atom set is found only through that check."""
+
+    def __init__(self) -> None:
+        self._buckets: dict[tuple, list[_ReferenceIsoEntry]] = {}
+
+    def entry(self, atoms) -> _ReferenceIsoEntry:
+        probe = _ReferenceIsoEntry(frozenset(atoms.atoms if isinstance(atoms, FactBase) else atoms))
+        bucket = self._buckets.setdefault(probe.key, [])
+        for entry in bucket:
+            if probe.isomorphic(entry):
+                return entry
+        bucket.append(probe)
+        return probe
 
 
 class ReferenceSearch(hom._Search):

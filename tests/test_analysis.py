@@ -142,6 +142,42 @@ def test_explore_without_dedup_walks_one_state_at_depth_3000():
     assert peak < 50 * 2**20
 
 
+# Two derivations reach isomorphic but different states, whose coarse keys
+# (predicates and constant positions) collide.
+COLLISION_ERL = """[a] p(X,Y) -> exists Z. q(X,Z).
+[b] p(X,Y) -> exists Z. q(Z,Y).
+[c] q(X,Y) -> exists Z. s(Y,Z).
+p(_u,_v).
+p(_v,_w).
+"""
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace `owner.name` by a wrapper that records each call's first
+    argument; returns the list of records."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_explore_refines_colours_only_on_a_coarse_key_collision(monkeypatch):
+    refinements = _counting(monkeypatch, hom, "_refine")
+    growth = parse_document("[g] p(X,Y) -> exists Z. p(Y,Z).\np(a,b).\n").knowledge_base()
+    assert explore_all(growth, O, max_depth=200, max_nodes=5000).verdict == GROWTH
+    assert refinements == []  # every state has its own size
+
+    lookups = _counting(monkeypatch, hom.IsoTable, "entry")
+    report = explore_all(parse_document(COLLISION_ERL).knowledge_base(), O, 12, 5000)
+    assert report.dedup_hits > 0
+    assert 0 < len(refinements) < len(lookups)
+
+
 def test_explore_rejects_bad_budgets():
     with pytest.raises(ValueError):
         explore_all(load_kb("ex1.erl"), R, 0, 10)

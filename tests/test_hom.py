@@ -13,7 +13,7 @@ from exchase.hom import (
     iter_homomorphisms,
 )
 
-from oracles import ReferenceSearch, are_isomorphic, exists_retraction
+from oracles import ReferenceIsoTable, ReferenceSearch, are_isomorphic, exists_retraction
 
 a, b = Const("a"), Const("b")
 x, y, z = Var("X"), Var("Y"), Var("Z")
@@ -234,6 +234,19 @@ def test_iso_table_check_out_of_budget_counts_as_distinct(monkeypatch):
     assert same_entry([P(a, n1)], [P(a, n9)])  # decided without a search
 
 
+def test_iso_table_finds_the_same_set_without_an_isomorphism_check(monkeypatch):
+    checks = []
+    isomorphic = hom._Entry.isomorphic
+    monkeypatch.setattr(hom._Entry, "isomorphic", lambda *args: checks.append(args) or isomorphic(*args))
+    table = IsoTable()
+    table.entry(ring("u", 6)).value = "ring6"
+    assert table.entry(reversed(ring("u", 6))).value == "ring6"
+    assert table.entry(FactBase(ring("u", 6))).value == "ring6"
+    assert checks == []
+    assert table.entry(ring("v", 6)).value == "ring6"  # a relabelled copy needs the check
+    assert len(checks) == 1
+
+
 def test_iso_table_agrees_on_larger_structures():
     rng = random.Random(77)
     terms = [a, b] + [Null("v%d" % i) for i in range(6)]
@@ -280,6 +293,50 @@ def test_iso_table_hits_relabelled_shuffled_copy(atoms, perm, rnd):
 @given(atom_sets, atom_sets)
 def test_iso_table_hit_iff_isomorphic(left, right):
     assert same_entry(left, right) == are_isomorphic(left, right)
+
+
+_RING_SHAPES = ((3,), (6,), (3, 3), (9,), (3, 6))
+
+
+@st.composite
+def lookup_sequences(draw):
+    """Atom sets to look up in turn: random sets, relabelled and shuffled
+    copies of earlier ones, repeats of earlier ones, and unions of rings."""
+    sets: list[list[Atom]] = []
+    for k in range(draw(st.integers(1, 20))):
+        kind = draw(st.sampled_from(("new", "relabel", "repeat", "rings"))) if sets else "new"
+        if kind == "new":
+            sets.append(draw(atom_sets))
+        elif kind == "rings":
+            shape = draw(st.sampled_from(_RING_SHAPES))
+            sets.append([at for i, n in enumerate(shape) for at in ring("r%d_%d_" % (k, i), n)])
+        else:
+            earlier = list(draw(st.sampled_from(sets)))
+            if kind == "relabel":
+                nulls = sorted({t for at in earlier for t in at.args if isinstance(t, Null)}, key=str)
+                perm = draw(st.permutations(range(len(nulls))))
+                mapping = {old: Null("w%d_%d" % (k, j)) for old, j in zip(nulls, perm)}
+                earlier = [at.substitute(mapping) for at in earlier]
+            sets.append(draw(st.permutations(earlier)))
+    return sets
+
+
+def _lookups(table, sets):
+    """Per lookup, the index of the lookup that first made the entry found,
+    and the value found there; each lookup then counts itself in the value."""
+    first: dict[int, int] = {}
+    seen = []
+    for k, atoms in enumerate(sets):
+        entry = table.entry(atoms)
+        seen.append((first.setdefault(id(entry), k), entry.value))
+        entry.value = (entry.value or 0) + 1
+    return seen
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(lookup_sequences())
+def test_iso_table_agrees_with_the_eager_reference_table(sets):
+    assert _lookups(IsoTable(), sets) == _lookups(ReferenceIsoTable(), sets)
 
 
 # --- property tests: the search tree against the reference branch rule --------

@@ -17,9 +17,12 @@ under either seed:
   (most corpus files have no query of their own, so these cover the
   witnesses);
 - `classify --json` on the fixture corpus;
-- `explore --json` on every corpus `.erl` and on the diverging rule
-  `[g] p(X,Y) -> exists Z. p(Y,Z).` over `p(a,b)`, under o/so/r/e/dfr, at
-  (max-depth, max-nodes) budgets (10, 2000), (3, 5), (40, 40), (60, 300);
+- `explore --json` on every corpus `.erl`, on the diverging rule
+  `[g] p(X,Y) -> exists Z. p(Y,Z).` over `p(a,b)` (`GROWTH_ERL`), and on
+  `COLLISION_ERL`, whose derivations reach distinct but isomorphic states
+  that the isomorphism table can tell apart only by colour refinement and
+  an isomorphism check, under o/so/r/e/dfr, at (max-depth, max-nodes)
+  budgets (10, 2000), (3, 5), (40, 40), (60, 300);
 - `normalize --json` on every corpus `.erl` with --proc sp, 1ad and 2ad,
   and with --skip-atomic for 1ad and 2ad;
 - `tm encode --json` and `tm tape --json --len 1`, 2 and 3 on every corpus
@@ -34,7 +37,8 @@ The script prints each key whose report differs and exits 1 if any does,
     python3 tools/compare_reports.py --dump SRC DIR
 
 prints one tree's reports as a JSON object instead, with the diverging
-rule's file and the query copies written into the directory DIR.
+rule's file, the collision file and the query copies written into the
+directory DIR.
 """
 from __future__ import annotations
 
@@ -54,6 +58,13 @@ EXPLORE_BUDGETS = ((10, 2000), (3, 5), (40, 40), (60, 300))
 NORMALIZE_PROCS = ("sp", "1ad", "2ad")
 TAPE_LENGTHS = (1, 2, 3)
 GROWTH_ERL = "[g] p(X,Y) -> exists Z. p(Y,Z).\np(a,b).\n"
+COLLISION_ERL = (
+    "[a] p(X,Y) -> exists Z. q(X,Z).\n"
+    "[b] p(X,Y) -> exists Z. q(Z,Y).\n"
+    "[c] q(X,Y) -> exists Z. s(Y,Z).\n"
+    "p(_u,_v).\n"
+    "p(_v,_w).\n"
+)
 HASH_SEEDS = ("0", "1")
 
 
@@ -83,6 +94,8 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
     corpus = src / "exchase" / "corpus"
     growth = scratch / "growth.erl"
     growth.write_text(GROWTH_ERL)
+    collision = scratch / "collision.erl"
+    collision.write_text(COLLISION_ERL)
     erls = sorted(corpus.glob("*.erl"))
     commands: dict[str, list[str]] = {}
     for erl in erls:
@@ -102,7 +115,7 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
                     "entails", str(copy), "--query-index", str(k), "--variant", variant, "--json",
                 ]
     commands["classify"] = ["classify", "--fixtures", str(corpus / "fixtures"), "--json"]
-    for erl in [*erls, growth]:
+    for erl in [*erls, growth, collision]:
         for variant in EXPLORE_VARIANTS:
             for depth, nodes in EXPLORE_BUDGETS:
                 commands["explore %s %s %d %d" % (erl.name, variant, depth, nodes)] = [
