@@ -33,11 +33,11 @@ each such atom j is bound to a delta atom and `_join`ed with the other body
 atoms by the rule's static plan for j (`Rule.join_plans`, most bound
 arguments first), which tells the join, per atom, which positions are
 bound, free, constant or repeated. An atom whose arguments are all bound is
-looked up in the store; any other walks `Store.pool`, the bucket
-`Store.candidates` would pick for the homomorphism search, in the order its
-atoms were added. Trigger order is canonical match order, the order of
-`Trigger.body_key`: `enumerate_triggers` sorts by it and `apply` inserts
-new triggers by it, so a join never makes the store sort a bucket.
+looked up in the store; any other walks `Store.candidates`, the bucket the
+homomorphism search reads too, in the order its atoms were added. Trigger
+order is canonical match order, the order of `Trigger.body_key`:
+`enumerate_triggers` sorts by it and `apply` inserts new triggers by it, so
+a join sorts no bucket.
 Enumerating every trigger of a store joins the whole body the same way.
 
 `ChaseState.scan` is the one place that tests applicability along a
@@ -131,8 +131,8 @@ def _join(
     atoms of a join plan (`core.join_plan`, made for the variables of
     `binding`) into `fb`, atom by atom in its order. An atom whose
     arguments are all bound is looked up in `fb.atoms`; any other walks
-    `fb.pool` for its bound arguments, in the order the atoms were added.
-    Counted as one search in stats["hom_calls"]."""
+    `fb.candidates` for its bound arguments, in the order the atoms were
+    added. Counted as one search in stats["hom_calls"]."""
     if stats is not None:
         stats["hom_calls"] = stats.get("hom_calls", 0) + 1
     return _extend(plan, 0, fb, binding)
@@ -154,7 +154,7 @@ def _extend(
     if consts:
         pairs += consts
     arity = len(args)
-    for cand in fb.pool(pred, pairs):
+    for cand in fb.candidates(pred, pairs):
         cargs = cand.args
         if len(cargs) != arity:
             continue

@@ -8,8 +8,8 @@ safe because instances are frozen). `Store` is the one mutable exception and
 the one indexed fact base: the fact base a derivation grows in place (and
 shrinks again when the explorer backtracks), which every trigger join and
 homomorphism search runs over. Its buckets are in the order atoms were
-added; a bucket is sorted into canonical order only once a search reads it
-that way, and from then on kept so.
+added, and are kept in no other order: a homomorphism search sorts into
+canonical order only the candidate list it branches on.
 
 Each rule plans its trigger joins once (`Rule.join_plans`, built by
 `join_plan`), and a knowledge base indexes its rules' body atoms by
@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
-from bisect import bisect_left, bisect_right
 from itertools import count, repeat
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -387,16 +386,12 @@ class Store:
     `by_pred_pos` ((predicate, argument position, term) -> atoms). Buckets
     are in the order their atoms were added, each `add` appending its delta
     in canonical order, so `add` costs no search and `remove`, which takes
-    back the latest `add` still in place, pops the bucket tails. A trigger
-    join reads them in that order (`pool`). A search that must visit atoms
-    in the same order whatever the store's history, and so find the same
-    first solution, reads `candidates`: the canonical-order view of a
-    bucket, with the list of its atoms' canonical keys (`Atom.key`) beside
-    it. A view is sorted the first time its bucket is read that way; a
-    later read bisects into it only the atoms added since, and `remove`
-    trims it. `terms` is the live key view of a count of term uses, so a
-    term leaves it with its last atom. Atoms come from a `FactBase` or
-    trigger outputs, so they are not checked for variables again.
+    back the latest `add` still in place, pops the bucket tails. Joins and
+    searches read them through `candidates`, in that order; a search that
+    must branch in canonical order sorts the one list it branches on.
+    `terms` is the live key view of a count of term uses, so a term leaves
+    it with its last atom. Atoms come from a `FactBase` or trigger outputs,
+    so they are not checked for variables again.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
@@ -405,14 +400,10 @@ class Store:
         self.terms = self._uses.keys()
         self.by_pred: dict[str, list[Atom]] = {}
         self.by_pred_pos: dict[tuple[str, int, Term], list[Atom]] = {}
-        # bucket key (a predicate or a (predicate, position, term)) ->
-        # (keys, atoms): the first len(atoms) atoms of the bucket, sorted
-        self._views: dict = {}
         self.add(atoms)
 
     def __iter__(self) -> Iterator[Atom]:
-        for pred in sorted(self.by_pred):
-            yield from self._view(pred, self.by_pred[pred])
+        return iter(sort_atoms(self.atoms))
 
     def add(self, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
         """Insert the atoms; return those that were new, in canonical order."""
@@ -459,81 +450,41 @@ class Store:
         for a in reversed(delta):
             pred = a.pred
             self.atoms.remove(a)
-            self._pop(self.by_pred, pred, a)
+            self._pop(self.by_pred, pred)
             for b in zip(repeat(pred), count(), a.args):
-                self._pop(self.by_pred_pos, b, a)
+                self._pop(self.by_pred_pos, b)
             for t in a.args:
                 if uses[t] == 1:
                     del uses[t]
                 else:
                     uses[t] -= 1
 
-    def _pop(self, index: dict, b, a: Atom) -> None:
-        """Pop `a`, the last atom of the bucket `index[b]`, out of it and out
-        of its view, and drop both once the bucket is empty."""
+    def _pop(self, index: dict, b) -> None:
+        """Pop the last atom of the bucket `index[b]`, and drop the bucket
+        once it is empty."""
         bucket = index[b]
         bucket.pop()
         if not bucket:
             del index[b]
-            self._views.pop(b, None)
-            return
-        view = self._views.get(b)
-        if view is not None and len(view[1]) > len(bucket):
-            keys, atoms = view
-            i = bisect_left(keys, a.key())
-            del keys[i], atoms[i]
-
-    def _view(self, b, bucket: list[Atom]) -> list[Atom]:
-        """The atoms of the bucket `bucket`, whose key is `b`, in canonical
-        order: the bucket itself while it holds one atom, else its view,
-        brought up to date with the atoms added since the last read, or
-        sorted anew when they outnumber the view's."""
-        if len(bucket) < 2:
-            return bucket
-        view = self._views.get(b)
-        if view is None or len(bucket) > 2 * len(view[1]):
-            keyed = sorted([(a.key(), a) for a in bucket])  # keys are unique
-            view = self._views[b] = ([k for k, _ in keyed], [a for _, a in keyed])
-            return view[1]
-        keys, atoms = view
-        if len(bucket) > len(atoms):
-            for a in bucket[len(atoms) :]:
-                k = a.key()
-                i = bisect_right(keys, k)
-                keys.insert(i, k)
-                atoms.insert(i, a)
-        return atoms
-
-    def _smallest(self, pred: str, bound: Iterable[tuple[int, Term]]):
-        """(key, bucket) of the smallest (predicate, position, term) bucket
-        among the `bound` pairs, else of the predicate's bucket; (None, ())
-        when some bucket is empty."""
-        b, pool = pred, self.by_pred.get(pred)
-        if pool is None:
-            return None, ()
-        by_pred_pos = self.by_pred_pos
-        for i, t in bound:
-            k = (pred, i, t)
-            bucket = by_pred_pos.get(k)
-            if bucket is None:
-                return None, ()
-            if len(bucket) < len(pool):
-                b, pool = k, bucket
-        return b, pool
-
-    def pool(self, pred: str, bound: Iterable[tuple[int, Term]]) -> Sequence[Atom]:
-        """The atoms of `candidates`, in the order they were added: what a
-        trigger join walks, as its callers order the triggers it finds."""
-        return self._smallest(pred, bound)[1]
 
     def candidates(self, pred: str, bound: Iterable[tuple[int, Term]]) -> Sequence[Atom]:
-        """The atoms a search tries for an atom of `pred` whose arguments at
-        the `bound` (position, term) pairs are fixed: the smallest
-        (predicate, position, term) bucket among those pairs, else the
-        predicate's bucket. In canonical order; it holds every stored atom
-        that agrees with the bound terms, and may hold others."""
-        b, pool = self._smallest(pred, bound)
-        return self._view(b, pool) if pool else pool
+        """The atoms a join or a search tries for an atom of `pred` whose
+        arguments at the `bound` (position, term) pairs are fixed: the
+        smallest (predicate, position, term) bucket among those pairs, else
+        the predicate's bucket, in the order its atoms were added; () when
+        one of them is empty. It holds every stored atom that agrees with
+        the bound terms, and may hold others."""
+        pool = self.by_pred.get(pred)
+        if pool is None:
+            return ()
+        by_pred_pos = self.by_pred_pos
+        for i, t in bound:
+            bucket = by_pred_pos.get((pred, i, t))
+            if bucket is None:
+                return ()
+            if len(bucket) < len(pool):
+                pool = bucket
+        return pool
 
     def copy(self) -> "Store":
         out = Store()
@@ -542,7 +493,6 @@ class Store:
         out.terms = out._uses.keys()
         out.by_pred = {p: list(v) for p, v in self.by_pred.items()}
         out.by_pred_pos = {k: list(v) for k, v in self.by_pred_pos.items()}
-        out._views = {b: (list(keys), list(atoms)) for b, (keys, atoms) in self._views.items()}
         return out
 
     def snapshot(self) -> FactBase:

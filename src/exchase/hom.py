@@ -27,9 +27,12 @@ class HomBudgetExceeded(Exception):
 class _Search:
     """Backtracking search with forward pruning over a `Store`, branching on
     the most constrained atom (fail-first): the first remaining atom with the
-    fewest candidates, or the first with at most one. `_most_constrained`
-    counts candidates only as far as that choice needs, so a node costs the
-    atoms it reads up to the choice, not every candidate of every atom."""
+    fewest candidates, or the first with at most one, whose candidates it
+    tries in canonical order. `_most_constrained` counts candidates only as
+    far as that choice needs, so a node costs the atoms it reads up to the
+    choice, not every candidate of every atom, and it sorts only the list it
+    branches on: the tree, its solutions and their order do not depend on
+    the order in which the store's atoms were added."""
 
     def __init__(self, source, target, fixed, injective, budget, stats):
         self.atoms = list(source)
@@ -48,11 +51,11 @@ class _Search:
         self, a: Atom, limit: Optional[int] = None
     ) -> list[tuple[Atom, list[tuple[Term, Term]]]]:
         """The target atoms `a` can map to under the current assignment, each
-        with the bindings it adds, in the store's canonical order; at most
-        `limit` of them. An atom whose every argument has an image is looked
-        up directly; otherwise the store's candidates for the bound arguments
-        are checked for arity, the bound terms, repeated variables and, in an
-        injective search, images already used."""
+        with the bindings it adds, in the order of the store's candidates; at
+        most `limit` of them. An atom whose every argument has an image is
+        looked up directly; otherwise the store's candidates for the bound
+        arguments are checked for arity, the bound terms, repeated variables
+        and, in an injective search, images already used."""
         assignment = self.assignment
         images = [s if isinstance(s, Const) else assignment.get(s) for s in a.args]
         if None not in images:
@@ -133,7 +136,11 @@ class _Search:
            the choice, since every atom before it has at least two.
         2. Otherwise, scan for the first minimum, counting each atom only up
            to the size of the best list so far: one that reaches it cannot
-           have strictly fewer. The chosen list is then complete."""
+           have strictly fewer. The chosen list is then complete.
+
+        Neither count depends on the order of the store's buckets, so
+        neither does the choice; the chosen list, of at most one candidate
+        or complete, is returned in canonical order (`Atom.key`)."""
         for i, a in enumerate(remaining):
             cands = self._candidates(a, 2)
             if len(cands) <= 1:
@@ -143,7 +150,7 @@ class _Search:
             cands = self._candidates(remaining[i], len(best_cands))
             if len(cands) < len(best_cands):
                 best_i, best_cands = i, cands
-        return best_i, best_cands
+        return best_i, sorted(best_cands, key=lambda c: c[0].key())
 
 
 def iter_homomorphisms(

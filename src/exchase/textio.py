@@ -211,7 +211,16 @@ class _Parser:
                 raise ParseError("space or line break inside a rule id", tok.line, tok.col)
         return "".join(t.text for t in tokens)
 
-    def _finish_rule(self, rule_id: Optional[str], body: list[Atom], line: int) -> None:
+    def _reject_nulls(self, start: int, statement: str) -> None:
+        """Raise ParseError at the first null token from token `start` to
+        the current one."""
+        for tok in self.tokens[start : self.pos]:
+            if tok.kind == "null":
+                message = "nulls are not allowed in %s" % statement
+                raise ParseError(message, tok.line, tok.col)
+
+    def _finish_rule(self, rule_id: Optional[str], body: list[Atom], start: int) -> None:
+        line = self.tokens[start].line
         self._expect("->")
         declared: list[str] = []
         # `exists` is the keyword only before a variable; else it is a predicate.
@@ -222,6 +231,7 @@ class _Parser:
             self._expect(".")
         head = self._list(self._atom)
         self._expect(".")
+        self._reject_nulls(start, "rules")
         body_vars = set().union(*(a.variables() for a in body))
         head_vars = set().union(*(a.variables() for a in head))
         declared_set = set(declared)
@@ -257,13 +267,12 @@ class _Parser:
 
     def parse(self) -> SourceDocument:
         while self._peek().kind != "end":
-            tok = self._peek()
+            start, tok = self.pos, self._peek()
             if tok.text == "?":
                 self.pos += 1
                 atoms = self._list(self._atom)
                 self._expect(".")
-                if any(isinstance(t, Null) for a in atoms for t in a.args):
-                    raise ParseError("nulls are not allowed in queries", tok.line, tok.col)
+                self._reject_nulls(start, "queries")
                 self.doc.queries.append(tuple(atoms))
                 continue
             rule_id: Optional[str] = None
@@ -281,7 +290,7 @@ class _Parser:
                         )
                 self.doc.facts.append(body[0])
                 continue
-            self._finish_rule(rule_id, body, tok.line)
+            self._finish_rule(rule_id, body, start)
         return self.doc
 
 

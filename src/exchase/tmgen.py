@@ -16,6 +16,7 @@ by retraction, which is what lets the chain stop after any number of links.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -25,7 +26,14 @@ from .chase import Phased
 
 
 class InvalidMachine(ValueError):
-    """The transition table is not total or names an unknown state/symbol."""
+    """The transition table is not total or names an unknown state/symbol,
+    or a state or symbol name is not made of letters, digits and '_'."""
+
+
+# A state or symbol name becomes part of a predicate (`head_<q>`,
+# `content_<a>`) and of a rule id (`m_rw_<q>_<a>`), so it must keep those
+# identifiers of the `.erl` format.
+_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
 BLANK = "blank"
@@ -51,6 +59,9 @@ class TuringMachine:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", tuple(self.states))
+        for name in (*self.states, *self.alphabet):
+            if not _NAME.fullmatch(name):
+                raise InvalidMachine("name %r is not made of letters, digits and '_'" % name)
         for s in (self.initial, self.accept, self.reject):
             if s not in self.states:
                 raise InvalidMachine("state %r not declared" % s)

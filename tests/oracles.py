@@ -341,11 +341,14 @@ class ReferenceSearch(hom._Search):
         return self.assignment.get(t)
 
     def _pool(self, a: Atom) -> Sequence[Atom]:
+        """The store's candidates for `a`, sorted by `Atom.key`: canonical
+        order whatever order the store's buckets are in."""
         images = [self._image(s) for s in a.args]
         if None not in images:
             ground = Atom(a.pred, tuple(images))
             return (ground,) if ground in self.fb.atoms else ()
-        return self.fb.candidates(a.pred, [(i, t) for i, t in enumerate(images) if t is not None])
+        bound = [(i, t) for i, t in enumerate(images) if t is not None]
+        return sort_atoms(self.fb.candidates(a.pred, bound))
 
     def _candidates(self, a: Atom) -> list:
         out = []

@@ -293,6 +293,15 @@ def test_unreadable_input_file_json_error(tmp_path, capsys):
     assert str(tmp_path) in error["error"]
 
 
+def test_null_in_a_rule_json_error(tmp_path, capsys):
+    erl = "[r] p(X,_n) -> q(X).\np(a,b).\n"
+    (tmp_path / "null.erl").write_text(erl)
+    error = run_cli_error(capsys, "run", str(tmp_path / "null.erl"))
+    assert error["error"] == "1:9: nulls are not allowed in rules"
+    error = _malformed_fixture_error(tmp_path, capsys, erl=erl)
+    assert error["error"] == "1:9: nulls are not allowed in rules"
+
+
 def test_normalize_fresh_name_clash_json_error(tmp_path, capsys):
     erl = tmp_path / "clash.erl"
     erl.write_text("[a.b] p(X) -> exists Z. r(Z), s(X).\n[a_b] q(X) -> exists Z. r(Z), t(X).\n")
@@ -385,6 +394,15 @@ def test_tm_encode_and_tape(tmp_path, capsys):
     erl.write_text(out)
     code, out = run_cli(capsys, "run", str(erl), "--variant", "r", "--json")
     assert code == 0
+
+
+def test_tm_state_that_is_no_identifier_json_error(tmp_path, capsys):
+    """A state name becomes part of a predicate and of rule ids, so one that
+    the `.erl` format cannot read back is rejected."""
+    machine = tmp_path / "dash.tm"
+    machine.write_text("initial: q-0\naccept: qa\nreject: qr\nq-0 1 -> qa 1 R\nq-0 _ -> qa _ R\n")
+    error = run_cli_error(capsys, "tm", "encode", "--machine", str(machine))
+    assert "'q-0'" in error["error"]
 
 
 def test_usage_error_exit_2(capsys):

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import pytest
 
-from exchase import cli
+from exchase import cli, hom
 from exchase.analysis import find_terminating, load_fixture
 from exchase.chase import ChaseState, ChaseVariant, DatalogFirst, run_chase
 from exchase.textio import parse_document
@@ -213,13 +213,21 @@ def test_work_counters_match_goldens(tmp_path):
     assert stats == WORK
 
 
-def test_datalog_chain_builds_no_canonical_view():
+def test_datalog_chain_builds_no_canonical_view(monkeypatch):
     """A Datalog-first run of the chain's transitive closure reads its
-    store only through trigger joins and membership tests, so no bucket is
-    ever sorted into canonical order."""
+    store only through trigger joins and membership tests: no homomorphism
+    search runs, so no candidate list is sorted into canonical order."""
+    searches = []
+    run = hom._Search.run
+
+    def counted(self):
+        searches.append(self)
+        return run(self)
+
+    monkeypatch.setattr(hom._Search, "run", counted)
     state = ChaseState(parse_document(tc_chain_text()).knowledge_base(), ChaseVariant.parse("dfr"))
     for t in DatalogFirst().triggers(state):
         state.apply(t)
     assert state.first_applicable() is None
     assert len(state.records) == TC_CHAIN_EDGES * (TC_CHAIN_EDGES + 1) // 2
-    assert state.store._views == {}
+    assert searches == []

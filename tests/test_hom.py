@@ -378,8 +378,9 @@ def searches(draw):
 
 def _walk(search_cls, source, target, fixed, injective, budget=None):
     """Every solution in order, the final node count, and whether the
-    budget ran out."""
-    search = search_cls(source, Store(target), fixed, injective, budget, None)
+    budget ran out. A target that is not a `Store` is built into one by
+    one add."""
+    search = search_cls(source, target, fixed, injective, budget, None)
     found = []
     try:
         for h in search.run():
@@ -398,12 +399,36 @@ def test_search_tree_matches_the_reference_branch_rule(case, data):
     assert _walk(hom._Search, *case, budget) == _walk(ReferenceSearch, *case, budget)
 
 
+@settings(max_examples=400, deadline=None, database=None)
+@given(searches(), st.data())
+def test_search_tree_does_not_depend_on_the_store_history(case, data):
+    """A target grown by several adds of a shuffled split of its atoms, whose
+    buckets are then out of canonical order, gives the same solutions in
+    the same order, the same node count and the same budget outcome as the
+    target built by one add and as the reference branch rule, at the full
+    budget and at a drawn one."""
+    source, target, fixed, injective = case
+    atoms = data.draw(st.permutations(target))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(atoms)), min_size=1, max_size=4)))
+    grown = Store()
+    for lo, hi in zip([0, *cuts], [*cuts, len(atoms)]):
+        grown.add(atoms[lo:hi])
+
+    def walk(budget=None):
+        once = _walk(hom._Search, source, Store(target), fixed, injective, budget)
+        assert _walk(hom._Search, source, grown, fixed, injective, budget) == once
+        assert _walk(ReferenceSearch, source, grown, fixed, injective, budget) == once
+        return once[1]
+
+    walk(data.draw(st.integers(0, walk())))
+
+
 # --- work gates: atoms a search reads do not grow with the store -----------
 
 
 def _count_reads(monkeypatch) -> list[int]:
-    """Make `Store.candidates`, which a search reads, and `Store.pool`,
-    which a join reads, count every atom taken from them."""
+    """Make `Store.candidates`, which searches and joins read, count every
+    atom taken from it."""
     reads = [0]
 
     def counting(method):
@@ -415,7 +440,6 @@ def _count_reads(monkeypatch) -> list[int]:
         return counted
 
     monkeypatch.setattr(Store, "candidates", counting(Store.candidates))
-    monkeypatch.setattr(Store, "pool", counting(Store.pool))
     return reads
 
 

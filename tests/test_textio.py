@@ -137,6 +137,17 @@ def test_malformed_rule_id_rejected_at_the_offending_token(label, line, col):
     assert (err.value.line, err.value.col) == (line, col)
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [("[r] p(X,_n) -> q(X).", 1, 9), ("p(X) ->\n  q(X), s(_n).", 2, 11), ("? p(X),\n q(_n).", 2, 4)],
+    ids=["rule-body", "rule-head", "query"],
+)
+def test_null_in_a_rule_or_query_rejected_at_its_token(text, line, col):
+    with pytest.raises(textio.ParseError, match="nulls are not allowed") as err:
+        textio.parse_document(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_generated_rule_ids_parse():
     for rule_id in ("r.p1", "r.x", "r.h1", "r.b", "n1.h2.b"):
         assert textio.parse_document("[%s] p(X) -> q(X)." % rule_id).rules[0].id == rule_id
