@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import hom, normalize
+from . import chase, core, hom, normalize, textio
 from .core import TERMINATED_FAIR, Atom, Derivation, FactBase, KnowledgeBase, Null, Rule, Trigger, Var
 from .chase import (
     STOPPED,
@@ -282,8 +282,7 @@ def _shape_error(raw: dict) -> Optional[str]:
 
 
 def load_fixture(path: Path) -> Fixture:
-    from . import textio
-
+    """The fixture in `path`. Each error names the fixture (and its `.erl`)."""
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as e:
@@ -296,15 +295,23 @@ def load_fixture(path: Path) -> Fixture:
     error = _shape_error(raw)
     if error is not None:
         raise FixtureError("%s: %s" % (path, error))
-    for entry in raw["expect"]:
-        ChaseVariant.parse(entry["variant"])
-    doc = textio.parse_document((path.parent / raw["erl"]).read_text())
-    rules = tuple(doc.rules)
-    transform = raw.get("transform")
-    if transform is not None:
-        rules = normalize.PROCEDURES[transform](rules, reserved=doc.data_predicates()).output_rules
-    kb = KnowledgeBase(rules, doc.factbase())
-    strategies = [_strategy_from_spec(s) for s in raw.get("strategies", [])]
+    erl = path.parent / raw["erl"]
+    try:
+        for entry in raw["expect"]:
+            ChaseVariant.parse(entry["variant"])
+        doc = textio.parse_document(erl.read_text())
+        rules = tuple(doc.rules)
+        transform = raw.get("transform")
+        if transform is not None:
+            rules = normalize.PROCEDURES[transform](rules, reserved=doc.data_predicates()).output_rules
+        kb = KnowledgeBase(rules, doc.factbase())
+        strategies = [_strategy_from_spec(s) for s in raw.get("strategies", [])]
+    except (textio.ParseError, textio.ArityError, textio.VariableScopeError) as e:
+        e.args = ("%s: %s: %s" % (path, erl, e),)  # the same error, naming the files
+        raise
+    except (normalize.FreshNameClashError, core.KnowledgeBaseError, chase.VariantError, FixtureError) as e:
+        e.args = ("%s: %s" % (path, e),)
+        raise
     return Fixture(raw["id"], kb, raw["budgets"], raw["expect"], strategies)
 
 

@@ -40,12 +40,14 @@ order is canonical match order, the order of `Trigger.body_key`:
 a join sorts no bucket.
 Enumerating every trigger of a store joins the whole body the same way.
 
-`ChaseState.scan` is the one place that tests applicability along a
-derivation: every strategy, the final fairness check of `run_chase` and
-both searches of the explorer scan a state. A scan drops a trigger only
-for a reason that cannot go away as F grows: its output is present (which
-covers O), its SO frontier key has fired, or its head is satisfied (R, and
-E's cheap case). An E-blocked trigger stays, because a homomorphism of
+`ChaseState` is the one place that tests applicability along a derivation,
+one `blocking` call per trigger considered: `scan` tests its trigger lists
+for every strategy, the final fairness check of `run_chase` and both
+searches of the explorer, and `blocked` tests one trigger, for
+Datalog-first's re-check of its batch. A scan drops a trigger only for a
+reason that cannot go away as F grows: its output is present (which covers
+O), its SO frontier key has fired, or its head is satisfied (R, and E's
+cheap case). An E-blocked trigger stays, because a homomorphism of
 F + out(t) into F that moves nulls of F must map every later atom too, so
 it can stop existing; so does a Datalog-first-gated one, because the gate
 reopens once the Datalog rules are satisfied again. The gate itself is "no
@@ -57,14 +59,14 @@ its breadth-first search `fork`s a state per child.
 
 Strategies are per-run generators: `Strategy.triggers(state)` makes a new
 one for each run, and its local variables hold where the run is in the
-phases, the script or the Datalog queue. So a strategy object keeps nothing
-between runs, and one object may drive any number of them.
+phases, the script or the batch of Datalog triggers. So a strategy object
+keeps nothing between runs, and one object may drive any number of them.
 """
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left, insort
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
@@ -90,9 +92,9 @@ from . import hom
 
 class StrategyError(ValueError):
     """A phase's rule group is not a list of rule ids or its mode is not
-    "exhaust" or "once", a scripted trigger choice is not a trigger index or
-    was not applicable at its step, or a strategy names a rule the knowledge
-    base does not have."""
+    "exhaust" or "once", a script is not a list of steps, a scripted trigger
+    choice is not a trigger index or was not applicable at its step, or a
+    strategy names a rule the knowledge base does not have."""
 
 
 class VariantError(ValueError):
@@ -345,50 +347,43 @@ class ChaseState:
     def scan(self, rule_ids: Optional[frozenset[str]] = None, first: bool = False) -> list[Trigger]:
         """Applicable triggers in canonical order (only the first one if
         `first`), dropping every trigger found blocked for good. The
-        Datalog-first gate is open when no live Datalog trigger is left."""
-        variant, store, stats = self.variant, self.store, self.stats
+        Datalog-first gate is open when no live Datalog trigger is left. An
+        E test over `hom_budget` leaves its list uncompacted but whole."""
+        variant, store, fired, stats = self.variant, self.store, self.fired, self.stats
+        budget = self.hom_budget
         found: list[Trigger] = []
         datalog_ok: Optional[bool] = None
-        considered = 0
-        try:
-            for rule, entries in zip(self.kb.rules, self.lists):
-                if rule_ids is not None and rule.id not in rule_ids:
+        for rule, entries in zip(self.kb.rules, self.lists):
+            if rule_ids is not None and rule.id not in rule_ids:
+                continue
+            if datalog_ok is None and entries and variant.datalog_first and not rule.is_datalog:
+                datalog_ok = not self.scan(self.datalog_ids, first=True)
+            kept: list[Trigger] = []
+            for pos, t in enumerate(entries):
+                stats["triggers_considered"] += 1
+                reason = blocking(
+                    variant, t, store, fired, datalog_ok=datalog_ok, hom_budget=budget, stats=stats
+                )
+                if reason in PERMANENT:
                     continue
-                gated = variant.datalog_first and not rule.is_datalog
-                if gated and datalog_ok is None and entries:
-                    datalog_ok = not self.scan(self.datalog_ids, first=True)
-                kept: list[Trigger] = []
-                pos = 0
-                try:
-                    while pos < len(entries):
-                        t = entries[pos]
-                        considered += 1
-                        reason = blocking(
-                            variant,
-                            t,
-                            store,
-                            self.fired,
-                            datalog_ok=datalog_ok,
-                            hom_budget=self.hom_budget,
-                            stats=stats,
-                        )
-                        pos += 1
-                        if reason in PERMANENT:
-                            continue
-                        kept.append(t)
-                        if reason is None:
-                            found.append(t)
-                            if first:
-                                return found
-                finally:
-                    entries[:pos] = kept
-        finally:
-            stats["triggers_considered"] += considered
+                kept.append(t)
+                if reason is None:
+                    found.append(t)
+                    if first:
+                        entries[: pos + 1] = kept
+                        return found
+            entries[:] = kept
         return found
 
-    def first_applicable(self, rule_ids: Optional[frozenset[str]] = None) -> Optional[Trigger]:
-        found = self.scan(rule_ids, first=True)
-        return found[0] if found else None
+    def blocked(self, t: Trigger) -> Optional[str]:
+        """Why `t` is not applicable on the state (`blocking`), or None: a
+        scan's test of one trigger, which stays where it is in the lists."""
+        variant, budget, stats = self.variant, self.hom_budget, self.stats
+        ok = None  # whether the Datalog-first gate is open, asked only when it applies
+        if variant.datalog_first and not t.rule.is_datalog:
+            ok = not self.scan(self.datalog_ids, first=True)
+        stats["triggers_considered"] += 1
+        return blocking(variant, t, self.store, self.fired, datalog_ok=ok, hom_budget=budget, stats=stats)
 
     def apply(self, t: Trigger) -> tuple[Atom, ...]:
         """Fire `t`: add its output to the store, record its frontier key,
@@ -428,7 +423,7 @@ class ChaseState:
     def derivation(self, verdict: str) -> Derivation:
         """The derivation so far, ended with `verdict`."""
         result = self.store.snapshot() if self.records else self.kb.facts
-        return Derivation(self.kb.facts, tuple(self.records), result, self.variant.label, verdict)
+        return Derivation(self.kb.facts, tuple(self.records), result, verdict)
 
 
 class Strategy:
@@ -452,33 +447,30 @@ class FIFO(Strategy):
     """First applicable trigger in canonical order, every step."""
 
     def triggers(self, state: ChaseState) -> Iterator[Trigger]:
-        while (t := state.first_applicable()) is not None:
-            yield t
+        while found := state.scan(first=True):
+            yield found[0]
 
 
 class DatalogFirst(Strategy):
     """Prefer applicable Datalog triggers; otherwise first applicable.
 
-    A refill queues the state's live Datalog triggers in canonical order;
-    they are revalidated at pop time (their heads may have shown up
-    meanwhile), and the Datalog triggers that firing them creates wait for
-    the next refill.
+    A refill scans the state's live Datalog triggers in canonical order, and
+    `ChaseState.blocked` checks each again before it is yielded (its head
+    may have shown up meanwhile). The Datalog triggers that firing the
+    batch creates wait for the next refill.
     """
 
     def triggers(self, state: ChaseState) -> Iterator[Trigger]:
-        queue: "deque[Trigger]" = deque()
         while True:
-            while queue:
-                t = queue.popleft()
-                state.stats["triggers_considered"] += 1
-                if any(a not in state.store.atoms for a in t.output):
+            batch = state.scan(state.datalog_ids)
+            for t in batch:
+                if state.blocked(t) is None:
                     yield t
-            queue.extend(state.scan(state.datalog_ids))
-            if not queue:
-                t = state.first_applicable()  # the refill left no Datalog trigger
-                if t is None:
+            if not batch:
+                found = state.scan(first=True)  # no Datalog trigger is applicable
+                if not found:
                     return
-                yield t
+                yield found[0]
 
 
 class Phased(Strategy):
@@ -502,25 +494,32 @@ class Phased(Strategy):
     def triggers(self, state: ChaseState) -> Iterator[Trigger]:
         _check_rule_ids(state, (i for ids, _ in self.phases for i in ids))
         for ids, mode in self.phases:
-            while (t := state.first_applicable(ids)) is not None:
-                yield t
+            while found := state.scan(ids, first=True):
+                yield found[0]
                 if mode == "once":
                     break
 
 
 class Scripted(Strategy):
-    """Explicit choices: each step names a rule and the index of the wanted
-    trigger among that rule's applicable triggers in canonical order."""
+    """Explicit choices, one per step: a [rule id, index] pair names the
+    wanted trigger by its index among the rule's applicable triggers in
+    canonical order, and a bare rule id stands for index 0."""
 
     complete = False
 
     def __init__(self, steps: Sequence):
-        self.steps = [(s, 0) if isinstance(s, str) else (s[0], s[1]) for s in steps]
-        for rule_id, pick in self.steps:
-            if type(pick) is not int or pick < 0:  # a JSON true is an int too
+        # a string would read as its characters, an object as its keys
+        if not isinstance(steps, (list, tuple)):
+            raise StrategyError("scripted steps %r are not a list" % (steps,))
+        self.steps = [(s, 0) if isinstance(s, str) else s for s in steps]
+        for step in self.steps:
+            if not isinstance(step, (list, tuple)) or len(step) != 2 or not isinstance(step[0], str):
                 raise StrategyError(
-                    "scripted step for rule %r: index %r is not a non-negative integer"
-                    % (rule_id, pick)
+                    "scripted step %r is not a rule id or a [rule id, index] pair" % (step,)
+                )
+            if type(step[1]) is not int or step[1] < 0:  # a JSON true is an int too
+                raise StrategyError(
+                    "scripted step for rule %r: index %r is not a non-negative integer" % tuple(step)
                 )
 
     def triggers(self, state: ChaseState) -> Iterator[Trigger]:
@@ -572,13 +571,12 @@ def run_chase(
             if stop is not None and stop(state):
                 verdict = STOPPED
             elif len(state.records) >= max_steps:
-                nothing_left = state.first_applicable() is None
-                verdict = TERMINATED_FAIR if nothing_left else BUDGET_EXHAUSTED
+                verdict = BUDGET_EXHAUSTED if state.scan(first=True) else TERMINATED_FAIR
             else:
                 t = next(choices, None)
                 if t is not None:
                     state.apply(t)
-                elif strategy.complete or state.first_applicable() is None:
+                elif strategy.complete or not state.scan(first=True):
                     verdict = TERMINATED_FAIR
                 else:
                     verdict = TERMINATED_UNFAIR

@@ -7,7 +7,8 @@ stats, and a delta-list derivation on request). Exit code 0 on success or a
 fully passing classification, 1 on classification mismatches, 2 on usage or
 input errors. Such an error prints one JSON object {"command", "error"} on
 stderr; only argparse's own usage errors (a missing or unknown argument)
-print its usage text instead.
+print its usage text instead. Output files are written before anything is
+printed.
 """
 from __future__ import annotations
 
@@ -109,9 +110,9 @@ def _cmd_run(args) -> int:
             }
             for t, delta in outcome.derivation.records
         ]
-    _emit(report, args.json)
     if args.output:
         Path(args.output).write_text(textio.serialize_factbase(outcome.result))
+    _emit(report, args.json)
     return 0
 
 
@@ -124,22 +125,15 @@ def _cmd_normalize(args) -> int:
         tuple(doc.rules), reserved=doc.data_predicates(), **options
     )
     erl = textio.serialize_rules(report.output_rules)
+    sidecar = normalize.report_sidecar(report)
+    if args.output:
+        Path(args.output).write_text(erl)
+        Path(args.output + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2))
     if args.json:
-        payload = {
-            "command": "normalize",
-            "inputs": args.file,
-            "proc": args.proc,
-            "erl": erl,
-        }
-        payload.update(normalize.report_sidecar(report))
+        payload = {"command": "normalize", "inputs": args.file, "proc": args.proc, "erl": erl, **sidecar}
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         sys.stdout.write(erl)
-    if args.output:
-        Path(args.output).write_text(erl)
-        Path(args.output + ".json").write_text(
-            json.dumps(normalize.report_sidecar(report), sort_keys=True, indent=2)
-        )
     return 0
 
 
@@ -218,6 +212,8 @@ def _cmd_tm(args) -> int:
     else:
         _at_least("--len", args.len, 1)
         text = textio.serialize_factbase(tmgen.tape_factbase(args.len))
+    if args.output:
+        Path(args.output).write_text(text)
     if args.json:
         print(
             json.dumps(
@@ -228,8 +224,6 @@ def _cmd_tm(args) -> int:
         )
     else:
         sys.stdout.write(text)
-    if args.output:
-        Path(args.output).write_text(text)
     return 0
 
 

@@ -307,7 +307,7 @@ class Rule:
         """The plan of the head from the frontier: R's head test's join."""
         return join_plan(self.head, self.frontier)
 
-    @property
+    @cached_attribute
     def is_datalog(self) -> bool:
         return not self.existentials
 
@@ -650,7 +650,6 @@ class Derivation:
     initial: FactBase
     records: tuple[tuple[Trigger, tuple[Atom, ...]], ...]
     result: FactBase
-    variant: str
     verdict: str
 
     def __len__(self) -> int:

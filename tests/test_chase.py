@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exchase import hom
+from exchase import chase, hom
+from exchase.analysis import load_fixture
 from exchase.core import (
     Atom,
     BUDGET_EXHAUSTED,
@@ -37,7 +38,7 @@ from exchase.chase import (
     run_chase,
 )
 
-from conftest import ALL_VARIANTS, load_doc, load_kb, random_kb, small_kbs
+from conftest import ALL_VARIANTS, CORPUS, load_doc, load_kb, random_kb, small_kbs
 from oracles import (
     RandomChoice,
     applicable_edges,
@@ -862,3 +863,71 @@ def test_join_order_puts_the_most_bound_atom_next():
         ("content", ("X",)),
         ("head", ("X",)),
     ]
+
+
+# The variants the report comparison runs every corpus `.erl` under.
+_RUN_VARIANTS = ("o", "so", "r", "e", "dfr", "dfe")
+_CORPUS_ERLS = sorted(p.name for p in CORPUS.glob("*.erl"))
+
+
+def _count_blocking_calls(monkeypatch) -> list:
+    """A list that gets one entry per `chase.blocking` call from now on."""
+    calls = []
+    blocking = chase.blocking
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return blocking(*args, **kwargs)
+
+    monkeypatch.setattr(chase, "blocking", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", _CORPUS_ERLS)
+def test_every_trigger_considered_is_one_blocking_call(monkeypatch, name):
+    """Every applicability test of a run goes through `chase.blocking`, and
+    stats["triggers_considered"] counts exactly those tests."""
+    calls = _count_blocking_calls(monkeypatch)
+    kb = load_kb(name)
+    for variant in _RUN_VARIANTS:
+        for strategy in (FIFO(), DatalogFirst()):
+            calls.clear()
+            outcome = run_chase(kb, ChaseVariant.parse(variant), strategy, 60)
+            assert outcome.stats["triggers_considered"] == len(calls), (variant, type(strategy))
+
+
+def test_every_trigger_considered_is_one_blocking_call_under_fixture_strategies(monkeypatch):
+    """The same count under the phased and scripted strategies of the
+    corpus fixtures, each run under the variants its fixture names."""
+    calls = _count_blocking_calls(monkeypatch)
+    runs = 0
+    for path in sorted((CORPUS / "fixtures").glob("*.json")):
+        fixture = load_fixture(path)
+        for strategy in fixture.strategies:
+            for variant in sorted({entry["variant"] for entry in fixture.expect}):
+                calls.clear()
+                outcome = run_chase(fixture.kb, ChaseVariant.parse(variant), strategy, 60)
+                assert outcome.stats["triggers_considered"] == len(calls), (path.name, variant)
+                runs += 1
+    assert runs >= 4
+
+
+@pytest.mark.parametrize("name", _CORPUS_ERLS)
+def test_blocked_agrees_with_scan(name):
+    """Along a FIFO run, `ChaseState.blocked` finds exactly the triggers a
+    scan returns applicable, the Datalog-first gate included, and counts
+    one trigger considered per call."""
+    kb = load_kb(name)
+    for variant in ("o", "so", "r", "dfo", "dfso", "dfr"):
+        state = ChaseState(kb, ChaseVariant.parse(variant))
+        for _ in range(8):
+            probe = state.fork()
+            live = [t for entries in probe.lists for t in entries]
+            before = probe.stats["triggers_considered"]
+            applicable = [t for t in live if probe.blocked(t) is None]
+            if not variant.startswith("df"):
+                assert probe.stats["triggers_considered"] == before + len(live)
+            assert applicable == state.scan()
+            if not applicable:
+                break
+            state.apply(applicable[0])

@@ -154,6 +154,20 @@ def test_malformed_strategy_file_json_error(tmp_path, capsys):
         assert "malformed %s strategy file" % kind in error["error"]
 
 
+@pytest.mark.parametrize(
+    "script", ['"r1"', '{"r1": 0}', '[["r1", 0, 9]]'], ids=["string", "object", "triple"]
+)
+def test_scripted_strategy_file_that_is_no_list_of_steps_json_error(tmp_path, capsys, script):
+    """A bare string is not read as one step per character, an object not
+    as its keys, and a step with a third element is not cut short."""
+    erl = tmp_path / "r1.erl"
+    erl.write_text("[r1] p(X) -> q(X).\np(a).\n")
+    path = tmp_path / "script.json"
+    path.write_text(script)
+    error = run_cli_error(capsys, "run", str(erl), "--strategy", "scripted:%s" % path)
+    assert "malformed scripted strategy file" in error["error"]
+
+
 def test_phased_strategy_file_with_a_bare_string_group_json_error(tmp_path, capsys):
     phased = tmp_path / "phases.json"
     phased.write_text(json.dumps([["r1", "exhaust"], ["r2", "exhaust"]]))
@@ -221,6 +235,11 @@ def _malformed_fixture_error(
 
 def test_classify_phased_spec_without_pairs_json_error(tmp_path, capsys):
     error = _malformed_fixture_error(tmp_path, capsys, strategies=[{"phased": [1, 2]}])
+    assert "malformed strategy spec" in error["error"]
+
+
+def test_classify_scripted_spec_that_is_a_string_json_error(tmp_path, capsys):
+    error = _malformed_fixture_error(tmp_path, capsys, strategies=[{"scripted": "g"}])
     assert "malformed strategy spec" in error["error"]
 
 
@@ -299,7 +318,25 @@ def test_null_in_a_rule_json_error(tmp_path, capsys):
     error = run_cli_error(capsys, "run", str(tmp_path / "null.erl"))
     assert error["error"] == "1:9: nulls are not allowed in rules"
     error = _malformed_fixture_error(tmp_path, capsys, erl=erl)
-    assert error["error"] == "1:9: nulls are not allowed in rules"
+    assert error["error"] == "%s: %s: 1:9: nulls are not allowed in rules" % (
+        tmp_path / "x.json",
+        tmp_path / "x.erl",
+    )
+
+
+def test_classify_error_of_a_fixture_variant_names_the_fixture(tmp_path, capsys):
+    error = _malformed_fixture_error(
+        tmp_path, capsys, expect=[{"variant": "zz", "mode": "forall", "verdict": "all_finite"}]
+    )
+    assert error["error"] == "%s: unknown chase tag 'zz'" % (tmp_path / "x.json")
+
+
+def test_classify_arity_error_names_the_fixture_and_its_erl(tmp_path, capsys):
+    error = _malformed_fixture_error(tmp_path, capsys, erl="[r] p(X) -> q(X).\np(a,b).\n")
+    assert error["error"] == "%s: %s: predicate 'p' used with arity 2 but previously 1 (line 2)" % (
+        tmp_path / "x.json",
+        tmp_path / "x.erl",
+    )
 
 
 def test_normalize_fresh_name_clash_json_error(tmp_path, capsys):
@@ -403,6 +440,62 @@ def test_tm_state_that_is_no_identifier_json_error(tmp_path, capsys):
     machine.write_text("initial: q-0\naccept: qa\nreject: qr\nq-0 1 -> qa 1 R\nq-0 _ -> qa _ R\n")
     error = run_cli_error(capsys, "tm", "encode", "--machine", str(machine))
     assert "'q-0'" in error["error"]
+
+
+_MACHINE = str(CORPUS / "machines" / "halt1.tm")
+# A command line per command that writes --output, before the flag.
+_OUTPUT_COMMANDS = {
+    "run": ["run", str(CORPUS / "ex1.erl"), "--variant", "r"],
+    "normalize": ["normalize", str(CORPUS / "rule12.erl"), "--proc", "1ad"],
+    "tm": ["tm", "encode", "--machine", _MACHINE],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUT_COMMANDS))
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_output_into_a_missing_directory_prints_nothing(tmp_path, capsys, command, as_json):
+    """The output file is written before anything is printed, so a failed
+    write gives the JSON error alone."""
+    target = tmp_path / "missing" / "out.erl"
+    argv = [*_OUTPUT_COMMANDS[command], "--output", str(target)] + (["--json"] if as_json else [])
+    error = run_cli_error(capsys, *argv)
+    assert str(target) in error["error"]
+
+
+def test_run_output_holds_the_result_fact_base(tmp_path, capsys):
+    target = tmp_path / "result.erl"
+    code, out = run_cli(capsys, *_OUTPUT_COMMANDS["run"], "--output", str(target), "--json")
+    assert code == 0
+    result = textio.parse_document(target.read_text())
+    assert result.rules == []
+    assert len(result.facts) == json.loads(out)["atoms"] == 3
+    assert textio.parse_document((CORPUS / "ex1.erl").read_text()).facts[0] in result.facts
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_normalize_output_holds_the_rules_and_their_sidecar(tmp_path, capsys, as_json):
+    target = tmp_path / "rule12.1ad.erl"
+    argv = [*_OUTPUT_COMMANDS["normalize"], "--output", str(target)] + (["--json"] if as_json else [])
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    sidecar = json.loads(Path(str(target) + ".json").read_text())
+    if as_json:
+        report = json.loads(out)
+        assert target.read_text() == report["erl"]
+        assert sidecar == {k: report[k] for k in ("fresh_predicates", "mapping")}
+    else:
+        assert target.read_text() == out
+        assert sidecar["fresh_predicates"] == [["X__r12", 3]]
+
+
+@pytest.mark.parametrize("action", ["encode", "tape"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_tm_output_holds_the_printed_text(tmp_path, capsys, action, as_json):
+    target = tmp_path / "tm.erl"
+    argv = ["tm", action, "--machine", _MACHINE, "--output", str(target)]
+    code, out = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == 0
+    assert target.read_text() == (json.loads(out)["erl"] if as_json else out)
 
 
 def test_usage_error_exit_2(capsys):

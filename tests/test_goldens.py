@@ -228,6 +228,6 @@ def test_datalog_chain_builds_no_canonical_view(monkeypatch):
     state = ChaseState(parse_document(tc_chain_text()).knowledge_base(), ChaseVariant.parse("dfr"))
     for t in DatalogFirst().triggers(state):
         state.apply(t)
-    assert state.first_applicable() is None
+    assert not state.scan(first=True)
     assert len(state.records) == TC_CHAIN_EDGES * (TC_CHAIN_EDGES + 1) // 2
     assert searches == []

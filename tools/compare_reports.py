@@ -10,6 +10,11 @@ under either seed:
 
 - `run --derivation --json --max-steps 60` on every corpus `.erl` under
   o/so/r/e/dfr/dfe with the fifo and datalog-first strategies (stats kept);
+- the same `run` with `--strategy phased:FILE` or `scripted:FILE` for each
+  `phased` or `scripted` spec of a corpus fixture, written into the scratch
+  directory, under each variant the fixture's expectations name, on the
+  fixture's `.erl` (fixtures with a `transform` are left out, since their
+  rules are not the `.erl`'s);
 - `entails --json` on every corpus `.erl` under the same variants, and on a
   copy of each, written into the scratch directory, that adds generated
   queries: one all-variable atom per predicate and a self-join
@@ -37,8 +42,8 @@ The script prints each key whose report differs and exits 1 if any does,
     python3 tools/compare_reports.py --dump SRC DIR
 
 prints one tree's reports as a JSON object instead, with the diverging
-rule's file, the collision file and the query copies written into the
-directory DIR.
+rule's file, the collision file, the query copies and the strategy files
+written into the directory DIR.
 """
 from __future__ import annotations
 
@@ -113,6 +118,21 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
             for variant in RUN_VARIANTS:
                 commands["entails %s %d %s" % (copy.name, k, variant)] = [
                     "entails", str(copy), "--query-index", str(k), "--variant", variant, "--json",
+                ]
+    for fixture in sorted((corpus / "fixtures").glob("*.json")):
+        raw = json.loads(fixture.read_text())
+        if "transform" in raw:
+            continue
+        erl = (fixture.parent / raw["erl"]).resolve()
+        variants = sorted({entry["variant"] for entry in raw["expect"]})
+        for k, spec in enumerate(raw.get("strategies", [])):
+            [(kind, steps)] = spec.items()
+            path = scratch / ("%s-%d.json" % (fixture.stem, k))
+            path.write_text(json.dumps(steps))
+            for variant in variants:
+                commands["run %s %s %s:%s" % (erl.name, variant, kind, path.name)] = [
+                    "run", str(erl), "--variant", variant, "--strategy", "%s:%s" % (kind, path),
+                    "--max-steps", "60", "--derivation", "--json",
                 ]
     commands["classify"] = ["classify", "--fixtures", str(corpus / "fixtures"), "--json"]
     for erl in [*erls, growth, collision]:
