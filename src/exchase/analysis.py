@@ -284,8 +284,8 @@ def _shape_error(raw: dict) -> Optional[str]:
 def load_fixture(path: Path) -> Fixture:
     """The fixture in `path`. Each error names the fixture (and its `.erl`)."""
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FixtureError("%s: %s" % (path, e))
     if not isinstance(raw, dict):
         raise FixtureError("%s: a fixture must be a JSON object, got %r" % (path, raw))
@@ -299,7 +299,11 @@ def load_fixture(path: Path) -> Fixture:
     try:
         for entry in raw["expect"]:
             ChaseVariant.parse(entry["variant"])
-        doc = textio.parse_document(erl.read_text())
+        try:
+            text = erl.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            raise FixtureError("%s: %s" % (erl, e))
+        doc = textio.parse_document(text)
         rules = tuple(doc.rules)
         transform = raw.get("transform")
         if transform is not None:

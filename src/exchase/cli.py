@@ -43,7 +43,7 @@ def _at_least(flag: str, value: int, least: int) -> None:
 
 
 def _load_document(path: str) -> textio.SourceDocument:
-    return textio.parse_document(Path(path).read_text())
+    return textio.parse_document(Path(path).read_text(encoding="utf-8"))
 
 
 def _strategy(spec: str) -> Strategy:
@@ -55,7 +55,7 @@ def _strategy(spec: str) -> Strategy:
     if kind not in ("phased", "scripted") or not path:
         raise UsageError("unknown strategy %r" % spec)
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
         return Phased(raw) if kind == "phased" else Scripted(raw)
     except (ValueError, TypeError, LookupError) as e:
         raise UsageError("malformed %s strategy file %s: %s" % (kind, path, e))
@@ -111,7 +111,7 @@ def _cmd_run(args) -> int:
             for t, delta in outcome.derivation.records
         ]
     if args.output:
-        Path(args.output).write_text(textio.serialize_factbase(outcome.result))
+        Path(args.output).write_text(textio.serialize_factbase(outcome.result), encoding="utf-8")
     _emit(report, args.json)
     return 0
 
@@ -127,8 +127,13 @@ def _cmd_normalize(args) -> int:
     erl = textio.serialize_rules(report.output_rules)
     sidecar = normalize.report_sidecar(report)
     if args.output:
-        Path(args.output).write_text(erl)
-        Path(args.output + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2))
+        output, sidecar_path = Path(args.output), Path(args.output + ".json")
+        output.write_text(erl, encoding="utf-8")
+        try:
+            sidecar_path.write_text(json.dumps(sidecar, sort_keys=True, indent=2), encoding="utf-8")
+        except OSError:
+            output.unlink()  # no rules without their sidecar
+            raise
     if args.json:
         payload = {"command": "normalize", "inputs": args.file, "proc": args.proc, "erl": erl, **sidecar}
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -205,7 +210,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_tm(args) -> int:
-    machine = tmgen.parse_machine(Path(args.machine).read_text())
+    machine = tmgen.parse_machine(Path(args.machine).read_text(encoding="utf-8"))
     if args.action == "encode":
         encoding = tmgen.encode(machine)
         text = textio.serialize_rules(encoding.rules) + textio.serialize_factbase(encoding.seed)
@@ -213,7 +218,7 @@ def _cmd_tm(args) -> int:
         _at_least("--len", args.len, 1)
         text = textio.serialize_factbase(tmgen.tape_factbase(args.len))
     if args.output:
-        Path(args.output).write_text(text)
+        Path(args.output).write_text(text, encoding="utf-8")
     if args.json:
         print(
             json.dumps(

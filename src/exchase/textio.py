@@ -18,12 +18,27 @@ otherwise it is a predicate like any other, so a rule may have an
 `exists(...)` head. Null labels may contain '#' and '.' (a dot is part of the
 label only when followed by another label character), so chase-minted labels
 round-trip.
+
+The parser reads the text from an offset and builds no token list. At each
+statement start it first tries `_FACT`, one compiled pattern for a whole
+ground fact in the layout `serialize_factbase` writes, `IDENT '(' term (','
+term)* ')' '.'` with every term a constant or a null and no blank or comment
+inside, and feeds its predicate and arguments through the same term and
+arity tables as the rest. Every other statement (a fact with blanks,
+comments or line breaks inside, a 0-arity fact, a rule, a query, malformed
+text) is read token by token, each token scanned by `_SCANNER` only when the
+parser asks for it. Documents, automatic rule ids and errors are those of
+tokenizing the whole text before parsing it: a lexical error anywhere (an
+unexpected character, or `_` without a label) is reported before an earlier
+syntax, arity or scope error, so the rest of the text is scanned before any
+other error is raised, and the first unnamed rule scans the whole text for
+the rule ids it must avoid.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .core import Atom, Const, FactBase, KnowledgeBase, Null, Rule, Term, Var
 
@@ -53,18 +68,37 @@ class VariableScopeError(ValueError):
     pass
 
 
-# One alternative per token kind; the unnamed first one skips a blank run or
-# a comment. A dot belongs to a null label only when a label character
-# follows it. `bad` catches every other character, so the matches cover the
-# text with no gaps.
+# Blanks and comments, skipped between tokens.
+_BLANKS = r"(?:\s|%[^\n]*+)*+"
+# A null label after its '_': a dot belongs to it only when a label
+# character follows.
+_LABEL = r"[A-Za-z0-9_](?:[A-Za-z0-9_#]|\.(?=[A-Za-z0-9_#]))*+"
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*+"
+
+# The blanks and comments before a token (group 1), then one alternative
+# per token kind. `bad` catches any other character, so a match is missed
+# only at the end of the text, after its last token.
 _SCANNER = re.compile(
-    r"\s+|%[^\n]*"
-    r"|(?P<punct>->|[().,?\[\]])"
-    r"|_(?P<null>[A-Za-z0-9_](?:[A-Za-z0-9_#]|\.(?=[A-Za-z0-9_#]))*)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<bad>.)",
+    r"(" + _BLANKS + r")"
+    r"(?:(?P<punct>->|[().,?\[\]])"
+    r"|_(?P<null>" + _LABEL + r")"
+    r"|(?P<ident>" + _IDENT + r")"
+    r"|(?P<bad>.))",
     re.DOTALL,
 )
+
+# The blanks and comments before a statement, then a whole ground fact with
+# no blank or comment inside: group 1 is its predicate, group 2 its
+# arguments, each a constant or '_' and a null label, joined by commas.
+_GROUND = r"(?:[a-z][A-Za-z0-9_]*+|_" + _LABEL + r")"
+_FACT = re.compile(
+    _BLANKS + r"(" + _IDENT + r")\((" + _GROUND + r"(?:," + _GROUND + r")*+)\)\."
+)
+
+# A comment, or '[', an identifier and ']' with blanks and comments between:
+# the one-identifier rule ids a document names (group 1). '[' stands
+# outside a comment only as a token, so no other token needs reading.
+_NAMED_ID = re.compile(r"%[^\n]*|\[" + _BLANKS + r"(" + _IDENT + r")" + _BLANKS + r"\]")
 
 
 class _Token(NamedTuple):
@@ -74,25 +108,55 @@ class _Token(NamedTuple):
     col: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for m in _SCANNER.finditer(text):
+class _Lexer:
+    """The tokens of `text` from `offset` on, each scanned when asked for,
+    with the line and the offset at which that line starts."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.offset = 0
+        self.line, self.line_start = 1, 0
+        # The last token read; the end token stands at its place.
+        self.last = _Token("end", "", 1, 1)
+
+    def skip_to(self, end: int) -> None:
+        """Move to `end` over text that holds no token, counting its line
+        breaks."""
+        text, start = self.text, self.offset
+        newline = text.rfind("\n", start, end)
+        if newline >= 0:
+            self.line += text.count("\n", start, newline + 1)
+            self.line_start = newline + 1
+        self.offset = end
+
+    def next(self) -> _Token:
+        """The next token, or an end token once the text is used up. A
+        lexical error is raised as a ParseError, and leaves the lexer at the
+        end of the text."""
+        m = _SCANNER.match(self.text, self.offset)
+        if m is None:
+            return _Token("end", "", self.last.line, self.last.col)
+        start = m.end(1)
+        if start != self.offset:
+            self.skip_to(start)
         kind = m.lastgroup
-        if kind is None:
-            start, end = m.span()
-            newlines = text.count("\n", start, end)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", start, end) + 1
-            continue
-        col = m.start() - line_start + 1
+        col = start - self.line_start + 1
         if kind == "bad":
-            if m.group() == "_":
-                raise ParseError("null label expected after '_'", line, col, "label")
-            raise ParseError("unexpected character %r" % m.group(), line, col)
-        tokens.append(_Token(kind, m.group(kind), line, col))
-    return tokens
+            self.offset = len(self.text)
+            if m.group(kind) == "_":
+                raise ParseError("null label expected after '_'", self.line, col, "label")
+            raise ParseError("unexpected character %r" % m.group(kind), self.line, col)
+        self.offset = m.end()
+        tok = self.last = _Token(kind, m.group(kind), self.line, col)
+        return tok
+
+
+def _tokenize(text: str) -> Iterator[_Token]:
+    lexer = _Lexer(text)
+    tok = lexer.next()
+    while tok.kind != "end":
+        yield tok
+        tok = lexer.next()
 
 
 @dataclass
@@ -118,34 +182,52 @@ def _is_variable(tok: _Token) -> bool:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        last = self.tokens[-1] if self.tokens else _Token("end", "", 1, 1)
-        self.tokens.append(_Token("end", "", last.line, last.col))
-        self.pos = 0
+        self.text = text
+        self.lexer = _Lexer(text)
+        # The next token and the one after it, once read; both are None at a
+        # statement start, where `_FACT` is tried first.
+        self.tok: Optional[_Token] = None
+        self.tok2: Optional[_Token] = None
         self.doc = SourceDocument()
         self.arities: dict[str, int] = {}
         self.rule_ids: set[str] = set()
         # The one-identifier rule ids the document names anywhere, which an
-        # unnamed rule's `r<k>` must avoid even when they come after it.
-        tokens = self.tokens
-        self.named_ids = {
-            tokens[i + 1].text
-            for i in range(len(tokens) - 2)
-            if tokens[i].text == "[" and tokens[i + 1].kind == "ident" and tokens[i + 2].text == "]"
-        }
+        # unnamed rule's `r<k>` must avoid even when they come after it;
+        # read at the first unnamed rule.
+        self.named_ids: Optional[set[str]] = None
         self.auto_rule_index = 0
-        # One term object per distinct (token kind, text): equal terms of the
-        # document are then identical, and share one key and hash.
-        self.terms: dict[tuple[str, str], Term] = {}
+        # One term object per distinct spelling (`a`, `X`, `_n1`): equal terms
+        # of the document are then identical, and share one key and hash.
+        self.terms: dict[str, Term] = {}
+        # The first null of the statement read so far, which a rule or a
+        # query rejects.
+        self.null: Optional[_Token] = None
 
     def _peek(self) -> _Token:
-        return self.tokens[self.pos]
+        tok = self.tok
+        if tok is None:
+            tok = self.tok = self.lexer.next()
+        return tok
+
+    def _peek2(self) -> _Token:
+        """The token after the next one."""
+        if self.tok2 is None:
+            self._peek()
+            self.tok2 = self.lexer.next()
+        return self.tok2
+
+    def _advance(self) -> None:
+        """Drop the next token, which the caller has peeked at."""
+        self.tok, self.tok2 = self.tok2, None
 
     def _next(self, expected: str) -> _Token:
-        tok = self._peek()
+        tok = self.tok
+        if tok is None:
+            tok = self.lexer.next()
+        else:
+            self.tok, self.tok2 = self.tok2, None
         if tok.kind == "end":
             raise ParseError("unexpected end of input", tok.line, tok.col, expected)
-        self.pos += 1
         return tok
 
     def _expect(self, text: str) -> _Token:
@@ -158,25 +240,33 @@ class _Parser:
         """`item (',' item)*`"""
         items = [item()]
         while self._peek().text == ",":
-            self.pos += 1
+            self.tok, self.tok2 = self.tok2, None
             items.append(item())
         return items
 
+    def _intern(self, spelling: str) -> Term:
+        """The term spelt `spelling`: '_' and a label for a null, an
+        upper-case identifier for a variable, any other for a constant."""
+        term = self.terms.get(spelling)
+        if term is None:
+            if spelling[0] == "_":
+                term = Null(spelling[1:])
+            elif spelling[0].isupper():
+                term = Var(spelling)
+            else:
+                term = Const(spelling)
+            self.terms[spelling] = term
+        return term
+
     def _term(self) -> Term:
         tok = self._next("term")
-        term = self.terms.get((tok.kind, tok.text))
-        if term is not None:
-            return term
+        if tok.kind == "ident":
+            return self._intern(tok.text)
         if tok.kind == "null":
-            term = Null(tok.text)
-        elif _is_variable(tok):
-            term = Var(tok.text)
-        elif tok.kind == "ident":
-            term = Const(tok.text)
-        else:
-            raise ParseError("expected a term, found %r" % tok.text, tok.line, tok.col, "term")
-        self.terms[tok.kind, tok.text] = term
-        return term
+            if self.null is None:
+                self.null = tok
+            return self._intern("_" + tok.text)
+        raise ParseError("expected a term, found %r" % tok.text, tok.line, tok.col, "term")
 
     def _variable(self) -> str:
         tok = self._next("variable")
@@ -190,7 +280,7 @@ class _Parser:
             raise ParseError("expected a predicate, found %r" % tok.text, tok.line, tok.col, "atom")
         args: list[Term] = []
         if self._peek().text == "(":
-            self.pos += 1
+            self._advance()
             args = self._list(self._term)
             self._expect(")")
         a = Atom(tok.text, tuple(args))
@@ -211,27 +301,24 @@ class _Parser:
                 raise ParseError("space or line break inside a rule id", tok.line, tok.col)
         return "".join(t.text for t in tokens)
 
-    def _reject_nulls(self, start: int, statement: str) -> None:
-        """Raise ParseError at the first null token from token `start` to
-        the current one."""
-        for tok in self.tokens[start : self.pos]:
-            if tok.kind == "null":
-                message = "nulls are not allowed in %s" % statement
-                raise ParseError(message, tok.line, tok.col)
+    def _reject_nulls(self, statement: str) -> None:
+        """Raise ParseError at the first null of the statement."""
+        tok = self.null
+        if tok is not None:
+            raise ParseError("nulls are not allowed in %s" % statement, tok.line, tok.col)
 
-    def _finish_rule(self, rule_id: Optional[str], body: list[Atom], start: int) -> None:
-        line = self.tokens[start].line
+    def _finish_rule(self, rule_id: Optional[str], body: list[Atom], line: int) -> None:
         self._expect("->")
         declared: list[str] = []
         # `exists` is the keyword only before a variable; else it is a predicate.
         tok = self._peek()
-        if tok.kind == "ident" and tok.text == "exists" and _is_variable(self.tokens[self.pos + 1]):
-            self.pos += 1
+        if tok.kind == "ident" and tok.text == "exists" and _is_variable(self._peek2()):
+            self._advance()
             declared = self._list(self._variable)
             self._expect(".")
         head = self._list(self._atom)
         self._expect(".")
-        self._reject_nulls(start, "rules")
+        self._reject_nulls("rules")
         body_vars = set().union(*(a.variables() for a in body))
         head_vars = set().union(*(a.variables() for a in head))
         declared_set = set(declared)
@@ -256,6 +343,8 @@ class _Parser:
                 "existential (line %d)" % (", ".join(sorted(undeclared)), line)
             )
         if rule_id is None:
+            if self.named_ids is None:
+                self.named_ids = set(_NAMED_ID.findall(self.text)) - {""}  # "" for a comment
             self.auto_rule_index += 1
             while "r%d" % self.auto_rule_index in self.named_ids:
                 self.auto_rule_index += 1
@@ -266,36 +355,59 @@ class _Parser:
         self.doc.rules.append(Rule(rule_id, tuple(body), tuple(head)))
 
     def parse(self) -> SourceDocument:
-        while self._peek().kind != "end":
-            start, tok = self.pos, self._peek()
+        lexer, text, fact = self.lexer, self.text, _FACT.match
+        terms, intern, arities, facts = self.terms, self._intern, self.arities, self.doc.facts
+        while True:
+            m = fact(text, lexer.offset)
+            if m is not None:
+                lexer.skip_to(m.start(1))
+                lexer.offset = m.end()
+                pred, args = m.group(1, 2)
+                a = Atom(pred, tuple([terms.get(s) or intern(s) for s in args.split(",")]))
+                seen = arities.setdefault(pred, a.arity)
+                if seen != a.arity:
+                    raise ArityError(pred, a.arity, seen, lexer.line)
+                facts.append(a)
+                continue
+            tok = self._peek()
+            if tok.kind == "end":
+                return self.doc
+            self.null = None
             if tok.text == "?":
-                self.pos += 1
+                self._advance()
                 atoms = self._list(self._atom)
                 self._expect(".")
-                self._reject_nulls(start, "queries")
+                self._reject_nulls("queries")
                 self.doc.queries.append(tuple(atoms))
                 continue
             rule_id: Optional[str] = None
             if tok.text == "[":
-                self.pos += 1
+                self._advance()
                 rule_id = self._rule_id()
                 self._expect("]")
             body = self._list(self._atom)
             if rule_id is None and len(body) == 1 and self._peek().text == ".":
-                self.pos += 1
+                self._advance()
                 for t in body[0].args:
                     if isinstance(t, Var):
                         raise ParseError(
                             "facts must be variable-free, found %s" % t, tok.line, tok.col
                         )
-                self.doc.facts.append(body[0])
+                facts.append(body[0])
                 continue
-            self._finish_rule(rule_id, body, start)
-        return self.doc
+            self._finish_rule(rule_id, body, tok.line)
 
 
 def parse_document(text: str) -> SourceDocument:
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except (ParseError, ArityError, VariableScopeError):
+        # A lexical error anywhere in the text is reported first.
+        lexer = parser.lexer
+        while lexer.next().kind != "end":
+            pass
+        raise
 
 
 # --- serialization ---------------------------------------------------------

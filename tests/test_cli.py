@@ -222,6 +222,12 @@ def _malformed_fixture_error(
     tmp_path, capsys, erl: str = "[g] p(X,Y) -> exists Z. p(X,Z).\np(a,b).\n", **fields
 ) -> dict:
     (tmp_path / "x.erl").write_text(erl)
+    return _fixture_error(tmp_path, capsys, **fields)
+
+
+def _fixture_error(tmp_path, capsys, **fields) -> dict:
+    """The error of `classify` on one fixture, `x.json`, that names `x.erl`
+    unless `fields` say otherwise; the caller writes the `.erl`."""
     fixture = {
         "id": "X",
         "erl": "x.erl",
@@ -337,6 +343,27 @@ def test_classify_arity_error_names_the_fixture_and_its_erl(tmp_path, capsys):
         tmp_path / "x.json",
         tmp_path / "x.erl",
     )
+
+
+def test_classify_undecodable_erl_names_the_fixture_and_its_erl(tmp_path, capsys):
+    (tmp_path / "x.erl").write_bytes(b"\xff\xfe p(a).")
+    error = _fixture_error(tmp_path, capsys)
+    prefix = "%s: %s: " % (tmp_path / "x.json", tmp_path / "x.erl")
+    assert error["error"].startswith(prefix)
+    assert "'utf-8' codec can't decode byte 0xff" in error["error"]
+
+
+def test_classify_undecodable_fixture_names_it(tmp_path, capsys):
+    (tmp_path / "x.json").write_bytes(b"\xff\xfe{}")
+    error = run_cli_error(capsys, "classify", "--fixtures", str(tmp_path))
+    assert error["error"].startswith("%s: 'utf-8' codec can't decode byte 0xff" % (tmp_path / "x.json"))
+
+
+def test_classify_missing_erl_names_the_fixture_and_its_erl(tmp_path, capsys):
+    error = _fixture_error(tmp_path, capsys, erl="nope.erl")
+    prefix = "%s: %s: " % (tmp_path / "x.json", tmp_path / "nope.erl")
+    assert error["error"].startswith(prefix)
+    assert "No such file or directory" in error["error"]
 
 
 def test_normalize_fresh_name_clash_json_error(tmp_path, capsys):
@@ -488,6 +515,14 @@ def test_normalize_output_holds_the_rules_and_their_sidecar(tmp_path, capsys, as
         assert sidecar["fresh_predicates"] == [["X__r12", 3]]
 
 
+def test_normalize_output_is_removed_when_its_sidecar_cannot_be_written(tmp_path, capsys):
+    target = tmp_path / "rules.erl"
+    (tmp_path / "rules.erl.json").mkdir()
+    error = run_cli_error(capsys, *_OUTPUT_COMMANDS["normalize"], "--output", str(target))
+    assert "rules.erl.json" in error["error"]
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("action", ["encode", "tape"])
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_tm_output_holds_the_printed_text(tmp_path, capsys, action, as_json):
@@ -565,6 +600,33 @@ def test_reports_byte_stable_across_processes():
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+def test_every_command_reads_and_writes_utf8_whatever_the_locale(tmp_path):
+    """No file is opened in the locale's encoding: every command exits 0
+    with EncodingWarning made an error."""
+    import os
+    import exchase
+
+    src = str(Path(exchase.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    ex1, rule12 = str(CORPUS / "ex1.erl"), str(CORPUS / "rule12.erl")
+    commands = [
+        ["run", ex1, "--output", str(tmp_path / "run.erl")],
+        ["normalize", rule12, "--proc", "1ad", "--output", str(tmp_path / "norm.erl")],
+        ["explore", ex1, "--max-depth", "3"],
+        ["entails", ex1],
+        ["classify", "--fixtures", str(CORPUS / "fixtures")],
+        ["tm", "tape", "--machine", _MACHINE, "--output", str(tmp_path / "tape.erl")],
+    ]
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "exchase.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, (argv[0], proc.stderr)
 
 
 def test_tm_encode_output_feeds_run(tmp_path, capsys):

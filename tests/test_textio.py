@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from exchase.chase import FIFO, ChaseVariant, run_chase
 from exchase.core import Atom, Const, FactBase, KnowledgeBase, Null, Rule, Var, sort_atoms
 
 from conftest import CORPUS, load_doc, small_kbs
-from oracles import RandomChoice, are_isomorphic, reference_tokenize, serialize_document
+from oracles import RandomChoice, are_isomorphic, reference_parse_document, reference_tokenize, serialize_document
 
 
 def test_parse_example1_rule():
@@ -232,6 +233,124 @@ def test_tokenizer_matches_the_reference(text):
     """The compiled scanner gives the character-at-a-time tokenizer's tokens,
     or the same error at the same place."""
     assert _scan(textio._tokenize, text) == _scan(reference_tokenize, text)
+
+def _parsed(parse, text):
+    """The document as (rules, facts, queries), or the error as (type,
+    message, line, col, expected)."""
+    try:
+        doc = parse(text)
+    except (textio.ParseError, textio.ArityError, textio.VariableScopeError) as e:
+        return (type(e), str(e), getattr(e, "line", None), getattr(e, "col", None), getattr(e, "expected", None))
+    return (doc.rules, doc.facts, doc.queries)
+
+
+# Statement pieces. Fact arguments include a variable, so that a compact
+# fact can be non-ground; predicates include upper-case ones and `exists`.
+_FACT_TERMS = ("a", "b", "c9", "_n1", "_ex1#4926c314e9.Z", "_0", "a", "b", "_n1", "c9", "b", "X")
+_BODY_TERMS = ("X", "Y", "X", "Y", "a", "X", "Y", "_n")
+_GAPS = ("", " ", "\n", "\r\n", "\t", " % note [r1]\n", "%\n")
+_LEXICAL = ("$", "_ ", "é", "@", "-")
+_NOISE = (
+    "p(a,,b).", "p(a", "->", ")", "q(X).", "q(X) -> q(V).", "p(X,Y) -> exists X. q(X).",
+    "q(a).\nq(a,b).", "[a .b] q(X) -> q(X).",
+)
+
+
+def _render(tokens, gaps):
+    """The tokens joined by the gaps, a blank put in where two word tokens
+    would run together."""
+    out = [tokens[0]]
+    for gap, tok in zip(gaps, tokens[1:]):
+        if not gap and out[-1][-1:].isalnum() and (tok[0].isalnum() or tok[0] == "_"):
+            gap = " "
+        out += [gap, tok]
+    return "".join(out)
+
+
+# Each predicate's usual arity; one atom in ten draws another.
+_USUALLY = st.sampled_from((True,) * 9 + (False,))
+_ARITIES = {"p": 2, "q": 1, "P": 2, "exists": 1, "e_1": 0}
+
+
+@st.composite
+def _atom_tokens(draw, terms):
+    pred = draw(st.sampled_from(sorted(_ARITIES)))
+    arity = _ARITIES[pred] if draw(_USUALLY) else draw(st.integers(0, 3))
+    args = [draw(st.sampled_from(terms)) for _ in range(arity)]
+    if not args:
+        return [pred]
+    return [pred, "("] + [t for a in args for t in (a, ",")][:-1] + [")"]
+
+
+def _atom_list_tokens(terms):
+    one = _atom_tokens(terms)
+    return st.lists(one, min_size=1, max_size=2).map(lambda xs: [t for x in xs for t in (*x, ",")][:-1])
+
+
+@st.composite
+def _statement(draw):
+    kind = draw(st.sampled_from(("compact",) * 4 + ("fact",) * 2 + ("rule",) * 4 + ("query", "noise", "lexical")))
+    if kind == "noise":
+        return draw(st.sampled_from(_NOISE))
+    if kind == "lexical":
+        return draw(st.sampled_from(_LEXICAL))
+    if kind in ("compact", "fact"):
+        tokens = draw(_atom_tokens(_FACT_TERMS)) + ["."]
+        if kind == "compact":
+            return "".join(tokens)
+    elif kind == "query":
+        tokens = ["?"] + draw(_atom_list_tokens(_BODY_TERMS)) + ["."]
+    else:
+        # Mostly well scoped: the head uses the body's variables and the
+        # declared ones, and now and then a variable neither declares.
+        rule_id = draw(st.sampled_from(([], [], ["[", "r1", "]"], ["[", "r2", "]"], ["[", "r4", "]"], ["[", "a.b", "]"])))
+        body = draw(_atom_list_tokens(_BODY_TERMS))
+        declared = draw(st.sampled_from(((), (), ("Z",), ("Z", "W"))))
+        exists = ["exists", *[t for v in declared for t in (v, ",")][:-1], "."] if declared else []
+        head_terms = tuple(v for v in ("X", "Y") if v in body) + declared + ("a",)
+        if not draw(_USUALLY):
+            head_terms += ("V",)
+        head = draw(_atom_list_tokens(head_terms))
+        for v in declared:
+            if v not in head:
+                head += [",", "q", "(", v, ")"]
+        tokens = rule_id + body + ["->"] + exists + head + ["."]
+    gaps = draw(st.lists(st.sampled_from(_GAPS), min_size=len(tokens) - 1, max_size=len(tokens) - 1))
+    return _render(tokens, gaps)
+
+
+@st.composite
+def _documents(draw):
+    statements = draw(st.lists(_statement(), max_size=8))
+    if not draw(st.sampled_from((True, True, True, False))):
+        statements.append(draw(st.sampled_from(_LEXICAL)))  # after any other error
+    gaps = draw(st.lists(st.sampled_from(_GAPS), min_size=len(statements), max_size=len(statements)))
+    return "".join(g + s for g, s in zip(gaps, statements))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_documents())
+def test_parser_matches_the_tokenize_first_reference(text):
+    """Reading tokens on demand and ground facts by one pattern gives the
+    document of the parser that tokenizes the whole text first (rules with
+    their automatic ids, facts in order, queries), or the same error: the
+    same type, message, line, column and expected token."""
+    assert _parsed(textio.parse_document, text) == _parsed(reference_parse_document, text)
+
+
+def test_parse_peak_memory_stays_small():
+    """Parsing 20,000 `e/2` facts holds no list of every token: the parse
+    peaks under 8 MB, about what its document keeps."""
+    text = "".join("e(c%d,c%d).\n" % (i, i + 1) for i in range(20000)) + "[r] e(X,Y) -> f(X).\n"
+    tracemalloc.start()
+    try:
+        doc = textio.parse_document(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(doc.facts) == 20000
+    assert peak < 8_000_000
+
 
 # Rule ids are identifiers joined by dots; minted null labels embed them.
 _RULE_IDS = st.from_regex(r"[a-zA-Z][a-zA-Z0-9_]{0,3}(\.[a-zA-Z][a-zA-Z0-9_]{0,3}){0,2}", fullmatch=True)

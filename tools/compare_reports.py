@@ -8,14 +8,21 @@ with its own corpus, once under each of PYTHONHASHSEED 0 and 1, in one
 subprocess per seed, so a change that moves set iteration order shows
 under either seed:
 
-- `run --derivation --json --max-steps 60` on every corpus `.erl` under
-  o/so/r/e/dfr/dfe with the fifo and datalog-first strategies (stats kept);
+- `run --derivation --json --max-steps 60` on every corpus `.erl`, and on
+  `LAYOUT_ERL`, under o/so/r/e/dfr/dfe with the fifo and datalog-first
+  strategies (stats kept). `LAYOUT_ERL` is written the ways the parser's
+  one-pattern path for ground facts does not read: facts with blanks,
+  comments and line breaks inside atoms, CRLF line ends, dotted null
+  labels, upper-case and `exists` predicates, 0-arity and duplicate facts,
+  and unnamed rules after a named `[r1]`, next to facts in the layout that
+  path reads;
 - the same `run` with `--strategy phased:FILE` or `scripted:FILE` for each
   `phased` or `scripted` spec of a corpus fixture, written into the scratch
   directory, under each variant the fixture's expectations name, on the
   fixture's `.erl` (fixtures with a `transform` are left out, since their
   rules are not the `.erl`'s);
-- `entails --json` on every corpus `.erl` under the same variants, and on a
+- `entails --json` on every corpus `.erl` and `LAYOUT_ERL` under the same
+  variants, and on a
   copy of each, written into the scratch directory, that adds generated
   queries: one all-variable atom per predicate and a self-join
   `p(X,Y), p(Y,Z)` per binary predicate, each run by `--query-index`
@@ -42,8 +49,8 @@ The script prints each key whose report differs and exits 1 if any does,
     python3 tools/compare_reports.py --dump SRC DIR
 
 prints one tree's reports as a JSON object instead, with the diverging
-rule's file, the collision file, the query copies and the strategy files
-written into the directory DIR.
+rule's file, the collision file, the layout file, the query copies and the
+strategy files written into the directory DIR.
 """
 from __future__ import annotations
 
@@ -70,6 +77,22 @@ COLLISION_ERL = (
     "p(_u,_v).\n"
     "p(_v,_w).\n"
 )
+LAYOUT_ERL = (
+    "% layouts the one-pattern path for ground facts leaves to the tokens\r\n"
+    "[r1] e(X,Y) -> exists Z. P(Y,Z).\r\n"
+    "P(X,Y), exists(X) -> exists(Y).\r\n"
+    "e(a,b).\r\n"
+    "e( b ,\r\n  c ).\r\n"
+    "e(c, % a comment inside an atom\r\n d).\r\n"
+    "e(a,b).\r\n"
+    "exists(a).\r\n"
+    "P(_ex1#4926c314e9.Z,a).\r\n"
+    "P(\r\n_n1.x , _ex1#4926c314e9.Z).\r\n"
+    "halt.\r\n"
+    "halt .\r\n"
+    "halt -> done.\r\n"
+    "? P(X,Y), e(Y,Z).\r\n"
+)
 HASH_SEEDS = ("0", "1")
 
 
@@ -78,7 +101,7 @@ def _with_queries(erl: Path, scratch: Path) -> tuple[Path, range]:
     the indexes of those queries."""
     from exchase import textio
 
-    text = erl.read_text()
+    text = erl.read_text(encoding="utf-8")
     doc = textio.parse_document(text)
     atoms = [a for r in doc.rules for a in (*r.body, *r.head)] + list(doc.facts)
     arities = dict(sorted({a.pred: a.arity for a in atoms}.items()))
@@ -89,7 +112,7 @@ def _with_queries(erl: Path, scratch: Path) -> tuple[Path, range]:
         if arity == 2:
             queries.append("? %s(X,Y), %s(Y,Z)." % (pred, pred))
     copy = scratch / ("queries-" + erl.name)
-    copy.write_text(text + "\n" + "\n".join(queries) + "\n")
+    copy.write_text(text + "\n" + "\n".join(queries) + "\n", encoding="utf-8")
     first = len(doc.queries)
     return copy, range(first, first + len(queries))
 
@@ -98,12 +121,14 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
     """Report key -> argv for `exchase.cli.main`."""
     corpus = src / "exchase" / "corpus"
     growth = scratch / "growth.erl"
-    growth.write_text(GROWTH_ERL)
+    growth.write_text(GROWTH_ERL, encoding="utf-8")
     collision = scratch / "collision.erl"
-    collision.write_text(COLLISION_ERL)
+    collision.write_text(COLLISION_ERL, encoding="utf-8")
+    layout = scratch / "layout.erl"
+    layout.write_bytes(LAYOUT_ERL.encode("utf-8"))  # CRLF kept as written
     erls = sorted(corpus.glob("*.erl"))
     commands: dict[str, list[str]] = {}
-    for erl in erls:
+    for erl in [*erls, layout]:
         for variant in RUN_VARIANTS:
             for strategy in STRATEGIES:
                 commands["run %s %s %s" % (erl.name, variant, strategy)] = [
@@ -120,7 +145,7 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
                     "entails", str(copy), "--query-index", str(k), "--variant", variant, "--json",
                 ]
     for fixture in sorted((corpus / "fixtures").glob("*.json")):
-        raw = json.loads(fixture.read_text())
+        raw = json.loads(fixture.read_text(encoding="utf-8"))
         if "transform" in raw:
             continue
         erl = (fixture.parent / raw["erl"]).resolve()
@@ -128,7 +153,7 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
         for k, spec in enumerate(raw.get("strategies", [])):
             [(kind, steps)] = spec.items()
             path = scratch / ("%s-%d.json" % (fixture.stem, k))
-            path.write_text(json.dumps(steps))
+            path.write_text(json.dumps(steps), encoding="utf-8")
             for variant in variants:
                 commands["run %s %s %s:%s" % (erl.name, variant, kind, path.name)] = [
                     "run", str(erl), "--variant", variant, "--strategy", "%s:%s" % (kind, path),
