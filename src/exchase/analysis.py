@@ -9,8 +9,8 @@ finite; finding a path deeper than the depth budget yields a growth witness
 infinite derivations imply fair ones). Both searches step the
 `chase.ChaseState` that `run_chase` steps, so finding a state's edges costs
 a scan of the triggers still live plus a search for the new matches of the
-step's delta. The depth-first explorer walks one state for the whole
-search, applying a step on the way down and undoing it on the way back.
+step's delta. Each search moves one state by `ChaseState.push` and `pop`:
+down a path and back, or to each path of a level (`goto`).
 
 `find_terminating`'s search for a terminating derivation is breadth-first
 with one isomorphism table across all levels, so it expands every state at
@@ -56,7 +56,6 @@ class ExplorationReport:
     max_len: Optional[int] = None
     witness: Optional[tuple[tuple[Atom, ...], ...]] = None  # per-step deltas
     witness_label: Optional[str] = None
-    frontier: Optional[int] = None
     dedup_hits: int = 0
 
 
@@ -86,21 +85,19 @@ def explore_all(
     state = ChaseState(kb, variant)
     if dedup:
         seen_depth.entry(kb.facts).value = 0
-    # One frame per state on the current path: its remaining edges, and the
-    # trigger lists to put back when the step to it is undone (None at the
-    # root). The state on top of the stack is `state`, at len(records) deep.
-    stack: list[tuple[Iterator[Trigger], Optional[list]]] = [(iter(state.scan()), None)]
+    # One frame per state on the current path, holding its remaining edges.
+    # The state on top of the stack is `state`, at len(records) deep.
+    stack: list[Iterator[Trigger]] = [iter(state.scan())]
     while stack:
-        edges, restore = stack[-1]
-        t = next(edges, None)
+        t = next(stack[-1], None)
         if t is None:
             stack.pop()
-            if restore is not None:
-                state.undo(restore)
+            if stack:
+                state.pop()
             continue
         depth = len(state.records) + 1
         if depth > max_depth:
-            state.apply(t)
+            state.push(t)
             return ExplorationReport(
                 GROWTH, expansions, witness=tuple(delta for _, delta in state.records),
                 witness_label=CERTIFIED if atomic_only else UNCERTIFIED, dedup_hits=dedup_hits,
@@ -111,13 +108,12 @@ def explore_all(
                 dedup_hits += 1
                 continue
             entry.value = depth
-        restore = state.checkpoint()
-        state.apply(t)
+        state.push(t)
         expansions += 1
         if expansions > max_nodes:
-            return ExplorationReport(BUDGET_EXCEEDED, expansions, frontier=depth, dedup_hits=dedup_hits)
+            return ExplorationReport(BUDGET_EXCEEDED, expansions, dedup_hits=dedup_hits)
         max_len = max(max_len, depth)
-        stack.append((iter(state.scan()), restore))
+        stack.append(iter(state.scan()))
     return ExplorationReport(ALL_FINITE, expansions, max_len=max_len, dedup_hits=dedup_hits)
 
 
@@ -140,7 +136,11 @@ def find_terminating(
     a state isomorphic to one reached before it, on a shorter or an equally
     long path that comes first, cannot lie on that path, because the earlier
     state's own continuation would give a path that is shorter or that
-    comes first. Each child is a fork of its parent's state."""
+    comes first. One state walks the search: visiting a path of a level moves
+    it there (`goto`) and scans it, and a child is only a path and a table
+    entry. Testing a state for being terminal when it is visited, not when
+    it is made, returns the same path: states are visited in the order they
+    are made, with the same table entries made before each."""
     strategies: list[Strategy] = [FIFO(), DatalogFirst()]
     strategies.extend(pool)
     for strat in strategies:
@@ -152,26 +152,22 @@ def find_terminating(
 
     seen = hom.IsoTable()
     seen.entry(kb.facts).value = 0
-    root = ChaseState(kb, variant)
-    # The states of one level in path order, each with its edges. The root
-    # has edges, as FIFO would have ended on it otherwise.
-    level = [(root, root.scan())]
-    for depth in range(1, max_steps + 1):
-        last = depth == max_steps
+    state = ChaseState(kb, variant)
+    level: list[tuple[Trigger, ...]] = [()]
+    for depth in range(max_steps + 1):
         below = []
-        for state, edges in level:
-            for t in edges:
-                entry = seen.entry(chain(state.store.atoms, t.output))
-                if entry.value is not None:
-                    continue
-                entry.value = depth
-                child = state.fork()
-                child.apply(t)
-                # A state on the last level only needs to be known terminal.
-                child_edges = child.scan(first=last)
-                if not child_edges:
-                    return child.derivation(TERMINATED_FAIR)
-                below.append((child, child_edges))
+        for path in level:
+            state.goto(path)
+            # A state on the last level only needs to be known terminal.
+            edges = state.scan(first=depth == max_steps)
+            if not edges:
+                return state.derivation(TERMINATED_FAIR)
+            if depth < max_steps:
+                for t in edges:
+                    entry = seen.entry(chain(state.store.atoms, t.output))
+                    if entry.value is None:
+                        entry.value = depth + 1
+                        below.append(path + (t,))
         level = below
     return None
 

@@ -53,9 +53,8 @@ it can stop existing; so does a Datalog-first-gated one, because the gate
 reopens once the Datalog rules are satisfied again. The gate itself is "no
 live Datalog trigger is left in the state".
 
-`run_chase` steps one state forward. The explorer's depth-first search
-steps one state down a path and back (`checkpoint`, `apply`, `undo`), and
-its breadth-first search `fork`s a state per child.
+`run_chase` steps one state forward (`apply`); each search of the explorer
+moves one state through the derivation graph (`push`, `pop`, `goto`).
 
 Strategies are per-run generators: `Strategy.triggers(state)` makes a new
 one for each run, and its local variables hold where the run is in the
@@ -66,7 +65,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, insort
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
@@ -313,11 +311,13 @@ def blocking(
 class ChaseState:
     """One derivation under construction: its `store`, grown in place, the
     triggers on it that may still fire (`lists`, per rule in canonical match
-    order), the frontier keys fired along it (`fired`, kept under SO only,
-    the one variant that reads it, as a count so that `undo` keeps a key an
-    earlier step fired too) and its (trigger, delta) `records`. Invariant:
-    after every step `lists` holds every trigger on the store except those
-    applied or dropped by a scan for a permanent reason.
+    order), the frontier keys of its non-Datalog steps (`fired`, kept under
+    SO only, the one variant that reads them; an applicable trigger's key is
+    not in it yet, so `pop` removes the key its step added) and its
+    (trigger, delta) `records`. Invariant: after every step `lists` holds
+    every trigger on the store except those applied or dropped by a scan
+    for a permanent reason. A run moves a state by `apply` alone, a search
+    by `push`, `pop` and `goto` alone.
     """
 
     def __init__(self, kb: KnowledgeBase, variant: ChaseVariant, hom_budget: Optional[int] = None) -> None:
@@ -327,22 +327,11 @@ class ChaseState:
         self.datalog_ids = frozenset(r.id for r in kb.rules if r.is_datalog)
         self.store = Store(kb.facts.atoms)
         self.lists: list[list[Trigger]] = [[] for _ in kb.rules]
-        self.fired: Counter[tuple] = Counter()
+        self.fired: set[tuple] = set()
         self.records: list[tuple[Trigger, tuple[Atom, ...]]] = []
+        self._trail: list[list[list[Trigger]]] = []  # the lists before each push
         for t in enumerate_triggers(kb.rules, self.store, stats=self.stats):
             self.lists[self.rule_index[t.rule.id]].append(t)  # in match order per rule
-
-    def fork(self) -> "ChaseState":
-        """A copy that changes apart from this state. It is built field by
-        field, so no other attribute set on this state carries over."""
-        child = object.__new__(ChaseState)
-        child.kb, child.variant, child.hom_budget = self.kb, self.variant, self.hom_budget
-        child.stats = dict(self.stats)
-        child.rule_index, child.datalog_ids = self.rule_index, self.datalog_ids
-        child.store, child.fired = self.store.copy(), self.fired.copy()
-        child.lists = [list(entries) for entries in self.lists]
-        child.records = list(self.records)
-        return child
 
     def scan(self, rule_ids: Optional[frozenset[str]] = None, first: bool = False) -> list[Trigger]:
         """Applicable triggers in canonical order (only the first one if
@@ -390,8 +379,8 @@ class ChaseState:
         take it off its list and put on the triggers whose match uses an
         atom it added."""
         delta = self.store.add(t.output)
-        if self.variant.tag == "so":
-            self.fired[t.frontier_key] += 1
+        if self.variant.tag == "so" and not t.rule.is_datalog:
+            self.fired.add(t.frontier_key)
         entries = self.lists[self.rule_index[t.rule.id]]
         i = bisect_left(entries, t.body_key, key=_MATCH_ORDER)
         if i < len(entries) and entries[i].body_key == t.body_key:
@@ -401,24 +390,32 @@ class ChaseState:
         self.records.append((t, delta))
         return delta
 
-    def checkpoint(self) -> list[list[Trigger]]:
-        """The trigger lists, for `undo`; the state goes on with a copy."""
-        lists = self.lists
-        self.lists = [list(entries) for entries in lists]
-        return lists
+    def push(self, t: Trigger) -> None:
+        """`apply` `t`, keeping the trigger lists on the trail for `pop`."""
+        self._trail.append(self.lists)
+        self.lists = [list(entries) for entries in self.lists]
+        self.apply(t)
 
-    def undo(self, lists: list[list[Trigger]]) -> None:
-        """Take back the last `apply`, given what `checkpoint` returned
-        before it."""
+    def pop(self) -> None:
+        """Take back the last `push`."""
         t, delta = self.records.pop()
         self.store.remove(delta)
-        if self.variant.tag == "so":
-            key = t.frontier_key
-            if self.fired[key] == 1:
-                del self.fired[key]
-            else:
-                self.fired[key] -= 1
-        self.lists = lists
+        if self.variant.tag == "so" and not t.rule.is_datalog:
+            self.fired.remove(t.frontier_key)
+        self.lists = self._trail.pop()
+
+    def goto(self, path: Sequence[Trigger]) -> None:
+        """Move to the end of `path`, triggers each applicable after those
+        before it: pop back to the prefix the records share with `path` (by
+        trigger identity), then push the rest."""
+        records = self.records
+        k, n = 0, min(len(records), len(path))
+        while k < n and records[k][0] is path[k]:
+            k += 1
+        for _ in range(len(records) - k):
+            self.pop()
+        for t in path[k:]:
+            self.push(t)
 
     def derivation(self, verdict: str) -> Derivation:
         """The derivation so far, ended with `verdict`."""

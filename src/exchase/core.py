@@ -378,7 +378,7 @@ class FactBase:
 
 class Store:
     """The indexed fact base: the one a derivation grows in place and
-    shrinks on undo, and the target of every trigger join and homomorphism
+    shrinks on a pop, and the target of every trigger join and homomorphism
     search.
 
     It has the atom set (`atoms`), the terms (`terms`), iteration in
@@ -485,15 +485,6 @@ class Store:
             if len(bucket) < len(pool):
                 pool = bucket
         return pool
-
-    def copy(self) -> "Store":
-        out = Store()
-        out.atoms = set(self.atoms)
-        out._uses = self._uses.copy()
-        out.terms = out._uses.keys()
-        out.by_pred = {p: list(v) for p, v in self.by_pred.items()}
-        out.by_pred_pos = {k: list(v) for k, v in self.by_pred_pos.items()}
-        return out
 
     def snapshot(self) -> FactBase:
         return FactBase(frozenset(self.atoms))

@@ -19,6 +19,7 @@ from exchase.analysis import (
     load_fixture,
 )
 from exchase.chase import (
+    ChaseState,
     ChaseVariant,
     DatalogFirst,
     FIFO,
@@ -107,7 +108,7 @@ def test_growth_label_uncertified_for_multi_head_rules():
 def test_explore_budget_exceeded():
     report = explore_all(load_kb("t8.erl"), SO, 50, 10)
     assert report.verdict == BUDGET_EXCEEDED
-    assert report.frontier is not None
+    assert report.nodes == 11
 
 
 def test_explore_deeper_than_the_recursion_limit():
@@ -302,6 +303,17 @@ def test_breadth_first_search_returns_the_deepening_answer_on_the_corpus(name):
     kb = load_kb(name)
     for variant in (O, SO, R, E, DFR):
         assert _search_only(kb, variant, 4) == _deepening_reference(kb, variant, 4), variant.label
+
+
+def test_search_builds_one_store_per_chase_state(monkeypatch):
+    """A search-only `find_terminating` through the 2^8 states of eight
+    independent rules builds one `Store` per `ChaseState`, three in all:
+    the two given-up strategy runs and the search, which moves one state."""
+    text = "".join("[r%d] a%d(X) -> exists Y. b%d(X,Y).\na%d(c).\n" % ((i,) * 4) for i in range(8))
+    stores = _counting(monkeypatch, Store, "__init__")
+    states = _counting(monkeypatch, ChaseState, "__init__")
+    assert len(_search_only(parse_document(text).knowledge_base(), R, 8)) == 8
+    assert len(stores) == len(states) == 3
 
 
 # --- entails ------------------------------------------------------------------------

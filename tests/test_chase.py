@@ -705,8 +705,8 @@ def test_triggers_from_enumeration_and_delta_search_are_equal():
 @given(small_kbs(), st.sampled_from(ALL_VARIANTS), st.data())
 def test_inherited_agenda_edges_match_from_scratch_edges(kb, name, data):
     """Along a random explorer path, each state's edges from the triggers
-    it inherits equal `applicable_edges` on its fact base, and a fork
-    leaves its parent's triggers as they were."""
+    it inherits equal `applicable_edges` on its fact base, and a step
+    pushed, scanned below and popped leaves the triggers as they were."""
     variant = ChaseVariant.parse(name)
     state = ChaseState(kb, variant)
     for _ in range(5):
@@ -716,11 +716,12 @@ def test_inherited_agenda_edges_match_from_scratch_edges(kb, name, data):
         if not edges:
             break
         t = data.draw(st.sampled_from(edges))
-        child = state.fork()
-        child.apply(t)
+        state.push(t)
+        state.scan()
+        state.pop()
         assert state.scan() == edges
         assert state.store.snapshot() == fb
-        state = child
+        state.push(t)
 
 
 def _state_view(state: ChaseState) -> tuple:
@@ -731,7 +732,7 @@ def _state_view(state: ChaseState) -> tuple:
         list(store),
         {p: list(v) for p, v in store.by_pred.items()},
         {k: list(v) for k, v in store.by_pred_pos.items()},
-        dict(state.fired),
+        set(state.fired),
         list(state.records),
         [list(entries) for entries in state.lists],
     )
@@ -740,21 +741,54 @@ def _state_view(state: ChaseState) -> tuple:
 @settings(max_examples=150, deadline=None, database=None)
 @given(small_kbs(), st.sampled_from(ALL_VARIANTS), st.data())
 def test_undo_takes_back_apply_along_a_random_path(kb, name, data):
-    """Down a random path and back: each `undo` gives back the store (atoms,
-    terms, iteration order, every bucket), fired keys, records and trigger
-    lists that the state had before the step, scans below it included."""
+    """Down a random path by `push` and back by `pop`: each pop gives back
+    the store (atoms, terms, iteration order, every bucket), fired keys,
+    records and trigger lists that the state had before the push, scans
+    below it included."""
     state = ChaseState(kb, ChaseVariant.parse(name))
     trail = []
     for _ in range(6):
         edges = state.scan()
         if not edges:
             break
-        trail.append((_state_view(state), state.checkpoint()))
-        state.apply(data.draw(st.sampled_from(edges)))
+        trail.append(_state_view(state))
+        state.push(data.draw(st.sampled_from(edges)))
     while trail:
-        before, lists = trail.pop()
-        state.undo(lists)
-        assert _state_view(state) == before
+        state.pop()
+        assert _state_view(state) == trail.pop()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_kbs(), st.sampled_from(ALL_VARIANTS), st.data())
+def test_goto_reaches_the_state_a_fresh_walk_pushes_to(kb, name, data):
+    """From a state at the end of a random path A, `goto(B)` leaves the
+    store (atoms, terms, iteration order, every bucket in order), fired
+    keys, records and scan of a new state pushed along B. B shares a
+    random prefix of A, the same trigger objects, and goes on at random."""
+    variant = ChaseVariant.parse(name)
+
+    def walk(state: ChaseState, steps: int) -> list[Trigger]:
+        path = []
+        for _ in range(steps):
+            edges = state.scan()
+            if not edges:
+                break
+            path.append(data.draw(st.sampled_from(edges)))
+            state.push(path[-1])
+        return path
+
+    state = ChaseState(kb, variant)
+    a = walk(state, data.draw(st.integers(0, 5)))
+    fresh = ChaseState(kb, variant)
+    b = a[: data.draw(st.integers(0, len(a)))]
+    for t in b:
+        fresh.push(t)
+    b += walk(fresh, data.draw(st.integers(0, 5)))
+    state.goto(b)
+    assert [t for t, _ in state.records] == b
+    view, expected = _state_view(state), _state_view(fresh)
+    assert view[:-1] == expected[:-1]  # the trigger lists may differ in what scans dropped
+    assert state.scan() == fresh.scan()
 
 
 # --- compiled joins against the homomorphism search --------------------------
@@ -921,12 +955,11 @@ def test_blocked_agrees_with_scan(name):
     for variant in ("o", "so", "r", "dfo", "dfso", "dfr"):
         state = ChaseState(kb, ChaseVariant.parse(variant))
         for _ in range(8):
-            probe = state.fork()
-            live = [t for entries in probe.lists for t in entries]
-            before = probe.stats["triggers_considered"]
-            applicable = [t for t in live if probe.blocked(t) is None]
+            live = [t for entries in state.lists for t in entries]
+            before = state.stats["triggers_considered"]
+            applicable = [t for t in live if state.blocked(t) is None]
             if not variant.startswith("df"):
-                assert probe.stats["triggers_considered"] == before + len(live)
+                assert state.stats["triggers_considered"] == before + len(live)
             assert applicable == state.scan()
             if not applicable:
                 break

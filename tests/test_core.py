@@ -250,21 +250,7 @@ def test_store_candidates_hold_every_agreeing_atom_in_canonical_order(data):
     _assert_candidates_agree(store, data)
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.data())
-def test_store_copy_keeps_its_key_lists_apart(data):
-    """A store and its copy, grown and shrunk apart by different atoms,
-    each keep candidates that hold exactly its own agreeing atoms: the copy
-    shares no bucket with its original."""
-    original = Store(data.draw(st.lists(_store_atoms(), max_size=6)))
-    stores = (original, original.copy())
-    for store in stores:
-        _grow_and_shrink(store, data)
-    for store in stores:
-        _assert_candidates_agree(store, data)
-
-
-def test_store_remove_undoes_add_and_copy_is_apart():
+def test_store_remove_undoes_add():
     def view(s: Store) -> tuple:
         return list(s), set(s.atoms), set(s.terms), s.by_pred, s.by_pred_pos
 
@@ -274,9 +260,7 @@ def test_store_remove_undoes_add_and_copy_is_apart():
         rng.shuffle(atoms)
         k = rng.randint(0, len(atoms))
         store, before = Store(atoms[:k]), view(Store(atoms[:k]))
-        copy = store.copy()
         delta = store.add(atoms[k:])
-        assert view(copy) == before
         store.remove(delta)
         assert view(store) == before
 
@@ -289,18 +273,16 @@ def _bounds(arity: int) -> list[list[tuple[int, Term]]]:
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.data())
-def test_store_pool_and_candidates_agree_through_adds_removes_and_copies(data):
-    """After random adds, removes that undo the latest add and copies, the
+def test_store_pool_and_candidates_agree_through_adds_and_removes(data):
+    """After random adds and removes that undo the latest add, the
     candidates of every bucket, sorted, equal those of a store built anew
     from the same atoms by one add, which are in canonical order as they
     stand. Reads come at random points of the store's history."""
     store, deltas = Store(), []
     for _ in range(data.draw(st.integers(1, 12))):
-        op = data.draw(st.sampled_from(("add", "add", "remove", "copy")))
+        op = data.draw(st.sampled_from(("add", "add", "remove")))
         if op == "remove" and deltas:
             store.remove(deltas.pop())
-        elif op == "copy":
-            store = store.copy()
         else:
             deltas.append(store.add(data.draw(st.lists(_store_atoms(), max_size=6))))
         if not data.draw(st.booleans()):
