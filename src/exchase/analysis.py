@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import chase, core, hom, normalize, textio
+from . import core, hom, normalize, textio
 from .core import TERMINATED_FAIR, Atom, Derivation, FactBase, KnowledgeBase, Null, Rule, Trigger, Var
 from .chase import (
     STOPPED,
@@ -37,6 +37,8 @@ from .chase import (
     Phased,
     Scripted,
     Strategy,
+    StrategyError,
+    check_rule_ids,
     delta_triggers,
     run_chase,
 )
@@ -219,7 +221,7 @@ def entails(
 # --- corpus classification --------------------------------------------------
 
 
-class FixtureError(ValueError):
+class FixtureError(core.InputError):
     """A fixture file is malformed or references unknown material."""
 
 
@@ -232,15 +234,16 @@ class Fixture:
     strategies: list[Strategy]
 
 
-def _strategy_from_spec(spec) -> Strategy:
+def _strategy_from_spec(spec, kb: KnowledgeBase) -> Strategy:
+    """The strategy of a fixture's spec, which may name rules of `kb` only."""
+    if not isinstance(spec, dict) or ("phased" not in spec and "scripted" not in spec):
+        raise FixtureError("unknown strategy spec: %r" % (spec,))
     try:
-        if isinstance(spec, dict) and "phased" in spec:
-            return Phased(spec["phased"])
-        if isinstance(spec, dict) and "scripted" in spec:
-            return Scripted(spec["scripted"])
+        strategy = Phased(spec["phased"]) if "phased" in spec else Scripted(spec["scripted"])
+        check_rule_ids(strategy, kb)
     except (ValueError, TypeError, LookupError) as e:
         raise FixtureError("malformed strategy spec %r: %s" % (spec, e))
-    raise FixtureError("unknown strategy spec: %r" % (spec,))
+    return strategy
 
 
 # Budgets of a fixture and the least value each may take.
@@ -305,11 +308,11 @@ def load_fixture(path: Path) -> Fixture:
         if transform is not None:
             rules = normalize.PROCEDURES[transform](rules, reserved=doc.data_predicates()).output_rules
         kb = KnowledgeBase(rules, doc.factbase())
-        strategies = [_strategy_from_spec(s) for s in raw.get("strategies", [])]
+        strategies = [_strategy_from_spec(s, kb) for s in raw.get("strategies", [])]
     except (textio.ParseError, textio.ArityError, textio.VariableScopeError) as e:
         e.args = ("%s: %s: %s" % (path, erl, e),)  # the same error, naming the files
         raise
-    except (normalize.FreshNameClashError, core.KnowledgeBaseError, chase.VariantError, FixtureError) as e:
+    except core.InputError as e:
         e.args = ("%s: %s" % (path, e),)
         raise
     return Fixture(raw["id"], kb, raw["budgets"], raw["expect"], strategies)
@@ -361,5 +364,10 @@ def classify(fixture_dir: Path) -> list[dict]:
         raise FixtureError("no fixture files in %s" % fixture_dir)
     rows: list[dict] = []
     for path in paths:
-        rows.extend(classify_fixture(load_fixture(path)))
+        fixture = load_fixture(path)
+        try:
+            rows.extend(classify_fixture(fixture))
+        except StrategyError as e:  # a scripted step found nothing to apply
+            e.args = ("%s: %s" % (path, e),)
+            raise
     return rows

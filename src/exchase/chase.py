@@ -16,8 +16,9 @@ reads the frontier keys of the triggers fired along the derivation, which
 the derivation state keeps (`ChaseState.fired`) under SO only, the one
 variant that reads them. R is decided as head satisfaction: a join of the
 rule's head from t's frontier match (`Rule.head_plan`), in which only the
-fresh nulls F lacks may move. That is the retraction test at the cost of
-|out(t)| atoms instead of |F|; E runs it first as its cheap case.
+fresh nulls F lacks may move, which are those the input facts lack. That is
+the retraction test at the cost of |out(t)| atoms instead of |F|; E runs it
+first as its cheap case.
 
 The Datalog-first modifier gates non-Datalog triggers: they only become
 applicable once every Datalog rule is satisfied.
@@ -41,10 +42,11 @@ a join sorts no bucket.
 Enumerating every trigger of a store joins the whole body the same way.
 
 `ChaseState` is the one place that tests applicability along a derivation,
-one `blocking` call per trigger considered: `scan` tests its trigger lists
-for every strategy, the final fairness check of `run_chase` and both
-searches of the explorer, and `blocked` tests one trigger, for
-Datalog-first's re-check of its batch. A scan drops a trigger only for a
+one `ChaseState.blocked` call per trigger considered, which reads the
+state's store, fired keys, variant and budget: `scan` calls it for its
+trigger lists, for every strategy, the final fairness check of `run_chase`
+and both searches of the explorer, and Datalog-first's re-check of its
+batch calls it for one trigger. A scan drops a trigger only for a
 reason that cannot go away as F grows: its output is present (which covers
 O), its SO frontier key has fired, or its head is satisfied (R, and E's
 cheap case). An E-blocked trigger stays, because a homomorphism of
@@ -66,7 +68,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
     BUDGET_EXHAUSTED,
@@ -76,6 +78,7 @@ from .core import (
     BodyEntry,
     Derivation,
     FactBase,
+    InputError,
     KnowledgeBase,
     PlanStep,
     Rule,
@@ -88,14 +91,14 @@ from .core import (
 from . import hom
 
 
-class StrategyError(ValueError):
+class StrategyError(InputError):
     """A phase's rule group is not a list of rule ids or its mode is not
     "exhaust" or "once", a script is not a list of steps, a scripted trigger
     choice is not a trigger index or was not applicable at its step, or a
     strategy names a rule the knowledge base does not have."""
 
 
-class VariantError(ValueError):
+class VariantError(InputError):
     """A chase variant name is not o, so, r or e, optionally df-prefixed."""
 
 
@@ -243,22 +246,6 @@ def delta_triggers(
 _BODY_POSITION = operator.itemgetter(0, 1)
 
 
-def head_satisfied(t: Trigger, fb, stats: Optional[dict] = None) -> bool:
-    """True iff out(t) maps into F with every term F holds kept fixed.
-
-    This is the restricted chase's blocking test, a retraction of
-    F + out(t) onto F: only the fresh nulls of t that F does not hold may
-    move, so the head is joined from t's match and the nulls F holds."""
-    pending = [a for a in t.output if a not in fb.atoms]
-    movable = {n for n in t.output_nulls if n not in fb.terms}
-    if any(movable.isdisjoint(a.args) for a in pending):
-        return False  # a rigid atom is missing from F
-    binding = {s: x for s, x in t.extended.items() if x not in movable}
-    head = t.rule.head_plan if len(binding) == len(t.mapping) else join_plan(t.rule.head, binding)
-    store = fb if isinstance(fb, Store) else Store(fb)
-    return next(_join(head, store, binding, stats), None) is not None
-
-
 # Why a trigger is not applicable. PRESENT, FIRED and SATISFIED hold for good
 # once they hold, because F only grows along a derivation; FOLDED (E) and
 # GATED (Datalog-first) can stop holding.
@@ -268,44 +255,6 @@ SATISFIED = "head satisfied"
 FOLDED = "folds into F"
 GATED = "Datalog rule unsatisfied"
 PERMANENT = frozenset((PRESENT, FIRED, SATISFIED))
-
-
-def blocking(
-    variant: ChaseVariant,
-    t: Trigger,
-    fb,
-    fired: Collection[tuple],
-    *,
-    datalog_ok: Optional[bool] = None,
-    hom_budget: Optional[int] = None,
-    stats: Optional[dict] = None,
-) -> Optional[str]:
-    """The reason `t` is not applicable on `fb` under the variant, or None
-    if it is applicable. `fired` holds the frontier keys of the triggers
-    fired along the derivation to `fb`. `datalog_ok` tells whether every
-    Datalog rule is satisfied; only a non-Datalog trigger under a
-    Datalog-first variant reads it, and is gated unless it is true."""
-    out = t.output
-    if all(a in fb.atoms for a in out):
-        return PRESENT
-    if t.rule.is_datalog:
-        # For Datalog triggers all four notions coincide with out(t) not in F.
-        return None
-    if variant.datalog_first and not datalog_ok:
-        return GATED
-    tag = variant.tag
-    if tag == "o":
-        return None  # content-addressed labels: applied iff output present
-    if tag == "so":
-        return FIRED if t.frontier_key in fired else None
-    # R, and E's cheap case first: a retraction is a homomorphism.
-    if head_satisfied(t, fb, stats=stats):
-        return SATISFIED
-    if tag == "e":
-        h = hom.find_homomorphism([*fb, *out], fb, budget=hom_budget, stats=stats)
-        if h is not None:
-            return FOLDED
-    return None
 
 
 class ChaseState:
@@ -338,21 +287,17 @@ class ChaseState:
         `first`), dropping every trigger found blocked for good. The
         Datalog-first gate is open when no live Datalog trigger is left. An
         E test over `hom_budget` leaves its list uncompacted but whole."""
-        variant, store, fired, stats = self.variant, self.store, self.fired, self.stats
-        budget = self.hom_budget
+        datalog_first, blocked = self.variant.datalog_first, self.blocked
         found: list[Trigger] = []
         datalog_ok: Optional[bool] = None
         for rule, entries in zip(self.kb.rules, self.lists):
             if rule_ids is not None and rule.id not in rule_ids:
                 continue
-            if datalog_ok is None and entries and variant.datalog_first and not rule.is_datalog:
+            if datalog_ok is None and entries and datalog_first and not rule.is_datalog:
                 datalog_ok = not self.scan(self.datalog_ids, first=True)
             kept: list[Trigger] = []
             for pos, t in enumerate(entries):
-                stats["triggers_considered"] += 1
-                reason = blocking(
-                    variant, t, store, fired, datalog_ok=datalog_ok, hom_budget=budget, stats=stats
-                )
+                reason = blocked(t, datalog_ok)
                 if reason in PERMANENT:
                     continue
                 kept.append(t)
@@ -364,15 +309,51 @@ class ChaseState:
             entries[:] = kept
         return found
 
-    def blocked(self, t: Trigger) -> Optional[str]:
-        """Why `t` is not applicable on the state (`blocking`), or None: a
-        scan's test of one trigger, which stays where it is in the lists."""
-        variant, budget, stats = self.variant, self.hom_budget, self.stats
-        ok = None  # whether the Datalog-first gate is open, asked only when it applies
-        if variant.datalog_first and not t.rule.is_datalog:
-            ok = not self.scan(self.datalog_ids, first=True)
-        stats["triggers_considered"] += 1
-        return blocking(variant, t, self.store, self.fired, datalog_ok=ok, hom_budget=budget, stats=stats)
+    def blocked(self, t: Trigger, datalog_ok: Optional[bool] = None) -> Optional[str]:
+        """Why `t` is not applicable on the state, or None if it is: the one
+        applicability test, counted as one trigger considered. `datalog_ok`
+        tells whether the Datalog-first gate is open; a scan passes the
+        value it found, and a test of one trigger, which stays where it is
+        in the lists, leaves it None to have the gate found here.
+
+        R's test, which E runs first as its cheap case, is head
+        satisfaction: a retraction of F + out(t) onto F, in which only the
+        fresh nulls of t that F lacks may move, so the head is joined from
+        t's match and the fresh nulls F holds. Those are the fresh nulls
+        the input facts hold. The test is reached only when out(t) is not
+        all in F, so t has not fired on this derivation: F only grows along
+        a derivation, and `pop` undoes pushes in LIFO order. A null label
+        is minted only by its own (rule, match), so no other step can have
+        added one of t's fresh nulls to F."""
+        variant = self.variant
+        if datalog_ok is None and variant.datalog_first and not t.rule.is_datalog:
+            datalog_ok = not self.scan(self.datalog_ids, first=True)
+        self.stats["triggers_considered"] += 1
+        out, store = t.output, self.store
+        if all(a in store.atoms for a in out):
+            return PRESENT
+        if t.rule.is_datalog:
+            # For Datalog triggers all four notions coincide with out(t) not in F.
+            return None
+        if variant.datalog_first and not datalog_ok:
+            return GATED
+        tag = variant.tag
+        if tag == "o":
+            return None  # content-addressed labels: applied iff output present
+        if tag == "so":
+            return FIRED if t.frontier_key in self.fired else None
+        movable = t.output_nulls - self.kb.facts.nulls
+        rigid_missing = any(movable.isdisjoint(a.args) for a in out if a not in store.atoms)
+        if not rigid_missing:
+            binding = {s: x for s, x in t.extended.items() if x not in movable}
+            head = t.rule.head_plan if len(binding) == len(t.mapping) else join_plan(t.rule.head, binding)
+            if next(_join(head, store, binding, self.stats), None) is not None:
+                return SATISFIED
+        if tag == "e":
+            self.stats["hom_calls"] += 1
+            if hom.find_homomorphism([*store, *out], store, budget=self.hom_budget) is not None:
+                return FOLDED
+        return None
 
     def apply(self, t: Trigger) -> tuple[Atom, ...]:
         """Fire `t`: add its output to the store, record its frontier key,
@@ -426,16 +407,19 @@ class ChaseState:
 class Strategy:
     """`triggers(state)` makes the generator of one run: it yields the next
     trigger to apply on `state` and ends when it has none left. A strategy
-    that is not `complete` may end while a trigger is still applicable."""
+    that is not `complete` may end while a trigger is still applicable.
+    `rule_ids` are the rule ids the strategy names."""
 
     complete = True
+    rule_ids: frozenset[str] = frozenset()
 
     def triggers(self, state: ChaseState) -> Iterator[Trigger]:
         raise NotImplementedError
 
 
-def _check_rule_ids(state: ChaseState, ids: Iterable[str]) -> None:
-    unknown = ", ".join(map(repr, sorted(set(ids).difference(state.rule_index))))
+def check_rule_ids(strategy: Strategy, kb: KnowledgeBase) -> None:
+    """Raise StrategyError if `strategy` names a rule that `kb` does not have."""
+    unknown = ", ".join(map(repr, sorted(strategy.rule_ids.difference(r.id for r in kb.rules))))
     if unknown:
         raise StrategyError("strategy names rule(s) %s that the knowledge base does not have" % unknown)
 
@@ -484,12 +468,13 @@ class Phased(Strategy):
             if not isinstance(ids, (list, tuple)) or not all(isinstance(i, str) for i in ids):
                 raise StrategyError("phase rule group %r is not a list of rule ids" % (ids,))
         self.phases = [(frozenset(ids), mode) for ids, mode in phases]
+        self.rule_ids = frozenset().union(*(ids for ids, _ in self.phases))
         for _, mode in self.phases:
             if mode not in ("exhaust", "once"):
                 raise StrategyError("phase mode must be 'exhaust' or 'once', got %r" % mode)
 
     def triggers(self, state: ChaseState) -> Iterator[Trigger]:
-        _check_rule_ids(state, (i for ids, _ in self.phases for i in ids))
+        check_rule_ids(self, state.kb)
         for ids, mode in self.phases:
             while found := state.scan(ids, first=True):
                 yield found[0]
@@ -518,9 +503,10 @@ class Scripted(Strategy):
                 raise StrategyError(
                     "scripted step for rule %r: index %r is not a non-negative integer" % tuple(step)
                 )
+        self.rule_ids = frozenset(rule_id for rule_id, _ in self.steps)
 
     def triggers(self, state: ChaseState) -> Iterator[Trigger]:
-        _check_rule_ids(state, (rule_id for rule_id, _ in self.steps))
+        check_rule_ids(self, state.kb)
         for number, (rule_id, pick) in enumerate(self.steps, 1):
             candidates = state.scan(frozenset([rule_id]))
             if pick >= len(candidates):

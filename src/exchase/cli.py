@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import analysis, normalize, textio, tmgen
-from .core import KnowledgeBaseError
+from .core import InputError
 from .chase import (
     ChaseVariant,
     DatalogFirst,
@@ -27,13 +27,11 @@ from .chase import (
     Phased,
     Scripted,
     Strategy,
-    StrategyError,
-    VariantError,
     run_chase,
 )
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     """A command-line value or a file it names cannot be used."""
 
 
@@ -292,20 +290,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        textio.ParseError,
-        textio.ArityError,
-        textio.VariableScopeError,
-        analysis.FixtureError,
-        tmgen.InvalidMachine,
-        normalize.FreshNameClashError,
-        KnowledgeBaseError,
-        StrategyError,
-        VariantError,
-        UsageError,
-        OSError,
-        UnicodeDecodeError,
-    ) as e:
+    except (InputError, OSError, UnicodeDecodeError) as e:
         print(
             json.dumps({"command": args.command, "error": str(e)}, sort_keys=True),
             file=sys.stderr,

@@ -381,23 +381,20 @@ class Store:
     shrinks on a pop, and the target of every trigger join and homomorphism
     search.
 
-    It has the atom set (`atoms`), the terms (`terms`), iteration in
-    canonical order and two indexes: `by_pred` (predicate -> atoms) and
-    `by_pred_pos` ((predicate, argument position, term) -> atoms). Buckets
-    are in the order their atoms were added, each `add` appending its delta
-    in canonical order, so `add` costs no search and `remove`, which takes
-    back the latest `add` still in place, pops the bucket tails. Joins and
-    searches read them through `candidates`, in that order; a search that
-    must branch in canonical order sorts the one list it branches on.
-    `terms` is the live key view of a count of term uses, so a term leaves
-    it with its last atom. Atoms come from a `FactBase` or trigger outputs,
-    so they are not checked for variables again.
+    It has the atom set (`atoms`), iteration in canonical order and two
+    indexes: `by_pred` (predicate -> atoms) and `by_pred_pos` ((predicate,
+    argument position, term) -> atoms). Buckets are in the order their
+    atoms were added, each `add` appending its delta in canonical order, so
+    `add` costs no search and `remove`, which takes back the latest `add`
+    still in place, pops the bucket tails. Joins and searches read them
+    through `candidates`, in that order; a search that must branch in
+    canonical order sorts the one list it branches on. Atoms come from a
+    `FactBase` or trigger outputs, so they are not checked for variables
+    again.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
         self.atoms: set[Atom] = set()
-        self._uses: dict[Term, int] = {}
-        self.terms = self._uses.keys()
         self.by_pred: dict[str, list[Atom]] = {}
         self.by_pred_pos: dict[tuple[str, int, Term], list[Atom]] = {}
         self.add(atoms)
@@ -408,7 +405,7 @@ class Store:
     def add(self, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
         """Insert the atoms; return those that were new, in canonical order."""
         new = sort_atoms(frozenset(atoms) - self.atoms)
-        by_pred, by_pred_pos, uses = self.by_pred, self.by_pred_pos, self._uses
+        by_pred, by_pred_pos = self.by_pred, self.by_pred_pos
         for a in new:
             pred = a.pred
             bucket = by_pred.get(pred)
@@ -422,18 +419,16 @@ class Store:
                     by_pred_pos[b] = [a]
                 else:
                     bucket.append(a)
-            for t in a.args:
-                uses[t] = uses.get(t, 0) + 1
         self.atoms.update(new)
         return new
 
     def remove(self, delta: Sequence[Atom]) -> None:
         """Undo the `add` that returned `delta`, the latest one still in
-        place: the atoms, the terms only they used and the index buckets
-        they alone filled leave the store. Raises ValueError, leaving the
-        store as it was, when an atom of `delta` is not the last of its
-        predicate's bucket once the atoms after it in `delta` are out: the
-        call then does not undo the latest `add` in place."""
+        place: the atoms and the index buckets they alone filled leave the
+        store. Raises ValueError, leaving the store as it was, when an atom
+        of `delta` is not the last of its predicate's bucket once the atoms
+        after it in `delta` are out: the call then does not undo the latest
+        `add` in place."""
         tails: dict[str, list[Atom]] = {}
         for a in delta:
             tails.setdefault(a.pred, []).append(a)
@@ -446,18 +441,12 @@ class Store:
                     "Store.remove takes back only the latest add still in place, "
                     "and the %r atoms given are not the last ones of their bucket" % pred
                 )
-        uses = self._uses
         for a in reversed(delta):
             pred = a.pred
             self.atoms.remove(a)
             self._pop(self.by_pred, pred)
             for b in zip(repeat(pred), count(), a.args):
                 self._pop(self.by_pred_pos, b)
-            for t in a.args:
-                if uses[t] == 1:
-                    del uses[t]
-                else:
-                    uses[t] -= 1
 
     def _pop(self, index: dict, b) -> None:
         """Pop the last atom of the bucket `index[b]`, and drop the bucket
@@ -490,7 +479,13 @@ class Store:
         return FactBase(frozenset(self.atoms))
 
 
-class KnowledgeBaseError(ValueError):
+class InputError(ValueError):
+    """Input that cannot be used: a document, fixture, machine, strategy,
+    variant name or command-line value that is malformed or inconsistent.
+    The command line reports each one as a JSON error."""
+
+
+class KnowledgeBaseError(InputError):
     """Rule ids clash or a predicate is used with two arities."""
 
 

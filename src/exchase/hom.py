@@ -34,7 +34,7 @@ class _Search:
     branches on: the tree, its solutions and their order do not depend on
     the order in which the store's atoms were added."""
 
-    def __init__(self, source, target, fixed, injective, budget, stats):
+    def __init__(self, source, target, fixed, injective, budget):
         self.atoms = list(source)
         self.fb = target if isinstance(target, Store) else Store(target)
         self.injective = injective
@@ -44,8 +44,6 @@ class _Search:
         self.used: set[Term] = set(self.assignment.values()) if injective else set()
         if injective:  # constants of the source are their own images
             self.used.update(t for a in self.atoms for t in a.args if isinstance(t, Const))
-        if stats is not None:
-            stats["hom_calls"] = stats.get("hom_calls", 0) + 1
 
     def _candidates(
         self, a: Atom, limit: Optional[int] = None
@@ -159,7 +157,6 @@ def iter_homomorphisms(
     fixed: Optional[Mapping[Term, Term]] = None,
     injective: bool = False,
     budget: Optional[int] = None,
-    stats: Optional[dict] = None,
 ) -> Iterator[dict[Term, Term]]:
     """All extensions of `fixed` mapping the source atoms into the target.
 
@@ -171,7 +168,7 @@ def iter_homomorphisms(
         for k, v in fixed.items():
             if isinstance(k, Const) and k != v:
                 raise ValueError("cannot remap constant %s" % k)
-    search = _Search(source, target, fixed, injective, budget, stats)
+    search = _Search(source, target, fixed, injective, budget)
     return search.run()
 
 
@@ -181,10 +178,9 @@ def find_homomorphism(
     fixed: Optional[Mapping[Term, Term]] = None,
     injective: bool = False,
     budget: Optional[int] = None,
-    stats: Optional[dict] = None,
 ) -> Optional[dict[Term, Term]]:
     """First solution of `iter_homomorphisms`, or None if none exists."""
-    for h in iter_homomorphisms(source, target, fixed, injective, budget, stats):
+    for h in iter_homomorphisms(source, target, fixed, injective, budget):
         return h
     return None
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Atom, Rule, Var, sort_atoms
+from .core import Atom, InputError, Rule, Var, sort_atoms
 
 
-class FreshNameClashError(ValueError):
+class FreshNameClashError(InputError):
     """A name a decomposition generates is taken: a fresh predicate by a
     predicate of the input or by another rule's fresh predicate, or a
     generated rule id by an input rule id."""

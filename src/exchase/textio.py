@@ -40,12 +40,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
-from .core import Atom, Const, FactBase, KnowledgeBase, Null, Rule, Term, Var
+from .core import Atom, Const, FactBase, InputError, KnowledgeBase, Null, Rule, Term, Var
 
 _T = TypeVar("_T")
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, line: int, col: int, expected: Optional[str] = None):
         self.line = line
         self.col = col
@@ -53,7 +53,7 @@ class ParseError(ValueError):
         super().__init__("%d:%d: %s" % (line, col, message))
 
 
-class ArityError(ValueError):
+class ArityError(InputError):
     def __init__(self, predicate: str, seen: int, expected: int, line: int):
         self.predicate = predicate
         self.seen = seen
@@ -64,7 +64,7 @@ class ArityError(ValueError):
         )
 
 
-class VariableScopeError(ValueError):
+class VariableScopeError(InputError):
     pass
 
 

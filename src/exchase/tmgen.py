@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .core import Atom, Const, FactBase, KnowledgeBase, Rule, Var
+from .core import Atom, Const, FactBase, InputError, KnowledgeBase, Rule, Var
 from .chase import Phased
 
 
-class InvalidMachine(ValueError):
+class InvalidMachine(InputError):
     """The transition table is not total or names an unknown state/symbol,
     or a state or symbol name is not made of letters, digits and '_'."""
 

@@ -1,15 +1,17 @@
 """From-scratch reference implementations of applicability and of the
 breadth-first chase, for the tests.
 
-The package decides applicability in one place, `chase.blocking`, fed by a
-derivation state (`chase.ChaseState`) that keeps the frontier keys fired
-along the derivation. The functions here state the same definitions
-without that bookkeeping: they enumerate every trigger of a bare fact base,
-decide SO from the fact base alone, and run body matches and retractions
-through the general homomorphism search. `applicable_edges` and
-`breadth_first_layer` index the fact base they are given as a `Store` once
-per call. The tests hold the state's scans,
-its fired keys and head satisfaction against them. `ch_k` is the k-fold
+The package decides applicability in one place, `ChaseState.blocked`,
+which reads a derivation state (`chase.ChaseState`) that keeps the frontier
+keys fired along the derivation. The functions here state the same
+definitions without that bookkeeping: they enumerate every trigger of a
+bare fact base, decide SO from the fact base alone, and run body matches
+and retractions through the general homomorphism search, and test each
+trigger on a rule-less state whose input facts are the fact base
+(`fact_state`), built once per call of `applicable_edges`;
+`breadth_first_layer` indexes its fact base as a `Store` once per call.
+The tests hold the state's scans, its fired keys and head satisfaction
+against them. `ch_k` is the k-fold
 breadth-first saturation that acceptance criterion 6 is stated over.
 `ReferenceSearch` is the homomorphism search with its branch rule stated
 plainly, every candidate of every atom listed at each node.
@@ -44,7 +46,6 @@ from exchase.chase import (
     ChaseVariant,
     DatalogFirst,
     Strategy,
-    blocking,
     enumerate_triggers,
     run_chase,
 )
@@ -80,7 +81,7 @@ class RandomChoice(Strategy):
             yield self._rng.choice(candidates)
 
 
-def are_isomorphic(left, right, stats: Optional[dict] = None) -> bool:
+def are_isomorphic(left, right) -> bool:
     """True iff a bijective renaming of nulls/variables maps left onto right."""
     la = frozenset(left.atoms if isinstance(left, FactBase) else left)
     ra = frozenset(right.atoms if isinstance(right, FactBase) else right)
@@ -98,7 +99,7 @@ def are_isomorphic(left, right, stats: Optional[dict] = None) -> bool:
         return False
     # An injective term mapping with h(left) <= right and |left| = |right|
     # is onto, and its inverse is then a homomorphism as well.
-    return hom.find_homomorphism(la, ra, injective=True, stats=stats) is not None
+    return hom.find_homomorphism(la, ra, injective=True) is not None
 
 
 def rule_by_id(kb: KnowledgeBase, rule_id: str) -> Rule:
@@ -433,6 +434,12 @@ def so_blocked_intrinsic(t: Trigger, fb: Union[FactBase, Store]) -> bool:
     return False
 
 
+def fact_state(fb: Union[FactBase, Store], variant: ChaseVariant) -> ChaseState:
+    """A rule-less derivation state whose input facts are `fb`: it has only
+    its store, and has fired nothing."""
+    return ChaseState(KnowledgeBase((), FactBase(fb.atoms)), variant)
+
+
 def is_applicable(
     variant: ChaseVariant,
     t: Trigger,
@@ -441,22 +448,31 @@ def is_applicable(
     *,
     datalog_ok: bool = True,
 ) -> bool:
-    """True iff `chase.blocking` finds no reason. Without `fired`, the SO
-    test is intrinsic (`so_blocked_intrinsic`)."""
+    """True iff `ChaseState.blocked` finds no reason on a rule-less state
+    whose input facts are `fb` (`fact_state`) and whose fired keys are
+    `fired`. Without `fired`, the SO test is intrinsic
+    (`so_blocked_intrinsic`)."""
+    return _applicable(fact_state(fb, variant), t, fired, datalog_ok)
+
+
+def _applicable(
+    state: ChaseState, t: Trigger, fired: Optional[Collection[tuple]], datalog_ok: bool
+) -> bool:
     if fired is None:
-        fired = {t.frontier_key} if so_blocked_intrinsic(t, fb) else set()
-    return blocking(variant, t, fb, fired, datalog_ok=datalog_ok) is None
+        fired = {t.frontier_key} if so_blocked_intrinsic(t, state.store) else set()
+    state.fired = fired
+    return state.blocked(t, datalog_ok) is None
 
 
 def applicable_edges(kb: KnowledgeBase, fb: FactBase, variant: ChaseVariant) -> Iterator[Trigger]:
     """Applicable triggers on a bare fact base, in canonical order: every
     trigger enumerated, SO decided intrinsically, and the Datalog-first gate
     open iff every Datalog rule is satisfied."""
-    store = Store(fb.atoms)
+    state = fact_state(fb, variant)
     datalog_rules = [r for r in kb.rules if r.is_datalog]
-    datalog_ok = not variant.datalog_first or datalog_satisfied(datalog_rules, store)
-    for t in enumerate_triggers(kb.rules, store):
-        if is_applicable(variant, t, store, datalog_ok=datalog_ok):
+    datalog_ok = not variant.datalog_first or datalog_satisfied(datalog_rules, state.store)
+    for t in enumerate_triggers(kb.rules, state.store):
+        if _applicable(state, t, None, datalog_ok):
             yield t
 
 

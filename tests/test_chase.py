@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exchase import chase, hom
+from exchase import hom
 from exchase.analysis import load_fixture
 from exchase.core import (
     Atom,
@@ -34,7 +34,6 @@ from exchase.chase import (
     _join,
     delta_triggers,
     enumerate_triggers,
-    head_satisfied,
     run_chase,
 )
 
@@ -47,6 +46,7 @@ from oracles import (
     ch_k,
     datalog_satisfied,
     exists_retraction,
+    fact_state,
     is_applicable,
     reference_join_plan,
     rule_by_id,
@@ -653,14 +653,18 @@ def test_agenda_fifo_matches_per_step_oracle(kb, name):
 
 
 def test_head_satisfaction_equals_retraction_test():
+    """R blocks a trigger on a state whose input facts are F exactly when
+    F + out(t) retracts onto F: by its output being present, or by its
+    head being satisfied."""
     rng = random.Random(99)
     checked = 0
     while checked < 500:
         kb = random_kb(rng)
         fb = run_chase(kb, O, RandomChoice(rng.randint(0, 999)), rng.randint(0, 4)).result
+        state = fact_state(fb, R)
         for t in enumerate_triggers(kb.rules, Store(fb)):
             whole = itertools.chain(fb.atoms, t.output)
-            assert head_satisfied(t, fb) == exists_retraction(whole, fb)
+            assert (state.blocked(t) is not None) == exists_retraction(whole, fb)
             checked += 1
 
 
@@ -674,11 +678,42 @@ def test_head_satisfaction_keeps_a_minted_null_that_f_holds_fixed():
     t = Trigger(rule, make_match({"X": c}))
     held = t.output[0].args[1]
     fb = FactBase([Atom("a", (c,)), Atom("p", (c, Const("d"), Const("e"))), Atom("s", (held,))])
-    assert head_satisfied(t, fb) is False
+    assert fact_state(fb, R).blocked(t) is None
     assert exists_retraction(itertools.chain(fb.atoms, t.output), fb) is False
     out = run_chase(KnowledgeBase((rule,), fb), R, FIFO(), 10)
     assert out.verdict == TERMINATED_FAIR
     assert [r for r, _ in out.derivation.records] == [t]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_kbs(), st.sampled_from(ALL_VARIANTS), st.data())
+def test_fresh_nulls_in_the_store_are_those_the_input_holds(kb, name, data):
+    """What R's head test rests on: at every state down a random path of
+    pushes and back up by pops, each trigger on the store whose output is
+    not all in it finds in the store exactly those of its fresh nulls that
+    the input facts hold. Half the cases start from an earlier O-chase
+    result, so that the input holds minted nulls."""
+    if data.draw(st.booleans()):
+        kb = KnowledgeBase(kb.rules, run_chase(kb, O, FIFO(), data.draw(st.integers(1, 4))).result)
+    state = ChaseState(kb, ChaseVariant.parse(name))
+
+    def check() -> None:
+        atoms = state.store.atoms
+        held = {x for a in atoms for x in a.args}
+        for t in enumerate_triggers(kb.rules, state.store):
+            if not all(a in atoms for a in t.output):
+                assert t.output_nulls & held == t.output_nulls & kb.facts.nulls, str(t)
+
+    check()
+    for _ in range(6):
+        edges = state.scan()
+        if not edges:
+            break
+        state.push(data.draw(st.sampled_from(edges)))
+        check()
+    while state.records:
+        state.pop()
+        check()
 
 
 def test_e_variant_on_a_fact_base_deeper_than_the_recursion_limit():
@@ -728,7 +763,6 @@ def _state_view(state: ChaseState) -> tuple:
     store = state.store
     return (
         set(store.atoms),
-        set(store.terms),
         list(store),
         {p: list(v) for p, v in store.by_pred.items()},
         {k: list(v) for k, v in store.by_pred_pos.items()},
@@ -742,7 +776,7 @@ def _state_view(state: ChaseState) -> tuple:
 @given(small_kbs(), st.sampled_from(ALL_VARIANTS), st.data())
 def test_undo_takes_back_apply_along_a_random_path(kb, name, data):
     """Down a random path by `push` and back by `pop`: each pop gives back
-    the store (atoms, terms, iteration order, every bucket), fired keys,
+    the store (atoms, iteration order, every bucket), fired keys,
     records and trigger lists that the state had before the push, scans
     below it included."""
     state = ChaseState(kb, ChaseVariant.parse(name))
@@ -762,7 +796,7 @@ def test_undo_takes_back_apply_along_a_random_path(kb, name, data):
 @given(small_kbs(), st.sampled_from(ALL_VARIANTS), st.data())
 def test_goto_reaches_the_state_a_fresh_walk_pushes_to(kb, name, data):
     """From a state at the end of a random path A, `goto(B)` leaves the
-    store (atoms, terms, iteration order, every bucket in order), fired
+    store (atoms, iteration order, every bucket in order), fired
     keys, records and scan of a new state pushed along B. B shares a
     random prefix of A, the same trigger objects, and goes on at random."""
     variant = ChaseVariant.parse(name)
@@ -905,22 +939,22 @@ _CORPUS_ERLS = sorted(p.name for p in CORPUS.glob("*.erl"))
 
 
 def _count_blocking_calls(monkeypatch) -> list:
-    """A list that gets one entry per `chase.blocking` call from now on."""
+    """A list that gets one entry per `ChaseState.blocked` call from now on."""
     calls = []
-    blocking = chase.blocking
+    blocked = ChaseState.blocked
 
-    def counted(*args, **kwargs):
+    def counted(self, *args):
         calls.append(None)
-        return blocking(*args, **kwargs)
+        return blocked(self, *args)
 
-    monkeypatch.setattr(chase, "blocking", counted)
+    monkeypatch.setattr(ChaseState, "blocked", counted)
     return calls
 
 
 @pytest.mark.parametrize("name", _CORPUS_ERLS)
 def test_every_trigger_considered_is_one_blocking_call(monkeypatch, name):
-    """Every applicability test of a run goes through `chase.blocking`, and
-    stats["triggers_considered"] counts exactly those tests."""
+    """Every applicability test of a run goes through `ChaseState.blocked`,
+    and stats["triggers_considered"] counts exactly those tests."""
     calls = _count_blocking_calls(monkeypatch)
     kb = load_kb(name)
     for variant in _RUN_VARIANTS:

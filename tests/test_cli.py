@@ -337,6 +337,34 @@ def test_classify_error_of_a_fixture_variant_names_the_fixture(tmp_path, capsys)
     assert error["error"] == "%s: unknown chase tag 'zz'" % (tmp_path / "x.json")
 
 
+def _strategy_fixture_error(tmp_path, capsys, strategy: dict) -> dict:
+    """The error of `classify` on a fixture over a chain rule whose one
+    expectation runs `strategy` under O."""
+    return _malformed_fixture_error(
+        tmp_path,
+        capsys,
+        erl="[r] e(X,Y) -> exists Z. e(Y,Z).\ne(a,b).\n",
+        budgets={"max_steps": 5},
+        expect=[{"variant": "o", "mode": "exists", "verdict": "none_found"}],
+        strategies=[strategy],
+    )
+
+
+def test_classify_strategy_of_an_unknown_rule_names_the_fixture(tmp_path, capsys):
+    error = _strategy_fixture_error(tmp_path, capsys, {"phased": [[["zz"], "once"]]})
+    assert error["error"] == (
+        "%s: malformed strategy spec {'phased': [[['zz'], 'once']]}: "
+        "strategy names rule(s) 'zz' that the knowledge base does not have" % (tmp_path / "x.json")
+    )
+
+
+def test_classify_scripted_step_that_cannot_be_taken_names_the_fixture(tmp_path, capsys):
+    error = _strategy_fixture_error(tmp_path, capsys, {"scripted": ["r", ["r", 3]]})
+    assert error["error"] == "%s: scripted step 2: rule 'r' has 1 applicable trigger(s), wanted index 3" % (
+        tmp_path / "x.json"
+    )
+
+
 def test_classify_arity_error_names_the_fixture_and_its_erl(tmp_path, capsys):
     error = _malformed_fixture_error(tmp_path, capsys, erl="[r] p(X) -> q(X).\np(a,b).\n")
     assert error["error"] == "%s: %s: predicate 'p' used with arity 2 but previously 1 (line 2)" % (

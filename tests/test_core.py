@@ -175,8 +175,8 @@ def test_derivation_monotone_and_novel():
 
 
 def test_store_is_indexed_like_a_factbase():
-    """Grown in two steps, a store has the atoms, terms and canonical
-    iteration order of the equal fact base, each index bucket holds the
+    """Grown in two steps, a store has the atoms and canonical iteration
+    order of the equal fact base, each index bucket holds the
     fact base's atoms of its key, and `candidates` holds them."""
     rng = random.Random(41)
     for _ in range(100):
@@ -187,7 +187,7 @@ def test_store_is_indexed_like_a_factbase():
         store = Store(atoms[:k])
         assert store.add(atoms[k:]) == sort_atoms(set(atoms[k:]) - set(atoms[:k]))
         assert list(store) == list(fb)
-        assert store.atoms == fb.atoms and store.terms == fb.terms
+        assert store.atoms == fb.atoms
         by_pred = {p: [a for a in fb.sorted_atoms if a.pred == p] for p in fb.signature}
         by_pred_pos = {
             (a.pred, i, t): [b for b in fb.sorted_atoms if b.pred == a.pred and b.args[i] == t]
@@ -252,7 +252,7 @@ def test_store_candidates_hold_every_agreeing_atom_in_canonical_order(data):
 
 def test_store_remove_undoes_add():
     def view(s: Store) -> tuple:
-        return list(s), set(s.atoms), set(s.terms), s.by_pred, s.by_pred_pos
+        return list(s), set(s.atoms), s.by_pred, s.by_pred_pos
 
     rng = random.Random(43)
     for _ in range(100):
@@ -299,7 +299,7 @@ def test_store_remove_rejects_what_is_not_the_latest_add():
     other delta it raises ValueError and leaves the store as it was."""
 
     def view(s: Store) -> tuple:
-        return list(s), set(s.atoms), set(s.terms), s.by_pred, s.by_pred_pos
+        return list(s), set(s.atoms), s.by_pred, s.by_pred_pos
 
     a, b, c = (Atom("p", (Const(x), Const("k"))) for x in "abc")
     store = Store()
@@ -315,7 +315,7 @@ def test_store_remove_rejects_what_is_not_the_latest_add():
     assert store.add([b]) == (b,)  # a single atom's add: undone next
     store.remove((b,))
     store.remove(first)
-    assert view(store) == ([], set(), set(), {}, {})
+    assert view(store) == ([], set(), {}, {})
 
 
 _PICKLE_ATOMS = "[Atom('p', (Const('a'), Null('n1'))), Atom('q', (Const('b'),)), Atom('r', ())]"

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from exchase import analysis, hom
 from exchase.analysis import entails
-from exchase.chase import ChaseVariant, delta_triggers, head_satisfied
+from exchase.chase import SATISFIED, ChaseVariant, delta_triggers
 from exchase.core import Atom, Const, FactBase, KnowledgeBase, Null, Rule, Store, Trigger, Var, make_match
 from exchase.hom import (
     IsoTable,
@@ -13,7 +13,7 @@ from exchase.hom import (
     iter_homomorphisms,
 )
 
-from oracles import ReferenceIsoTable, ReferenceSearch, are_isomorphic, exists_retraction
+from oracles import ReferenceIsoTable, ReferenceSearch, are_isomorphic, exists_retraction, fact_state
 
 a, b = Const("a"), Const("b")
 x, y, z = Var("X"), Var("Y"), Var("Z")
@@ -380,7 +380,7 @@ def _walk(search_cls, source, target, fixed, injective, budget=None):
     """Every solution in order, the final node count, and whether the
     budget ran out. A target that is not a `Store` is built into one by
     one add."""
-    search = search_cls(source, target, fixed, injective, budget, None)
+    search = search_cls(source, target, fixed, injective, budget)
     found = []
     try:
         for h in search.run():
@@ -517,8 +517,8 @@ def test_head_satisfied_reads_as_many_atoms_over_a_larger_store(monkeypatch):
         t = Trigger(rule, make_match({"X": Const(employee)}))
         counts = []
         for depts in (20, 200):
-            store = _emp_store(depts, depts)
+            state = fact_state(_emp_store(depts, depts), ChaseVariant("r"))
             reads[0] = 0
-            assert head_satisfied(t, store) == satisfied
+            assert (state.blocked(t) == SATISFIED) == satisfied
             counts.append(reads[0])
         assert counts[0] == counts[1], employee
