@@ -18,7 +18,10 @@ variant that reads them. R is decided as head satisfaction: a join of the
 rule's head from t's frontier match (`Rule.head_plan`), in which only the
 fresh nulls F lacks may move, which are those the input facts lack. That is
 the retraction test at the cost of |out(t)| atoms instead of |F|; E runs it
-first as its cheap case.
+first as its cheap case. E's fold, the search for any homomorphism of
+F + out(t) into F, is the one use of `hom` here, and the first one loads it:
+a run under O, SO or R, or an E run whose head tests settle every trigger,
+never imports `hom`.
 
 The Datalog-first modifier gates non-Datalog triggers: they only become
 applicable once every Datalog rule is satisfied.
@@ -78,6 +81,7 @@ from .core import (
     BodyEntry,
     Derivation,
     FactBase,
+    HomBudgetExceeded,
     InputError,
     KnowledgeBase,
     PlanStep,
@@ -88,7 +92,6 @@ from .core import (
     join_plan,
     make_match,
 )
-from . import hom
 
 
 class StrategyError(InputError):
@@ -350,6 +353,8 @@ class ChaseState:
             if next(_join(head, store, binding, self.stats), None) is not None:
                 return SATISFIED
         if tag == "e":
+            from . import hom  # E's fold is the one use of `hom` here
+
             self.stats["hom_calls"] += 1
             if hom.find_homomorphism([*store, *out], store, budget=self.hom_budget) is not None:
                 return FOLDED
@@ -563,7 +568,7 @@ def run_chase(
                     verdict = TERMINATED_FAIR
                 else:
                     verdict = TERMINATED_UNFAIR
-    except hom.HomBudgetExceeded:
+    except HomBudgetExceeded:
         verdict = BUDGET_EXHAUSTED
     state.stats["steps"] = len(state.records)
     derivation = state.derivation(verdict)

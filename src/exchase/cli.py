@@ -9,6 +9,12 @@ input errors. Such an error prints one JSON object {"command", "error"} on
 stderr; only argparse's own usage errors (a missing or unknown argument)
 print its usage text instead. Output files are written before anything is
 printed.
+
+A command imports the modules it needs only when it runs. Importing this
+module loads `core`, `chase` and `textio`; `explore`, `entails` and
+`classify` load `analysis` (and with it `hom` and `normalize`); `normalize`
+loads `normalize`; `tm` loads `tmgen`. Their errors all derive from
+`core.InputError`, which `main` catches.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import analysis, normalize, textio, tmgen
+from . import textio
 from .core import InputError
 from .chase import (
     ChaseVariant,
@@ -29,6 +35,11 @@ from .chase import (
     Strategy,
     run_chase,
 )
+
+
+# The keys of `normalize.PROCEDURES`, spelt out so that building the parser
+# does not load `normalize`.
+_PROCEDURES = ("sp", "1ad", "2ad")
 
 
 class UsageError(InputError):
@@ -117,6 +128,8 @@ def _cmd_run(args) -> int:
 def _cmd_normalize(args) -> int:
     if args.skip_atomic and args.proc == "sp":
         raise UsageError("--skip-atomic applies to --proc 1ad and 2ad, not sp")
+    from . import normalize
+
     doc = _load_document(args.file)
     options = {"skip_atomic": True} if args.skip_atomic else {}
     report = normalize.PROCEDURES[args.proc](
@@ -141,6 +154,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    from . import analysis
+
     _at_least("--max-depth", args.max_depth, 1)
     _at_least("--max-nodes", args.max_nodes, 1)
     doc = _load_document(args.file)
@@ -164,6 +179,8 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_entails(args) -> int:
+    from . import analysis
+
     _at_least("--query-index", args.query_index, 0)
     _at_least("--max-steps", args.max_steps, 0)
     doc = _load_document(args.file)
@@ -193,6 +210,8 @@ def _cmd_entails(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import analysis
+
     rows = analysis.classify(Path(args.fixtures))
     ok = all(row["pass"] for row in rows)
     report = {
@@ -208,6 +227,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_tm(args) -> int:
+    from . import tmgen
+
     machine = tmgen.parse_machine(Path(args.machine).read_text(encoding="utf-8"))
     if args.action == "encode":
         encoding = tmgen.encode(machine)
@@ -248,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="apply a normalisation procedure")
     p.add_argument("file")
-    p.add_argument("--proc", choices=tuple(normalize.PROCEDURES), required=True)
+    p.add_argument("--proc", choices=_PROCEDURES, required=True)
     p.add_argument("--skip-atomic", action="store_true")
     p.add_argument("--output")
     p.add_argument("--json", action="store_true")

@@ -26,7 +26,6 @@ dataclasses would compute, so set and dict order are as without the caches.
 from __future__ import annotations
 
 import functools
-import hashlib
 import re
 from itertools import count, repeat
 from dataclasses import dataclass, field
@@ -485,6 +484,12 @@ class InputError(ValueError):
     The command line reports each one as a JSON error."""
 
 
+class HomBudgetExceeded(Exception):
+    """A homomorphism search's node budget ran out before it finished. It
+    lives here, not in `hom`, so that `chase.run_chase` catches it without
+    loading `hom`."""
+
+
 class KnowledgeBaseError(InputError):
     """Rule ids clash or a predicate is used with two arities."""
 
@@ -540,8 +545,14 @@ def make_match(mapping: Mapping[str, Term]) -> Match:
     return tuple(sorted(mapping.items()))
 
 
-# A minted null's label is "<rule id>#<40 hex digits>.<variable>".
-_MINTED_DIGEST = re.compile(r"#([0-9a-f]{10})[0-9a-f]{30}\.")
+@functools.cache
+def _digest_tools():
+    """`hashlib.sha1` and the pattern of the digest in a minted null's
+    label, "<rule id>#<40 hex digits>.<variable>": imported and compiled by
+    the first null minted."""
+    import hashlib
+
+    return hashlib.sha1, re.compile(r"#([0-9a-f]{10})[0-9a-f]{30}\.")
 
 
 def _match_digest(rule_id: str, match: Match) -> str:
@@ -557,12 +568,16 @@ def _match_digest(rule_id: str, match: Match) -> str:
     earlier versions, whose 40 bits let two triggers share a null after about
     700k triggers. Labels order nulls, so keeping those ten digits keeps the
     canonical order of nulls, and with it every derivation, as it was.
+
+    Minting loads `hashlib` (`_digest_tools`), so a run that mints no null,
+    such as a Datalog run, never imports it.
     """
+    hash_fn, minted = _digest_tools()
     full = ["%s=%d:%s" % (name, *t.key) for name, t in match]
-    short = [_MINTED_DIGEST.sub(r"#\1.", part) if "#" in part else part for part in full]
+    short = [minted.sub(r"#\1.", part) if "#" in part else part for part in full]
 
     def sha1(parts: list[str]) -> str:
-        return hashlib.sha1("|".join([rule_id, *parts]).encode("utf-8")).hexdigest()
+        return hash_fn("|".join([rule_id, *parts]).encode("utf-8")).hexdigest()
 
     head = sha1(short)
     return head if short == full else head[:10] + sha1(full)[10:]
@@ -640,18 +655,3 @@ class Derivation:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def deltas(self) -> list[tuple[Atom, ...]]:
-        """Per-step newly added atoms, in canonical order."""
-        return [delta for _, delta in self.records]
-
-    @cached_attribute
-    def steps(self) -> tuple[tuple[Trigger, FactBase], ...]:
-        """(trigger, fact base after it) per step, rebuilt from the deltas on
-        first use: O(steps * |F|), for callers that need every snapshot."""
-        out = []
-        fb = self.initial
-        for t, delta in self.records:
-            fb = fb.union(delta)
-            out.append((t, fb))
-        return tuple(out)

@@ -17,11 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .core import Atom, Const, FactBase, Store, Term, cached_attribute
-
-
-class HomBudgetExceeded(Exception):
-    """The per-check node budget ran out before the search finished."""
+from .core import Atom, Const, FactBase, HomBudgetExceeded, Store, Term, cached_attribute
 
 
 class _Search:

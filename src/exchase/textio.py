@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
+from typing import Callable, Iterable, NamedTuple, Optional, TypeVar
 
 from .core import Atom, Const, FactBase, InputError, KnowledgeBase, Null, Rule, Term, Var
 
@@ -97,8 +97,10 @@ _FACT = re.compile(
 
 # A comment, or '[', an identifier and ']' with blanks and comments between:
 # the one-identifier rule ids a document names (group 1). '[' stands
-# outside a comment only as a token, so no other token needs reading.
-_NAMED_ID = re.compile(r"%[^\n]*|\[" + _BLANKS + r"(" + _IDENT + r")" + _BLANKS + r"\]")
+# outside a comment only as a token, so no other token needs reading. Only
+# the first unnamed rule of a document reads it, so it is left to `re` to
+# compile on that first use.
+_NAMED_ID = r"%[^\n]*|\[" + _BLANKS + r"(" + _IDENT + r")" + _BLANKS + r"\]"
 
 
 class _Token(NamedTuple):
@@ -149,14 +151,6 @@ class _Lexer:
         self.offset = m.end()
         tok = self.last = _Token(kind, m.group(kind), self.line, col)
         return tok
-
-
-def _tokenize(text: str) -> Iterator[_Token]:
-    lexer = _Lexer(text)
-    tok = lexer.next()
-    while tok.kind != "end":
-        yield tok
-        tok = lexer.next()
 
 
 @dataclass
@@ -344,7 +338,7 @@ class _Parser:
             )
         if rule_id is None:
             if self.named_ids is None:
-                self.named_ids = set(_NAMED_ID.findall(self.text)) - {""}  # "" for a comment
+                self.named_ids = set(re.findall(_NAMED_ID, self.text)) - {""}  # "" for a comment
             self.auto_rule_index += 1
             while "r%d" % self.auto_rule_index in self.named_ids:
                 self.auto_rule_index += 1

@@ -29,8 +29,8 @@ its errors. `reference_parse_document` tokenizes the whole text with it
 before parsing, as the package's parser did before it read tokens on
 demand and ground facts by one pattern: the package must give its
 documents, automatic rule ids and errors. The rest is API that only the tests use: `RandomChoice`,
-`are_isomorphic`, `rule_by_id`, `support`, `restrict` and
-`serialize_document`.
+`are_isomorphic`, `rule_by_id`, `support`, `restrict`, `deltas_of`,
+`steps_of` and `serialize_document`.
 """
 from __future__ import annotations
 
@@ -53,6 +53,7 @@ from exchase.core import (
     TERMINATED_FAIR,
     Atom,
     Const,
+    Derivation,
     FactBase,
     KnowledgeBase,
     Null,
@@ -121,6 +122,22 @@ def support(t: Trigger) -> tuple[Atom, ...]:
 def restrict(fb: FactBase, signature: Iterable[str]) -> FactBase:
     sig = frozenset(signature)
     return FactBase(frozenset(a for a in fb.atoms if a.pred in sig))
+
+
+def deltas_of(derivation: Derivation) -> list[tuple[Atom, ...]]:
+    """The atoms each step of `derivation` added, in canonical order."""
+    return [delta for _, delta in derivation.records]
+
+
+def steps_of(derivation: Derivation) -> list[tuple[Trigger, FactBase]]:
+    """(trigger, fact base after it) per step of `derivation`, rebuilt
+    from its deltas: O(steps * |F|)."""
+    out = []
+    fb = derivation.initial
+    for t, delta in derivation.records:
+        fb = fb.union(delta)
+        out.append((t, fb))
+    return out
 
 
 def serialize_document(doc: SourceDocument) -> str:

@@ -58,9 +58,11 @@ from oracles import (
     RandomChoice,
     are_isomorphic,
     ch_k,
+    deltas_of,
     is_applicable,
     restrict,
     serialize_document,
+    steps_of,
 )
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
@@ -87,7 +89,7 @@ def test_criterion_1_example_goldens():
     assert oblivious.verdict == BUDGET_EXHAUSTED
     assert len(oblivious.derivation) == 20
     assert len(oblivious.result) == 41  # exactly two fresh atoms per step
-    assert all(len(d) == 2 for d in oblivious.derivation.deltas())
+    assert all(len(d) == 2 for d in deltas_of(oblivious.derivation))
     assert elapsed < 1.0
     _report("1 (example goldens)")
 
@@ -137,7 +139,7 @@ def test_criterion_2_termination_matrix():
     # ... and the Datalog-first run repeats the depicted 4-step pattern
     df = run_chase(t2f, DFR, DatalogFirst(), 13)
     assert df.verdict == BUDGET_EXHAUSTED
-    deltas = df.derivation.deltas()
+    deltas = deltas_of(df.derivation)
     assert [a.pred for d in deltas[:1] for a in d] == ["r"]
     for k in range(3):  # three full rounds
         chunk = [a.pred for d in deltas[1 + 4 * k : 5 + 4 * k] for a in d]
@@ -205,7 +207,7 @@ def test_criterion_4_decomposition_behaviors():
     report = explore_all(sp_kb, R, 12, 5000)
     assert report.verdict == GROWTH
     out = run_chase(sp_kb, R, Scripted(["su", "pl.p1", "su", "pl.p2", "pl.p1", "su"]), 100)
-    deltas = [d[0] for d in out.derivation.deltas()]
+    deltas = [d[0] for d in deltas_of(out.derivation)]
     c = Const("c")
     z1, z2 = deltas[0].args[1], deltas[2].args[1]
     z3 = deltas[5].args[1]
@@ -226,7 +228,7 @@ def test_criterion_4_decomposition_behaviors():
     ad1 = KnowledgeBase(one_way(tuple(ex1.rules)).output_rules, ex1.factbase())
     out = run_chase(ad1, E, DatalogFirst(), 15)
     assert out.verdict == BUDGET_EXHAUSTED
-    deltas = out.derivation.deltas()
+    deltas = deltas_of(out.derivation)
     for k in range(4):  # at least four full rounds
         assert [d[0].pred for d in deltas[3 * k : 3 * k + 3]] == ["X__ex1", "p", "p"]
 
@@ -249,7 +251,7 @@ def test_criterion_4_decomposition_behaviors():
     assert out.verdict == TERMINATED_UNFAIR
     assert len(out.derivation) == 14
     for k in range(3):
-        chunk = [d[0].pred for d in out.derivation.deltas()[2 + 4 * k : 6 + 4 * k]]
+        chunk = [d[0].pred for d in deltas_of(out.derivation)[2 + 4 * k : 6 + 4 * k]]
         assert chunk == ["X__ex1", "p", "p", "X__ex1"]
     _report("4 (decomposition behaviors)")
 
@@ -310,7 +312,7 @@ def test_criterion_7_chase_metatheory():
         kb = random_kb(rng)
         out = run_chase(kb, O, RandomChoice(rng.randint(0, 10**6)), rng.randint(0, 4))
         history = set()
-        for t, _ in out.derivation.steps:
+        for t, _ in steps_of(out.derivation):
             history.add(t.frontier_key)
         for t in enumerate_triggers(kb.rules, Store(out.result)):
             e, r, so, o = (
@@ -354,7 +356,7 @@ def test_criterion_7_chase_metatheory():
         kb = random_kb(rng)
         out = run_chase(kb, variant, RandomChoice(9), 5)
         prev = kb.facts
-        for _, fb in out.derivation.steps:
+        for _, fb in steps_of(out.derivation):
             assert prev.atoms <= fb.atoms
             prev = fb
     _report("7 (chase metatheory; %d chain checks)" % checked)
@@ -455,7 +457,7 @@ def test_criterion_9_tm_construction():
         assert sim.verdict == TERMINATED_FAIR, n
     looping = run_chase(tmgen.simulation_kb(tmgen.loop(), 1), DFR, DatalogFirst(), 500)
     assert looping.verdict == BUDGET_EXHAUSTED
-    assert any(t.rule.id == "m_extend" for t, _ in looping.derivation.steps)
+    assert any(t.rule.id == "m_extend" for t, _ in steps_of(looping.derivation))
     _report("9 (TM construction behavior)")
 
 

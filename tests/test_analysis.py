@@ -45,7 +45,7 @@ from exchase.normalize import FreshNameClashError, one_way, single_piece, two_wa
 from exchase.textio import parse_document
 
 from conftest import ALL_VARIANTS, CORPUS, load_doc, load_kb, small_kbs
-from oracles import RandomChoice, applicable_edges, reference_entails
+from oracles import RandomChoice, applicable_edges, deltas_of, reference_entails
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
 DFR = ChaseVariant.parse("dfr")
@@ -400,7 +400,7 @@ def test_sp_t4a_scripted_replay_matches_listed_prefix():
     kb = KnowledgeBase(single_piece(tuple(doc.rules)).output_rules, doc.factbase())
     out = run_chase(kb, R, Scripted(["su", "pl.p1", "su", "pl.p2", "pl.p1", "su"]), 100)
     assert out.verdict == TERMINATED_UNFAIR
-    deltas = out.derivation.deltas()
+    deltas = deltas_of(out.derivation)
     assert [sorted(a.pred for a in d) for d in deltas] == [
         ["p"], ["a"], ["p"], ["p"], ["a"], ["p"],
     ]
@@ -421,7 +421,7 @@ def test_t2c_scripted_replay_matches_listed_prefix():
     out = run_chase(kb, R, Scripted(["gen", "sym", "gen", "sym", "gen", "sym"]), 100)
     assert out.verdict == TERMINATED_UNFAIR
     a, b = Const("a"), Const("b")
-    deltas = [d[0] for d in out.derivation.deltas()]
+    deltas = [d[0] for d in deltas_of(out.derivation)]
     z1, z2 = deltas[0].args[1], deltas[2].args[1]
     z3 = deltas[4].args[1]
     assert deltas == [
@@ -441,7 +441,7 @@ def test_two_way_loop_rule_admits_scripted_infinite_restricted_run():
     out = run_chase(kb, R, Scripted(script), 100)
     assert out.verdict == TERMINATED_UNFAIR
     assert len(out.derivation) == 14
-    deltas = out.derivation.deltas()
+    deltas = deltas_of(out.derivation)
     for k in range(3):  # three full loop iterations
         base = 2 + 4 * k
         preds = [d[0].pred for d in deltas[base : base + 4]]
@@ -453,7 +453,7 @@ def test_one_way_equivalent_chase_grows_in_three_atom_rounds():
     kb = KnowledgeBase(one_way(tuple(doc.rules)).output_rules, doc.factbase())
     out = run_chase(kb, E, DatalogFirst(), 15)
     assert out.verdict.startswith("budget")
-    deltas = out.derivation.deltas()
+    deltas = deltas_of(out.derivation)
     for k in range(5):  # five rounds of (generator, forward, backward)
         chunk = deltas[3 * k : 3 * k + 3]
         assert [d[0].pred for d in chunk] == ["X__ex1", "p", "p"]

@@ -50,6 +50,7 @@ from oracles import (
     is_applicable,
     reference_join_plan,
     rule_by_id,
+    steps_of,
     support,
 )
 
@@ -178,7 +179,7 @@ def test_intrinsic_checks_agree_with_history():
         out = run_chase(kb, variant, strategy, 6)
         fb = kb.facts
         history = set()
-        for t, after in out.derivation.steps:
+        for t, after in steps_of(out.derivation):
             history.add(t.frontier_key)
             fb = after
         for t in enumerate_triggers(kb.rules, Store(fb)):
@@ -198,7 +199,7 @@ def test_applicability_chain_property():
         out = run_chase(kb, O, RandomChoice(rng.randint(0, 999)), rng.randint(0, 4))
         fb = out.result
         history = set()
-        for t, _ in out.derivation.steps:
+        for t, _ in steps_of(out.derivation):
             history.add(t.frontier_key)
         for t in enumerate_triggers(kb.rules, Store(fb)):
             flags = {
@@ -325,7 +326,7 @@ def test_monotonicity_every_variant():
             kb = random_kb(rng)
             out = run_chase(kb, variant, RandomChoice(rng.randint(0, 999)), 5)
             prev = kb.facts
-            for _, fb in out.derivation.steps:
+            for _, fb in steps_of(out.derivation):
                 assert prev.atoms <= fb.atoms
                 prev = fb
 
@@ -559,7 +560,7 @@ def test_df_so_runs_and_prioritises_datalog():
     kb = load_kb("t2c.erl")
     out = run_chase(kb, ChaseVariant.parse("dfso"), FIFO(), 5)
     # first step must be the Datalog symmetry rule
-    assert out.derivation.steps[0][0].rule.id == "sym"
+    assert steps_of(out.derivation)[0][0].rule.id == "sym"
 
 
 def test_datalog_saturate_defensive_budget():

@@ -713,6 +713,72 @@ def test_explore_witness_stable_across_processes():
     assert len(outputs) == 1
 
 
+# Run in a fresh interpreter without `site`, whose start-up imports no
+# `exchase` module and no `hashlib`: import `exchase.cli`, call `main` on the
+# argv given (none: import only) and print the `exchase` modules then loaded,
+# whether `hashlib` is, and the exit code.
+_MODULES_LOADED = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+assert "hashlib" not in sys.modules
+from exchase.cli import main
+argv = json.loads(sys.argv[2])
+code = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+modules = sorted(m for m in sys.modules if m.split(".")[0] == "exchase")
+print(json.dumps([modules, "hashlib" in sys.modules, code]))
+"""
+
+_BASE_MODULES = ["exchase", "exchase.chase", "exchase.cli", "exchase.core", "exchase.textio"]
+_ANALYSIS_MODULES = sorted(_BASE_MODULES + ["exchase.analysis", "exchase.hom", "exchase.normalize"])
+
+
+def _modules_loaded(*argv: str) -> tuple[list[str], bool]:
+    import exchase
+
+    src = str(Path(exchase.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _MODULES_LOADED, src, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules, hashlib_loaded, code = json.loads(proc.stdout)
+    assert code == (0 if argv else None)
+    return modules, hashlib_loaded
+
+
+def test_a_command_loads_only_the_modules_it_runs(tmp_path):
+    """`import exchase.cli` loads `core`, `chase` and `textio`; each command
+    adds the modules it runs, and `hashlib` only once a null is minted."""
+    datalog = tmp_path / "tc.erl"
+    datalog.write_text("[t] e(X,Y), e(Y,Z) -> e(X,Z).\ne(a,b).\ne(b,c).\ne(c,d).\n")
+    ex1, rule12 = str(CORPUS / "ex1.erl"), str(CORPUS / "rule12.erl")
+    cases = [
+        ((), _BASE_MODULES, False),
+        (("run", str(datalog), "--variant", "dfr"), _BASE_MODULES, False),
+        # E's fold runs on this file, and its rule mints nulls.
+        (("run", ex1, "--variant", "e"), sorted(_BASE_MODULES + ["exchase.hom"]), True),
+        (("entails", ex1), _ANALYSIS_MODULES, True),
+        (("explore", ex1, "--max-depth", "3"), _ANALYSIS_MODULES, True),
+        (("classify", "--fixtures", str(CORPUS / "fixtures")), _ANALYSIS_MODULES, True),
+        (("normalize", rule12, "--proc", "1ad"), sorted(_BASE_MODULES + ["exchase.normalize"]), False),
+        (("tm", "tape", "--machine", _MACHINE), sorted(_BASE_MODULES + ["exchase.tmgen"]), False),
+    ]
+    for argv, modules, hashlib_loaded in cases:
+        assert _modules_loaded(*argv) == (modules, hashlib_loaded), argv
+
+
+def test_normalize_choices_are_the_procedures():
+    """The `--proc` choices, spelt out in `cli` so that building its parser
+    does not load `normalize`, are the procedures' names in their order."""
+    from exchase import cli, normalize
+
+    assert cli._PROCEDURES == tuple(normalize.PROCEDURES)
+
+
 _BUDGETS = {"max_depth": 4, "max_nodes": 50, "max_steps": 3}
 # Ways to break a fixture, by name: fields that replace its own, or a JSON
 # value that is not an object. A broken budget keeps the others small, so
