@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import core, hom, normalize, textio
+from . import core, hom, textio
 from .core import TERMINATED_FAIR, Atom, Derivation, FactBase, KnowledgeBase, Null, Rule, Trigger, Var
 from .chase import (
     STOPPED,
@@ -185,13 +185,13 @@ def entails(
     query: Iterable[Atom],
     variant: ChaseVariant,
     max_steps: int,
-    strategy: Optional[Strategy] = None,
 ) -> TriState:
     """Budgeted BCQ entailment via the chase.
 
     Yes as soon as the query maps into the current fact base (sound for the
     monotone variants even mid-run); No only on fair termination without a
-    match; Unknown when the step budget runs out first. The query, with a
+    match; Unknown when the step budget runs out first. The chase runs the
+    Datalog-first strategy. The query, with a
     variable for each null, is a goal rule's body, joined first from every
     atom, then from each step's delta, which any new match uses
     (`delta_triggers`); one search then finds the witness.
@@ -210,7 +210,7 @@ def entails(
         witness = hom.find_homomorphism(query, state.store)
         return True
 
-    outcome = run_chase(kb, variant, strategy or DatalogFirst(), max_steps, stop=entailed)
+    outcome = run_chase(kb, variant, DatalogFirst(), max_steps, stop=entailed)
     if outcome.verdict == STOPPED:
         return TriState("yes", witness)
     if outcome.verdict == TERMINATED_FAIR:
@@ -253,6 +253,8 @@ _BUDGET_MINIMA = {"max_depth": 1, "max_nodes": 1, "max_steps": 0}
 def _shape_error(raw: dict) -> Optional[str]:
     """What is wrong with the shape of a parsed fixture that has every
     required key, or None."""
+    from . import normalize  # fixtures alone use it: explore and entails never load it
+
     budgets, expect = raw["budgets"], raw["expect"]
     if not isinstance(raw["erl"], str):
         return "erl must be a file name"
@@ -306,6 +308,8 @@ def load_fixture(path: Path) -> Fixture:
         rules = tuple(doc.rules)
         transform = raw.get("transform")
         if transform is not None:
+            from . import normalize
+
             rules = normalize.PROCEDURES[transform](rules, reserved=doc.data_predicates()).output_rules
         kb = KnowledgeBase(rules, doc.factbase())
         strategies = [_strategy_from_spec(s, kb) for s in raw.get("strategies", [])]

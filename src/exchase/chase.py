@@ -34,7 +34,7 @@ were applied or dropped. After a step only the body matches that use an
 atom of the step's delta are found and inserted (`delta_triggers`). The
 knowledge base's `body_index` gives the body atoms of each delta predicate;
 each such atom j is bound to a delta atom and `_join`ed with the other body
-atoms by the rule's static plan for j (`Rule.join_plans`, most bound
+atoms by the plan that j's `BodyEntry` holds (`core.join_plan`, most bound
 arguments first), which tells the join, per atom, which positions are
 bound, free, constant or repeated. An atom whose arguments are all bound is
 looked up in the store; any other walks `Store.candidates`, the bucket the
@@ -42,17 +42,20 @@ homomorphism search reads too, in the order its atoms were added. Trigger
 order is canonical match order, the order of `Trigger.body_key`:
 `enumerate_triggers` sorts by it and `apply` inserts new triggers by it, so
 a join sorts no bucket.
-Enumerating every trigger of a store joins the whole body the same way.
+Enumerating every trigger of a store joins the whole body the same way, by
+`Rule.body_plan`.
 
 `ChaseState` is the one place that tests applicability along a derivation,
 one `ChaseState.blocked` call per trigger considered, which reads the
-state's store, fired keys, variant and budget: `scan` calls it for its
-trigger lists, for every strategy, the final fairness check of `run_chase`
-and both searches of the explorer, and Datalog-first's re-check of its
-batch calls it for one trigger. A scan drops a trigger only for a
-reason that cannot go away as F grows: its output is present (which covers
-O), its SO frontier key has fired, or its head is satisfied (R, and E's
-cheap case). An E-blocked trigger stays, because a homomorphism of
+state's store, fired keys, variant and budget and changes nothing but the
+count: `scan` calls it for its trigger lists, for every strategy, the final
+fairness check of `run_chase` and both searches of the explorer, and
+Datalog-first's re-check of its batch calls it for one trigger. `blocked`
+takes the Datalog-first gate from its caller: `scan` is the one place that
+computes it, once per scan. A scan drops a trigger only for a reason that
+cannot go away as F grows: its output is present (which covers O), its SO
+frontier key has fired, or its head is satisfied (R, and E's cheap case).
+An E-blocked trigger stays, because a homomorphism of
 F + out(t) into F that moves nulls of F must map every later atom too, so
 it can stop existing; so does a Datalog-first-gated one, because the gate
 reopens once the Datalog rules are satisfied again. The gate itself is "no
@@ -188,7 +191,7 @@ def enumerate_triggers(rules: Sequence[Rule], fb: Store, stats: Optional[dict] =
     """Every (rule, body match) pair on the store exactly once: rule order,
     then canonical match order."""
     for rule in rules:
-        triggers = [Trigger(rule, make_match(m)) for m in _join(rule.join_plans.whole, fb, {}, stats)]
+        triggers = [Trigger(rule, make_match(m)) for m in _join(rule.body_plan, fb, {}, stats)]
         triggers.sort(key=_MATCH_ORDER)
         yield from triggers
 
@@ -288,8 +291,10 @@ class ChaseState:
     def scan(self, rule_ids: Optional[frozenset[str]] = None, first: bool = False) -> list[Trigger]:
         """Applicable triggers in canonical order (only the first one if
         `first`), dropping every trigger found blocked for good. The
-        Datalog-first gate is open when no live Datalog trigger is left. An
-        E test over `hom_budget` leaves its list uncompacted but whole."""
+        Datalog-first gate is open when no live Datalog trigger is left; a
+        scan finds it once, before the first non-Datalog trigger it tests,
+        and passes it to each `blocked` call. An E test over `hom_budget`
+        leaves its list uncompacted but whole."""
         datalog_first, blocked = self.variant.datalog_first, self.blocked
         found: list[Trigger] = []
         datalog_ok: Optional[bool] = None
@@ -312,12 +317,14 @@ class ChaseState:
             entries[:] = kept
         return found
 
-    def blocked(self, t: Trigger, datalog_ok: Optional[bool] = None) -> Optional[str]:
+    def blocked(self, t: Trigger, datalog_ok: Optional[bool]) -> Optional[str]:
         """Why `t` is not applicable on the state, or None if it is: the one
-        applicability test, counted as one trigger considered. `datalog_ok`
-        tells whether the Datalog-first gate is open; a scan passes the
-        value it found, and a test of one trigger, which stays where it is
-        in the lists, leaves it None to have the gate found here.
+        applicability test, counted as one trigger considered, and a read
+        of the state that changes nothing else. `datalog_ok` tells whether
+        the Datalog-first gate is open, as the caller found it; it is read
+        only for a non-Datalog trigger under Datalog-first, and a scan
+        passes None until it has found the gate, before the first such
+        trigger it tests.
 
         R's test, which E runs first as its cheap case, is head
         satisfaction: a retraction of F + out(t) onto F, in which only the
@@ -329,8 +336,6 @@ class ChaseState:
         is minted only by its own (rule, match), so no other step can have
         added one of t's fresh nulls to F."""
         variant = self.variant
-        if datalog_ok is None and variant.datalog_first and not t.rule.is_datalog:
-            datalog_ok = not self.scan(self.datalog_ids, first=True)
         self.stats["triggers_considered"] += 1
         out, store = t.output, self.store
         if all(a in store.atoms for a in out):
@@ -349,7 +354,7 @@ class ChaseState:
         rigid_missing = any(movable.isdisjoint(a.args) for a in out if a not in store.atoms)
         if not rigid_missing:
             binding = {s: x for s, x in t.extended.items() if x not in movable}
-            head = t.rule.head_plan if len(binding) == len(t.mapping) else join_plan(t.rule.head, binding)
+            head = t.rule.head_plan if len(binding) == len(t.match) else join_plan(t.rule.head, binding)
             if next(_join(head, store, binding, self.stats), None) is not None:
                 return SATISFIED
         if tag == "e":
@@ -442,15 +447,16 @@ class DatalogFirst(Strategy):
 
     A refill scans the state's live Datalog triggers in canonical order, and
     `ChaseState.blocked` checks each again before it is yielded (its head
-    may have shown up meanwhile). The Datalog triggers that firing the
-    batch creates wait for the next refill.
+    may have shown up meanwhile), with the gate open, which no Datalog
+    trigger reads. The Datalog triggers that firing the batch creates wait
+    for the next refill.
     """
 
     def triggers(self, state: ChaseState) -> Iterator[Trigger]:
         while True:
             batch = state.scan(state.datalog_ids)
             for t in batch:
-                if state.blocked(t) is None:
+                if state.blocked(t, True) is None:
                     yield t
             if not batch:
                 found = state.scan(first=True)  # no Datalog trigger is applicable

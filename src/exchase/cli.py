@@ -12,9 +12,9 @@ printed.
 
 A command imports the modules it needs only when it runs. Importing this
 module loads `core`, `chase` and `textio`; `explore`, `entails` and
-`classify` load `analysis` (and with it `hom` and `normalize`); `normalize`
-loads `normalize`; `tm` loads `tmgen`. Their errors all derive from
-`core.InputError`, which `main` catches.
+`classify` load `analysis` (and with it `hom`), and `classify` also
+`normalize`; `normalize` loads `normalize`; `tm` loads `tmgen`. Their
+errors all derive from `core.InputError`, which `main` catches.
 """
 from __future__ import annotations
 

@@ -11,10 +11,12 @@ homomorphism search runs over. Its buckets are in the order atoms were
 added, and are kept in no other order: a homomorphism search sorts into
 canonical order only the candidate list it branches on.
 
-Each rule plans its trigger joins once (`Rule.join_plans`, built by
-`join_plan`), and a knowledge base indexes its rules' body atoms by
-predicate (`KnowledgeBase.body_index`), so a chase step visits only the
-body atoms its new atoms can match.
+Each join plan (`join_plan`) is made once and kept in one place: a rule
+keeps the plan of its whole body (`Rule.body_plan`) and of its head from
+the frontier (`Rule.head_plan`), and a knowledge base indexes its rules'
+body atoms by predicate (`KnowledgeBase.body_index`), each entry holding
+the plan of the rest of its rule's body given that atom, so a chase step
+visits only the body atoms its new atoms can match.
 
 Canonical ordering: constants sort before nulls, nulls before variables;
 atoms sort by predicate name then argument order. All iteration and
@@ -225,14 +227,6 @@ def join_plan(atoms: Iterable[Atom], bound: Iterable[str]) -> tuple[PlanStep, ..
     return tuple(plan)
 
 
-class JoinPlans(NamedTuple):
-    """`whole`: the plan of the body atoms with nothing bound. `given[j]`:
-    the plan of the other body atoms once body atom j is bound to a fact."""
-
-    whole: tuple[PlanStep, ...]
-    given: tuple[tuple[PlanStep, ...], ...]
-
-
 class BodyEntry(NamedTuple):
     """Body atom `body_pos` of `rules[rule_pos]` in a
     `KnowledgeBase.body_index`: the plan step (`pattern`) that binds it,
@@ -289,17 +283,10 @@ class Rule:
         return self.head_vars - self.body_vars
 
     @cached_attribute
-    def join_plans(self) -> JoinPlans:
-        """The static plans by which trigger discovery joins the body atoms
-        (`join_plan`): the whole body from nothing bound, and per body atom
-        j the other atoms from j's variables."""
-        return JoinPlans(
-            join_plan(self.body, ()),
-            tuple(
-                join_plan(self.body[:j] + self.body[j + 1 :], a.variables())
-                for j, a in enumerate(self.body)
-            ),
-        )
+    def body_plan(self) -> tuple[PlanStep, ...]:
+        """The plan of the body from nothing bound: the join that
+        enumerates every trigger of the rule on a store."""
+        return join_plan(self.body, ())
 
     @cached_attribute
     def head_plan(self) -> tuple[PlanStep, ...]:
@@ -526,13 +513,15 @@ class KnowledgeBase:
     @cached_attribute
     def body_index(self) -> dict[str, tuple[BodyEntry, ...]]:
         """Predicate -> the entry of each body atom of that predicate among
-        the rules, in (rule, body position) order. Built once per knowledge
-        base: a chase step looks up the body atoms of its delta's predicates
+        the rules, in (rule, body position) order, with the plan of the
+        other body atoms from its variables. Built once per knowledge base:
+        a chase step looks up the body atoms of its delta's predicates
         only."""
         index: dict[str, list[BodyEntry]] = {}
         for r, rule in enumerate(self.rules):
-            for j, (a, plan) in enumerate(zip(rule.body, rule.join_plans.given)):
+            for j, a in enumerate(rule.body):
                 (pattern,) = join_plan([a], ())
+                plan = join_plan(rule.body[:j] + rule.body[j + 1 :], a.variables())
                 index.setdefault(a.pred, []).append(BodyEntry(r, j, rule, pattern, plan))
         return {pred: tuple(entries) for pred, entries in index.items()}
 
@@ -595,12 +584,10 @@ class Trigger:
     match: Match
 
     @cached_attribute
-    def mapping(self) -> dict[str, Term]:
-        return dict(self.match)
-
-    @cached_attribute
     def extended(self) -> dict[str, Term]:
-        m = dict(self.mapping)
+        """The match extended by the null minted for each existential
+        variable."""
+        m = dict(self.match)
         if self.rule.existentials:
             digest = _match_digest(self.rule.id, self.match)
             for z in sorted(self.rule.existentials):
@@ -617,9 +604,9 @@ class Trigger:
 
     @cached_attribute
     def output_nulls(self) -> frozenset[Null]:
-        return frozenset(
-            t for t in self.extended.values() if isinstance(t, Null)
-        ) - frozenset(t for t in self.mapping.values() if isinstance(t, Null))
+        """The nulls minted for the existential variables."""
+        m = self.extended
+        return frozenset(m[z] for z in self.rule.existentials)
 
     @cached_attribute
     def body_key(self) -> tuple:

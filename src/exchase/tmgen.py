@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from pathlib import Path
 from typing import Optional
 
-from .core import Atom, Const, FactBase, InputError, KnowledgeBase, Rule, Var
+from .core import Atom, Const, FactBase, InputError, KnowledgeBase, Rule, Var, cached_attribute
 from .chase import Phased
 
 
@@ -83,11 +83,11 @@ class TuringMachine:
                 if (q, a) not in self.delta:
                     raise InvalidMachine("delta not total: missing (%s, %s)" % (q, a))
 
-    @cached_property
+    @cached_attribute
     def halting(self) -> frozenset[str]:
         return frozenset((self.accept, self.reject))
 
-    @cached_property
+    @cached_attribute
     def alphabet(self) -> tuple[str, ...]:
         symbols = {ONE, BLANK}
         for (q, a), (r, b, d) in self.delta.items():
@@ -138,32 +138,19 @@ def parse_machine(text: str) -> TuringMachine:
     )
 
 
+_MACHINES = Path(__file__).parent / "corpus" / "machines"
+
+
 def halt1() -> TuringMachine:
-    """Moves right into the accepting state on any symbol: halts on every input."""
-    return TuringMachine(
-        states=("qi", "qa", "qr"),
-        initial="qi",
-        accept="qa",
-        reject="qr",
-        delta={
-            ("qi", ONE): ("qa", ONE, RIGHT),
-            ("qi", BLANK): ("qa", BLANK, RIGHT),
-        },
-    )
+    """`corpus/machines/halt1.tm`: moves right into the accepting state on
+    any symbol, so it halts on every input."""
+    return parse_machine((_MACHINES / "halt1.tm").read_text(encoding="utf-8"))
 
 
 def loop() -> TuringMachine:
-    """Always moves right in its single working state: never halts."""
-    return TuringMachine(
-        states=("qi", "qa", "qr"),
-        initial="qi",
-        accept="qa",
-        reject="qr",
-        delta={
-            ("qi", ONE): ("qi", ONE, RIGHT),
-            ("qi", BLANK): ("qi", BLANK, RIGHT),
-        },
-    )
+    """`corpus/machines/loop.tm`: always moves right in its single working
+    state, so it never halts."""
+    return parse_machine((_MACHINES / "loop.tm").read_text(encoding="utf-8"))
 
 
 def content_pred(symbol: str) -> str:

@@ -112,7 +112,7 @@ def rule_by_id(kb: KnowledgeBase, rule_id: str) -> Rule:
 
 def support(t: Trigger) -> tuple[Atom, ...]:
     """The body atoms of `t`'s rule under its match, in canonical order."""
-    m = t.mapping
+    m = dict(t.match)
     return sort_atoms(
         Atom(a.pred, tuple(m[v.name] if isinstance(v, Var) else v for v in a.args))
         for a in t.rule.body

@@ -19,7 +19,6 @@ from exchase.core import (
     TERMINATED_UNFAIR,
     Trigger,
     Var,
-    join_plan,
     make_match,
 )
 from exchase.chase import (
@@ -665,7 +664,7 @@ def test_head_satisfaction_equals_retraction_test():
         state = fact_state(fb, R)
         for t in enumerate_triggers(kb.rules, Store(fb)):
             whole = itertools.chain(fb.atoms, t.output)
-            assert (state.blocked(t) is not None) == exists_retraction(whole, fb)
+            assert (state.blocked(t, True) is not None) == exists_retraction(whole, fb)
             checked += 1
 
 
@@ -679,7 +678,7 @@ def test_head_satisfaction_keeps_a_minted_null_that_f_holds_fixed():
     t = Trigger(rule, make_match({"X": c}))
     held = t.output[0].args[1]
     fb = FactBase([Atom("a", (c,)), Atom("p", (c, Const("d"), Const("e"))), Atom("s", (held,))])
-    assert fact_state(fb, R).blocked(t) is None
+    assert fact_state(fb, R).blocked(t, True) is None
     assert exists_retraction(itertools.chain(fb.atoms, t.output), fb) is False
     out = run_chase(KnowledgeBase((rule,), fb), R, FIFO(), 10)
     assert out.verdict == TERMINATED_FAIR
@@ -862,6 +861,12 @@ def _search_matches(rule, fb, fixed=None):
     )
 
 
+def _body_entries(rule: Rule) -> list:
+    """The `body_index` entry of each body atom of `rule`, in body order."""
+    entries = [e for es in KnowledgeBase((rule,), FactBase()).body_index.values() for e in es]
+    return sorted(entries, key=lambda e: e.body_pos)
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(join_cases())
 def test_join_matches_equal_homomorphism_search(case):
@@ -869,14 +874,14 @@ def test_join_matches_equal_homomorphism_search(case):
     j is bound to a fact, finds exactly the homomorphisms the search finds,
     each once."""
     rule, fb, _ = case
-    whole = _canonical(make_match(m) for m in _join(rule.join_plans.whole, fb, {}))
+    whole = _canonical(make_match(m) for m in _join(rule.body_plan, fb, {}))
     assert whole == _search_matches(rule, fb)
-    for b, plan in zip(rule.body, rule.join_plans.given):
-        for fact in fb.by_pred.get(b.pred, ()):
-            binding = _bind(join_plan([b], ())[0], fact)
+    for e in _body_entries(rule):
+        for fact in fb.by_pred.get(e.pattern.pred, ()):
+            binding = _bind(e.pattern, fact)
             if binding is None:
                 continue
-            got = _canonical(make_match(m) for m in _join(plan, fb, dict(binding)))
+            got = _canonical(make_match(m) for m in _join(e.plan, fb, dict(binding)))
             fixed = {Var(n): t for n, t in binding.items()}
             assert got == _search_matches(rule, fb, fixed)
 
@@ -905,8 +910,8 @@ def test_join_plans_equal_the_two_pass_reference(case):
     (order first, positions after) and gives each step the same positions,
     for the whole body and for the rest of it given each body atom."""
     rule, _, _ = case
-    whole, given = rule.join_plans
-    assert list(whole) == list(reference_join_plan(rule.body, ()))
+    assert list(rule.body_plan) == list(reference_join_plan(rule.body, ()))
+    given = [e.plan for e in _body_entries(rule)]
     assert len(given) == len(rule.body)
     for j, a in enumerate(rule.body):
         rest = rule.body[:j] + rule.body[j + 1 :]
@@ -924,9 +929,9 @@ def test_join_order_puts_the_most_bound_atom_next():
         ),
         (Atom("head", V("W")),),
     )
-    assert [s.pred for s in rule.join_plans.whole] == ["content", "head", "stp", "nxt"]
+    assert [s.pred for s in rule.body_plan] == ["content", "head", "stp", "nxt"]
     # given nxt(Z,W) bound: stp(X,Z) has one bound argument, the rest none
-    given_nxt = rule.join_plans.given[2]
+    given_nxt = _body_entries(rule)[2].plan
     assert [(s.pred, s.args) for s in given_nxt] == [
         ("stp", ("X", "Z")),
         ("content", ("X",)),
@@ -983,18 +988,22 @@ def test_every_trigger_considered_is_one_blocking_call_under_fixture_strategies(
 
 @pytest.mark.parametrize("name", _CORPUS_ERLS)
 def test_blocked_agrees_with_scan(name):
-    """Along a FIFO run, `ChaseState.blocked` finds exactly the triggers a
-    scan returns applicable, the Datalog-first gate included, and counts
-    one trigger considered per call."""
+    """Along a FIFO run, `ChaseState.blocked`, given the Datalog-first gate
+    as a scan finds it, finds exactly the triggers a scan returns
+    applicable, counts one trigger considered per call, and leaves the
+    trigger lists, the store (atoms and bucket order), the fired keys and
+    the records as they were."""
     kb = load_kb(name)
     for variant in ("o", "so", "r", "dfo", "dfso", "dfr"):
         state = ChaseState(kb, ChaseVariant.parse(variant))
         for _ in range(8):
+            gate = not state.variant.datalog_first or not state.scan(state.datalog_ids, first=True)
+            view = _state_view(state)
             live = [t for entries in state.lists for t in entries]
             before = state.stats["triggers_considered"]
-            applicable = [t for t in live if state.blocked(t) is None]
-            if not variant.startswith("df"):
-                assert state.stats["triggers_considered"] == before + len(live)
+            applicable = [t for t in live if state.blocked(t, gate) is None]
+            assert state.stats["triggers_considered"] == before + len(live)
+            assert _state_view(state) == view
             assert applicable == state.scan()
             if not applicable:
                 break

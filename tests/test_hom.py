@@ -519,6 +519,6 @@ def test_head_satisfied_reads_as_many_atoms_over_a_larger_store(monkeypatch):
         for depts in (20, 200):
             state = fact_state(_emp_store(depts, depts), ChaseVariant("r"))
             reads[0] = 0
-            assert (state.blocked(t) == SATISFIED) == satisfied
+            assert (state.blocked(t, True) == SATISFIED) == satisfied
             counts.append(reads[0])
         assert counts[0] == counts[1], employee

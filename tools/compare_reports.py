@@ -30,11 +30,13 @@ under either seed:
   witnesses);
 - `classify --json` on the fixture corpus;
 - `explore --json` on every corpus `.erl`, on the diverging rule
-  `[g] p(X,Y) -> exists Z. p(Y,Z).` over `p(a,b)` (`GROWTH_ERL`), and on
-  `COLLISION_ERL`, whose derivations reach distinct but isomorphic states
-  that the isomorphism table can tell apart only by colour refinement and
-  an isomorphism check, under o/so/r/e/dfr, at (max-depth, max-nodes)
-  budgets (10, 2000), (3, 5), (40, 40), (60, 300);
+  `[g] p(X,Y) -> exists Z. p(Y,Z).` over `p(a,b)` (`GROWTH_ERL`), on
+  `COLLISION_ERL`, whose derivations reach states that share a coarse
+  key, so the isomorphism table refines their colours, which tell them
+  apart, and on `CYCLES_ERL`, whose two symmetric cycles of nulls leave
+  colour classes of several nulls, so the table's isomorphism check runs
+  the injective homomorphism search, under o/so/r/e/dfr, at (max-depth,
+  max-nodes) budgets (10, 2000), (3, 5), (40, 40), (60, 300);
 - `normalize --json` on every corpus `.erl` with --proc sp, 1ad and 2ad,
   and with --skip-atomic for 1ad and 2ad;
 - `tm encode --json` and `tm tape --json --len 1`, 2 and 3 on every corpus
@@ -49,8 +51,8 @@ The script prints each key whose report differs and exits 1 if any does,
     python3 tools/compare_reports.py --dump SRC DIR
 
 prints one tree's reports as a JSON object instead, with the diverging
-rule's file, the collision file, the layout file, the query copies and the
-strategy files written into the directory DIR.
+rule's file, the collision and cycles files, the layout file, the query
+copies and the strategy files written into the directory DIR.
 """
 from __future__ import annotations
 
@@ -76,6 +78,13 @@ COLLISION_ERL = (
     "[c] q(X,Y) -> exists Z. s(Y,Z).\n"
     "p(_u,_v).\n"
     "p(_v,_w).\n"
+)
+CYCLES_ERL = (
+    "[a] p(X,Y) -> exists Z. q(X,Z).\n"
+    "p(_u,_v).\n"
+    "p(_v,_u).\n"
+    "p(_w,_x).\n"
+    "p(_x,_w).\n"
 )
 LAYOUT_ERL = (
     "% layouts the one-pattern path for ground facts leaves to the tokens\r\n"
@@ -124,6 +133,8 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
     growth.write_text(GROWTH_ERL, encoding="utf-8")
     collision = scratch / "collision.erl"
     collision.write_text(COLLISION_ERL, encoding="utf-8")
+    cycles = scratch / "cycles.erl"
+    cycles.write_text(CYCLES_ERL, encoding="utf-8")
     layout = scratch / "layout.erl"
     layout.write_bytes(LAYOUT_ERL.encode("utf-8"))  # CRLF kept as written
     erls = sorted(corpus.glob("*.erl"))
@@ -160,7 +171,7 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
                     "--max-steps", "60", "--derivation", "--json",
                 ]
     commands["classify"] = ["classify", "--fixtures", str(corpus / "fixtures"), "--json"]
-    for erl in [*erls, growth, collision]:
+    for erl in [*erls, growth, collision, cycles]:
         for variant in EXPLORE_VARIANTS:
             for depth, nodes in EXPLORE_BUDGETS:
                 commands["explore %s %s %d %d" % (erl.name, variant, depth, nodes)] = [
