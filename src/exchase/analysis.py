@@ -199,13 +199,13 @@ def entails(
     query = tuple(query)
     as_vars = {n: Var(str(n)) for a in query for n in a.args if isinstance(n, Null)}
     goal = tuple(a.substitute(as_vars) for a in query)
-    index = KnowledgeBase((Rule("?", goal, goal),), FactBase()).body_index
+    goal_kb = KnowledgeBase((Rule("?", goal, goal),), FactBase())
     witness = None
 
     def entailed(state: ChaseState) -> bool:
         nonlocal witness
         delta = state.records[-1][1] if state.records else tuple(state.store.atoms)
-        if next(delta_triggers(index, state.store, delta), None) is None:
+        if next(delta_triggers(goal_kb, state.store, delta), None) is None:
             return False
         witness = hom.find_homomorphism(query, state.store)
         return True

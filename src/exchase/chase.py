@@ -45,6 +45,17 @@ a join sorts no bucket.
 Enumerating every trigger of a store joins the whole body the same way, by
 `Rule.body_plan`.
 
+`enumerate_triggers` and `delta_triggers` take each trigger from the
+knowledge base's `trigger_table`, one dict of match -> `Trigger` per rule,
+and put in each one it lacks; they are the only places that make a
+`Trigger`. So every state, run and explorer branch
+over one knowledge base shares the trigger of a (rule, match), and with it
+its output, minted nulls and keys, computed once. A scan that drops a
+trigger because its output is present takes its entry out as well: such a
+trigger is Datalog in practice (an existential one's output holds its own
+minted nulls, so it is present only once it has fired, and firing takes
+it off its list), which has no digest to share.
+
 `ChaseState` is the one place that tests applicability along a derivation,
 one `ChaseState.blocked` call per trigger considered, which reads the
 state's store, fired keys, variant and budget and changes nothing but the
@@ -81,12 +92,12 @@ from .core import (
     TERMINATED_FAIR,
     TERMINATED_UNFAIR,
     Atom,
-    BodyEntry,
     Derivation,
     FactBase,
     HomBudgetExceeded,
     InputError,
     KnowledgeBase,
+    Match,
     PlanStep,
     Rule,
     Store,
@@ -187,13 +198,27 @@ def _extend(
 _MATCH_ORDER = operator.attrgetter("body_key")
 
 
-def enumerate_triggers(rules: Sequence[Rule], fb: Store, stats: Optional[dict] = None) -> Iterator[Trigger]:
+def enumerate_triggers(
+    rules: Sequence[Rule],
+    fb: Store,
+    stats: Optional[dict] = None,
+    table: Optional[Sequence[dict[Match, Trigger]]] = None,
+) -> Iterator[Trigger]:
     """Every (rule, body match) pair on the store exactly once: rule order,
-    then canonical match order."""
-    for rule in rules:
-        triggers = [Trigger(rule, make_match(m)) for m in _join(rule.body_plan, fb, {}, stats)]
-        triggers.sort(key=_MATCH_ORDER)
-        yield from triggers
+    then canonical match order. `table`, one dict per rule (the
+    `KnowledgeBase.trigger_table` of the rules), gives the trigger of each
+    match it holds and takes each one it lacks; without it every trigger
+    is made anew."""
+    for rule, triggers in zip(rules, table or [{} for _ in rules]):
+        found = []
+        for m in _join(rule.body_plan, fb, {}, stats):
+            match = make_match(m)
+            t = triggers.get(match)
+            if t is None:
+                t = triggers[match] = Trigger(rule, match)
+            found.append(t)
+        found.sort(key=_MATCH_ORDER)
+        yield from found
 
 
 def _bind(pattern: PlanStep, fact: Atom) -> Optional[dict[str, Term]]:
@@ -214,39 +239,47 @@ def _bind(pattern: PlanStep, fact: Atom) -> Optional[dict[str, Term]]:
 
 
 def delta_triggers(
-    index: dict[str, tuple[BodyEntry, ...]],
+    kb: KnowledgeBase,
     fb: Store,
     delta: Sequence[Atom],
     stats: Optional[dict] = None,
 ) -> Iterator[Trigger]:
     """The semi-naive step: every trigger on the store `fb` whose body
     match uses an atom of `delta` (the atoms just added to `fb`), each
-    exactly once, in rule order, over the rules of `index`, a
-    `KnowledgeBase.body_index`. Together with the triggers on `fb` minus
-    `delta` these are all triggers on `fb`. Only the body atoms of the
-    delta's predicates are visited: each delta atom that body atom j
-    matches is joined with the other body atoms by the rule's plan for j."""
+    exactly once, in rule order, over the rules of `kb`. Together with the
+    triggers on `fb` minus `delta` these are all triggers on `fb`. Only the
+    body atoms of the delta's predicates are visited (`kb.body_index`):
+    each delta atom that body atom j matches is joined with the other body
+    atoms by the rule's plan for j. Each trigger comes from
+    `kb.trigger_table`, which a match it lacks goes into. Only a scan
+    takes an entry out, and none runs while the call does, so a trigger
+    found twice is the same object: the call tells triggers apart by
+    identity."""
+    index, table = kb.body_index, kb.trigger_table
     new_by_pred: dict[str, list[Atom]] = {}
     for a in delta:
         new_by_pred.setdefault(a.pred, []).append(a)
     entries = [e for pred in new_by_pred for e in index.get(pred, ())]
     if len(new_by_pred) > 1:
         entries.sort(key=_BODY_POSITION)
-    seen: set = set()
+    seen: set[int] = set()  # the ids of the triggers yielded, all held by the table
     rule_pos = None
     for entry in entries:
         if entry.rule_pos != rule_pos:
             rule_pos = entry.rule_pos
-            seen = set()
+            triggers, seen = table[rule_pos], set()
         for a in new_by_pred[entry.pattern.pred]:
             binding = _bind(entry.pattern, a)
             if binding is None:
                 continue
             for m in _join(entry.plan, fb, binding, stats):
                 match = make_match(m)
-                if match not in seen:
-                    seen.add(match)
-                    yield Trigger(entry.rule, match)
+                t = triggers.get(match)
+                if t is None:
+                    t = triggers[match] = Trigger(entry.rule, match)
+                if id(t) not in seen:
+                    seen.add(id(t))
+                    yield t
 
 
 _BODY_POSITION = operator.itemgetter(0, 1)
@@ -285,12 +318,14 @@ class ChaseState:
         self.fired: set[tuple] = set()
         self.records: list[tuple[Trigger, tuple[Atom, ...]]] = []
         self._trail: list[list[list[Trigger]]] = []  # the lists before each push
-        for t in enumerate_triggers(kb.rules, self.store, stats=self.stats):
+        for t in enumerate_triggers(kb.rules, self.store, self.stats, kb.trigger_table):
             self.lists[self.rule_index[t.rule.id]].append(t)  # in match order per rule
 
     def scan(self, rule_ids: Optional[frozenset[str]] = None, first: bool = False) -> list[Trigger]:
         """Applicable triggers in canonical order (only the first one if
-        `first`), dropping every trigger found blocked for good. The
+        `first`), dropping every trigger found blocked for good, and taking
+        one whose output is present out of the knowledge base's
+        `trigger_table` too, if its entry is that very trigger. The
         Datalog-first gate is open when no live Datalog trigger is left; a
         scan finds it once, before the first non-Datalog trigger it tests,
         and passes it to each `blocked` call. An E test over `hom_budget`
@@ -298,7 +333,7 @@ class ChaseState:
         datalog_first, blocked = self.variant.datalog_first, self.blocked
         found: list[Trigger] = []
         datalog_ok: Optional[bool] = None
-        for rule, entries in zip(self.kb.rules, self.lists):
+        for rule, entries, triggers in zip(self.kb.rules, self.lists, self.kb.trigger_table):
             if rule_ids is not None and rule.id not in rule_ids:
                 continue
             if datalog_ok is None and entries and datalog_first and not rule.is_datalog:
@@ -307,6 +342,8 @@ class ChaseState:
             for pos, t in enumerate(entries):
                 reason = blocked(t, datalog_ok)
                 if reason in PERMANENT:
+                    if reason is PRESENT and triggers.get(t.match) is t:
+                        del triggers[t.match]
                     continue
                 kept.append(t)
                 if reason is None:
@@ -376,7 +413,7 @@ class ChaseState:
         i = bisect_left(entries, t.body_key, key=_MATCH_ORDER)
         if i < len(entries) and entries[i].body_key == t.body_key:
             del entries[i]
-        for new in delta_triggers(self.kb.body_index, self.store, delta, self.stats):
+        for new in delta_triggers(self.kb, self.store, delta, self.stats):
             insort(self.lists[self.rule_index[new.rule.id]], new, key=_MATCH_ORDER)
         self.records.append((t, delta))
         return delta
@@ -398,7 +435,11 @@ class ChaseState:
     def goto(self, path: Sequence[Trigger]) -> None:
         """Move to the end of `path`, triggers each applicable after those
         before it: pop back to the prefix the records share with `path` (by
-        trigger identity), then push the rest."""
+        trigger identity), then push the rest. Identity is equality for the
+        triggers the knowledge base's `trigger_table` still holds, since
+        every step that meets such a (rule, match) gets the same object; a
+        trigger made again after a scan took its entry out is a new object,
+        which costs only a pop and a push more."""
         records = self.records
         k, n = 0, min(len(records), len(path))
         while k < n and records[k][0] is path[k]:

@@ -14,7 +14,10 @@ A command imports the modules it needs only when it runs. Importing this
 module loads `core`, `chase` and `textio`; `explore`, `entails` and
 `classify` load `analysis` (and with it `hom`), and `classify` also
 `normalize`; `normalize` loads `normalize`; `tm` loads `tmgen`. Their
-errors all derive from `core.InputError`, which `main` catches.
+errors all derive from `core.InputError`, which `main` catches. Likewise
+`main` builds the parser of the command it runs alone (all of them when
+its first argument names none), with the usage and help texts of the whole
+parser.
 """
 from __future__ import annotations
 
@@ -251,13 +254,7 @@ def _cmd_tm(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="exchase", description="chase engine and analysis toolkit for existential rules"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="run a chase variant on a rule/fact file")
+def _run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--variant", default="r")
     p.add_argument("--strategy", default="fifo")
@@ -267,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("normalize", help="apply a normalisation procedure")
+
+def _normalize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--proc", choices=_PROCEDURES, required=True)
     p.add_argument("--skip-atomic", action="store_true")
@@ -275,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("explore", help="explore all derivations up to budgets")
+
+def _explore_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--variant", default="r")
     p.add_argument("--max-depth", type=int, default=12)
@@ -283,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_explore)
 
-    p = sub.add_parser("entails", help="budgeted BCQ entailment")
+
+def _entails_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--query-index", type=int, default=0)
     p.add_argument("--variant", default="r")
@@ -291,24 +291,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_entails)
 
-    p = sub.add_parser("classify", help="run a fixture corpus against expectations")
+
+def _classify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fixtures", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("tm", help="encode a Turing machine or emit a tape")
+
+def _tm_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=("encode", "tape"))
     p.add_argument("--machine", required=True)
     p.add_argument("--len", type=int, default=1)
     p.add_argument("--output")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_tm)
+
+
+# Command -> (its help line, the function that adds its arguments).
+_COMMANDS = {
+    "run": ("run a chase variant on a rule/fact file", _run_arguments),
+    "normalize": ("apply a normalisation procedure", _normalize_arguments),
+    "explore": ("explore all derivations up to budgets", _explore_arguments),
+    "entails": ("budgeted BCQ entailment", _entails_arguments),
+    "classify": ("run a fixture corpus against expectations", _classify_arguments),
+    "tm": ("encode a Turing machine or emit a tape", _tm_arguments),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser. Given the name of a command, it holds that
+    command's subparser alone, and parses that command's argument lists
+    with the usage, help and error texts of the whole parser: its command
+    choice is written as the whole parser writes the list of commands.
+    Given anything else, it holds every command."""
+    parser = argparse.ArgumentParser(
+        prog="exchase", description="chase engine and analysis toolkit for existential rules"
+    )
+    if command in _COMMANDS:
+        names, metavar = [command], "{%s}" % ",".join(_COMMANDS)
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (InputError, OSError, UnicodeDecodeError) as e:

@@ -4,7 +4,11 @@ Terms, atoms, rules, fact bases, triggers and derivations are immutable,
 hashable and safe to share between threads; a `FactBase` is a validated atom
 set that lazily caches its sorted atoms, terms and nulls, as rules and
 triggers cache their derived fields (`cached_attribute`: plain dict writes,
-safe because instances are frozen). `Store` is the one mutable exception and
+safe because instances are frozen). A knowledge base is immutable too, but
+its `trigger_table` is not: every derivation over the knowledge base reads
+and extends it, and a scan takes entries out, so derivations over one
+knowledge base must not run in two threads at once (one thread may run any
+number of them). `Store` is the other mutable exception and
 the one indexed fact base: the fact base a derivation grows in place (and
 shrinks again when the explorer backtracks), which every trigger join and
 homomorphism search runs over. Its buckets are in the order atoms were
@@ -525,6 +529,16 @@ class KnowledgeBase:
                 index.setdefault(a.pred, []).append(BodyEntry(r, j, rule, pattern, plan))
         return {pred: tuple(entries) for pred, entries in index.items()}
 
+    @cached_attribute
+    def trigger_table(self) -> tuple[dict[Match, "Trigger"], ...]:
+        """One dict per rule, in rule order: match -> the live `Trigger` of
+        that (rule, match). Trigger enumeration takes each trigger from it
+        and puts in those it lacks, never replacing an entry, so every
+        derivation over the knowledge base shares each trigger's output and
+        minted nulls; a scan that finds a trigger's output present takes
+        its entry out. The table lives and dies with the knowledge base."""
+        return tuple({} for _ in self.rules)
+
 
 
 Match = tuple[tuple[str, Term], ...]
@@ -577,7 +591,10 @@ class Trigger:
     """A rule plus a total homomorphism from its body into some fact base.
 
     Two triggers are equal iff their rules and matches are; the nulls a
-    trigger mints depend only on (rule id, match, variable name).
+    trigger mints depend only on (rule id, match, variable name). So the
+    chase keeps one live object per (rule, match) per knowledge base, in
+    `KnowledgeBase.trigger_table`, and computes each cached field of it
+    once for every derivation over that knowledge base.
     """
 
     rule: Rule

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exchase import analysis, hom
+from exchase import analysis, core, hom
 from exchase.analysis import (
     ALL_FINITE,
     BUDGET_EXCEEDED,
@@ -493,6 +493,28 @@ def test_classify_whole_corpus_passes():
     seen = {(r["fixture"], r["variant"], r["mode"]) for r in rows}
     assert ("T2F", "R", "exists") in seen
     assert ("EX1", "R", "forall") in seen
+
+
+def test_classify_computes_each_digest_once_per_fixture(monkeypatch):
+    """A fixture's runs and searches share the triggers of its knowledge
+    base, so `classify` on the corpus computes each existential trigger's
+    digest, which mints its nulls, at most once per fixture."""
+    fixture_kb, keys = [], []
+    classify_fixture, match_digest = analysis.classify_fixture, core._match_digest
+
+    def recording_fixture(fixture):
+        fixture_kb.append(fixture.kb)  # kept, so that its id stays its own
+        return classify_fixture(fixture)
+
+    def recording_digest(rule_id, match):
+        keys.append((id(fixture_kb[-1]), rule_id, match))
+        return match_digest(rule_id, match)
+
+    monkeypatch.setattr(analysis, "classify_fixture", recording_fixture)
+    monkeypatch.setattr(core, "_match_digest", recording_digest)
+    assert all(row["pass"] for row in classify(CORPUS / "fixtures"))
+    assert keys
+    assert len(keys) == len(set(keys))
 
 
 def test_classify_detects_mismatch(tmp_path):

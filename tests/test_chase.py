@@ -729,11 +729,97 @@ def test_triggers_from_enumeration_and_delta_search_are_equal():
     a, b, c, d = (Const(n) for n in "abcd")
     fb = FactBase([Atom("e", (a, b)), Atom("e", (b, c)), Atom("e", (c, d))])
     _, whole = enumerate_triggers([rule], Store(fb))  # the second of two
-    index = KnowledgeBase((rule,), FactBase()).body_index
-    (delta,) = delta_triggers(index, Store(fb), [Atom("e", (c, d))])
+    (delta,) = delta_triggers(KnowledgeBase((rule,), FactBase()), Store(fb), [Atom("e", (c, d))])
     assert whole.match == delta.match
     assert whole == delta
     assert hash(whole) == hash(delta)
+
+
+def _table_view(kb: KnowledgeBase) -> dict:
+    """(rule position, match) -> trigger, over the knowledge base's
+    `trigger_table`."""
+    return {(i, m): t for i, triggers in enumerate(kb.trigger_table) for m, t in triggers.items()}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_kbs(), st.sampled_from(ALL_VARIANTS), st.data())
+def test_trigger_table_holds_one_trigger_per_rule_and_match(kb, name, data):
+    """Two states of one knowledge base, each walked down a random path and
+    partly back: a trigger a state meets while the table holds its (rule,
+    match) is the table's object, which both states then share; a scan
+    takes out of the table exactly the entries of the triggers it drops
+    with their outputs present, when the entry is that trigger; and every
+    trigger the table holds equals one made anew, cached fields and all."""
+    variant = ChaseVariant.parse(name)
+
+    def check_met(state, before, old) -> None:
+        for i, entries in enumerate(state.lists):
+            for t in entries:
+                if id(t) not in old:
+                    assert kb.trigger_table[i][t.match] is t
+                    assert before.get((i, t.match), t) is t
+
+    def scan(state):
+        before, lists = _table_view(kb), [list(entries) for entries in state.lists]
+        edges = state.scan()
+        live = {id(t) for entries in state.lists for t in entries}
+        dropped_present = {
+            (i, t.match)
+            for i, entries in enumerate(lists)
+            for t in entries
+            if id(t) not in live
+            and before.get((i, t.match)) is t
+            and all(a in state.store.atoms for a in t.output)
+        }
+        after = _table_view(kb)
+        assert after.keys() == before.keys() - dropped_present
+        assert all(after[k] is before[k] for k in after)
+        return edges
+
+    def walk(state) -> None:
+        for _ in range(data.draw(st.integers(0, 5))):
+            edges = scan(state)
+            if not edges:
+                break
+            before, old = _table_view(kb), {id(t) for entries in state.lists for t in entries}
+            state.push(data.draw(st.sampled_from(edges)))
+            check_met(state, before, old)
+        for _ in range(data.draw(st.integers(0, len(state.records)))):
+            state.pop()
+        scan(state)
+
+    states = []
+    for _ in range(2):
+        before = _table_view(kb)
+        states.append(ChaseState(kb, variant))
+        check_met(states[-1], before, set())
+        walk(states[-1])
+    walk(states[0])
+    for (i, m), t in _table_view(kb).items():
+        fresh = Trigger(kb.rules[i], m)
+        assert t == fresh
+        assert t.output == fresh.output
+        assert t.extended == fresh.extended
+        assert t.body_key == fresh.body_key
+        assert t.frontier_key == fresh.frontier_key
+
+
+def test_a_present_drop_takes_out_only_its_own_table_entry():
+    """A scan that drops a trigger for its output being present takes its
+    entry out of the table, but leaves an equal trigger made after that."""
+    rule = Rule("d", (Atom("p", V("X")),), (Atom("q", V("X")),))
+    a = Const("a")
+    kb = KnowledgeBase((rule,), FactBase([Atom("p", (a,)), Atom("q", (a,))]))
+    first, second = ChaseState(kb, O), ChaseState(kb, O)
+    (t,) = first.lists[0]
+    assert second.lists[0][0] is t
+    assert first.scan() == []
+    assert kb.trigger_table[0] == {}
+    (again,) = ChaseState(kb, O).lists[0]
+    assert again == t and again is not t
+    assert second.scan() == []  # drops its own `t`, no longer the entry
+    assert kb.trigger_table[0] == {t.match: again}
+    assert kb.trigger_table[0][t.match] is again
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -892,8 +978,7 @@ def test_delta_triggers_find_each_new_match_once(case):
     """Delta discovery yields each match that uses a delta atom exactly once,
     also when two delta atoms bind the same body atom."""
     rule, fb, delta = case
-    index = KnowledgeBase((rule,), FactBase()).body_index
-    got = [t.match for t in delta_triggers(index, fb, delta)]
+    got = [t.match for t in delta_triggers(KnowledgeBase((rule,), FactBase()), fb, delta)]
     assert len(got) == len(set(got))
     want = [
         m

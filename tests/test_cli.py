@@ -783,6 +783,50 @@ def test_normalize_choices_are_the_procedures():
     assert cli._PROCEDURES == tuple(normalize.PROCEDURES)
 
 
+def _parse_texts(parse, argv) -> tuple:
+    """(exit code, stdout, stderr) of `parse(argv)`, which argparse ends."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as stop:
+        parse(argv)
+    return stop.value.code, out.getvalue(), err.getvalue()
+
+
+# Per command: its help, an argument list that lacks a required argument,
+# and one with an unknown option.
+_USAGE_CASES = {
+    "run": (["run", "-h"], ["run"], ["run", "f.erl", "--bogus"]),
+    "normalize": (
+        ["normalize", "-h"],
+        ["normalize", "f.erl"],
+        ["normalize", "f.erl", "--proc", "sp", "--bogus"],
+    ),
+    "explore": (["explore", "-h"], ["explore"], ["explore", "f.erl", "--bogus"]),
+    "entails": (["entails", "-h"], ["entails"], ["entails", "f.erl", "--bogus"]),
+    "classify": (["classify", "-h"], ["classify"], ["classify", "--fixtures", "d", "--bogus"]),
+    "tm": (["tm", "-h"], ["tm", "encode"], ["tm", "encode", "--machine", "m.tm", "--bogus"]),
+}
+
+
+def test_usage_texts_are_those_of_the_whole_parser():
+    """`main` builds the subparser of the command it runs alone, and every
+    usage, help and error text it prints is the whole parser's."""
+    from exchase import cli
+
+    whole = cli.build_parser()
+    assert list(whole._subparsers._group_actions[0].choices) == list(_USAGE_CASES)
+    for command in _USAGE_CASES:
+        (action,) = cli.build_parser(command)._subparsers._group_actions
+        assert list(action.choices) == [command]
+    cases = [[], ["-h"], ["bogus"], ["tm"]] + [argv for argvs in _USAGE_CASES.values() for argv in argvs]
+    for argv in cases:
+        code, out, err = _parse_texts(whole.parse_args, argv)
+        assert code == (0 if "-h" in argv else 2), argv
+        assert out or err, argv
+        assert _parse_texts(main, argv) == (code, out, err), argv
+    _, _, err = _parse_texts(main, ["run", "f.erl", "--bogus"])
+    assert err.startswith("usage: exchase [-h] {run,normalize,explore,entails,classify,tm} ...\n")
+
+
 _BUDGETS = {"max_depth": 4, "max_nodes": 50, "max_steps": 3}
 # Ways to break a fixture, by name: fields that replace its own, or a JSON
 # value that is not an object. A broken budget keeps the others small, so

@@ -490,9 +490,9 @@ def test_bcq_check_per_step_reads_as_many_atoms_over_a_larger_store(monkeypatch)
     monkeypatch.setattr(hom, "find_homomorphism", counted_search)
     per_step = []
 
-    def counted_delta(index, fb, delta, stats=None):
+    def counted_delta(kb, fb, delta, stats=None):
         before = reads[0]
-        found = next(delta_triggers(index, fb, delta, stats), None)
+        found = next(delta_triggers(kb, fb, delta, stats), None)
         per_step.append(reads[0] - before)
         return iter(() if found is None else (found,))
 

@@ -35,8 +35,14 @@ under either seed:
   key, so the isomorphism table refines their colours, which tell them
   apart, and on `CYCLES_ERL`, whose two symmetric cycles of nulls leave
   colour classes of several nulls, so the table's isomorphism check runs
-  the injective homomorphism search, under o/so/r/e/dfr, at (max-depth,
-  max-nodes) budgets (10, 2000), (3, 5), (40, 40), (60, 300);
+  the injective homomorphism search, and on `INDEP_ERL`, under o/so/r/e/dfr,
+  at (max-depth, max-nodes) budgets (10, 2000), (3, 5), (40, 40), (60, 300);
+- `run --derivation --json --max-steps 60` on `INDEP_ERL`, four
+  independent existential rules `[ri] ai(X) -> exists Y. bi(X,Y).` over
+  `ai(c)`, under o/so/r/e/dfr with the fifo and datalog-first strategies:
+  sibling explorer branches, and the runs and searches of one knowledge
+  base, meet the same triggers again, which they share through the
+  knowledge base's trigger table;
 - `normalize --json` on every corpus `.erl` with --proc sp, 1ad and 2ad,
   and with --skip-atomic for 1ad and 2ad;
 - `tm encode --json` and `tm tape --json --len 1`, 2 and 3 on every corpus
@@ -51,8 +57,9 @@ The script prints each key whose report differs and exits 1 if any does,
     python3 tools/compare_reports.py --dump SRC DIR
 
 prints one tree's reports as a JSON object instead, with the diverging
-rule's file, the collision and cycles files, the layout file, the query
-copies and the strategy files written into the directory DIR.
+rule's file, the collision, cycles and independent-rules files, the
+layout file, the query copies and the strategy files written into the
+directory DIR.
 """
 from __future__ import annotations
 
@@ -86,6 +93,7 @@ CYCLES_ERL = (
     "p(_w,_x).\n"
     "p(_x,_w).\n"
 )
+INDEP_ERL = "".join("[r%d] a%d(X) -> exists Y. b%d(X,Y).\na%d(c).\n" % ((i,) * 4) for i in range(4))
 LAYOUT_ERL = (
     "% layouts the one-pattern path for ground facts leaves to the tokens\r\n"
     "[r1] e(X,Y) -> exists Z. P(Y,Z).\r\n"
@@ -135,6 +143,8 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
     collision.write_text(COLLISION_ERL, encoding="utf-8")
     cycles = scratch / "cycles.erl"
     cycles.write_text(CYCLES_ERL, encoding="utf-8")
+    indep = scratch / "indep.erl"
+    indep.write_text(INDEP_ERL, encoding="utf-8")
     layout = scratch / "layout.erl"
     layout.write_bytes(LAYOUT_ERL.encode("utf-8"))  # CRLF kept as written
     erls = sorted(corpus.glob("*.erl"))
@@ -170,8 +180,14 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
                     "run", str(erl), "--variant", variant, "--strategy", "%s:%s" % (kind, path),
                     "--max-steps", "60", "--derivation", "--json",
                 ]
+    for variant in EXPLORE_VARIANTS:
+        for strategy in STRATEGIES:
+            commands["run %s %s %s" % (indep.name, variant, strategy)] = [
+                "run", str(indep), "--variant", variant, "--strategy", strategy,
+                "--max-steps", "60", "--derivation", "--json",
+            ]
     commands["classify"] = ["classify", "--fixtures", str(corpus / "fixtures"), "--json"]
-    for erl in [*erls, growth, collision, cycles]:
+    for erl in [*erls, growth, collision, cycles, indep]:
         for variant in EXPLORE_VARIANTS:
             for depth, nodes in EXPLORE_BUDGETS:
                 commands["explore %s %s %d %d" % (erl.name, variant, depth, nodes)] = [
