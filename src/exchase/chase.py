@@ -33,15 +33,14 @@ trigger on the store, per rule in canonical match order, except those that
 were applied or dropped. After a step only the body matches that use an
 atom of the step's delta are found and inserted (`delta_triggers`). The
 knowledge base's `body_index` gives the body atoms of each delta predicate;
-each such atom j is bound to a delta atom and `_join`ed with the other body
-atoms by the plan that j's `BodyEntry` holds (`core.join_plan`, most bound
-arguments first), which tells the join, per atom, which positions are
-bound, free, constant or repeated. An atom whose arguments are all bound is
-looked up in the store; any other walks `Store.candidates`, the bucket the
-homomorphism search reads too, in the order its atoms were added. Trigger
-order is canonical match order, the order of `Trigger.body_key`:
-`enumerate_triggers` sorts by it and `apply` inserts new triggers by it, so
-a join sorts no bucket.
+each such atom j is bound to the delta atoms it matches (`Store.matches`)
+and joined with the other body atoms by the plan that j's `BodyEntry`
+holds (`core.join_plan`, most bound arguments first). A join (`_join`) is
+`core.search` in plan order, the loop the homomorphism search runs in
+fail-first order, so it reads the store's buckets as that search does,
+in the order their atoms were added. Trigger order is canonical match
+order, the order of `Trigger.body_key`: `enumerate_triggers` sorts by it
+and `apply` inserts new triggers by it, so a join sorts no bucket.
 Enumerating every trigger of a store joins the whole body the same way, by
 `Rule.body_plan`.
 
@@ -105,6 +104,7 @@ from .core import (
     Trigger,
     join_plan,
     make_match,
+    search,
 )
 
 
@@ -147,51 +147,12 @@ class ChaseVariant:
 def _join(
     plan: Sequence[PlanStep], fb: Store, binding: dict[str, Term], stats: Optional[dict] = None
 ) -> Iterator[dict[str, Term]]:
-    """Every extension of `binding` (variable name -> term) that maps the
-    atoms of a join plan (`core.join_plan`, made for the variables of
-    `binding`) into `fb`, atom by atom in its order. An atom whose
-    arguments are all bound is looked up in `fb.atoms`; any other walks
-    `fb.candidates` for its bound arguments, in the order the atoms were
-    added. Counted as one search in stats["hom_calls"]."""
+    """Every extension of `binding` (variable name -> term) mapping a join
+    plan (`core.join_plan`, made for the variables of `binding`) into `fb`:
+    `core.search` in plan order, counted as one in stats["hom_calls"]."""
     if stats is not None:
         stats["hom_calls"] = stats.get("hom_calls", 0) + 1
-    return _extend(plan, 0, fb, binding)
-
-
-def _extend(
-    plan: Sequence[PlanStep], k: int, fb: Store, binding: dict[str, Term]
-) -> Iterator[dict[str, Term]]:
-    if k == len(plan):
-        yield binding
-        return
-    pred, args, bound, consts, free, repeats = plan[k]
-    if not free:
-        ground = tuple([binding[s] if s.__class__ is str else s for s in args])
-        if Atom(pred, ground) in fb.atoms:
-            yield from _extend(plan, k + 1, fb, binding)
-        return
-    pairs = [(i, binding[s]) for i, s in bound]
-    if consts:
-        pairs += consts
-    arity = len(args)
-    for cand in fb.candidates(pred, pairs):
-        cargs = cand.args
-        if len(cargs) != arity:
-            continue
-        for i, t in pairs:
-            x = cargs[i]
-            if x is not t and x != t:
-                break
-        else:
-            for i, j in repeats:
-                x, y = cargs[i], cargs[j]
-                if x is not y and x != y:
-                    break
-            else:
-                ext = dict(binding)
-                for i, s in free:
-                    ext[s] = cargs[i]
-                yield from _extend(plan, k + 1, fb, ext)
+    return search(fb, binding, plan)
 
 
 # Canonical trigger order within a rule: the order of the match.
@@ -219,23 +180,6 @@ def enumerate_triggers(
             found.append(t)
         found.sort(key=_MATCH_ORDER)
         yield from found
-
-
-def _bind(pattern: PlanStep, fact: Atom) -> Optional[dict[str, Term]]:
-    """The binding (variable name -> term) that maps `pattern`, the plan
-    step of a body atom with nothing bound, onto `fact`, or None."""
-    args = fact.args
-    if len(args) != len(pattern.args):
-        return None
-    for i, c in pattern.consts:
-        x = args[i]
-        if x is not c and x != c:
-            return None
-    for i, j in pattern.repeats:
-        x, y = args[i], args[j]
-        if x is not y and x != y:
-            return None
-    return {s: args[i] for i, s in pattern.free}
 
 
 def delta_triggers(
@@ -268,10 +212,9 @@ def delta_triggers(
         if entry.rule_pos != rule_pos:
             rule_pos = entry.rule_pos
             triggers, seen = table[rule_pos], set()
-        for a in new_by_pred[entry.pattern.pred]:
-            binding = _bind(entry.pattern, a)
-            if binding is None:
-                continue
+        pattern = entry.pattern
+        for a in fb.matches(pattern, {}, new_by_pred[pattern.pred]):
+            binding = {s: a.args[i] for i, s in pattern.free}
             for m in _join(entry.plan, fb, binding, stats):
                 match = make_match(m)
                 t = triggers.get(match)

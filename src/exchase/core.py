@@ -15,6 +15,9 @@ homomorphism search runs over. Its buckets are in the order atoms were
 added, and are kept in no other order: a homomorphism search sorts into
 canonical order only the candidate list it branches on.
 
+Every join and homomorphism search runs one loop, `search`, with one
+candidate filter, `Store.matches`: joins (trigger discovery, R's head test,
+the BCQ check per step) in join plan order, `hom`'s searches fail-first.
 Each join plan (`join_plan`) is made once and kept in one place: a rule
 keeps the plan of its whole body (`Rule.body_plan`) and of its head from
 the frontier (`Rule.head_plan`), and a knowledge base indexes its rules'
@@ -35,7 +38,7 @@ import functools
 import re
 from itertools import count, repeat
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 
 # Frozen dataclasses set their fields in `__init__` through this.
@@ -182,15 +185,32 @@ def sort_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
 
 
 class PlanStep(NamedTuple):
-    """One atom of a join plan, its arguments sorted by what a search finds
+    """One atom of a search, its arguments sorted by what the search finds
     there when it reaches the atom."""
 
     pred: str
-    args: tuple[Union[str, Const], ...]  # a variable by its name, a constant as itself
-    bound: tuple[tuple[int, str], ...]  # (position, variable bound earlier)
+    args: tuple  # a variable by its key in a binding (a join's: its name), a constant as itself
+    bound: tuple[tuple[int, object], ...]  # (position, variable bound earlier)
     consts: tuple[tuple[int, Const], ...]  # (position, constant)
-    free: tuple[tuple[int, str], ...]  # (first position, variable it binds)
+    free: tuple[tuple[int, object], ...]  # (first position, variable it binds)
     repeats: tuple[tuple[int, int], ...]  # (position, first position) of such a variable
+
+
+def plan_step(pred: str, args: tuple, bound) -> PlanStep:
+    """The step of an atom of `pred` with arguments `args` (`PlanStep.args`)
+    when the variables in `bound` have a term."""
+    fixed, consts, first, repeats = [], [], {}, []
+    for i, s in enumerate(args):
+        if s.__class__ is Const:
+            consts.append((i, s))
+        elif s in bound:
+            fixed.append((i, s))
+        elif s in first:
+            repeats.append((i, first[s]))
+        else:
+            first[s] = i
+    free = tuple((i, s) for s, i in first.items())
+    return PlanStep(pred, args, tuple(fixed), tuple(consts), free, tuple(repeats))
 
 
 def join_plan(atoms: Iterable[Atom], bound: Iterable[str]) -> tuple[PlanStep, ...]:
@@ -198,34 +218,26 @@ def join_plan(atoms: Iterable[Atom], bound: Iterable[str]) -> tuple[PlanStep, ..
 
     Greedy: next comes the atom with the most bound arguments (constants and
     variables of `bound` or of earlier atoms), then the fewest free
-    variables, then the first in the order given. Its step holds the
-    positions of its constants, of its variables bound before it, and of the
-    first and the repeated occurrences of the variables it binds, so that
-    the search does not tell them apart at each node."""
-    left = list(atoms)
+    variables, then the first in the order given. Its step (`plan_step`)
+    holds the positions of its constants, of its variables bound before it,
+    and of the first and the repeated occurrences of the variables it binds,
+    so that the search does not tell them apart at each node."""
+    left = [(a.pred, tuple([t.name if t.__class__ is Var else t for t in a.args])) for a in atoms]
     bound = set(bound)
     plan = []
     while left:
         best = None
-        for k, a in enumerate(left):
-            fixed, consts, first, repeats = [], [], {}, []
-            for i, t in enumerate(a.args):
-                if t.__class__ is not Var:
-                    consts.append((i, t))
-                elif t.name in bound:
-                    fixed.append((i, t.name))
-                elif t.name in first:
-                    repeats.append((i, first[t.name]))
+        for k, (_, args) in enumerate(left):
+            held, free = 0, set()
+            for s in args:
+                if s.__class__ is Const or s in bound:
+                    held += 1
                 else:
-                    first[t.name] = i
-            rank = (len(fixed) + len(consts), -len(first))
+                    free.add(s)
+            rank = (held, -len(free))
             if best is None or rank > best[0]:
-                args = tuple(t.name if t.__class__ is Var else t for t in a.args)
-                free = tuple((i, s) for s, i in first.items())
-                step = PlanStep(a.pred, args, tuple(fixed), tuple(consts), free, tuple(repeats))
-                best = (rank, k, step)
-        _, k, step = best
-        del left[k]
+                best = (rank, k)
+        step = plan_step(*left.pop(best[1]), bound)
         bound.update(s for _, s in step.free)
         plan.append(step)
     return tuple(plan)
@@ -465,8 +477,96 @@ class Store:
                 pool = bucket
         return pool
 
+    def matches(
+        self, step: PlanStep, binding: Mapping, pool: Optional[Sequence[Atom]] = None
+    ) -> Iterator[Atom]:
+        """The stored atoms `step` maps onto under `binding`. A step with no
+        free variable is looked up; any other walks `candidates` (or `pool`,
+        atoms of its predicate) lazily for the atoms of its arity holding its
+        constants and bound terms, and one term at a repeated variable's."""
+        pred, args, bound, consts, free, repeats = step
+        if pool is None and not free:
+            ground = Atom(pred, tuple([s if s.__class__ is Const else binding[s] for s in args]))
+            if ground in self.atoms:
+                yield ground
+            return
+        pairs = [(i, binding[s]) for i, s in bound] if bound else []
+        if consts:
+            pairs += consts
+        arity = len(args)
+        for cand in self.candidates(pred, pairs) if pool is None else pool:
+            cargs = cand.args
+            if len(cargs) != arity:
+                continue
+            for i, t in pairs:
+                x = cargs[i]
+                if x is not t and x != t:
+                    break
+            else:
+                for i, j in repeats:
+                    x, y = cargs[i], cargs[j]
+                    if x is not y and x != y:
+                        break
+                else:
+                    yield cand
+
     def snapshot(self) -> FactBase:
         return FactBase(frozenset(self.atoms))
+
+
+def search(fb: Store, binding: dict, atoms: Sequence, picker=None) -> Iterator[dict]:
+    """Every extension of `binding` mapping `atoms` into `fb`, depth first
+    on an explicit stack, so that no search recurses per atom. Each node is
+    a binding, each child and each binding yielded a new dict. Without a
+    `picker`, `atoms` is a join plan, taken in order: a step with no free
+    variable is looked up in `fb.atoms`, any other branches on the atoms
+    `fb.matches` gives. Otherwise `atoms` are a homomorphism search's
+    source (`hom._Search`): `picker.branch(node, remaining)` gives the
+    atoms left below a node and the (atom, bindings) pairs that make its
+    children, and a node past `picker.budget` (if not None) of those
+    counted in `picker.nodes` raises HomBudgetExceeded."""
+    stack: list[tuple] = []
+    node, rest = binding, (len(atoms) if picker is None else atoms)  # steps or atoms left
+    while True:
+        if node is None:  # backtrack
+            if not stack:
+                return
+            found, free, parent, rest = stack.pop()
+        else:
+            if picker is not None:
+                picker.nodes += 1
+                if picker.budget is not None and picker.nodes > picker.budget:
+                    raise HomBudgetExceeded()
+            if not rest:
+                yield dict(node) if node is binding else node
+                node = None
+                continue
+            if picker is None:
+                step = atoms[-rest]
+                rest -= 1
+                if not step.free:
+                    ground = tuple([s if s.__class__ is Const else node[s] for s in step.args])
+                    if Atom(step.pred, ground) not in fb.atoms:
+                        node = None
+                    continue
+                found, free = fb.matches(step, node), step.free
+            else:
+                rest, found = picker.branch(node, rest)
+                found, free = iter(found), None
+            parent, node = node, None
+        for nxt in found:
+            child = parent.copy()
+            if free is None:
+                child.update(nxt[1])
+            else:
+                args = nxt.args
+                for i, s in free:
+                    child[s] = args[i]
+            if rest or picker is not None:
+                stack.append((found, free, parent, rest))
+                node = child
+                break
+            yield child
 
 
 class InputError(ValueError):

@@ -3,6 +3,7 @@
 A homomorphism between atom sets maps variables and nulls to terms, fixes
 constants pointwise and extends `fixed`. The searches here move nulls of F:
 the equivalent chase's fold, isomorphism checks and an entailed BCQ's witness.
+Each runs `core.search`, the loop of trigger joins too, fail-first (`_Search`).
 
 `IsoTable` maps atom sets up to isomorphism; the derivation explorer uses it
 to deduplicate states. It finds an identical atom set by hash, buckets the
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .core import Atom, Const, FactBase, HomBudgetExceeded, Store, Term, cached_attribute
+from .core import Atom, Const, FactBase, HomBudgetExceeded, Store, Term, cached_attribute, plan_step, search
 
 
 class _Search:
-    """Backtracking search with forward pruning over a `Store`, branching on
-    the most constrained atom (fail-first): the first remaining atom with the
+    """A homomorphism search over a `Store`: `core.search` branching on the
+    most constrained atom (fail-first), the first remaining atom with the
     fewest candidates, or the first with at most one, whose candidates it
     tries in canonical order. `_most_constrained` counts candidates only as
     far as that choice needs, so a node costs the atoms it reads up to the
@@ -37,88 +38,43 @@ class _Search:
         self.budget = budget
         self.nodes = 0
         self.assignment: dict[Term, Term] = dict(fixed or {})
-        self.used: set[Term] = set(self.assignment.values()) if injective else set()
-        if injective:  # constants of the source are their own images
-            self.used.update(t for a in self.atoms for t in a.args if isinstance(t, Const))
+        # In an injective search constants of the source are their own images.
+        self._consts = {t for a in self.atoms for t in a.args if isinstance(t, Const)} if injective else set()
+        self.used: set[Term] = self._consts.union(self.assignment.values()) if injective else set()
 
     def _candidates(
         self, a: Atom, limit: Optional[int] = None
     ) -> list[tuple[Atom, list[tuple[Term, Term]]]]:
         """The target atoms `a` can map to under the current assignment, each
-        with the bindings it adds, in the order of the store's candidates; at
-        most `limit` of them. An atom whose every argument has an image is
-        looked up directly; otherwise the store's candidates for the bound
-        arguments are checked for arity, the bound terms, repeated variables
-        and, in an injective search, images already used."""
-        assignment = self.assignment
-        images = [s if isinstance(s, Const) else assignment.get(s) for s in a.args]
-        if None not in images:
-            ground = Atom(a.pred, tuple(images))
-            return [(ground, [])] if ground in self.fb.atoms else []
-        bound = [(i, t) for i, t in enumerate(images) if t is not None]
-        free = [(i, s) for i, s in enumerate(a.args) if images[i] is None]
+        with the bindings it adds, in the order `Store.matches` gives them;
+        at most `limit` of them. In an injective search an atom that would
+        map two terms to one image, or a term to an image already used, is
+        left out."""
+        step = plan_step(a.pred, a.args, self.assignment)
         injective, used = self.injective, self.used
         out = []
-        for cand in self.fb.candidates(a.pred, bound):
-            args = cand.args
-            if len(args) != len(images) or any(args[i] != t for i, t in bound):
-                continue
-            binds: list[tuple[Term, Term]] = []
-            local: dict[Term, Term] = {}
-            for i, s in free:
-                t = args[i]
-                img = local.get(s)
-                if img is not None:
-                    if img != t:
-                        break
-                elif injective and (t in used or t in local.values()):
-                    break
-                else:
-                    local[s] = t
-                    binds.append((s, t))
-            else:
-                out.append((cand, binds))
-                if len(out) == limit:
-                    break
+        for cand in self.fb.matches(step, self.assignment):
+            binds = [(s, cand.args[i]) for i, s in step.free]
+            if injective:
+                images = {t for _, t in binds}
+                if len(images) < len(binds) or not used.isdisjoint(images):
+                    continue
+            out.append((cand, binds))
+            if len(out) == limit:
+                break
         return out
 
     def run(self) -> Iterator[dict[Term, Term]]:
-        """Depth-first over the source atoms, on an explicit stack so the
-        depth is not bounded by the recursion limit. A frame holds the atoms
-        left below its choice point, its remaining candidate bindings and
-        the binding it has made."""
-        stack: list[list] = []
-        remaining = self.atoms
-        while True:
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
-                raise HomBudgetExceeded()
-            if not remaining:
-                yield dict(self.assignment)
-            else:
-                best_i, best_cands = self._most_constrained(remaining)
-                if best_cands:
-                    rest = remaining[:best_i] + remaining[best_i + 1 :]
-                    stack.append([rest, iter(best_cands), ()])
-            remaining = None
-            while stack and remaining is None:
-                frame = stack[-1]
-                for s, t in frame[2]:
-                    del self.assignment[s]
-                    if self.injective:
-                        self.used.discard(t)
-                nxt = next(frame[1], None)
-                if nxt is None:
-                    stack.pop()
-                    continue
-                frame[2] = nxt[1]
-                for s, t in frame[2]:
-                    self.assignment[s] = t
-                    if self.injective:
-                        self.used.add(t)
-                remaining = frame[0]
-            if remaining is None:
-                return
+        """Every solution: `core.search` with this search as its picker."""
+        return search(self.fb, self.assignment, self.atoms, self)
+
+    def branch(self, node: dict[Term, Term], remaining: list[Atom]):
+        """The atoms left below `node` and its most constrained atom's candidates."""
+        self.assignment = node
+        if self.injective:
+            self.used = self._consts.union(node.values())
+        i, cands = self._most_constrained(remaining)
+        return remaining[:i] + remaining[i + 1 :], cands
 
     def _most_constrained(self, remaining: list[Atom]):
         """The index and full candidate list of the remaining atom with the

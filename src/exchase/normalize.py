@@ -30,7 +30,7 @@ class DecompositionReport:
 
 def pieces(rule: Rule) -> list[tuple[Atom, ...]]:
     """Connected components of the head under the shares-an-existential
-    relation, in canonical order."""
+    relation, in canonical order, found by a variable -> first atom index."""
     head = rule.head
     parent = list(range(len(head)))
 
@@ -40,10 +40,10 @@ def pieces(rule: Rule) -> list[tuple[Atom, ...]]:
             x = parent[x]
         return x
 
-    for i in range(len(head)):
-        for j in range(i + 1, len(head)):
-            if head[i].variables() & head[j].variables() & rule.existentials:
-                parent[find(i)] = find(j)
+    first: dict[str, int] = {}
+    for i, a in enumerate(head):
+        for z in a.variables() & rule.existentials:
+            parent[find(first.setdefault(z, i))] = find(i)
     groups: dict[int, list[Atom]] = {}
     for i, a in enumerate(head):
         groups.setdefault(find(i), []).append(a)

@@ -21,7 +21,9 @@ lookup, where the package's table refines only on a collision.
 query after every step, where the package joins it from the step's delta.
 `reference_join_plan` plans a trigger join in two passes, the join order
 first and the positions of each step after it, as `core.join_plan` does in
-one.
+one. `reference_pieces` finds a head's pieces by testing every pair of head
+atoms for a shared existential variable, where `normalize.pieces` unites
+each atom with the first holder of each of its existential variables.
 
 `reference_tokenize` is the character-at-a-time `.erl` tokenizer that the
 package's compiled scanner replaced; the scanner must give its tokens and
@@ -680,3 +682,25 @@ def reference_join_plan(atoms: Iterable[Atom], bound: Iterable[str]) -> tuple[Pl
         plan.append(PlanStep(pred, args, tuple(fixed), tuple(consts), free, tuple(repeats)))
         seen.update(first)
     return tuple(plan)
+
+
+def reference_pieces(rule: Rule) -> list[tuple[Atom, ...]]:
+    """`normalize.pieces` by pairs: two head atoms are in one piece when a
+    chain of atoms, each sharing an existential variable with the next,
+    joins them. Components in canonical order."""
+    head = rule.head
+    parent = list(range(len(head)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(len(head)):
+        for j in range(i + 1, len(head)):
+            if head[i].variables() & head[j].variables() & rule.existentials:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[Atom]] = {}
+    for i, a in enumerate(head):
+        groups.setdefault(find(i), []).append(a)
+    return sorted((sort_atoms(g) for g in groups.values()), key=lambda c: tuple(a.key() for a in c))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from exchase.core import (
     TERMINATED_UNFAIR,
     Trigger,
     Var,
+    join_plan,
     make_match,
 )
 from exchase.chase import (
@@ -29,7 +31,6 @@ from exchase.chase import (
     Phased,
     Scripted,
     StrategyError,
-    _bind,
     _join,
     delta_triggers,
     enumerate_triggers,
@@ -963,13 +964,64 @@ def test_join_matches_equal_homomorphism_search(case):
     whole = _canonical(make_match(m) for m in _join(rule.body_plan, fb, {}))
     assert whole == _search_matches(rule, fb)
     for e in _body_entries(rule):
-        for fact in fb.by_pred.get(e.pattern.pred, ()):
-            binding = _bind(e.pattern, fact)
-            if binding is None:
-                continue
+        for fact in fb.matches(e.pattern, {}, fb.by_pred.get(e.pattern.pred, ())):
+            binding = {s: fact.args[i] for i, s in e.pattern.free}
             got = _canonical(make_match(m) for m in _join(e.plan, fb, dict(binding)))
             fixed = {Var(n): t for n, t in binding.items()}
             assert got == _search_matches(rule, fb, fixed)
+
+
+def _spoiled(results) -> list[dict]:
+    """A copy of each result, taken before the result itself is changed:
+    every value replaced and a key added. A later result that shared a
+    dict with an earlier one would show the change."""
+    copies = []
+    for r in results:
+        copies.append(dict(r))
+        for k in r:
+            r[k] = Const("spoiled")
+        r["spoiled"] = Const("spoiled")
+    return copies
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(join_cases())
+def test_joins_and_searches_yield_dicts_of_their_own(case):
+    """Each binding a join yields, and each assignment a homomorphism
+    search yields, is a new dict: changing it changes no later one, nor the
+    caller's binding or `fixed`. Checked over the whole body from nothing
+    bound, and over the rest of it once body atom j is bound to a fact,
+    where a plan may be all ground steps that keep the caller's binding."""
+    rule, fb, _ = case
+    runs = [(rule.body_plan, {}, {})]
+    for e in _body_entries(rule):
+        for fact in fb.matches(e.pattern, {}, fb.by_pred.get(e.pattern.pred, ())):
+            binding = {s: fact.args[i] for i, s in e.pattern.free}
+            runs.append((e.plan, binding, {Var(n): t for n, t in binding.items()}))
+    for plan, binding, fixed in runs:
+        for given_dict, results in (
+            (binding, lambda: _join(plan, fb, binding)),
+            (fixed, lambda: hom.iter_homomorphisms(rule.body, fb, fixed=fixed)),
+        ):
+            before = dict(given_dict)
+            want = [dict(r) for r in results()]
+            assert _spoiled(results()) == want
+            assert given_dict == before
+
+
+def test_a_body_longer_than_the_recursion_limit_joins_and_maps():
+    """A chain body of 1,200 atoms, anchored at a constant so that the
+    search tree is one path, joins over the chain it names and maps into it
+    by the homomorphism search under the default recursion limit: neither
+    search recurses per atom."""
+    n = 1200
+    assert sys.getrecursionlimit() < n
+    xs = [Const("c"), *(Var("X%d" % i) for i in range(1, n + 1))]
+    cs = [Const("c"), *(Const("c%d" % i) for i in range(1, n + 1))]
+    body = [Atom("p", (xs[i], xs[i + 1])) for i in range(n)]
+    chain = [Atom("p", (cs[i], cs[i + 1])) for i in range(n)]
+    assert list(_join(join_plan(body, ()), Store(chain), {})) == [{x.name: c for x, c in zip(xs[1:], cs[1:])}]
+    assert hom.find_homomorphism(body, chain) == dict(zip(xs[1:], cs[1:]))
 
 
 @settings(max_examples=300, deadline=None, database=None)

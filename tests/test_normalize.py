@@ -41,7 +41,7 @@ from conftest import (
     rules_isomorphic,
     small_kbs,
 )
-from oracles import RandomChoice, are_isomorphic, ch_k, is_applicable, restrict, steps_of
+from oracles import RandomChoice, are_isomorphic, ch_k, is_applicable, reference_pieces, restrict, steps_of
 
 R, SO, O, E = (ChaseVariant.parse(v) for v in ("r", "so", "o", "e"))
 DFR = ChaseVariant.parse("dfr")
@@ -81,6 +81,23 @@ def test_pieces_datalog_head_splits_per_atom():
     rule = load_rule_from("q(Y) -> p(Y,Y), a(Y).")
     comps = pieces(rule)
     assert len(comps) == 2
+
+
+@st.composite
+def _wide_head_rules(draw):
+    """A rule `b(X,Y) -> exists Z0..Z5. head` whose head has up to twelve
+    atoms over the frontier and six existential variables, so that pieces
+    of every size, and atoms that join two pieces late, show up."""
+    terms = [Var(n) for n in ("X", "Y", "Z0", "Z1", "Z2", "Z3", "Z4", "Z5")]
+    preds = draw(st.lists(st.sampled_from([("h", 1), ("k", 2), ("m", 3)]), min_size=1, max_size=12))
+    head = [Atom(p, tuple(draw(st.sampled_from(terms)) for _ in range(n))) for p, n in preds]
+    return Rule("w", (Atom("b", (Var("X"), Var("Y"))),), tuple(head))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_wide_head_rules())
+def test_pieces_equal_the_pairwise_reference(rule):
+    assert pieces(rule) == reference_pieces(rule)
 
 
 # --- single piece -------------------------------------------------------------

@@ -15,14 +15,18 @@ under either seed:
   comments and line breaks inside atoms, CRLF line ends, dotted null
   labels, upper-case and `exists` predicates, 0-arity and duplicate facts,
   and unnamed rules after a named `[r1]`, next to facts in the layout that
-  path reads;
+  path reads; and on `LONGBODY_ERL`, whose rule `[lb]` has a four-step
+  body plan (a constant, a step that binds a repeated variable, a step
+  that is ground when it is reached) and a two-atom existential head, so
+  that R's head join runs two steps, among a transitive-closure rule and
+  a rule that feeds `[lb]` with minted nulls;
 - the same `run` with `--strategy phased:FILE` or `scripted:FILE` for each
   `phased` or `scripted` spec of a corpus fixture, written into the scratch
   directory, under each variant the fixture's expectations name, on the
   fixture's `.erl` (fixtures with a `transform` are left out, since their
   rules are not the `.erl`'s);
-- `entails --json` on every corpus `.erl` and `LAYOUT_ERL` under the same
-  variants, and on a
+- `entails --json` on every corpus `.erl`, `LAYOUT_ERL` and
+  `LONGBODY_ERL` under the same variants, and on a
   copy of each, written into the scratch directory, that adds generated
   queries: one all-variable atom per predicate and a self-join
   `p(X,Y), p(Y,Z)` per binary predicate, each run by `--query-index`
@@ -58,8 +62,8 @@ The script prints each key whose report differs and exits 1 if any does,
 
 prints one tree's reports as a JSON object instead, with the diverging
 rule's file, the collision, cycles and independent-rules files, the
-layout file, the query copies and the strategy files written into the
-directory DIR.
+layout and long-body files, the query copies and the strategy files
+written into the directory DIR.
 """
 from __future__ import annotations
 
@@ -110,6 +114,16 @@ LAYOUT_ERL = (
     "halt -> done.\r\n"
     "? P(X,Y), e(Y,Z).\r\n"
 )
+LONGBODY_ERL = (
+    "[lb] a(X,c), e(X,Y), d(Y,Z,Z), e(Z,Y) -> exists W. h(X,W), k(W,Z).\n"
+    "[tc] e(X,Y), e(Y,Z) -> e(X,Z).\n"
+    "[kd] k(W,Z), a(Z,V) -> d(Z,W,W), a(W,c).\n"
+    "a(n1,c). a(n2,c). a(n3,b). a(p,c).\n"
+    "e(n1,m1). e(n1,m2). e(n2,m1). e(m1,p). e(p,m1). e(m2,q). e(q,m2).\n"
+    "d(m1,p,p). d(m1,q,r). d(m2,q,q).\n"
+    "h(n2,w). k(w,p).\n"
+    "? h(X,W), k(W,Z), d(Z,W,W).\n"
+)
 HASH_SEEDS = ("0", "1")
 
 
@@ -147,9 +161,11 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
     indep.write_text(INDEP_ERL, encoding="utf-8")
     layout = scratch / "layout.erl"
     layout.write_bytes(LAYOUT_ERL.encode("utf-8"))  # CRLF kept as written
+    longbody = scratch / "longbody.erl"
+    longbody.write_text(LONGBODY_ERL, encoding="utf-8")
     erls = sorted(corpus.glob("*.erl"))
     commands: dict[str, list[str]] = {}
-    for erl in [*erls, layout]:
+    for erl in [*erls, layout, longbody]:
         for variant in RUN_VARIANTS:
             for strategy in STRATEGIES:
                 commands["run %s %s %s" % (erl.name, variant, strategy)] = [
