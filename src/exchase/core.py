@@ -28,20 +28,25 @@ visits only the body atoms its new atoms can match.
 Canonical ordering: constants sort before nulls, nulls before variables;
 atoms sort by predicate name then argument order. All iteration and
 serialization in the package follows this order so runs are reproducible.
-Each term computes its canonical key (`key`, the order above) and its hash
-once, in `__init__`, and each atom its hash; the hashes are the values the
-dataclasses would compute, so set and dict order are as without the caches.
+A term is the tuple (kind, name), kind 0 for a constant, 1 for a null and
+2 for a variable, so it hashes, compares and sorts as that tuple, in C, and
+tuple order is the canonical order. An atom is no tuple (a term inside
+`"%s" % x` would be spread over the format), but it equals the pair (pred,
+args) and hashes as it, its hash computed once; it sorts by that pair
+(`Atom.key`, a key function in C). So a ground step of a search probes the
+store's atom set with the pair and builds no atom.
 """
 from __future__ import annotations
 
 import functools
 import re
 from itertools import count, repeat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 
-# Frozen dataclasses set their fields in `__init__` through this.
+# Frozen classes set their fields in `__init__` through this.
 _set = object.__setattr__
 
 
@@ -61,90 +66,72 @@ class cached_attribute(functools.cached_property):
         return value
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Const:
-    """A named individual; rigid under homomorphisms."""
+class _Term(tuple):
+    """A term: the tuple (kind, name), kind 0 for a constant, 1 for a null
+    and 2 for a variable. Hashing, equality and order are the tuple's, in
+    C; the order is the canonical one."""
 
-    name: str
-    key: tuple = field(repr=False, compare=False)
-    _hash: int = field(repr=False, compare=False)
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+    kind: int
+    _field: str  # what `repr` calls the name: "name" or "label"
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-        _set(self, "key", (0, name))
-        _set(self, "_hash", hash((name,)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (cls.kind, name))
 
     def __reduce__(self):
-        return (Const, (self.name,))
+        return (self.__class__, (self[1],))
+
+    def __repr__(self) -> str:
+        return "%s(%s=%r)" % (self.__class__.__name__, self._field, self[1])
 
     def __str__(self) -> str:
-        return self.name
+        return self[1]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Null:
+class Const(_Term):
+    """A named individual; rigid under homomorphisms."""
+
+    __slots__ = ()
+    kind, _field = 0, "name"
+    name = property(itemgetter(1))
+
+
+class Null(_Term):
     """A labelled fresh witness minted by a trigger for an existential variable.
 
     Two nulls are equal iff their labels are equal; a null is never equal to
     a constant.
     """
 
-    label: str
-    key: tuple = field(repr=False, compare=False)
-    _hash: int = field(repr=False, compare=False)
-
-    def __init__(self, label: str) -> None:
-        _set(self, "label", label)
-        _set(self, "key", (1, label))
-        _set(self, "_hash", hash((label,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (Null, (self.label,))
+    __slots__ = ()
+    kind, _field = 1, "label"
+    label = property(itemgetter(1))
 
     def __str__(self) -> str:
-        return "_" + self.label
+        return "_" + self[1]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Var:
+class Var(_Term):
     """A rule/query variable; never occurs in a stored fact base."""
 
-    name: str
-    key: tuple = field(repr=False, compare=False)
-    _hash: int = field(repr=False, compare=False)
-
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-        _set(self, "key", (2, name))
-        _set(self, "_hash", hash((name,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (Var, (self.name,))
-
-    def __str__(self) -> str:
-        return self.name
+    __slots__ = ()
+    kind, _field = 2, "name"
+    name = property(itemgetter(1))
 
 
 Term = Union[Const, Null, Var]
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class Atom:
-    """A predicate applied to terms. Its hash is computed once, and is the
-    value the dataclass would compute, so set order is unchanged by caching."""
+    """A predicate applied to terms. It equals the pair (pred, args) and
+    hashes as that pair, with the hash computed once; so a search probes an
+    atom set with the pair and builds no atom."""
 
-    pred: str
-    args: tuple[Term, ...]
-    _hash: int = field(repr=False, compare=False)
+    __slots__ = ("pred", "args", "_hash")
+
+    # The canonical order of atoms, a key function in C: `Atom.key(a)`.
+    key = attrgetter("pred", "args")
 
     def __init__(self, pred: str, args: Iterable[Term]) -> None:
         if not isinstance(args, tuple):
@@ -153,19 +140,31 @@ class Atom:
         _set(self, "args", args)
         _set(self, "_hash", hash((pred, args)))
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r of an immutable Atom" % name)
+
+    __delattr__ = __setattr__
+
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is Atom:
+            return self.pred == other.pred and self.args == other.args
+        if other.__class__ is tuple:
+            return (self.pred, self.args) == other
+        return NotImplemented
 
     def __reduce__(self):
         # Rebuild through __init__: a hash depends on the process's hash seed.
         return (Atom, (self.pred, self.args))
 
+    def __repr__(self) -> str:
+        return "Atom(pred=%r, args=%r)" % (self.pred, self.args)
+
     @property
     def arity(self) -> int:
         return len(self.args)
-
-    def key(self) -> tuple:
-        return (self.pred, tuple([t.key for t in self.args]))
 
     def substitute(self, mapping: Mapping[Term, Term]) -> "Atom":
         return Atom(self.pred, tuple(mapping.get(a, a) for a in self.args))
@@ -406,7 +405,8 @@ class Store:
 
     def add(self, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
         """Insert the atoms; return those that were new, in canonical order."""
-        new = sort_atoms(frozenset(atoms) - self.atoms)
+        fresh = frozenset(atoms) - self.atoms
+        new = sort_atoms(fresh)
         by_pred, by_pred_pos = self.by_pred, self.by_pred_pos
         for a in new:
             pred = a.pred
@@ -421,7 +421,7 @@ class Store:
                     by_pred_pos[b] = [a]
                 else:
                     bucket.append(a)
-        self.atoms.update(new)
+        self.atoms |= fresh  # a set's stored hashes: no atom is hashed again
         return new
 
     def remove(self, delta: Sequence[Atom]) -> None:
@@ -486,9 +486,9 @@ class Store:
         constants and bound terms, and one term at a repeated variable's."""
         pred, args, bound, consts, free, repeats = step
         if pool is None and not free:
-            ground = Atom(pred, tuple([s if s.__class__ is Const else binding[s] for s in args]))
-            if ground in self.atoms:
-                yield ground
+            ground = tuple([s if s.__class__ is Const else binding[s] for s in args])
+            if (pred, ground) in self.atoms:
+                yield Atom(pred, ground)
             return
         pairs = [(i, binding[s]) for i, s in bound] if bound else []
         if consts:
@@ -511,7 +511,11 @@ class Store:
                     yield cand
 
     def snapshot(self) -> FactBase:
-        return FactBase(frozenset(self.atoms))
+        """The stored atoms as a `FactBase`, made without its check for
+        variables, which these atoms have passed."""
+        fb = object.__new__(FactBase)
+        _set(fb, "atoms", frozenset(self.atoms))
+        return fb
 
 
 def search(fb: Store, binding: dict, atoms: Sequence, picker=None) -> Iterator[dict]:
@@ -519,7 +523,8 @@ def search(fb: Store, binding: dict, atoms: Sequence, picker=None) -> Iterator[d
     on an explicit stack, so that no search recurses per atom. Each node is
     a binding, each child and each binding yielded a new dict. Without a
     `picker`, `atoms` is a join plan, taken in order: a step with no free
-    variable is looked up in `fb.atoms`, any other branches on the atoms
+    variable is looked up in `fb.atoms` as a (predicate, arguments) pair,
+    which builds no atom, any other branches on the atoms
     `fb.matches` gives. Otherwise `atoms` are a homomorphism search's
     source (`hom._Search`): `picker.branch(node, remaining)` gives the
     atoms left below a node and the (atom, bindings) pairs that make its
@@ -546,7 +551,7 @@ def search(fb: Store, binding: dict, atoms: Sequence, picker=None) -> Iterator[d
                 rest -= 1
                 if not step.free:
                     ground = tuple([s if s.__class__ is Const else node[s] for s in step.args])
-                    if Atom(step.pred, ground) not in fb.atoms:
+                    if (step.pred, ground) not in fb.atoms:
                         node = None
                     continue
                 found, free = fb.matches(step, node), step.free
@@ -676,7 +681,7 @@ def _match_digest(rule_id: str, match: Match) -> str:
     such as a Datalog run, never imports it.
     """
     hash_fn, minted = _digest_tools()
-    full = ["%s=%d:%s" % (name, *t.key) for name, t in match]
+    full = ["%s=%d:%s" % (name, *t) for name, t in match]
     short = [minted.sub(r"#\1.", part) if "#" in part else part for part in full]
 
     def sha1(parts: list[str]) -> str:
@@ -715,7 +720,7 @@ class Trigger:
     def output(self) -> tuple[Atom, ...]:
         m = self.extended
         return sort_atoms(
-            Atom(a.pred, tuple(m[t.name] if isinstance(t, Var) else t for t in a.args))
+            Atom(a.pred, tuple([m[t.name] if t.__class__ is Var else t for t in a.args]))
             for a in self.rule.head
         )
 
@@ -727,15 +732,12 @@ class Trigger:
 
     @cached_attribute
     def body_key(self) -> tuple:
-        return (self.rule.id, tuple([(n, t.key) for n, t in self.match]))
+        return (self.rule.id, self.match)
 
     @cached_attribute
     def frontier_key(self) -> tuple:
         fr = self.rule.frontier
-        return (
-            self.rule.id,
-            tuple([(n, t.key) for n, t in self.match if n in fr]),
-        )
+        return (self.rule.id, tuple([p for p in self.match if p[0] in fr]))
 
     def __str__(self) -> str:
         binding = ",".join("%s->%s" % (n, t) for n, t in self.match)

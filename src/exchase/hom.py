@@ -100,7 +100,7 @@ class _Search:
             cands = self._candidates(remaining[i], len(best_cands))
             if len(cands) < len(best_cands):
                 best_i, best_cands = i, cands
-        return best_i, sorted(best_cands, key=lambda c: c[0].key())
+        return best_i, sorted(best_cands, key=lambda c: Atom.key(c[0]))
 
 
 def iter_homomorphisms(
@@ -119,7 +119,7 @@ def iter_homomorphisms(
     if fixed:
         for k, v in fixed.items():
             if isinstance(k, Const) and k != v:
-                raise ValueError("cannot remap constant %s" % k)
+                raise ValueError("cannot remap constant %s" % (k,))
     search = _Search(source, target, fixed, injective, budget)
     return search.run()
 

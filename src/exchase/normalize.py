@@ -48,7 +48,7 @@ def pieces(rule: Rule) -> list[tuple[Atom, ...]]:
     for i, a in enumerate(head):
         groups.setdefault(find(i), []).append(a)
     comps = [sort_atoms(g) for g in groups.values()]
-    comps.sort(key=lambda c: tuple(a.key() for a in c))
+    comps.sort(key=lambda c: tuple(map(Atom.key, c)))
     return comps
 
 

@@ -385,7 +385,7 @@ class _Parser:
                 for t in body[0].args:
                     if isinstance(t, Var):
                         raise ParseError(
-                            "facts must be variable-free, found %s" % t, tok.line, tok.col
+                            "facts must be variable-free, found %s" % (t,), tok.line, tok.col
                         )
                 facts.append(body[0])
                 continue

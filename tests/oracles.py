@@ -24,6 +24,9 @@ first and the positions of each step after it, as `core.join_plan` does in
 one. `reference_pieces` finds a head's pieces by testing every pair of head
 atoms for a shared existential variable, where `normalize.pieces` unites
 each atom with the first holder of each of its existential variables.
+`reference_atom_key` is the canonical order of atoms written out, a
+predicate and a (kind, name) pair per argument, where the package's terms
+are those pairs and its atoms sort by `Atom.key`.
 
 `reference_tokenize` is the character-at-a-time `.erl` tokenizer that the
 package's compiled scanner replaced; the scanner must give its tokens and
@@ -399,7 +402,7 @@ class _ReferenceParser:
                 for t in body[0].args:
                     if isinstance(t, Var):
                         raise ParseError(
-                            "facts must be variable-free, found %s" % t, tok.line, tok.col
+                            "facts must be variable-free, found %s" % (t,), tok.line, tok.col
                         )
                 self.doc.facts.append(body[0])
                 continue
@@ -684,6 +687,18 @@ def reference_join_plan(atoms: Iterable[Atom], bound: Iterable[str]) -> tuple[Pl
     return tuple(plan)
 
 
+def reference_atom_key(a: Atom) -> tuple[str, tuple[tuple[int, str], ...]]:
+    """The canonical sort key of an atom: its predicate, then per argument
+    its kind (a constant 0, a null 1, a variable 2) and its name or label."""
+
+    def kind_and_name(t: Term) -> tuple[int, str]:
+        if isinstance(t, Null):
+            return (1, t.label)
+        return (0 if isinstance(t, Const) else 2, t.name)
+
+    return (a.pred, tuple(kind_and_name(t) for t in a.args))
+
+
 def reference_pieces(rule: Rule) -> list[tuple[Atom, ...]]:
     """`normalize.pieces` by pairs: two head atoms are in one piece when a
     chain of atoms, each sharing an existential variable with the next,
@@ -703,4 +718,4 @@ def reference_pieces(rule: Rule) -> list[tuple[Atom, ...]]:
     groups: dict[int, list[Atom]] = {}
     for i, a in enumerate(head):
         groups.setdefault(find(i), []).append(a)
-    return sorted((sort_atoms(g) for g in groups.values()), key=lambda c: tuple(a.key() for a in c))
+    return sorted((sort_atoms(g) for g in groups.values()), key=lambda c: tuple(map(Atom.key, c)))

@@ -938,7 +938,7 @@ def join_cases(draw):
 
 
 def _canonical(matches):
-    return sorted(matches, key=lambda m: [(n, t.key) for n, t in m])
+    return sorted(matches)
 
 
 def _search_matches(rule, fb, fixed=None):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import os
 import pickle
 import random
@@ -28,7 +29,7 @@ from exchase.core import (
 )
 
 from conftest import load_doc, random_factbase
-from oracles import restrict, steps_of, support
+from oracles import reference_atom_key, restrict, steps_of, support
 
 
 def V(*names):
@@ -36,7 +37,7 @@ def V(*names):
 
 
 def test_term_ordering_and_equality():
-    assert Const("a").key < Null("z").key < Var("X").key
+    assert Const("a") < Null("z") < Var("X")
     assert Null("n1") == Null("n1")
     assert Null("n1") != Null("n2")
     assert Const("a") != Null("a")
@@ -333,11 +334,13 @@ def _in_process(code: str, seed: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("cls", [Const, Null, Var])
 def test_term_hash_is_the_dataclass_hash_and_key_is_stored(cls):
-    """A term's hash is the value the dataclass computes, `hash((name,))`,
-    and its key is stored."""
+    """A term is its canonical key, the tuple (kind, name), and hashes as
+    that tuple, `hash((kind, name))`, in C."""
     t = cls("a")
-    assert hash(t) == hash(("a",))
-    assert t.key == ({Const: 0, Null: 1, Var: 2}[cls], "a")
+    kind = {Const: 0, Null: 1, Var: 2}[cls]
+    assert hash(t) == hash((kind, "a"))
+    assert tuple(t) == (kind, "a") and t.kind == kind
+    assert cls.__hash__ is tuple.__hash__
     assert t == cls("a") and t != cls("b")
 
 
@@ -368,24 +371,60 @@ _PICKLE_TERMS = "[Const('a'), Null('n1'), Var('X'), Const('n1')]"
 
 def test_pickled_terms_keep_membership_under_another_hash_seed():
     """Terms pickled under one hash seed are found in their set, and hash
-    as the dataclass would, after unpickling under another."""
+    as their (kind, name) tuple, after unpickling under another."""
     pickled = _in_process(
         "sys.stdout.buffer.write(pickle.dumps(frozenset(%s)))" % _PICKLE_TERMS, "1"
     ).stdout
     out = _in_process(
         "terms = pickle.loads(bytes.fromhex(%r))\n"
         "print(all(t in terms for t in %s))\n"
-        "print(all(hash(t) == hash((t.key[1],)) for t in terms))"
+        "print(all(hash(t) == hash((t.kind, t[1])) for t in terms))"
         % (pickled.hex(), _PICKLE_TERMS),
         "2",
     ).stdout
     assert out.split() == [b"True", b"True"]
 
 
+def test_value_classes_hash_in_c_and_are_no_dataclasses():
+    for cls in (Const, Null, Var):
+        assert cls.__hash__ is tuple.__hash__
+    for cls in (Const, Null, Var, Atom):
+        assert not dataclasses.is_dataclass(cls)
+
+
+_KEY_TERMS = st.builds(
+    lambda cls, name: cls(name), st.sampled_from((Const, Null, Var)), st.text("ab#.X1", max_size=3)
+)
+_KEY_ATOMS = st.builds(
+    Atom, st.sampled_from(("", "p", "pq", "q")), st.lists(_KEY_TERMS, max_size=3).map(tuple)
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(_KEY_ATOMS, max_size=8), st.text("ab#.X1", max_size=3))
+def test_terms_and_atoms_order_hash_and_copy_as_the_reference_key(atoms, name):
+    """Atoms sort, and their terms compare, in the order of the reference
+    key `(pred, ((kind, name), ...))`; terms of different kinds with one
+    name differ; an atom equals and hashes as its (pred, args) pair; and a
+    copied or pickled term keeps its class and kind."""
+    assert list(sort_atoms(atoms)) == sorted(atoms, key=reference_atom_key)
+    terms = [t for a in atoms for t in a.args]
+    assert sorted(terms) == sorted(terms, key=lambda t: reference_atom_key(Atom("", (t,)))[1])
+    kinds = [Const(name), Null(name), Var(name)]
+    assert len(set(kinds)) == 3 and all(t != u for t in kinds for u in kinds if t is not u)
+    for a in atoms:
+        pair = (a.pred, a.args)
+        assert a == pair and pair == a and not a != pair and hash(a) == hash(pair)
+        assert pair in {a} and a in {pair}
+    for t in terms + kinds:
+        for u in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert u.__class__ is t.__class__ and u.kind == t.kind and u == t
+
+
 @pytest.mark.parametrize("t", [Const("a"), Null("n1"), Var("X")])
 def test_copied_terms_keep_equality_and_hash(t):
     for u in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-        assert u == t and hash(u) == hash(t) and u.key == t.key
+        assert u == t and hash(u) == hash(t) and u.__class__ is t.__class__
         assert u in {t}
 
 

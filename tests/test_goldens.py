@@ -32,7 +32,9 @@ with `goldens/work.json`. They gate the work a run does, which timings
 cannot, and were made before terms cached their keys and hashes and store
 buckets kept lists of atom keys. A further gate checks that the chain's run
 never has its store sort a bucket into canonical order, which only
-homomorphism searches read.
+homomorphism searches read, and two count the atoms built: a join whose
+steps are ground builds none, and the chain's run builds only its output
+atoms.
 """
 from __future__ import annotations
 
@@ -46,7 +48,8 @@ import pytest
 
 from exchase import cli, hom
 from exchase.analysis import find_terminating, load_fixture
-from exchase.chase import ChaseState, ChaseVariant, DatalogFirst, run_chase
+from exchase.chase import ChaseState, ChaseVariant, DatalogFirst, _join, run_chase
+from exchase.core import Atom, Const, Store, Var, join_plan
 from exchase.textio import parse_document
 
 from conftest import CORPUS, load_kb
@@ -231,3 +234,44 @@ def test_datalog_chain_builds_no_canonical_view(monkeypatch):
     assert not state.scan(first=True)
     assert len(state.records) == TC_CHAIN_EDGES * (TC_CHAIN_EDGES + 1) // 2
     assert searches == []
+
+
+def _count_atoms(monkeypatch) -> list[int]:
+    """Make `Atom.__init__` count every atom built."""
+    built = [0]
+    init = Atom.__init__
+
+    def counted(self, pred, args):
+        built[0] += 1
+        init(self, pred, args)
+
+    monkeypatch.setattr(Atom, "__init__", counted)
+    return built
+
+
+def test_ground_join_steps_build_no_atom(monkeypatch):
+    """A join step with no free variable probes the store's atom set with
+    its (predicate, arguments) pair, so a plan of ground steps builds no
+    atom, whether the probe finds its atom or not."""
+    a, b = Const("a"), Const("b")
+    x, y = Var("X"), Var("Y")
+    store = Store([Atom("p", (a, b)), Atom("q", (b, a)), Atom("q", (a, a))])
+    plan = join_plan([Atom("q", (y, x)), Atom("p", (x, y)), Atom("q", (x, x))], ("X", "Y"))
+    assert all(not step.free for step in plan)
+    built = _count_atoms(monkeypatch)
+    assert list(_join(plan, store, {"X": a, "Y": b})) == [{"X": a, "Y": b}]
+    assert list(_join(plan, store, {"X": b, "Y": a})) == []
+    assert built == [0]
+
+
+def test_datalog_chain_builds_only_its_output_atoms(monkeypatch):
+    """A Datalog-first run of the chain's transitive closure builds one
+    atom per trigger output, n(n+1)/2 of them, and no other: its joins and
+    membership tests build none."""
+    kb = parse_document(tc_chain_text()).knowledge_base()
+    built = _count_atoms(monkeypatch)
+    state = ChaseState(kb, ChaseVariant.parse("dfr"))
+    for t in DatalogFirst().triggers(state):
+        state.apply(t)
+    assert not state.scan(first=True)
+    assert built == [TC_CHAIN_EDGES * (TC_CHAIN_EDGES + 1) // 2] == [1540]

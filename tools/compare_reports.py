@@ -47,13 +47,21 @@ under either seed:
   sibling explorer branches, and the runs and searches of one knowledge
   base, meet the same triggers again, which they share through the
   knowledge base's trigger table;
+- `run --output FILE --max-steps 60` on every corpus `.erl` under
+  o/so/r/e/dfr/dfe with the fifo strategy: the report holds the text of
+  the fact base written to FILE, a path in the scratch directory, as well;
+- `run --json` on each of `ERROR_ERLS`, inputs the parser rejects with an
+  error that quotes the offending statement or term: a fact with a
+  variable, and a null in a rule and in a query;
 - `normalize --json` on every corpus `.erl` with --proc sp, 1ad and 2ad,
   and with --skip-atomic for 1ad and 2ad;
 - `tm encode --json` and `tm tape --json --len 1`, 2 and 3 on every corpus
   machine (`corpus/machines/*.tm`).
 
 A report is the command's exit code, stdout and stderr, with the tree's
-path replaced by `<tree>` (it appears in `inputs` and in error messages).
+path replaced by `<tree>` (it appears in `inputs` and in error messages),
+and for a command with `--output FILE` the text of FILE (None if the
+command wrote none).
 Its key is the command's, tagged with the seed (`seed0: run ex1.erl o fifo`).
 The script prints each key whose report differs and exits 1 if any does,
 0 otherwise. Stdlib only.
@@ -62,8 +70,8 @@ The script prints each key whose report differs and exits 1 if any does,
 
 prints one tree's reports as a JSON object instead, with the diverging
 rule's file, the collision, cycles and independent-rules files, the
-layout and long-body files, the query copies and the strategy files
-written into the directory DIR.
+layout and long-body files, the error inputs, the query copies, the
+strategy files and the `--output` files written into the directory DIR.
 """
 from __future__ import annotations
 
@@ -124,6 +132,11 @@ LONGBODY_ERL = (
     "h(n2,w). k(w,p).\n"
     "? h(X,W), k(W,Z), d(Z,W,W).\n"
 )
+ERROR_ERLS = {
+    "fact-var.erl": "p(a).\np(X).\n",
+    "rule-null.erl": "[r] p(X), q(_n1.x) -> s(X).\np(a).\n",
+    "query-null.erl": "p(a).\n? p(_n).\n",
+}
 HASH_SEEDS = ("0", "1")
 
 
@@ -216,6 +229,16 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
             commands["normalize %s %s" % (erl.name, proc)] = argv
             if proc != "sp":
                 commands["normalize %s %s skip-atomic" % (erl.name, proc)] = [*argv, "--skip-atomic"]
+    for erl in erls:
+        for variant in RUN_VARIANTS:
+            out = scratch / ("output-%s-%s" % (variant, erl.name))
+            commands["run %s %s --output" % (erl.name, variant)] = [
+                "run", str(erl), "--variant", variant, "--max-steps", "60", "--output", str(out),
+            ]
+    for name, text in ERROR_ERLS.items():
+        bad = scratch / name
+        bad.write_text(text, encoding="utf-8")
+        commands["run %s" % name] = ["run", str(bad), "--json"]
     for machine in sorted((corpus / "machines").glob("*.tm")):
         commands["tm encode %s" % machine.name] = ["tm", "encode", "--machine", str(machine), "--json"]
         for length in TAPE_LENGTHS:
@@ -243,6 +266,10 @@ def dump(src: Path, scratch: Path) -> dict[str, dict]:
             "stdout": out.getvalue().replace(str(src), "<tree>"),
             "stderr": err.getvalue().replace(str(src), "<tree>"),
         }
+        if "--output" in argv:
+            written = Path(argv[argv.index("--output") + 1])
+            reports[key]["output"] = written.read_text(encoding="utf-8") if written.exists() else None
+            written.unlink(missing_ok=True)
     return reports
 
 
