@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import core, hom, textio
-from .core import TERMINATED_FAIR, Atom, Derivation, FactBase, KnowledgeBase, Null, Rule, Trigger, Var
+from .core import TERMINATED_FAIR, Atom, Derivation, FactBase, KnowledgeBase, Null, Rule, Trigger, Var, search
 from .chase import (
     STOPPED,
     ChaseState,
@@ -146,9 +146,9 @@ def find_terminating(
     strategies: list[Strategy] = [FIFO(), DatalogFirst()]
     strategies.extend(pool)
     for strat in strategies:
-        outcome = run_chase(kb, variant, strat, max_steps)
-        if outcome.verdict == TERMINATED_FAIR:
-            return outcome.derivation
+        derivation = run_chase(kb, variant, strat, max_steps)
+        if derivation.verdict == TERMINATED_FAIR:
+            return derivation
     if not deepening:
         return None
 
@@ -177,6 +177,7 @@ def find_terminating(
 @dataclass(frozen=True)
 class TriState:
     kind: str  # yes | no | unknown
+    steps: int  # the length of the run's derivation
     witness: Optional[dict] = None
 
 
@@ -191,31 +192,33 @@ def entails(
     Yes as soon as the query maps into the current fact base (sound for the
     monotone variants even mid-run); No only on fair termination without a
     match; Unknown when the step budget runs out first. The chase runs the
-    Datalog-first strategy. The query, with a
-    variable for each null, is a goal rule's body, joined first from every
-    atom, then from each step's delta, which any new match uses
-    (`delta_triggers`); one search then finds the witness.
+    Datalog-first strategy, and `steps` is the length of its derivation.
+    The query, with a variable for each null, is a goal rule's body, joined
+    by its plan before the first step, then from each step's delta, which
+    any new match uses (`delta_triggers`), each join up to its first match;
+    one search then finds the witness.
     """
     query = tuple(query)
     as_vars = {n: Var(str(n)) for a in query for n in a.args if isinstance(n, Null)}
     goal = tuple(a.substitute(as_vars) for a in query)
-    goal_kb = KnowledgeBase((Rule("?", goal, goal),), FactBase())
+    goal_rule = Rule("?", goal, goal)
+    goal_kb = KnowledgeBase((goal_rule,), FactBase())
     witness = None
 
     def entailed(state: ChaseState) -> bool:
         nonlocal witness
-        delta = state.records[-1][1] if state.records else tuple(state.store.atoms)
-        if next(delta_triggers(goal_kb, state.store, delta), None) is None:
+        if state.records:
+            matches = delta_triggers(goal_kb, state.store, state.records[-1][1])
+        else:
+            matches = search(state.store, {}, goal_rule.body_plan)
+        if next(matches, None) is None:
             return False
         witness = hom.find_homomorphism(query, state.store)
         return True
 
-    outcome = run_chase(kb, variant, DatalogFirst(), max_steps, stop=entailed)
-    if outcome.verdict == STOPPED:
-        return TriState("yes", witness)
-    if outcome.verdict == TERMINATED_FAIR:
-        return TriState("no")
-    return TriState("unknown")
+    derivation = run_chase(kb, variant, DatalogFirst(), max_steps, stop=entailed)
+    kind = {STOPPED: "yes", TERMINATED_FAIR: "no"}.get(derivation.verdict, "unknown")
+    return TriState(kind, len(derivation), witness)  # a witness is found only on a yes
 
 
 # --- corpus classification --------------------------------------------------

@@ -39,8 +39,10 @@ holds (`core.join_plan`, most bound arguments first). A join (`_join`) is
 `core.search` in plan order, the loop the homomorphism search runs in
 fail-first order, so it reads the store's buckets as that search does,
 in the order their atoms were added. Trigger order is canonical match
-order, the order of `Trigger.body_key`: `enumerate_triggers` sorts by it
-and `apply` inserts new triggers by it, so a join sorts no bucket.
+order, the order of `Trigger.match`: each trigger list and each rule's
+batch of `enumerate_triggers` holds the triggers of one rule, so the match
+alone orders it. `enumerate_triggers` sorts by it and `apply` inserts new
+triggers by it, so a join sorts no bucket.
 Enumerating every trigger of a store joins the whole body the same way, by
 `Rule.body_plan`.
 
@@ -92,7 +94,6 @@ from .core import (
     TERMINATED_UNFAIR,
     Atom,
     Derivation,
-    FactBase,
     HomBudgetExceeded,
     InputError,
     KnowledgeBase,
@@ -156,7 +157,7 @@ def _join(
 
 
 # Canonical trigger order within a rule: the order of the match.
-_MATCH_ORDER = operator.attrgetter("body_key")
+_MATCH_ORDER = operator.attrgetter("match")
 
 
 def enumerate_triggers(
@@ -205,7 +206,7 @@ def delta_triggers(
         new_by_pred.setdefault(a.pred, []).append(a)
     entries = [e for pred in new_by_pred for e in index.get(pred, ())]
     if len(new_by_pred) > 1:
-        entries.sort(key=_BODY_POSITION)
+        entries.sort()  # by (rule_pos, body_pos), which is unique
     seen: set[int] = set()  # the ids of the triggers yielded, all held by the table
     rule_pos = None
     for entry in entries:
@@ -223,9 +224,6 @@ def delta_triggers(
                 if id(t) not in seen:
                     seen.add(id(t))
                     yield t
-
-
-_BODY_POSITION = operator.itemgetter(0, 1)
 
 
 # Why a trigger is not applicable. PRESENT, FIRED and SATISFIED hold for good
@@ -353,8 +351,8 @@ class ChaseState:
         if self.variant.tag == "so" and not t.rule.is_datalog:
             self.fired.add(t.frontier_key)
         entries = self.lists[self.rule_index[t.rule.id]]
-        i = bisect_left(entries, t.body_key, key=_MATCH_ORDER)
-        if i < len(entries) and entries[i].body_key == t.body_key:
+        i = bisect_left(entries, t.match, key=_MATCH_ORDER)
+        if i < len(entries) and entries[i].match == t.match:
             del entries[i]
         for new in delta_triggers(self.kb, self.store, delta, self.stats):
             insort(self.lists[self.rule_index[new.rule.id]], new, key=_MATCH_ORDER)
@@ -393,9 +391,11 @@ class ChaseState:
             self.push(t)
 
     def derivation(self, verdict: str) -> Derivation:
-        """The derivation so far, ended with `verdict`."""
+        """The derivation so far, ended with `verdict`, carrying a copy of
+        the state's stats with its `steps`."""
         result = self.store.snapshot() if self.records else self.kb.facts
-        return Derivation(self.kb.facts, tuple(self.records), result, verdict)
+        stats = {**self.stats, "steps": len(self.records)}
+        return Derivation(self.kb.facts, tuple(self.records), result, verdict, stats)
 
 
 class Strategy:
@@ -512,14 +512,6 @@ class Scripted(Strategy):
             yield candidates[pick]
 
 
-@dataclass(frozen=True)
-class ChaseOutcome:
-    derivation: Derivation
-    result: FactBase
-    verdict: str
-    stats: dict
-
-
 # Verdict of a run that its stop hook ended.
 STOPPED = "stopped"
 
@@ -532,13 +524,14 @@ def run_chase(
     *,
     hom_budget: Optional[int] = None,
     stop: Optional[Callable[[ChaseState], bool]] = None,
-) -> ChaseOutcome:
+) -> Derivation:
     """Build a derivation under the variant's applicability and the order of
     a new generator of the strategy. Stops fairly when nothing is applicable,
     unfairly when a strategy that is not `complete` ends early, or with a
     budget verdict at max_steps.
     `stop`, if given, sees the state before the first and after every step;
     once it returns True the run ends with the verdict STOPPED.
+    Returns the derivation, which carries the run's stats.
     """
     strategy = strategy or FIFO()
     state = ChaseState(kb, variant, hom_budget)
@@ -560,7 +553,5 @@ def run_chase(
                     verdict = TERMINATED_UNFAIR
     except HomBudgetExceeded:
         verdict = BUDGET_EXHAUSTED
-    state.stats["steps"] = len(state.records)
-    derivation = state.derivation(verdict)
-    return ChaseOutcome(derivation, derivation.result, verdict, dict(state.stats))
+    return state.derivation(verdict)
 

@@ -3,12 +3,13 @@
 Subcommands: run, normalize, explore, entails, classify, tm. Reports are
 printed as human-readable lines by default and as JSON with --json; the JSON
 object always carries the keys command/inputs/verdict/steps/atoms (plus
-stats, and a delta-list derivation on request). Exit code 0 on success or a
-fully passing classification, 1 on classification mismatches, 2 on usage or
-input errors. Such an error prints one JSON object {"command", "error"} on
-stderr; only argparse's own usage errors (a missing or unknown argument)
-print its usage text instead. Output files are written before anything is
-printed.
+stats, and a delta-list derivation on request); `entails` adds the query
+and a yes's witness, and its steps are those its chase took before the
+answer. Exit code 0 on success or a fully passing classification, 1 on
+classification mismatches, 2 on usage or input errors. Such an error prints
+one JSON object {"command", "error"} on stderr; only argparse's own usage
+errors (a missing or unknown argument) print its usage text instead. Output
+files are written before anything is printed.
 
 A command imports the modules it needs only when it runs. Importing this
 module loads `core`, `chase` and `textio`; `explore`, `entails` and
@@ -104,14 +105,14 @@ def _cmd_run(args) -> int:
     doc = _load_document(args.file)
     kb = doc.knowledge_base()
     variant = ChaseVariant.parse(args.variant)
-    outcome = run_chase(kb, variant, _strategy(args.strategy), args.max_steps)
+    derivation = run_chase(kb, variant, _strategy(args.strategy), args.max_steps)
     report = {
         "command": "run",
         "inputs": args.file,
-        "verdict": outcome.verdict,
-        "steps": len(outcome.derivation),
-        "atoms": len(outcome.result),
-        "stats": outcome.stats,
+        "verdict": derivation.verdict,
+        "steps": len(derivation),
+        "atoms": len(derivation.result),
+        "stats": derivation.stats,
     }
     if args.derivation:
         report["derivation"] = [
@@ -120,10 +121,10 @@ def _cmd_run(args) -> int:
                 "match": {n: str(v) for n, v in t.match},
                 "added": [str(a) for a in delta],
             }
-            for t, delta in outcome.derivation.records
+            for t, delta in derivation.records
         ]
     if args.output:
-        Path(args.output).write_text(textio.serialize_factbase(outcome.result), encoding="utf-8")
+        Path(args.output).write_text(textio.serialize_factbase(derivation.result), encoding="utf-8")
     _emit(report, args.json)
     return 0
 
@@ -202,7 +203,7 @@ def _cmd_entails(args) -> int:
         "command": "entails",
         "inputs": args.file,
         "verdict": verdict.kind,
-        "steps": args.max_steps,
+        "steps": verdict.steps,
         "atoms": None,
         "query": textio.serialize_query(query),
     }

@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import re
 from itertools import count, repeat
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -731,10 +731,6 @@ class Trigger:
         return frozenset(m[z] for z in self.rule.existentials)
 
     @cached_attribute
-    def body_key(self) -> tuple:
-        return (self.rule.id, self.match)
-
-    @cached_attribute
     def frontier_key(self) -> tuple:
         fr = self.rule.frontier
         return (self.rule.id, tuple([p for p in self.match if p[0] in fr]))
@@ -752,12 +748,15 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 @dataclass(frozen=True)
 class Derivation:
     """A sequence of trigger applications, kept as the atoms each one added,
-    with the fact bases before the first and after the last step."""
+    with the fact bases before the first and after the last step, how it
+    ended and the counters of the run that built it (`stats`, which takes no
+    part in equality or hashing)."""
 
     initial: FactBase
     records: tuple[tuple[Trigger, tuple[Atom, ...]], ...]
     result: FactBase
     verdict: str
+    stats: dict = field(default_factory=dict, compare=False)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -639,12 +639,13 @@ def reference_entails(
         witness = hom.find_homomorphism(query, state.store)
         return witness is not None
 
-    outcome = run_chase(kb, variant, strategy or DatalogFirst(), max_steps, stop=entailed)
-    if outcome.verdict == STOPPED:
-        return TriState("yes", witness)
-    if outcome.verdict == TERMINATED_FAIR:
-        return TriState("no")
-    return TriState("unknown")
+    derivation = run_chase(kb, variant, strategy or DatalogFirst(), max_steps, stop=entailed)
+    steps = len(derivation)
+    if derivation.verdict == STOPPED:
+        return TriState("yes", steps, witness)
+    if derivation.verdict == TERMINATED_FAIR:
+        return TriState("no", steps)
+    return TriState("unknown", steps)
 
 
 def reference_join_plan(atoms: Iterable[Atom], bound: Iterable[str]) -> tuple[PlanStep, ...]:

@@ -84,12 +84,12 @@ def test_criterion_1_example_goldens():
     oblivious = run_chase(kb, O, FIFO(), 20)
     elapsed = time.perf_counter() - started
     assert restricted.verdict == TERMINATED_FAIR
-    assert len(restricted.derivation) == 1
+    assert len(restricted) == 1
     assert len(restricted.result) == 3
     assert oblivious.verdict == BUDGET_EXHAUSTED
-    assert len(oblivious.derivation) == 20
+    assert len(oblivious) == 20
     assert len(oblivious.result) == 41  # exactly two fresh atoms per step
-    assert all(len(d) == 2 for d in deltas_of(oblivious.derivation))
+    assert all(len(d) == 2 for d in deltas_of(oblivious))
     assert elapsed < 1.0
     _report("1 (example goldens)")
 
@@ -139,7 +139,7 @@ def test_criterion_2_termination_matrix():
     # ... and the Datalog-first run repeats the depicted 4-step pattern
     df = run_chase(t2f, DFR, DatalogFirst(), 13)
     assert df.verdict == BUDGET_EXHAUSTED
-    deltas = deltas_of(df.derivation)
+    deltas = deltas_of(df)
     assert [a.pred for d in deltas[:1] for a in d] == ["r"]
     for k in range(3):  # three full rounds
         chunk = [a.pred for d in deltas[1 + 4 * k : 5 + 4 * k] for a in d]
@@ -207,7 +207,7 @@ def test_criterion_4_decomposition_behaviors():
     report = explore_all(sp_kb, R, 12, 5000)
     assert report.verdict == GROWTH
     out = run_chase(sp_kb, R, Scripted(["su", "pl.p1", "su", "pl.p2", "pl.p1", "su"]), 100)
-    deltas = [d[0] for d in deltas_of(out.derivation)]
+    deltas = [d[0] for d in deltas_of(out)]
     c = Const("c")
     z1, z2 = deltas[0].args[1], deltas[2].args[1]
     z3 = deltas[5].args[1]
@@ -228,7 +228,7 @@ def test_criterion_4_decomposition_behaviors():
     ad1 = KnowledgeBase(one_way(tuple(ex1.rules)).output_rules, ex1.factbase())
     out = run_chase(ad1, E, DatalogFirst(), 15)
     assert out.verdict == BUDGET_EXHAUSTED
-    deltas = deltas_of(out.derivation)
+    deltas = deltas_of(out)
     for k in range(4):  # at least four full rounds
         assert [d[0].pred for d in deltas[3 * k : 3 * k + 3]] == ["X__ex1", "p", "p"]
 
@@ -249,9 +249,9 @@ def test_criterion_4_decomposition_behaviors():
     script = ["ex1.x", "ex1.h1"] + ["ex1.x", "ex1.h1", "ex1.h2", "ex1.b"] * 3
     out = run_chase(kb2, R, Scripted(script), 100)
     assert out.verdict == TERMINATED_UNFAIR
-    assert len(out.derivation) == 14
+    assert len(out) == 14
     for k in range(3):
-        chunk = [d[0].pred for d in deltas_of(out.derivation)[2 + 4 * k : 6 + 4 * k]]
+        chunk = [d[0].pred for d in deltas_of(out)[2 + 4 * k : 6 + 4 * k]]
         assert chunk == ["X__ex1", "p", "p", "X__ex1"]
     _report("4 (decomposition behaviors)")
 
@@ -312,7 +312,7 @@ def test_criterion_7_chase_metatheory():
         kb = random_kb(rng)
         out = run_chase(kb, O, RandomChoice(rng.randint(0, 10**6)), rng.randint(0, 4))
         history = set()
-        for t, _ in steps_of(out.derivation):
+        for t, _ in steps_of(out):
             history.add(t.frontier_key)
         for t in enumerate_triggers(kb.rules, Store(out.result)):
             e, r, so, o = (
@@ -356,7 +356,7 @@ def test_criterion_7_chase_metatheory():
         kb = random_kb(rng)
         out = run_chase(kb, variant, RandomChoice(9), 5)
         prev = kb.facts
-        for _, fb in steps_of(out.derivation):
+        for _, fb in steps_of(out):
             assert prev.atoms <= fb.atoms
             prev = fb
     _report("7 (chase metatheory; %d chain checks)" % checked)
@@ -457,7 +457,7 @@ def test_criterion_9_tm_construction():
         assert sim.verdict == TERMINATED_FAIR, n
     looping = run_chase(tmgen.simulation_kb(tmgen.loop(), 1), DFR, DatalogFirst(), 500)
     assert looping.verdict == BUDGET_EXHAUSTED
-    assert any(t.rule.id == "m_extend" for t, _ in steps_of(looping.derivation))
+    assert any(t.rule.id == "m_extend" for t, _ in steps_of(looping))
     _report("9 (TM construction behavior)")
 
 

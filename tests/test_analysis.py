@@ -70,7 +70,7 @@ def test_run_and_explore_agree_under_so_when_a_twin_output_is_a_fact():
     kb = KnowledgeBase(kb.rules, kb.facts.union(t_ab.output))
     out = run_chase(kb, SO, FIFO(), 10)
     assert out.verdict == TERMINATED_FAIR
-    assert [t for t, _ in out.derivation.records] == [t_ac]
+    assert [t for t, _ in out.records] == [t_ac]
     report = explore_all(kb, SO, 10, 100)
     assert report.verdict == ALL_FINITE
     assert report.max_len == 1
@@ -204,7 +204,7 @@ def test_explorer_soundness_random_strategies():
         for seed in range(20):
             out = run_chase(kb, variant, RandomChoice(seed), report.max_len + 1)
             assert out.verdict == TERMINATED_FAIR, (name, seed)
-            assert len(out.derivation) <= report.max_len
+            assert len(out) <= report.max_len
 
 
 # --- find_terminating -------------------------------------------------------------
@@ -400,7 +400,7 @@ def test_sp_t4a_scripted_replay_matches_listed_prefix():
     kb = KnowledgeBase(single_piece(tuple(doc.rules)).output_rules, doc.factbase())
     out = run_chase(kb, R, Scripted(["su", "pl.p1", "su", "pl.p2", "pl.p1", "su"]), 100)
     assert out.verdict == TERMINATED_UNFAIR
-    deltas = deltas_of(out.derivation)
+    deltas = deltas_of(out)
     assert [sorted(a.pred for a in d) for d in deltas] == [
         ["p"], ["a"], ["p"], ["p"], ["a"], ["p"],
     ]
@@ -421,7 +421,7 @@ def test_t2c_scripted_replay_matches_listed_prefix():
     out = run_chase(kb, R, Scripted(["gen", "sym", "gen", "sym", "gen", "sym"]), 100)
     assert out.verdict == TERMINATED_UNFAIR
     a, b = Const("a"), Const("b")
-    deltas = [d[0] for d in deltas_of(out.derivation)]
+    deltas = [d[0] for d in deltas_of(out)]
     z1, z2 = deltas[0].args[1], deltas[2].args[1]
     z3 = deltas[4].args[1]
     assert deltas == [
@@ -440,8 +440,8 @@ def test_two_way_loop_rule_admits_scripted_infinite_restricted_run():
     script = ["ex1.x", "ex1.h1"] + ["ex1.x", "ex1.h1", "ex1.h2", "ex1.b"] * 3
     out = run_chase(kb, R, Scripted(script), 100)
     assert out.verdict == TERMINATED_UNFAIR
-    assert len(out.derivation) == 14
-    deltas = deltas_of(out.derivation)
+    assert len(out) == 14
+    deltas = deltas_of(out)
     for k in range(3):  # three full loop iterations
         base = 2 + 4 * k
         preds = [d[0].pred for d in deltas[base : base + 4]]
@@ -453,7 +453,7 @@ def test_one_way_equivalent_chase_grows_in_three_atom_rounds():
     kb = KnowledgeBase(one_way(tuple(doc.rules)).output_rules, doc.factbase())
     out = run_chase(kb, E, DatalogFirst(), 15)
     assert out.verdict.startswith("budget")
-    deltas = deltas_of(out.derivation)
+    deltas = deltas_of(out)
     for k in range(5):  # five rounds of (generator, forward, backward)
         chunk = deltas[3 * k : 3 * k + 3]
         assert [d[0].pred for d in chunk] == ["X__ex1", "p", "p"]

@@ -179,7 +179,7 @@ def test_intrinsic_checks_agree_with_history():
         out = run_chase(kb, variant, strategy, 6)
         fb = kb.facts
         history = set()
-        for t, after in steps_of(out.derivation):
+        for t, after in steps_of(out):
             history.add(t.frontier_key)
             fb = after
         for t in enumerate_triggers(kb.rules, Store(fb)):
@@ -199,7 +199,7 @@ def test_applicability_chain_property():
         out = run_chase(kb, O, RandomChoice(rng.randint(0, 999)), rng.randint(0, 4))
         fb = out.result
         history = set()
-        for t, _ in steps_of(out.derivation):
+        for t, _ in steps_of(out):
             history.add(t.frontier_key)
         for t in enumerate_triggers(kb.rules, Store(fb)):
             flags = {
@@ -218,7 +218,7 @@ def test_example2_restricted_golden():
     kb = load_kb("ex1.erl")
     out = run_chase(kb, R, FIFO(), 100)
     assert out.verdict == TERMINATED_FAIR
-    assert len(out.derivation) == 1
+    assert len(out) == 1
     assert len(out.result) == 3
 
 
@@ -285,11 +285,11 @@ _T5_SCRIPT = ["u_init", ["u_to_r", 1], "u_ext", "r_to_s", "u_to_r", "u_to_r", "u
 )
 def test_one_strategy_object_drives_runs_in_a_row_and_side_by_side(name, make):
     kb, max_steps = load_kb(name), 20
-    fresh = run_chase(kb, R, make(), max_steps).derivation
+    fresh = run_chase(kb, R, make(), max_steps)
     assert len(fresh.records) > 2
     shared = make()
     for _ in range(2):
-        again = run_chase(kb, R, shared, max_steps).derivation
+        again = run_chase(kb, R, shared, max_steps)
         assert (again.records, again.verdict) == (fresh.records, fresh.verdict)
     # two generators of the one object, advanced in turn on two states
     states = [ChaseState(kb, R), ChaseState(kb, R)]
@@ -326,7 +326,7 @@ def test_monotonicity_every_variant():
             kb = random_kb(rng)
             out = run_chase(kb, variant, RandomChoice(rng.randint(0, 999)), 5)
             prev = kb.facts
-            for _, fb in steps_of(out.derivation):
+            for _, fb in steps_of(out):
                 assert prev.atoms <= fb.atoms
                 prev = fb
 
@@ -404,7 +404,7 @@ def test_datalog_saturate_no_datalog_rules():
     rule = Rule("g", (Atom("p", V("X")),), (Atom("q", V("X", "Z")),))
     fb = FactBase([Atom("p", (Const("a"),))])
     out = run_chase(KnowledgeBase((rule,), fb), R, DatalogFirst(), 10)
-    assert [t.rule.id for t, _ in out.derivation.records] == ["g"]  # nothing Datalog fires
+    assert [t.rule.id for t, _ in out.records] == ["g"]  # nothing Datalog fires
 
 
 def test_datalog_saturate_t2f_rules_fixpoint():
@@ -560,7 +560,7 @@ def test_df_so_runs_and_prioritises_datalog():
     kb = load_kb("t2c.erl")
     out = run_chase(kb, ChaseVariant.parse("dfso"), FIFO(), 5)
     # first step must be the Datalog symmetry rule
-    assert steps_of(out.derivation)[0][0].rule.id == "sym"
+    assert steps_of(out)[0][0].rule.id == "sym"
 
 
 def test_datalog_saturate_defensive_budget():
@@ -605,7 +605,7 @@ def test_empty_frontier_rule_applicability():
     for variant, expected_steps in ((SO, 1), (R, 1), (E, 1), (O, 2)):
         out = run_chase(kb, variant, FIFO(), 10)
         assert out.verdict == TERMINATED_FAIR, variant.tag
-        assert len(out.derivation) == expected_steps, variant.tag
+        assert len(out) == expected_steps, variant.tag
 
 
 def test_fresh_output_atoms_disjoint_from_factbase():
@@ -617,7 +617,7 @@ def test_fresh_output_atoms_disjoint_from_factbase():
         out = run_chase(kb, O, RandomChoice(rng.randint(0, 10**6)), 3)
         fb = out.result
         for t in enumerate_triggers(kb.rules, Store(fb)):
-            if not t.output_nulls or t.body_key is None:
+            if not t.output_nulls:
                 continue
             if set(t.output) <= fb.atoms:
                 continue  # already applied
@@ -648,7 +648,7 @@ def test_agenda_fifo_matches_per_step_oracle(kb, name):
     variant = ChaseVariant.parse(name)
     out = run_chase(kb, variant, FIFO(), 6)
     steps, result, verdict = _oracle_fifo(kb, variant, 6)
-    assert [(t.rule.id, t.match) for t, _ in out.derivation.records] == steps
+    assert [(t.rule.id, t.match) for t, _ in out.records] == steps
     assert out.verdict == verdict
     assert out.result.atoms == result.atoms
 
@@ -683,7 +683,7 @@ def test_head_satisfaction_keeps_a_minted_null_that_f_holds_fixed():
     assert exists_retraction(itertools.chain(fb.atoms, t.output), fb) is False
     out = run_chase(KnowledgeBase((rule,), fb), R, FIFO(), 10)
     assert out.verdict == TERMINATED_FAIR
-    assert [r for r, _ in out.derivation.records] == [t]
+    assert [r for r, _ in out.records] == [t]
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -801,7 +801,6 @@ def test_trigger_table_holds_one_trigger_per_rule_and_match(kb, name, data):
         assert t == fresh
         assert t.output == fresh.output
         assert t.extended == fresh.extended
-        assert t.body_key == fresh.body_key
         assert t.frontier_key == fresh.frontier_key
 
 

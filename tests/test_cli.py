@@ -101,7 +101,32 @@ def test_entails_command(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] == "yes"
+    assert report["steps"] == 1  # R's one step makes the query hold; the budget is 200
     assert "witness" in report
+
+
+def test_entails_reports_no_step_when_the_facts_entail_the_query(tmp_path, capsys):
+    erl = tmp_path / "sym.erl"
+    erl.write_text("p(a,b). p(b,a).\n? p(X,Y), p(Y,X).\n")
+    code, out = run_cli(capsys, "entails", str(erl), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["verdict"], report["steps"]) == ("yes", 0)
+
+
+def test_entails_reports_the_steps_of_a_fair_run_that_answers_no(tmp_path, capsys):
+    erl = tmp_path / "tc.erl"
+    erl.write_text("[tc] e(X,Y), e(Y,Z) -> e(X,Z).\ne(a,b). e(b,c). e(c,d).\n? e(d,X).\n")
+    code, out = run_cli(capsys, "entails", str(erl), "--variant", "r", "--max-steps", "50", "--json")
+    assert code == 0
+    report = json.loads(out)
+    code, out = run_cli(
+        capsys, "run", str(erl), "--variant", "r", "--strategy", "datalog-first", "--max-steps", "50", "--json"
+    )
+    run = json.loads(out)
+    assert run["verdict"] == "terminated_fair"
+    assert (report["verdict"], report["steps"]) == ("no", run["steps"])
+    assert report["steps"] == 3  # e(a,c), e(b,d), e(a,d), well below the budget of 50
 
 
 def run_cli_error(capsys, *argv) -> dict:

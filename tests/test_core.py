@@ -155,7 +155,7 @@ def test_derivation_replay_determinism():
     kb = load_doc("t2f.erl").knowledge_base()
     out = run_chase(kb, ChaseVariant.parse("r"), FIFO(), 12)
     fb = kb.facts
-    for t, after in steps_of(out.derivation):
+    for t, after in steps_of(out):
         replayed = Trigger(t.rule, t.match)
         assert set(support(replayed)) <= fb.atoms
         fb = fb.union(replayed.output)
@@ -169,7 +169,7 @@ def test_derivation_monotone_and_novel():
     kb = load_doc("ex1.erl").knowledge_base()
     out = run_chase(kb, ChaseVariant.parse("o"), FIFO(), 10)
     prev = kb.facts
-    for t, fb in steps_of(out.derivation):
+    for t, fb in steps_of(out):
         assert prev.atoms < fb.atoms  # strict growth: out(t) not within F
         assert not set(t.output) <= prev.atoms
         prev = fb

@@ -164,7 +164,7 @@ def strategy_reports() -> dict:
                 outcome = run_chase(fixture.kb, ChaseVariant.parse(name), strategy, max_steps)
                 records = [
                     {"rule": t.rule.id, "match": {n: str(v) for n, v in t.match}, "added": [str(a) for a in delta]}
-                    for t, delta in outcome.derivation.records
+                    for t, delta in outcome.records
                 ]
                 report = {"verdict": outcome.verdict, "steps": len(records), "records": records}
                 reports["%s %s %d" % (fixture.id, name, index)] = json.loads(number_digests(json.dumps(report)))

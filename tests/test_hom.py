@@ -3,7 +3,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from exchase import analysis, hom
+from exchase import analysis, core, hom
 from exchase.analysis import entails
 from exchase.chase import SATISFIED, ChaseVariant, delta_triggers
 from exchase.core import Atom, Const, FactBase, KnowledgeBase, Null, Rule, Store, Trigger, Var, make_match
@@ -477,8 +477,9 @@ def _emp_kb(employees: int) -> KnowledgeBase:
 
 
 def test_bcq_check_per_step_reads_as_many_atoms_over_a_larger_store(monkeypatch):
-    """`entails` joins the query from each step's delta, and searches the
-    whole store only once, for the witness of a query that holds."""
+    """`entails` joins the query once by its plan before the first step,
+    then from each step's delta, and searches the whole store only once,
+    for the witness of a query that holds."""
     query = (Atom("works", (x, y)), Atom("works", (x, z)), Atom("closed", (z,)))
     reads = _count_reads(monkeypatch)
     searches = []
@@ -497,6 +498,14 @@ def test_bcq_check_per_step_reads_as_many_atoms_over_a_larger_store(monkeypatch)
         return iter(() if found is None else (found,))
 
     monkeypatch.setattr(analysis, "delta_triggers", counted_delta)
+
+    def counted_join(fb, binding, plan):
+        before = reads[0]
+        found = next(core.search(fb, binding, plan), None)
+        per_step.append(reads[0] - before)
+        return iter(() if found is None else (found,))
+
+    monkeypatch.setattr(analysis, "search", counted_join)
     most = []
     for employees in (40, 400):
         per_step.clear()

@@ -200,7 +200,7 @@ def test_brake_semantics_on_explored_states():
     fb = kb.facts
     braked = False
     chain = rule_by_id(kb, "w_chain")
-    for t, after in steps_of(out.derivation):
+    for t, after in steps_of(out):
         if t.rule.id == "w_brake":
             braked = True
         fb = after
@@ -228,7 +228,7 @@ def test_simulation_halt1_terminates_on_small_tapes():
 def test_simulation_loop_exhausts_budget_and_keeps_extending():
     out = run_chase(simulation_kb(loop(), 1), DFR, DatalogFirst(), 500)
     assert out.verdict == BUDGET_EXHAUSTED
-    extensions = [t for t, _ in steps_of(out.derivation) if t.rule.id == "m_extend"]
+    extensions = [t for t, _ in steps_of(out) if t.rule.id == "m_extend"]
     assert len(extensions) >= 5  # the tape keeps growing round after round
 
 

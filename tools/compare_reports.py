@@ -32,6 +32,12 @@ under either seed:
   `p(X,Y), p(Y,Z)` per binary predicate, each run by `--query-index`
   (most corpus files have no query of their own, so these cover the
   witnesses);
+- `entails --json` under the same variants on `ENTAILED_ERL`, whose query
+  the input facts already entail, beside a diverging rule, so the check
+  before the first step alone decides the answer, and on `CHAIN_YES_ERL`
+  and `CHAIN_NO_ERL`, which ask the 12-atom path query `CHAIN_QUERY` of
+  a chain of facts that holds such a path and of one whose path a
+  Datalog rule extends to 11 edges only;
 - `classify --json` on the fixture corpus;
 - `explore --json` on every corpus `.erl`, on the diverging rule
   `[g] p(X,Y) -> exists Z. p(Y,Z).` over `p(a,b)` (`GROWTH_ERL`), on
@@ -66,12 +72,18 @@ Its key is the command's, tagged with the seed (`seed0: run ex1.erl o fifo`).
 The script prints each key whose report differs and exits 1 if any does,
 0 otherwise. Stdlib only.
 
+An `entails` report's `steps` is the number of steps its run took. A tree
+from before that change reports the step budget there, so against such a
+tree every `entails` report that answers in fewer steps than its budget
+differs, in `steps` alone.
+
     python3 tools/compare_reports.py --dump SRC DIR
 
 prints one tree's reports as a JSON object instead, with the diverging
 rule's file, the collision, cycles and independent-rules files, the
-layout and long-body files, the error inputs, the query copies, the
-strategy files and the `--output` files written into the directory DIR.
+layout and long-body files, the entailed and chain files, the error
+inputs, the query copies, the strategy files and the `--output` files
+written into the directory DIR.
 """
 from __future__ import annotations
 
@@ -132,6 +144,21 @@ LONGBODY_ERL = (
     "h(n2,w). k(w,p).\n"
     "? h(X,W), k(W,Z), d(Z,W,W).\n"
 )
+CHAIN_QUERY = "? %s.\n" % ", ".join("e(X%d,X%d)" % (i, i + 1) for i in range(12))
+CHAIN_YES_ERL = (
+    "[ef] f(X,Y) -> e(X,Y).\n"
+    + "".join("e(c%d,c%d). " % (i, i + 1) for i in range(12))
+    + "f(d0,d1).\n"
+    + CHAIN_QUERY
+)
+CHAIN_NO_ERL = (
+    "[ef] f(X,Y) -> e(X,Y).\n"
+    + "".join("e(c%d,c%d). " % (i, i + 1) for i in range(6))
+    + "".join("f(c%d,c%d). " % (i, i + 1) for i in range(6, 11))
+    + "\n"
+    + CHAIN_QUERY
+)
+ENTAILED_ERL = "[g] p(X,Y) -> exists Z. p(Y,Z).\np(a,b). p(b,a).\n? p(X,Y), p(Y,X).\n"
 ERROR_ERLS = {
     "fact-var.erl": "p(a).\np(X).\n",
     "rule-null.erl": "[r] p(X), q(_n1.x) -> s(X).\np(a).\n",
@@ -176,6 +203,12 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
     layout.write_bytes(LAYOUT_ERL.encode("utf-8"))  # CRLF kept as written
     longbody = scratch / "longbody.erl"
     longbody.write_text(LONGBODY_ERL, encoding="utf-8")
+    query_erls = []
+    for name, text in (
+        ("entailed.erl", ENTAILED_ERL), ("chain-yes.erl", CHAIN_YES_ERL), ("chain-no.erl", CHAIN_NO_ERL)
+    ):
+        query_erls.append(scratch / name)
+        query_erls[-1].write_text(text, encoding="utf-8")
     erls = sorted(corpus.glob("*.erl"))
     commands: dict[str, list[str]] = {}
     for erl in [*erls, layout, longbody]:
@@ -194,6 +227,11 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
                 commands["entails %s %d %s" % (copy.name, k, variant)] = [
                     "entails", str(copy), "--query-index", str(k), "--variant", variant, "--json",
                 ]
+    for erl in query_erls:
+        for variant in RUN_VARIANTS:
+            commands["entails %s %s" % (erl.name, variant)] = [
+                "entails", str(erl), "--variant", variant, "--json",
+            ]
     for fixture in sorted((corpus / "fixtures").glob("*.json")):
         raw = json.loads(fixture.read_text(encoding="utf-8"))
         if "transform" in raw:
