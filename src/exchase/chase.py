@@ -31,20 +31,22 @@ that may still fire (semi-naive evaluation), the fired frontier keys and
 the (trigger, delta) records. Invariant: after every step it holds every
 trigger on the store, per rule in canonical match order, except those that
 were applied or dropped. After a step only the body matches that use an
-atom of the step's delta are found and inserted (`delta_triggers`). The
-knowledge base's `body_index` gives the body atoms of each delta predicate;
-each such atom j is bound to the delta atoms it matches (`Store.matches`)
-and joined with the other body atoms by the plan that j's `BodyEntry`
-holds (`core.join_plan`, most bound arguments first). A join (`_join`) is
-`core.search` in plan order, the loop the homomorphism search runs in
-fail-first order, so it reads the store's buckets as that search does,
-in the order their atoms were added. Trigger order is canonical match
-order, the order of `Trigger.match`: each trigger list and each rule's
-batch of `enumerate_triggers` holds the triggers of one rule, so the match
-alone orders it. `enumerate_triggers` sorts by it and `apply` inserts new
-triggers by it, so a join sorts no bucket.
-Enumerating every trigger of a store joins the whole body the same way, by
-`Rule.body_plan`.
+atom of the step's delta are found and inserted (`delta_triggers`), one
+delta atom at a time: the knowledge base's `body_index` gives the body
+atoms of the atom's predicate, and each body atom j that it fits
+(`Store.matches`) is bound to it and joined with the other body atoms by
+the plan that j's `BodyEntry` holds (`core.join_plan`, most bound
+arguments first). So the new triggers come in delta order, not rule
+order. Every join is a call of `core.search` in plan order, the loop the
+homomorphism search runs in fail-first order, so it reads the store's
+buckets as that search does, in the order their atoms were added, and
+each counts as one in the stats' `hom_calls`. Trigger order is canonical
+match order, the order of `Trigger.match`: each trigger list and each
+rule's batch of `enumerate_triggers` holds the triggers of one rule, so
+the match alone orders it. `enumerate_triggers` sorts by it and `apply`
+inserts each new trigger into its rule's list by it, so a join sorts no
+bucket. Enumerating every trigger of a store joins the whole body the
+same way, by `Rule.body_plan`.
 
 `enumerate_triggers` and `delta_triggers` take each trigger from the
 knowledge base's `trigger_table`, one dict of match -> `Trigger` per rule,
@@ -98,10 +100,8 @@ from .core import (
     InputError,
     KnowledgeBase,
     Match,
-    PlanStep,
     Rule,
     Store,
-    Term,
     Trigger,
     join_plan,
     make_match,
@@ -145,17 +145,6 @@ class ChaseVariant:
         return "DF-" + base if self.datalog_first else base
 
 
-def _join(
-    plan: Sequence[PlanStep], fb: Store, binding: dict[str, Term], stats: Optional[dict] = None
-) -> Iterator[dict[str, Term]]:
-    """Every extension of `binding` (variable name -> term) mapping a join
-    plan (`core.join_plan`, made for the variables of `binding`) into `fb`:
-    `core.search` in plan order, counted as one in stats["hom_calls"]."""
-    if stats is not None:
-        stats["hom_calls"] = stats.get("hom_calls", 0) + 1
-    return search(fb, binding, plan)
-
-
 # Canonical trigger order within a rule: the order of the match.
 _MATCH_ORDER = operator.attrgetter("match")
 
@@ -172,8 +161,10 @@ def enumerate_triggers(
     match it holds and takes each one it lacks; without it every trigger
     is made anew."""
     for rule, triggers in zip(rules, table or [{} for _ in rules]):
+        if stats is not None:
+            stats["hom_calls"] = stats.get("hom_calls", 0) + 1
         found = []
-        for m in _join(rule.body_plan, fb, {}, stats):
+        for m in search(fb, {}, rule.body_plan):
             match = make_match(m)
             t = triggers.get(match)
             if t is None:
@@ -191,36 +182,29 @@ def delta_triggers(
 ) -> Iterator[Trigger]:
     """The semi-naive step: every trigger on the store `fb` whose body
     match uses an atom of `delta` (the atoms just added to `fb`), each
-    exactly once, in rule order, over the rules of `kb`. Together with the
-    triggers on `fb` minus `delta` these are all triggers on `fb`. Only the
-    body atoms of the delta's predicates are visited (`kb.body_index`):
-    each delta atom that body atom j matches is joined with the other body
-    atoms by the rule's plan for j. Each trigger comes from
-    `kb.trigger_table`, which a match it lacks goes into. Only a scan
-    takes an entry out, and none runs while the call does, so a trigger
-    found twice is the same object: the call tells triggers apart by
-    identity."""
+    exactly once, over the rules of `kb`, in delta order: for each delta
+    atom, each body atom of its predicate (`kb.body_index`) that it fits
+    is bound to it and joined with the other body atoms by that entry's
+    plan. Together with the triggers on `fb` minus `delta` these are all
+    triggers on `fb`. Each trigger comes from `kb.trigger_table`, which a
+    match it lacks goes into. Only a scan takes an entry out, and none
+    runs while the call does, so a trigger found twice (its match uses
+    two delta atoms, or one twice) is the same object: the call tells
+    triggers apart by identity."""
     index, table = kb.body_index, kb.trigger_table
-    new_by_pred: dict[str, list[Atom]] = {}
-    for a in delta:
-        new_by_pred.setdefault(a.pred, []).append(a)
-    entries = [e for pred in new_by_pred for e in index.get(pred, ())]
-    if len(new_by_pred) > 1:
-        entries.sort()  # by (rule_pos, body_pos), which is unique
     seen: set[int] = set()  # the ids of the triggers yielded, all held by the table
-    rule_pos = None
-    for entry in entries:
-        if entry.rule_pos != rule_pos:
-            rule_pos = entry.rule_pos
-            triggers, seen = table[rule_pos], set()
-        pattern = entry.pattern
-        for a in fb.matches(pattern, {}, new_by_pred[pattern.pred]):
-            binding = {s: a.args[i] for i, s in pattern.free}
-            for m in _join(entry.plan, fb, binding, stats):
+    for a in delta:
+        for rule_pos, rule, pattern, plan in index.get(a.pred, ()):
+            if next(fb.matches(pattern, {}, (a,)), None) is None:
+                continue
+            if stats is not None:
+                stats["hom_calls"] = stats.get("hom_calls", 0) + 1
+            triggers = table[rule_pos]
+            for m in search(fb, {s: a.args[i] for i, s in pattern.free}, plan):
                 match = make_match(m)
                 t = triggers.get(match)
                 if t is None:
-                    t = triggers[match] = Trigger(entry.rule, match)
+                    t = triggers[match] = Trigger(rule, match)
                 if id(t) not in seen:
                     seen.add(id(t))
                     yield t
@@ -333,7 +317,8 @@ class ChaseState:
         if not rigid_missing:
             binding = {s: x for s, x in t.extended.items() if x not in movable}
             head = t.rule.head_plan if len(binding) == len(t.match) else join_plan(t.rule.head, binding)
-            if next(_join(head, store, binding, self.stats), None) is not None:
+            self.stats["hom_calls"] += 1
+            if next(search(store, binding, head), None) is not None:
                 return SATISFIED
         if tag == "e":
             from . import hom  # E's fold is the one use of `hom` here

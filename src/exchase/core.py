@@ -243,13 +243,12 @@ def join_plan(atoms: Iterable[Atom], bound: Iterable[str]) -> tuple[PlanStep, ..
 
 
 class BodyEntry(NamedTuple):
-    """Body atom `body_pos` of `rules[rule_pos]` in a
-    `KnowledgeBase.body_index`: the plan step (`pattern`) that binds it,
-    with nothing bound, to a new fact, and the plan that joins the other
-    body atoms given that binding."""
+    """A body atom of `rules[rule_pos]` in a `KnowledgeBase.body_index`:
+    the plan step (`pattern`) that binds it, with nothing bound, to a new
+    fact, and the plan that joins the other body atoms given that
+    binding."""
 
     rule_pos: int
-    body_pos: int
     rule: "Rule"
     pattern: PlanStep
     plan: tuple[PlanStep, ...]
@@ -622,16 +621,15 @@ class KnowledgeBase:
     @cached_attribute
     def body_index(self) -> dict[str, tuple[BodyEntry, ...]]:
         """Predicate -> the entry of each body atom of that predicate among
-        the rules, in (rule, body position) order, with the plan of the
-        other body atoms from its variables. Built once per knowledge base:
-        a chase step looks up the body atoms of its delta's predicates
-        only."""
+        the rules, with the plan of the other body atoms from its
+        variables. Built once per knowledge base: a chase step looks up
+        the body atoms of its delta atoms' predicates only."""
         index: dict[str, list[BodyEntry]] = {}
         for r, rule in enumerate(self.rules):
             for j, a in enumerate(rule.body):
                 (pattern,) = join_plan([a], ())
                 plan = join_plan(rule.body[:j] + rule.body[j + 1 :], a.variables())
-                index.setdefault(a.pred, []).append(BodyEntry(r, j, rule, pattern, plan))
+                index.setdefault(a.pred, []).append(BodyEntry(r, rule, pattern, plan))
         return {pred: tuple(entries) for pred, entries in index.items()}
 
     @cached_attribute

@@ -19,7 +19,8 @@ otherwise it is a predicate like any other, so a rule may have an
 label only when followed by another label character), so chase-minted labels
 round-trip.
 
-The parser reads the text from an offset and builds no token list. At each
+The parser reads the text from an offset and builds no token list: it
+holds only the tokens it has looked ahead at, at most two. At each
 statement start it first tries `_FACT`, one compiled pattern for a whole
 ground fact in the layout `serialize_factbase` writes, `IDENT '(' term (','
 term)* ')' '.'` with every term a constant or a null and no blank or comment
@@ -178,10 +179,9 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.lexer = _Lexer(text)
-        # The next token and the one after it, once read; both are None at a
+        # The tokens read but not yet taken, the next one first; empty at a
         # statement start, where `_FACT` is tried first.
-        self.tok: Optional[_Token] = None
-        self.tok2: Optional[_Token] = None
+        self.ahead: list[_Token] = []
         self.doc = SourceDocument()
         self.arities: dict[str, int] = {}
         self.rule_ids: set[str] = set()
@@ -197,29 +197,20 @@ class _Parser:
         # query rejects.
         self.null: Optional[_Token] = None
 
-    def _peek(self) -> _Token:
-        tok = self.tok
-        if tok is None:
-            tok = self.tok = self.lexer.next()
-        return tok
-
-    def _peek2(self) -> _Token:
-        """The token after the next one."""
-        if self.tok2 is None:
-            self._peek()
-            self.tok2 = self.lexer.next()
-        return self.tok2
+    def _peek(self, k: int = 0) -> _Token:
+        """The token `k` places after the next one."""
+        ahead = self.ahead
+        while len(ahead) <= k:
+            ahead.append(self.lexer.next())
+        return ahead[k]
 
     def _advance(self) -> None:
         """Drop the next token, which the caller has peeked at."""
-        self.tok, self.tok2 = self.tok2, None
+        del self.ahead[0]
 
     def _next(self, expected: str) -> _Token:
-        tok = self.tok
-        if tok is None:
-            tok = self.lexer.next()
-        else:
-            self.tok, self.tok2 = self.tok2, None
+        ahead = self.ahead
+        tok = ahead.pop(0) if ahead else self.lexer.next()
         if tok.kind == "end":
             raise ParseError("unexpected end of input", tok.line, tok.col, expected)
         return tok
@@ -234,7 +225,7 @@ class _Parser:
         """`item (',' item)*`"""
         items = [item()]
         while self._peek().text == ",":
-            self.tok, self.tok2 = self.tok2, None
+            self._advance()
             items.append(item())
         return items
 
@@ -306,7 +297,7 @@ class _Parser:
         declared: list[str] = []
         # `exists` is the keyword only before a variable; else it is a predicate.
         tok = self._peek()
-        if tok.kind == "ident" and tok.text == "exists" and _is_variable(self._peek2()):
+        if tok.kind == "ident" and tok.text == "exists" and _is_variable(self._peek(1)):
             self._advance()
             declared = self._list(self._variable)
             self._expect(".")

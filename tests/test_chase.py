@@ -22,6 +22,7 @@ from exchase.core import (
     Var,
     join_plan,
     make_match,
+    search,
 )
 from exchase.chase import (
     ChaseState,
@@ -31,7 +32,6 @@ from exchase.chase import (
     Phased,
     Scripted,
     StrategyError,
-    _join,
     delta_triggers,
     enumerate_triggers,
     run_chase,
@@ -948,9 +948,10 @@ def _search_matches(rule, fb, fixed=None):
 
 
 def _body_entries(rule: Rule) -> list:
-    """The `body_index` entry of each body atom of `rule`, in body order."""
-    entries = [e for es in KnowledgeBase((rule,), FactBase()).body_index.values() for e in es]
-    return sorted(entries, key=lambda e: e.body_pos)
+    """The `body_index` entry of each body atom of `rule`, in body order:
+    the body is sorted by predicate, and the index lists each predicate's
+    entries in body order."""
+    return [e for es in KnowledgeBase((rule,), FactBase()).body_index.values() for e in es]
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -960,12 +961,12 @@ def test_join_matches_equal_homomorphism_search(case):
     j is bound to a fact, finds exactly the homomorphisms the search finds,
     each once."""
     rule, fb, _ = case
-    whole = _canonical(make_match(m) for m in _join(rule.body_plan, fb, {}))
+    whole = _canonical(make_match(m) for m in search(fb, {}, rule.body_plan))
     assert whole == _search_matches(rule, fb)
     for e in _body_entries(rule):
         for fact in fb.matches(e.pattern, {}, fb.by_pred.get(e.pattern.pred, ())):
             binding = {s: fact.args[i] for i, s in e.pattern.free}
-            got = _canonical(make_match(m) for m in _join(e.plan, fb, dict(binding)))
+            got = _canonical(make_match(m) for m in search(fb, dict(binding), e.plan))
             fixed = {Var(n): t for n, t in binding.items()}
             assert got == _search_matches(rule, fb, fixed)
 
@@ -999,7 +1000,7 @@ def test_joins_and_searches_yield_dicts_of_their_own(case):
             runs.append((e.plan, binding, {Var(n): t for n, t in binding.items()}))
     for plan, binding, fixed in runs:
         for given_dict, results in (
-            (binding, lambda: _join(plan, fb, binding)),
+            (binding, lambda: search(fb, binding, plan)),
             (fixed, lambda: hom.iter_homomorphisms(rule.body, fb, fixed=fixed)),
         ):
             before = dict(given_dict)
@@ -1019,7 +1020,7 @@ def test_a_body_longer_than_the_recursion_limit_joins_and_maps():
     cs = [Const("c"), *(Const("c%d" % i) for i in range(1, n + 1))]
     body = [Atom("p", (xs[i], xs[i + 1])) for i in range(n)]
     chain = [Atom("p", (cs[i], cs[i + 1])) for i in range(n)]
-    assert list(_join(join_plan(body, ()), Store(chain), {})) == [{x.name: c for x, c in zip(xs[1:], cs[1:])}]
+    assert list(search(Store(chain), {}, join_plan(body, ()))) == [{x.name: c for x, c in zip(xs[1:], cs[1:])}]
     assert hom.find_homomorphism(body, chain) == dict(zip(xs[1:], cs[1:]))
 
 
@@ -1027,9 +1028,14 @@ def test_a_body_longer_than_the_recursion_limit_joins_and_maps():
 @given(join_cases())
 def test_delta_triggers_find_each_new_match_once(case):
     """Delta discovery yields each match that uses a delta atom exactly once,
-    also when two delta atoms bind the same body atom."""
+    also when two delta atoms bind the same body atom, and joins once per
+    (delta atom, body atom) pair whose body atom the delta atom fits. With
+    a second rule over the same predicates, one call yields the triggers
+    of both rules, in delta order, so interleaved, each (rule, match)
+    exactly once."""
     rule, fb, delta = case
-    got = [t.match for t in delta_triggers(KnowledgeBase((rule,), FactBase()), fb, delta)]
+    stats: dict = {}
+    got = [t.match for t in delta_triggers(KnowledgeBase((rule,), FactBase()), fb, delta, stats)]
     assert len(got) == len(set(got))
     want = [
         m
@@ -1037,6 +1043,22 @@ def test_delta_triggers_find_each_new_match_once(case):
         if any(a in delta for a in support(Trigger(rule, m)))
     ]
     assert _canonical(got) == want
+    assert stats.get("hom_calls", 0) == _fitting_pairs(rule, delta)
+    flipped = Rule("k", tuple(Atom(a.pred, a.args[::-1]) for a in rule.body), rule.head)
+    stats = {}
+    kb = KnowledgeBase((rule, flipped), FactBase())
+    both = [(t.rule.id, t.match) for t in delta_triggers(kb, fb, delta, stats)]
+    assert len(both) == len(set(both))
+    for r in (rule, flipped):
+        new = [m for m in _search_matches(r, fb) if any(a in delta for a in support(Trigger(r, m)))]
+        assert _canonical(m for rule_id, m in both if rule_id == r.id) == new
+    assert stats.get("hom_calls", 0) == _fitting_pairs(rule, delta) + _fitting_pairs(flipped, delta)
+
+
+def _fitting_pairs(rule: Rule, delta) -> int:
+    """The (delta atom, body atom) pairs where the body atom maps onto the
+    delta atom."""
+    return sum(hom.find_homomorphism([b], [a]) is not None for a in delta for b in rule.body)
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -48,8 +48,8 @@ import pytest
 
 from exchase import cli, hom
 from exchase.analysis import find_terminating, load_fixture
-from exchase.chase import ChaseState, ChaseVariant, DatalogFirst, _join, run_chase
-from exchase.core import Atom, Const, Store, Var, join_plan
+from exchase.chase import ChaseState, ChaseVariant, DatalogFirst, run_chase
+from exchase.core import Atom, Const, Store, Var, join_plan, search
 from exchase.textio import parse_document
 
 from conftest import CORPUS, load_kb
@@ -259,8 +259,8 @@ def test_ground_join_steps_build_no_atom(monkeypatch):
     plan = join_plan([Atom("q", (y, x)), Atom("p", (x, y)), Atom("q", (x, x))], ("X", "Y"))
     assert all(not step.free for step in plan)
     built = _count_atoms(monkeypatch)
-    assert list(_join(plan, store, {"X": a, "Y": b})) == [{"X": a, "Y": b}]
-    assert list(_join(plan, store, {"X": b, "Y": a})) == []
+    assert list(search(store, {"X": a, "Y": b}, plan)) == [{"X": a, "Y": b}]
+    assert list(search(store, {"X": b, "Y": a}, plan)) == []
     assert built == [0]
 
 
