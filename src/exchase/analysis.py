@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -51,14 +50,24 @@ CERTIFIED = "non-termination certified"
 UNCERTIFIED = "unbounded derivation found (fairness not certified)"
 
 
-@dataclass(frozen=True)
-class ExplorationReport:
-    verdict: str  # all_finite | growth | budget_exceeded
-    nodes: int
-    max_len: Optional[int] = None
-    witness: Optional[tuple[tuple[Atom, ...], ...]] = None  # per-step deltas
-    witness_label: Optional[str] = None
-    dedup_hits: int = 0
+class ExplorationReport(core.Value):
+    _fields = ("verdict", "nodes", "max_len", "witness", "witness_label", "dedup_hits")
+
+    def __init__(
+        self,
+        verdict: str,  # all_finite | growth | budget_exceeded
+        nodes: int,
+        max_len: Optional[int] = None,
+        witness: Optional[tuple[tuple[Atom, ...], ...]] = None,  # per-step deltas
+        witness_label: Optional[str] = None,
+        dedup_hits: int = 0,
+    ) -> None:
+        core._set(self, "verdict", verdict)
+        core._set(self, "nodes", nodes)
+        core._set(self, "max_len", max_len)
+        core._set(self, "witness", witness)
+        core._set(self, "witness_label", witness_label)
+        core._set(self, "dedup_hits", dedup_hits)
 
 
 def explore_all(
@@ -174,11 +183,13 @@ def find_terminating(
     return None
 
 
-@dataclass(frozen=True)
-class TriState:
-    kind: str  # yes | no | unknown
-    steps: int  # the length of the run's derivation
-    witness: Optional[dict] = None
+class TriState(core.Value):
+    _fields = ("kind", "steps", "witness")
+
+    def __init__(self, kind: str, steps: int, witness: Optional[dict] = None) -> None:
+        core._set(self, "kind", kind)  # yes | no | unknown
+        core._set(self, "steps", steps)  # the length of the run's derivation
+        core._set(self, "witness", witness)
 
 
 def entails(
@@ -228,13 +239,20 @@ class FixtureError(core.InputError):
     """A fixture file is malformed or references unknown material."""
 
 
-@dataclass
-class Fixture:
-    id: str
-    kb: KnowledgeBase
-    budgets: dict
-    expect: list[dict]
-    strategies: list[Strategy]
+class Fixture(core.Value):
+    """A loaded fixture: equal by its fields, mutable, so unhashable."""
+
+    _fields = ("id", "kb", "budgets", "expect", "strategies")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, id: str, kb: KnowledgeBase, budgets: dict, expect: list[dict], strategies: list[Strategy]
+    ) -> None:
+        self.id = id
+        self.kb = kb
+        self.budgets = budgets
+        self.expect = expect
+        self.strategies = strategies
 
 
 def _strategy_from_spec(spec, kb: KnowledgeBase) -> Strategy:

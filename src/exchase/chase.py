@@ -87,7 +87,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
@@ -103,6 +102,8 @@ from .core import (
     Rule,
     Store,
     Trigger,
+    Value,
+    _set,
     join_plan,
     make_match,
     search,
@@ -123,13 +124,13 @@ class VariantError(InputError):
 _TAGS = ("o", "so", "r", "e")
 
 
-@dataclass(frozen=True)
-class ChaseVariant:
-    tag: str
-    datalog_first: bool = False
+class ChaseVariant(Value):
+    _fields = ("tag", "datalog_first")
 
-    def __post_init__(self) -> None:
-        if self.tag not in _TAGS:
+    def __init__(self, tag: str, datalog_first: bool = False) -> None:
+        _set(self, "tag", tag)
+        _set(self, "datalog_first", datalog_first)
+        if tag not in _TAGS:
             raise VariantError("unknown chase tag %r" % self.tag)
 
     @classmethod

@@ -14,11 +14,12 @@ files are written before anything is printed.
 A command imports the modules it needs only when it runs. Importing this
 module loads `core`, `chase` and `textio`; `explore`, `entails` and
 `classify` load `analysis` (and with it `hom`), and `classify` also
-`normalize`; `normalize` loads `normalize`; `tm` loads `tmgen`. Their
-errors all derive from `core.InputError`, which `main` catches. Likewise
-`main` builds the parser of the command it runs alone (all of them when
-its first argument names none), with the usage and help texts of the whole
-parser.
+`normalize`; `normalize` loads `normalize`; `tm` loads `tmgen`. No
+command loads `inspect`, or the standard module of data classes that
+imports it. Their errors all derive from `core.InputError`, which `main`
+catches. Likewise `main` builds the parser of the command it runs alone
+(all of them when its first argument names none), with the usage and help
+texts of the whole parser.
 """
 from __future__ import annotations
 

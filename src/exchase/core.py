@@ -1,10 +1,14 @@
 """Value objects for existential-rule knowledge bases.
 
 Terms, atoms, rules, fact bases, triggers and derivations are immutable,
-hashable and safe to share between threads; a `FactBase` is a validated atom
-set that lazily caches its sorted atoms, terms and nulls, as rules and
-triggers cache their derived fields (`cached_attribute`: plain dict writes,
-safe because instances are frozen). A knowledge base is immutable too, but
+hashable and safe to share between threads. Terms are tuples and `Atom` a
+slotted class; the other value classes of the package derive from `Value`,
+which compares and hashes the fields its subclass names and whose
+`__setattr__` and `__delattr__` raise, so `__init__` sets the fields
+through `object.__setattr__`. A `FactBase` is a validated atom set that lazily
+caches its sorted atoms, terms and nulls, as rules and triggers cache their
+derived fields (`cached_attribute`: plain dict writes, safe because
+instances are frozen). A knowledge base is immutable too, but
 its `trigger_table` is not: every derivation over the knowledge base reads
 and extends it, and a scan takes entries out, so derivations over one
 knowledge base must not run in two threads at once (one thread may run any
@@ -40,13 +44,15 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from itertools import count, repeat
-from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 
-# Frozen classes set their fields in `__init__` through this.
+# Frozen classes set their fields in `__init__` through this, which keeps
+# them in the instance's inline attribute values: a write to `__dict__`
+# would make each instance a dict of its own, of about 150 bytes more.
 _set = object.__setattr__
 
 
@@ -258,21 +264,52 @@ class RuleError(ValueError):
     """A rule violates the body/frontier/existential well-formedness contract."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Value:
+    """A value class, its fields named in constructor order by `_fields`.
+    An instance equals one of its own class whose fields are equal (those
+    of `_compared`, if the class names them), hashes as the tuple of those
+    fields and has the repr `Class(field=value, ...)`. Assigning or deleting
+    an attribute raises AttributeError, so `__init__` sets the fields with
+    `_set`, and `cached_attribute` caches derived fields in `__dict__`."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        names = getattr(cls, "_compared", cls._fields)
+        get = attrgetter(*names)  # of one name, it gives the value: hash it as a 1-tuple
+        cls._key = staticmethod(get if len(names) > 1 else lambda v: (get(v),))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields)
+        return "%s(%s)" % (self.__class__.__qualname__, fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r of a frozen %s" % (name, self.__class__.__name__))
+
+    __delattr__ = __setattr__
+
+
+class Rule(Value):
     """body -> exists z. head, with the frontier/existential split derived.
 
     The frontier is vars(body) & vars(head); existential variables are
     vars(head) - vars(body). Body and head are stored canonically sorted.
     """
 
-    id: str
-    body: tuple[Atom, ...]
-    head: tuple[Atom, ...]
+    _fields = ("id", "body", "head")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "body", sort_atoms(self.body))
-        object.__setattr__(self, "head", sort_atoms(self.head))
+    def __init__(self, id: str, body: Iterable[Atom], head: Iterable[Atom]) -> None:
+        _set(self, "id", id)
+        _set(self, "body", sort_atoms(body))
+        _set(self, "head", sort_atoms(head))
         if not self.body or not self.head:
             raise RuleError("rule %r needs a non-empty body and head" % self.id)
         for a in self.body + self.head:
@@ -324,16 +361,14 @@ class FactBaseError(ValueError):
     """A fact base contains an unbound variable."""
 
 
-@dataclass(frozen=True)
-class FactBase:
+class FactBase(Value):
     """A finite atom set over constants and nulls: the hashable value of a
     fact base. Searches run over a `Store` built from it."""
 
-    atoms: frozenset[Atom] = frozenset()
+    _fields = ("atoms",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.atoms, frozenset):
-            object.__setattr__(self, "atoms", frozenset(self.atoms))
+    def __init__(self, atoms: Iterable[Atom] = frozenset()) -> None:
+        _set(self, "atoms", atoms if isinstance(atoms, frozenset) else frozenset(atoms))
         for a in self.atoms:
             for t in a.args:
                 if isinstance(t, Var):
@@ -589,16 +624,15 @@ class KnowledgeBaseError(InputError):
     """Rule ids clash or a predicate is used with two arities."""
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
-    rules: tuple[Rule, ...]
-    facts: FactBase
+class KnowledgeBase(Value):
+    _fields = ("rules", "facts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
-        ids = [r.id for r in self.rules]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
+    def __init__(self, rules: Iterable[Rule], facts: FactBase) -> None:
+        _set(self, "rules", tuple(rules))
+        _set(self, "facts", facts)
+        ids = Counter(r.id for r in self.rules)
+        if len(ids) != len(self.rules):
+            dup = sorted(i for i, n in ids.items() if n > 1)
             raise KnowledgeBaseError("duplicate rule ids: %s" % ", ".join(dup))
         arities: dict[str, int] = {}
         for a in self._all_atoms():
@@ -689,8 +723,7 @@ def _match_digest(rule_id: str, match: Match) -> str:
     return head if short == full else head[:10] + sha1(full)[10:]
 
 
-@dataclass(frozen=True)
-class Trigger:
+class Trigger(Value):
     """A rule plus a total homomorphism from its body into some fact base.
 
     Two triggers are equal iff their rules and matches are; the nulls a
@@ -700,8 +733,11 @@ class Trigger:
     once for every derivation over that knowledge base.
     """
 
-    rule: Rule
-    match: Match
+    _fields = ("rule", "match")
+
+    def __init__(self, rule: Rule, match: Match) -> None:
+        _set(self, "rule", rule)
+        _set(self, "match", match)
 
     @cached_attribute
     def extended(self) -> dict[str, Term]:
@@ -743,18 +779,28 @@ TERMINATED_UNFAIR = "terminated_unfair"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Value):
     """A sequence of trigger applications, kept as the atoms each one added,
     with the fact bases before the first and after the last step, how it
     ended and the counters of the run that built it (`stats`, which takes no
     part in equality or hashing)."""
 
-    initial: FactBase
-    records: tuple[tuple[Trigger, tuple[Atom, ...]], ...]
-    result: FactBase
-    verdict: str
-    stats: dict = field(default_factory=dict, compare=False)
+    _fields = ("initial", "records", "result", "verdict", "stats")
+    _compared = _fields[:4]
+
+    def __init__(
+        self,
+        initial: FactBase,
+        records: tuple[tuple[Trigger, tuple[Atom, ...]], ...],
+        result: FactBase,
+        verdict: str,
+        stats: Optional[dict] = None,
+    ) -> None:
+        _set(self, "initial", initial)
+        _set(self, "records", records)
+        _set(self, "result", result)
+        _set(self, "verdict", verdict)
+        _set(self, "stats", {} if stats is None else stats)
 
     def __len__(self) -> int:
         return len(self.records)

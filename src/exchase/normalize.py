@@ -9,10 +9,9 @@ the full head back to the fresh predicate, which preserves universal models.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Atom, InputError, Rule, Var, sort_atoms
+from .core import Atom, InputError, Rule, Value, Var, _set, sort_atoms
 
 
 class FreshNameClashError(InputError):
@@ -21,11 +20,18 @@ class FreshNameClashError(InputError):
     generated rule id by an input rule id."""
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    output_rules: tuple[Rule, ...]
-    fresh_predicates: tuple[tuple[str, int], ...]
-    mapping: dict[str, tuple[str, ...]]  # input rule id -> output rule ids
+class DecompositionReport(Value):
+    _fields = ("output_rules", "fresh_predicates", "mapping")
+
+    def __init__(
+        self,
+        output_rules: tuple[Rule, ...],
+        fresh_predicates: tuple[tuple[str, int], ...],
+        mapping: dict[str, tuple[str, ...]],  # input rule id -> output rule ids
+    ) -> None:
+        _set(self, "output_rules", output_rules)
+        _set(self, "fresh_predicates", fresh_predicates)
+        _set(self, "mapping", mapping)
 
 
 def pieces(rule: Rule) -> list[tuple[Atom, ...]]:

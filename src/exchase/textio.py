@@ -38,10 +38,9 @@ the rule ids it must avoid.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, TypeVar
 
-from .core import Atom, Const, FactBase, InputError, KnowledgeBase, Null, Rule, Term, Var
+from .core import Atom, Const, FactBase, InputError, KnowledgeBase, Null, Rule, Term, Value, Var
 
 _T = TypeVar("_T")
 
@@ -154,11 +153,21 @@ class _Lexer:
         return tok
 
 
-@dataclass
-class SourceDocument:
-    rules: list[Rule] = field(default_factory=list)
-    facts: list[Atom] = field(default_factory=list)
-    queries: list[tuple[Atom, ...]] = field(default_factory=list)
+class SourceDocument(Value):
+    """A parsed document: equal by its fields, mutable, so unhashable."""
+
+    _fields = ("rules", "facts", "queries")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self,
+        rules: Optional[list[Rule]] = None,
+        facts: Optional[list[Atom]] = None,
+        queries: Optional[list[tuple[Atom, ...]]] = None,
+    ) -> None:
+        self.rules = [] if rules is None else rules
+        self.facts = [] if facts is None else facts
+        self.queries = [] if queries is None else queries
 
     def factbase(self) -> FactBase:
         return FactBase(self.facts)

@@ -17,11 +17,10 @@ by retraction, which is what lets the chain stop after any number of links.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
-from .core import Atom, Const, FactBase, InputError, KnowledgeBase, Rule, Var, cached_attribute
+from .core import Atom, Const, FactBase, InputError, KnowledgeBase, Rule, Value, Var, _set, cached_attribute
 from .chase import Phased
 
 
@@ -42,8 +41,7 @@ LEFT = "L"
 RIGHT = "R"
 
 
-@dataclass(frozen=True)
-class TuringMachine:
+class TuringMachine(Value):
     """Deterministic single-tape machine; tape unbounded to the right only.
 
     The machine must never move left on the first cell (standard assumption,
@@ -51,14 +49,21 @@ class TuringMachine:
     runs of `1`.
     """
 
-    states: tuple[str, ...]
-    initial: str
-    accept: str
-    reject: str
-    delta: dict[tuple[str, str], tuple[str, str, str]]
+    _fields = ("states", "initial", "accept", "reject", "delta")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
+    def __init__(
+        self,
+        states: Iterable[str],
+        initial: str,
+        accept: str,
+        reject: str,
+        delta: dict[tuple[str, str], tuple[str, str, str]],
+    ) -> None:
+        _set(self, "states", tuple(states))
+        _set(self, "initial", initial)
+        _set(self, "accept", accept)
+        _set(self, "reject", reject)
+        _set(self, "delta", delta)
         for name in (*self.states, *self.alphabet):
             if not _NAME.fullmatch(name):
                 raise InvalidMachine("name %r is not made of letters, digits and '_'" % name)
@@ -161,11 +166,13 @@ def head_pred(state: str) -> str:
     return "head_%s" % state
 
 
-@dataclass(frozen=True)
-class Encoding:
-    rules_w: tuple[Rule, ...]
-    rules_m: tuple[Rule, ...]
-    seed: FactBase
+class Encoding(Value):
+    _fields = ("rules_w", "rules_m", "seed")
+
+    def __init__(self, rules_w: tuple[Rule, ...], rules_m: tuple[Rule, ...], seed: FactBase) -> None:
+        _set(self, "rules_w", rules_w)
+        _set(self, "rules_m", rules_m)
+        _set(self, "seed", seed)
 
     @property
     def rules(self) -> tuple[Rule, ...]:

@@ -753,7 +753,8 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
 modules = sorted(m for m in sys.modules if m.split(".")[0] == "exchase")
-print(json.dumps([modules, "hashlib" in sys.modules, code]))
+loaded = {m: m in sys.modules for m in ("hashlib", "dataclasses", "inspect")}
+print(json.dumps([modules, loaded, code]))
 """
 
 _BASE_MODULES = ["exchase", "exchase.chase", "exchase.cli", "exchase.core", "exchase.textio"]
@@ -770,14 +771,16 @@ def _modules_loaded(*argv: str) -> tuple[list[str], bool]:
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    modules, hashlib_loaded, code = json.loads(proc.stdout)
+    modules, loaded, code = json.loads(proc.stdout)
     assert code == (0 if argv else None)
-    return modules, hashlib_loaded
+    assert not loaded["dataclasses"] and not loaded["inspect"], argv
+    return modules, loaded["hashlib"]
 
 
 def test_a_command_loads_only_the_modules_it_runs(tmp_path):
     """`import exchase.cli` loads `core`, `chase` and `textio`; each command
-    adds the modules it runs, and `hashlib` only once a null is minted."""
+    adds the modules it runs, and `hashlib` only once a null is minted. No
+    command loads `dataclasses` or `inspect`."""
     datalog = tmp_path / "tc.erl"
     datalog.write_text("[t] e(X,Y), e(Y,Z) -> e(X,Z).\ne(a,b).\ne(b,c).\ne(c,d).\n")
     ex1, rule12 = str(CORPUS / "ex1.erl"), str(CORPUS / "rule12.erl")

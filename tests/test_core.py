@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from exchase.core import (
     Atom,
     Const,
+    Derivation,
     FactBase,
     FactBaseError,
     KnowledgeBase,
@@ -146,6 +147,12 @@ def test_kb_duplicate_ids_and_arity_clash():
     r3 = Rule("r3", (Atom("p", V("X", "Y")),), (Atom("q", V("X")),))
     with pytest.raises(KnowledgeBaseError):
         KnowledgeBase((r1, r3), FactBase())
+
+
+def test_kb_names_each_duplicate_rule_id_once_in_sorted_order():
+    rules = [Rule(i, (Atom("p", V("X")),), (Atom("q", V("X")),)) for i in "dbadcbeb"]
+    with pytest.raises(KnowledgeBaseError, match="^duplicate rule ids: b, d$"):
+        KnowledgeBase(rules, FactBase())
 
 
 def test_derivation_replay_determinism():
@@ -386,10 +393,19 @@ def test_pickled_terms_keep_membership_under_another_hash_seed():
 
 
 def test_value_classes_hash_in_c_and_are_no_dataclasses():
+    import importlib
+    import pkgutil
+
+    import exchase
+
     for cls in (Const, Null, Var):
         assert cls.__hash__ is tuple.__hash__
-    for cls in (Const, Null, Var, Atom):
-        assert not dataclasses.is_dataclass(cls)
+    classes = []
+    for info in pkgutil.iter_modules(exchase.__path__):
+        module = importlib.import_module("exchase." + info.name)
+        classes += [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == module.__name__]
+    assert Atom in classes and Rule in classes and len(classes) > 30
+    assert not [cls for cls in classes if dataclasses.is_dataclass(cls)]
 
 
 _KEY_TERMS = st.builds(
@@ -433,3 +449,136 @@ def test_copied_atoms_keep_equality_and_hash():
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and hash(b) == hash(a)
         assert b in {a}
+
+
+def _value_instances():
+    """One instance of each value class, with the repr its class wrote when
+    it was a dataclass, a compared field and another value for it, and a
+    read of what the instance caches or derives."""
+    from exchase.analysis import ExplorationReport, Fixture, TriState
+    from exchase.chase import ChaseVariant
+    from exchase.normalize import DecompositionReport
+    from exchase.textio import SourceDocument
+    from exchase.tmgen import Encoding, TuringMachine
+
+    p, q = Atom("p", V("X")), Atom("q", V("X", "Z"))
+    rule = Rule("r", [p], [q])
+    fb = FactBase([Atom("p", (Const("a"),))])
+    kb = KnowledgeBase([rule], fb)
+    t = Trigger(rule, (("X", Const("a")),))
+    machine = TuringMachine(
+        ["qa", "qi", "qr"], "qi", "qa", "qr", {("qi", "1"): ("qa", "1", "R"), ("qi", "blank"): ("qa", "blank", "R")}
+    )
+    p_, q_ = "Atom(pred='p', args=(Var(name='X'),))", "Atom(pred='q', args=(Var(name='X'), Var(name='Z')))"
+    rule_ = "Rule(id='r', body=(%s,), head=(%s,))" % (p_, q_)
+    fb_ = "FactBase(atoms=frozenset({Atom(pred='p', args=(Const(name='a'),))}))"
+    kb_ = "KnowledgeBase(rules=(%s,), facts=%s)" % (rule_, fb_)
+    t_ = "Trigger(rule=%s, match=(('X', Const(name='a')),))" % rule_
+    return [
+        (rule, rule_, ("id", "s"), lambda v: (v.frontier, v.existentials, v.body_plan, v.head_plan)),
+        (fb, fb_, ("atoms", frozenset()), lambda v: (v.sorted_atoms, v.terms, v.nulls, v.signature)),
+        (kb, kb_, ("facts", FactBase()), lambda v: (v.signature, v.body_index, v.trigger_table)),
+        (t, t_, ("match", (("X", Const("b")),)), lambda v: (v.output, v.output_nulls, v.frontier_key)),
+        (
+            Derivation(fb, ((t, ()),), fb, "terminated_fair", {"steps": 1}),
+            "Derivation(initial=%s, records=((%s, ()),), result=%s, verdict='terminated_fair', "
+            "stats={'steps': 1})" % (fb_, t_, fb_),
+            ("verdict", "budget_exhausted"),
+            lambda v: (len(v), v.stats),
+        ),
+        (ChaseVariant("r", True), "ChaseVariant(tag='r', datalog_first=True)", ("datalog_first", False), lambda v: v.label),
+        (
+            SourceDocument([rule], [Atom("p", (Const("a"),))], [(p,)]),
+            "SourceDocument(rules=[%s], facts=[Atom(pred='p', args=(Const(name='a'),))], queries=[(%s,)])"
+            % (rule_, p_),
+            ("queries", []),
+            lambda v: (v.knowledge_base(), v.data_predicates()),
+        ),
+        (
+            ExplorationReport("growth", 3, max_len=2, dedup_hits=1),
+            "ExplorationReport(verdict='growth', nodes=3, max_len=2, witness=None, witness_label=None, "
+            "dedup_hits=1)",
+            ("nodes", 4),
+            lambda v: v.verdict,
+        ),
+        (
+            TriState("yes", 2, {"X": Const("a")}),
+            "TriState(kind='yes', steps=2, witness={'X': Const(name='a')})",
+            ("steps", 3),
+            lambda v: v.witness,
+        ),
+        (
+            Fixture("f", kb, {"max_depth": 1}, [{"mode": "forall"}], []),
+            "Fixture(id='f', kb=%s, budgets={'max_depth': 1}, expect=[{'mode': 'forall'}], strategies=[])" % kb_,
+            ("id", "g"),
+            lambda v: v.kb.body_index,
+        ),
+        (
+            DecompositionReport((rule,), (("f", 1),), {"r": ("r",)}),
+            "DecompositionReport(output_rules=(%s,), fresh_predicates=(('f', 1),), mapping={'r': ('r',)})" % rule_,
+            ("mapping", {}),
+            lambda v: v.output_rules[0].frontier,
+        ),
+        (
+            machine,
+            "TuringMachine(states=('qa', 'qi', 'qr'), initial='qi', accept='qa', reject='qr', "
+            "delta={('qi', '1'): ('qa', '1', 'R'), ('qi', 'blank'): ('qa', 'blank', 'R')})",
+            ("delta", {("qi", "1"): ("qr", "1", "R"), ("qi", "blank"): ("qa", "blank", "R")}),
+            lambda v: (v.halting, v.alphabet),
+        ),
+        (
+            Encoding((rule,), (), fb),
+            "Encoding(rules_w=(%s,), rules_m=(), seed=%s)" % (rule_, fb_),
+            ("rules_m", (rule,)),
+            lambda v: v.knowledge_base(),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("case", range(13))
+def test_value_classes_keep_their_dataclass_semantics(case):
+    """Each value class has the constructor, repr, equality and hash it had
+    as a dataclass; the frozen ones refuse assignment and deletion, the two
+    mutable ones (`SourceDocument`, `Fixture`) are unhashable; and a copy or
+    a pickle round trip is equal and still reads its cached fields."""
+    v, text, (name, other), read = _value_instances()[case]
+    cls = v.__class__
+    assert repr(v) == text
+    args = [getattr(v, f) for f in cls._fields]
+    twin = cls(*args)
+    assert twin == v and not twin != v and twin is not v
+    changed = cls(*[other if f == name else a for f, a in zip(cls._fields, args)])
+    assert changed != v and v != args and v != object()
+    compared = tuple(getattr(v, f) for f in cls._fields if f != "stats")
+    mutable = cls.__name__ in ("SourceDocument", "Fixture")
+    if mutable:
+        with pytest.raises(TypeError):
+            hash(v)
+        setattr(twin, name, other)
+        assert twin == changed
+        delattr(twin, name)
+        assert not hasattr(twin, name)
+    else:
+        try:
+            expected = hash(compared)
+        except TypeError:  # a dict among the fields
+            with pytest.raises(TypeError):
+                hash(v)
+        else:
+            assert hash(v) == hash(twin) == expected
+        for attempt in (lambda: setattr(v, name, other), lambda: delattr(v, name), lambda: setattr(v, "x", 1)):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert getattr(v, name) == args[cls._fields.index(name)]
+    cached = read(v)
+    for clone in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert clone.__class__ is cls and clone == v
+        assert read(clone) == cached
+
+
+def test_derivation_stats_take_no_part_in_equality_or_hash():
+    fb = FactBase()
+    d = Derivation(fb, (), fb, "terminated_fair", {"steps": 0})
+    e = Derivation(fb, (), fb, "terminated_fair")
+    assert d == e and hash(d) == hash(e) and e.stats == {} and d.stats == {"steps": 0}
+    assert Derivation(fb, (), fb, "terminated_fair").stats is not e.stats

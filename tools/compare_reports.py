@@ -59,6 +59,11 @@ under either seed:
 - `run --json` on each of `ERROR_ERLS`, inputs the parser rejects with an
   error that quotes the offending statement or term: a fact with a
   variable, and a null in a rule and in a query;
+- the command-line usage errors of `USAGE_ERRORS`, each a JSON error with
+  exit 2: an unknown variant name (`zz`, and `df` with no tag), a negative
+  step budget, `entails` on a file without a query and with a query index
+  out of range, a zero explore depth, a missing input file, and `tm
+  encode` of each of `BAD_MACHINES`;
 - `normalize --json` on every corpus `.erl` with --proc sp, 1ad and 2ad,
   and with --skip-atomic for 1ad and 2ad;
 - `tm encode --json` and `tm tape --json --len 1`, 2 and 3 on every corpus
@@ -82,8 +87,8 @@ differs, in `steps` alone.
 prints one tree's reports as a JSON object instead, with the diverging
 rule's file, the collision, cycles and independent-rules files, the
 layout and long-body files, the entailed and chain files, the error
-inputs, the query copies, the strategy files and the `--output` files
-written into the directory DIR.
+inputs, the malformed machines, the query copies, the strategy files and
+the `--output` files written into the directory DIR.
 """
 from __future__ import annotations
 
@@ -163,6 +168,23 @@ ERROR_ERLS = {
     "fact-var.erl": "p(a).\np(X).\n",
     "rule-null.erl": "[r] p(X), q(_n1.x) -> s(X).\np(a).\n",
     "query-null.erl": "p(a).\n? p(_n).\n",
+}
+BAD_MACHINES = {
+    "bad-direction.tm": "initial: q0\naccept: qa\nreject: qr\nq0 1 -> qa 1 X\nq0 _ -> qa _ R\n",
+    "not-total.tm": "initial: q0\naccept: qa\nreject: qr\nq0 1 -> qa 1 R\n",
+    "no-header.tm": "initial: q0\naccept: qa\nq0 1 -> qa 1 R\nq0 _ -> qa _ R\n",
+}
+# Usage error -> argv, with {ex1}, {growth}, {entailed} and {scratch} filled in.
+USAGE_ERRORS = {
+    "variant zz": ["run", "{ex1}", "--variant", "zz", "--json"],
+    "variant df": ["run", "{ex1}", "--variant", "df", "--json"],
+    "explore variant dfzz": ["explore", "{ex1}", "--variant", "dfzz", "--json"],
+    "max-steps -1": ["run", "{ex1}", "--max-steps", "-1", "--json"],
+    "entails no query": ["entails", "{growth}", "--json"],
+    "entails query-index 5": ["entails", "{entailed}", "--query-index", "5", "--json"],
+    "explore max-depth 0": ["explore", "{ex1}", "--max-depth", "0", "--json"],
+    "missing file": ["run", "{scratch}/missing.erl", "--json"],
+    **{"tm encode " + name: ["tm", "encode", "--machine", "{scratch}/" + name, "--json"] for name in BAD_MACHINES},
 }
 HASH_SEEDS = ("0", "1")
 
@@ -277,6 +299,11 @@ def _commands(src: Path, scratch: Path) -> dict[str, list[str]]:
         bad = scratch / name
         bad.write_text(text, encoding="utf-8")
         commands["run %s" % name] = ["run", str(bad), "--json"]
+    for name, text in BAD_MACHINES.items():
+        (scratch / name).write_text(text, encoding="utf-8")
+    paths = {"ex1": corpus / "ex1.erl", "growth": growth, "entailed": query_erls[0], "scratch": scratch}
+    for key, argv in USAGE_ERRORS.items():
+        commands["usage " + key] = [a.format(**paths) for a in argv]
     for machine in sorted((corpus / "machines").glob("*.tm")):
         commands["tm encode %s" % machine.name] = ["tm", "encode", "--machine", str(machine), "--json"]
         for length in TAPE_LENGTHS:
